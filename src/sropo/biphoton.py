@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .cavity import DerivedScales
 from .constants import SPEED_OF_LIGHT as C_LIGHT
@@ -176,7 +175,7 @@ class BiphotonAmplitudeGrid:
 
     def norm_squared(self) -> float:
         density = np.abs(self.amplitudes) ** 2
-        return float(np.sum(trapezoid(density, self.detuning, axis=1)))
+        return float(np.sum(np.trapezoid(density, self.detuning, axis=1)))
 
 
 def wavefunction_grid(
@@ -200,16 +199,18 @@ def wavefunction_grid(
     half = omega_grid_halfwidth * gamma
     if points_per_mode < 2:
         raise ValueError("points_per_mode must be at least 2")
-    spacing = 2.0 * half / (points_per_mode - 1)
-    if gamma / spacing < 16.0:
+    # Points per gamma depend only on the grid shape; computing them from
+    # gamma / spacing would round below the limit for some gamma.
+    points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)
+    if points_per_gamma < 16.0:
         raise GridTooCoarseError(
-            f"only {gamma / spacing:.1f} grid points per gamma; at least 16 required"
+            f"only {points_per_gamma:.1f} grid points per gamma; at least 16 required"
         )
     modes = np.arange(-m_count, m_count + 1)
     omega = np.linspace(-half, half, points_per_mode)
     z = 0.5 * (modes[:, None] * scales.fsr_delta_omega + omega[None, :]) * scales.tau0
     phi = np.sinc(z / np.pi) * np.exp(-1j * z)
     raw = phi / (0.5 * gamma - 1j * omega)[None, :]
-    norm_sq = float(np.sum(trapezoid(np.abs(raw) ** 2, omega, axis=1)))
+    norm_sq = float(np.sum(np.trapezoid(np.abs(raw) ** 2, omega, axis=1)))
     normalization = 1.0 / math.sqrt(norm_sq)
     return BiphotonAmplitudeGrid(modes, omega, normalization * raw, normalization)

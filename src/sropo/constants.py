@@ -1,11 +1,10 @@
-"""Physical constants shared across the package (SI units)."""
+"""Physical constants shared across the package (SI units, CODATA 2022)."""
 
 import math
 
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.constants import epsilon_0 as VACUUM_PERMITTIVITY
-from scipy.constants import hbar as HBAR
+SPEED_OF_LIGHT = 299792458.0
+VACUUM_PERMITTIVITY = 8.8541878188e-12
 
 TWO_PI = 2.0 * math.pi
 
-__all__ = ["SPEED_OF_LIGHT", "VACUUM_PERMITTIVITY", "HBAR", "TWO_PI"]
+__all__ = ["SPEED_OF_LIGHT", "VACUUM_PERMITTIVITY", "TWO_PI"]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .constants import SPEED_OF_LIGHT as C_LIGHT
 from .constants import TWO_PI
@@ -36,6 +35,9 @@ from .errors import (
 _VALIDATION_SAMPLES = 65
 _SCAN_INTERVALS = 256
 _MISMATCH_TOL_REL = 1e-6
+_BISECT_XTOL = 1e-300
+_BISECT_RTOL = 1e-15
+_BISECT_MAXITER = 200
 
 
 class DispersionKind(str, Enum):
@@ -212,6 +214,46 @@ def transit_time_diff(crystal: CrystalParams, freqs: FrequencyTriple) -> float:
     return crystal.length_l / v_gi - crystal.length_l / v_gs
 
 
+def _bisect(f, xa: float, xb: float) -> float:
+    """Root of ``f`` on [xa, xb] by bisection.
+
+    Step for step the same as ``scipy.optimize.bisect`` with
+    ``xtol=_BISECT_XTOL, rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER``: the
+    same midpoints, stopping rule and returned bits, and the same exception
+    types (ValueError for a NaN value or a same-sign bracket, RuntimeError
+    after the last iteration).
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(
+                f"The function value at x={x} is NaN; solver cannot continue."
+            )
+        return fx
+
+    fa = value(xa)
+    fb = value(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(_BISECT_MAXITER):
+        dm *= 0.5
+        xm = xa + dm
+        fm = value(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < _BISECT_XTOL + _BISECT_RTOL * abs(xm):
+            return xm
+    raise RuntimeError(
+        f"Failed to converge after {_BISECT_MAXITER} iterations, value is {xa}"
+    )
+
+
 def phase_match(
     crystal: CrystalParams,
     omega_p: float,
@@ -259,7 +301,7 @@ def phase_match(
             root = b
             break
         if fa * fb < 0.0:
-            root = float(bisect(mismatch, a, b, xtol=1e-300, rtol=1e-15, maxiter=200))
+            root = _bisect(mismatch, a, b)
             break
     if root is None:
         raise NoSignChangeError(

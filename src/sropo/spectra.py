@@ -18,7 +18,6 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
@@ -106,7 +105,7 @@ def spectrum(
     if normalization is Normalization.PEAK_UNITY:
         values = values / values.max()
     elif normalization is Normalization.UNIT_INTEGRAL:
-        values = values / trapezoid(values, detuning)
+        values = values / np.trapezoid(values, detuning)
     else:
         raise ValueError(f"unsupported spectrum normalization {normalization}")
 

@@ -110,12 +110,12 @@ def write_table_csv(
 ) -> None:
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
-    n_rows = len(columns[0])
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(column_names))
-    cols = [np.asarray(c) for c in columns]
-    for i in range(n_rows):
-        lines.append(",".join(format_float(col[i]) for col in cols))
+    # "%.17g" formats a float exactly as format_float does.
+    row_format = ",".join(["%.17g"] * len(columns))
+    rows = np.column_stack(columns).tolist()
+    lines.extend(row_format % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -16,6 +16,7 @@ transit-time difference tau0:
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ C_LIGHT = 299792458.0
 ROUND_TRIP = 0.116 / C_LIGHT  # 2*l*n_s/c + 2*(Lr-l)/c with l=0.01, Lr=0.05, n_s=1.8
 GAMMA = 0.05 * 2.0 * math.pi / ROUND_TRIP  # good-cavity: gamma/fsr = 0.05
 WIDE_RANGE = (1e14, 1e16)
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def constant_model(n: float) -> DispersionModel:

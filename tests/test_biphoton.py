@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from sropo import (
     wavefunction_grid,
 )
 from sropo.biphoton import _rate_prefactor
-from conftest import make_setup
+from sropo.scenario import load_scenario
+from conftest import CONFIG_DIR, make_setup
 from scipy.constants import epsilon_0 as EPS0
 
 C = 299792458.0
@@ -208,6 +210,15 @@ class TestWavefunctionGrid:
         with pytest.raises(GridTooCoarseError):
             wavefunction_grid(scales, m_count=2, omega_grid_halfwidth=10.0,
                               points_per_mode=50)
+
+    def test_default_grid_accepts_gamma_near_shipped_config(self):
+        # 384 intervals over 24 gamma is exactly 16 points per gamma for
+        # every gamma; the check must not round below its own limit.
+        scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+        for factor in np.linspace(0.99, 1.01, 200):
+            near = dataclasses.replace(scales, gamma=scales.gamma * factor)
+            grid = wavefunction_grid(near, m_count=2)
+            assert grid.detuning.size == 385
 
     def test_halfwidth_minimum(self, comb_setup):
         *_, scales = comb_setup

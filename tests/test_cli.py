@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sropo import measure_peaks, nearest_peak
-from sropo.trace import read_table_csv
+from sropo.trace import format_float, read_table_csv, write_table_csv
 from conftest import GAMMA, ROUND_TRIP, scenario_dict
 
 
@@ -200,14 +200,25 @@ class TestDeterminismAndRoundTrip:
         )
         path = tmp_path / "spectrum_signal.csv"
         _, _, (axis, values) = read_table_csv(path)
-        from sropo.trace import format_float
-
         text = path.read_text().splitlines()
         rows = [line for line in text if line and not line.startswith("#")][1:]
         for i in (0, len(rows) // 2, len(rows) - 1):
             a_str, v_str = rows[i].split(",")
             assert format_float(axis[i]) == a_str
             assert format_float(values[i]) == v_str
+
+    def test_csv_rows_match_cell_by_cell_formatting(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 500
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-308, 308, n)
+        floats[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1e22]
+        cols = [floats, np.arange(n) - 250, np.abs(rng.standard_normal(n))]
+        path = tmp_path / "table.csv"
+        write_table_csv(path, ["a", "b c"], ["x", "m", "y"], cols)
+        expected = ["# a", "# b c", "x,m,y"] + [
+            ",".join(format_float(col[i]) for col in cols) for i in range(n)
+        ]
+        assert path.read_text(encoding="ascii") == "\n".join(expected) + "\n"
 
     def test_repeated_runs_byte_identical(self, config_path, tmp_path):
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -227,3 +238,42 @@ class TestDeterminismAndRoundTrip:
         assert files1 == files2
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+_NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from sropo.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, sropo, sropo.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        (["scales"], "scales.json"),
+        (["g2", "--tier", "series"], "g2_series.csv"),
+        (["wavefunction"], "wavefunction.csv"),
+    ],
+)
+def test_commands_run_with_scipy_blocked(config_path, tmp_path, args, written):
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY, *args,
+         "--config", str(config_path), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert (tmp_path / written).is_file()

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.constants
+import scipy.optimize
 
 from sropo import (
     CrystalParams,
@@ -15,7 +19,10 @@ from sropo import (
     transit_time_diff,
     wavenumber,
 )
-from conftest import C_LIGHT, constant_model
+from sropo.constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
+from sropo.dispersion import _bisect
+from sropo.scenario import load_scenario
+from conftest import C_LIGHT, CONFIG_DIR, constant_model
 
 WIDE = (1e14, 1e16)
 
@@ -222,3 +229,94 @@ class TestPhaseMatch:
         crystal = make_crystal(constant_model(1.8), constant_model(1.9))
         with pytest.raises(ValueError):
             phase_match(crystal, 3.5e15, (2.2e15, 1.8e15))
+
+
+def test_constants_match_scipy():
+    assert SPEED_OF_LIGHT == scipy.constants.c
+    assert VACUUM_PERMITTIVITY == scipy.constants.epsilon_0
+
+
+class _Counted:
+    """Wraps f and counts its evaluations."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+class TestBisectMatchesScipy:
+    """``_bisect`` against ``scipy.optimize.bisect`` at the solver's settings."""
+
+    @staticmethod
+    def assert_same(f, a, b):
+        ours, theirs = _Counted(f), _Counted(f)
+        root = _bisect(ours, a, b)
+        ref = scipy.optimize.bisect(
+            theirs, a, b, xtol=1e-300, rtol=1e-15, maxiter=200
+        )
+        assert root.hex() == float(ref).hex()
+        assert ours.calls == theirs.calls
+
+    def test_phase_matched_config(self):
+        # The shipped bracket's scan lands exactly on the root, so bisect the
+        # same mismatch on random brackets around it instead.
+        config = load_scenario(CONFIG_DIR / "phase_matched.json")
+        crystal, omega_p = config.crystal, config.freqs.omega_p
+        k_p = wavenumber(crystal.dispersion_pump, omega_p)
+
+        def mismatch(omega_s):
+            return (
+                k_p
+                - wavenumber(crystal.dispersion_signal, omega_s)
+                - wavenumber(crystal.dispersion_idler, omega_p - omega_s)
+            )
+
+        rng = np.random.default_rng(9)
+        root = config.freqs.omega_s
+        for lo, hi in rng.uniform([0.9, 1.0], [1.0, 1.1], size=(200, 2)) * root:
+            self.assert_same(mismatch, float(lo), float(hi))
+
+    def test_random_monotone_functions(self):
+        rng = np.random.default_rng(20071)
+        for _ in range(1000):
+            scale = 10.0 ** rng.uniform(-12, 16)
+            a = scale * rng.uniform(-1.0, 1.0)
+            b = a + scale * rng.uniform(1e-6, 2.0)
+            r = rng.uniform(a, b)
+            sign = rng.choice((-1.0, 1.0))
+            cubic = rng.uniform(0.0, 10.0) / (b - a) ** 2
+
+            def f(x, r=r, sign=sign, cubic=cubic):
+                return sign * (x - r) * (1.0 + cubic * (x - r) ** 2)
+
+            self.assert_same(f, a, b)
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x - 0.5, 0.0, 1.0),  # root on the first midpoint
+            (lambda x: x, 0.0, 1.0),  # root on the left endpoint
+            (lambda x: x - 1.0, 0.0, 1.0),  # root on the right endpoint
+            (lambda x: math.tanh(x - 1.0 / 3.0), -2.0, 3.0),
+        ],
+    )
+    def test_edge_brackets(self, f, a, b):
+        self.assert_same(f, a, b)
+
+    @pytest.mark.parametrize(
+        "f, a, b, error",
+        [
+            (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # same sign
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.7, 0.0, 1.0, ValueError),
+            (lambda x: x - 1e-200, -1.0, 1.0, RuntimeError),  # needs ~1000 steps
+        ],
+    )
+    def test_failures_raise_like_scipy(self, f, a, b, error):
+        with pytest.raises(error):
+            scipy.optimize.bisect(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=200)
+        with pytest.raises(error):
+            _bisect(f, a, b)
