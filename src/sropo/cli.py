@@ -50,8 +50,41 @@ EXIT_NUMERIC = 2
 EXIT_REGIME = 3
 
 
+def _error(code: int, kind: str, message) -> int:
+    print(f"error: exit={code} type={kind}: {message}")
+    return code
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a configuration error: exit 1, flag named."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.exit(_error(EXIT_CONFIG, "ArgumentError", message))
+
+
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a finite ``kind`` number >= low (> low when strict)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    return parse
+
+
+_POSITIVE = _bounded(float, 0.0, strict=True)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sropo",
         description="Biphoton rates, spectra, and cross-correlations for a "
         "single-resonant OPO far below threshold.",
@@ -76,33 +109,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", parents=[common], help="biphoton generation rate")
     p.add_argument("--method", choices=("continuum", "sum", "both"), default="continuum")
-    p.add_argument("--m-max", type=int, default=1024, help="starting mode truncation")
+    p.add_argument("--m-max", type=_bounded(int, 1), default=1024,
+                   help="starting mode truncation")
 
     p = sub.add_parser("spectrum", parents=[common], help="output spectrum")
     p.add_argument("--field", choices=("signal", "idler"), required=True)
-    p.add_argument("--window-modes", type=float, default=None,
+    p.add_argument("--window-modes", type=_POSITIVE, default=None,
                    help="detuning half-width in units of the free spectral range")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--points", type=_bounded(int, 2), default=None)
+    p.add_argument("--m-max", type=_bounded(int, 0), default=None)
 
     p = sub.add_parser("g1", parents=[common], help="first-order correlation")
     p.add_argument("--field", choices=("signal", "idler"), required=True)
-    p.add_argument("--window-gammas", type=float, default=10.0,
+    p.add_argument("--window-gammas", type=_POSITIVE, default=10.0,
                    help="delay half-width in units of 1/gamma")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--points", type=_bounded(int, 2), default=None)
+    p.add_argument("--m-max", type=_bounded(int, 0), default=None)
 
     p = sub.add_parser("g2", parents=[common], help="second-order cross-correlation")
     p.add_argument("--tier", choices=[t.value for t in G2Tier], required=True)
-    p.add_argument("--peaks", type=int, default=5, help="round trips covered")
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
+    p.add_argument("--peaks", type=_bounded(int, 0), default=5, help="round trips covered")
+    p.add_argument("--points", type=_bounded(int, 2), default=None)
+    p.add_argument("--m-max", type=_bounded(int, 1), default=None)
     p.add_argument("--quad-points", type=int, default=512)
-    p.add_argument("--resolution", type=float, default=None,
+    p.add_argument("--resolution", type=_POSITIVE, default=None,
                    help="detector resolution dT in seconds (averaged tier)")
 
     p = sub.add_parser("wavefunction", parents=[common], help="two-photon amplitudes")
-    p.add_argument("--modes", type=int, default=8)
+    p.add_argument("--modes", type=_bounded(int, 1), default=8)
     p.add_argument("--halfwidth-gammas", type=float, default=12.0)
     p.add_argument("--points-per-mode", type=int, default=385)
     return parser
@@ -379,28 +413,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_scenario(args.config)
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"error: exit={EXIT_CONFIG} type={type(exc).__name__}: {exc}")
-        return EXIT_CONFIG
-    except SropoError as exc:
-        print(f"error: exit={EXIT_NUMERIC} type={type(exc).__name__}: {exc}")
-        return EXIT_NUMERIC
-
-    if args.strict_regime and not config.regime.ok:
-        print(
-            f"error: exit={EXIT_REGIME} type=RegimeFailure: "
-            + config.regime.summary()
-        )
-        return EXIT_REGIME
-
-    try:
+        if args.strict_regime and not config.regime.ok:
+            return _error(EXIT_REGIME, "RegimeFailure", config.regime.summary())
         written = _run(args, config)
     except (ScenarioParseError, ScenarioValidationError) as exc:
-        print(f"error: exit={EXIT_CONFIG} type={type(exc).__name__}: {exc}")
-        return EXIT_CONFIG
+        return _error(EXIT_CONFIG, type(exc).__name__, exc)
     except (SropoError, ValueError) as exc:
-        print(f"error: exit={EXIT_NUMERIC} type={type(exc).__name__}: {exc}")
-        return EXIT_NUMERIC
+        return _error(EXIT_NUMERIC, type(exc).__name__, exc)
 
     print(_summary_line(config, written))
     return EXIT_OK

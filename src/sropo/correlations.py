@@ -12,8 +12,8 @@ Tiers, from slowest/most faithful to fastest/most idealized:
   and each delay point is integrated by composite Gauss-Legendre quadrature
   over the supported part of the crystal.
 * ``series``  -- the crystal integral is frozen into the per-mode
-  sinc(m*fsr*tau0/2) amplitude and the phased mode sum is evaluated term by
-  term with compensated summation (it is cancellation-prone between peaks).
+  sinc(m*fsr*tau0/2) amplitude and the phased mode sum is evaluated as a
+  chirp-z transform on the uniform delay grid.
 * ``compact`` -- the idealized boxcar train: height exp(-gamma*j*T) inside
   |tau - j*T + tau0/2| <= |tau0|/2 (closed interval, boundary included),
   zero elsewhere.
@@ -40,7 +40,7 @@ from .errors import (
     ResolutionTooFineError,
 )
 from .numerics import (
-    KahanAccumulator,
+    _cos_series,
     composite_gauss_nodes,
     dirichlet_kernel,
     ensure_uniform_axis,
@@ -155,8 +155,8 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
     """Mode-sum tier: exp(-gamma*tau) * |sum_m sinc(m*dz) e^{-im*fsr*(tau+tau0/2)}|^2.
 
     Valid for tau + tau0/2 >= -|tau0|/2 and identically zero before that.
-    The weights are even in m, so the phased sum reduces to a real cosine
-    series accumulated with a Chebyshev recurrence under Kahan compensation.
+    The weights are even in m, so the phased sum is a real cosine series,
+    evaluated by the chirp-z transform in O((N + M) log M).
     """
     _require_tier(request, G2Tier.SERIES)
     _check_peak_resolution(request, scales)
@@ -164,21 +164,11 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
     fsr = scales.fsr_delta_omega
     tau0 = scales.tau0
     m_count = _mode_count(request, scales)
-    dz = 0.5 * fsr * tau0
-
-    phi = fsr * (tau + 0.5 * tau0)
-    cos_phi = np.cos(phi)
-    acc = KahanAccumulator(tau.shape)
-    acc.add(np.ones_like(tau))  # m = 0 term
-    c_prev = np.ones_like(tau)
-    c_cur = cos_phi.copy()
-    for m in range(1, m_count + 1):
-        z = m * dz
-        weight = 2.0 * math.sin(z) / z
-        acc.add(weight * c_cur)
-        c_next = 2.0 * cos_phi * c_cur - c_prev
-        c_prev, c_cur = c_cur, c_next
-    amplitude = acc.total
+    z = np.arange(1, m_count + 1) * (0.5 * fsr * tau0)
+    coef = np.concatenate(([1.0], 2.0 * np.sin(z) / z))
+    amplitude = _cos_series(
+        coef, fsr * (tau[0] + 0.5 * tau0), fsr * request.spacing, tau.size
+    )
 
     allowed = tau + 0.5 * tau0 >= -0.5 * abs(tau0)
     values = np.where(allowed, np.exp(-scales.gamma * tau) * amplitude**2, 0.0)

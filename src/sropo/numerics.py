@@ -1,17 +1,15 @@
-"""Small numerical building blocks: sinc, composite quadrature, compensated sums."""
+"""Small numerical building blocks: composite quadrature, mode (comb) sums."""
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from .constants import TWO_PI
 
-
-def sinc(z):
-    """sin(z)/z with the removable singularity filled in (sinc(0) = 1)."""
-    return np.sinc(np.asarray(z, dtype=float) / np.pi)
+_WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,27 +27,6 @@ def composite_gauss_nodes(a: float, b: float, n_panels: int, order: int = 8):
     nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     weights = (halves[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-class KahanAccumulator:
-    """Compensated (Kahan) summation over numpy arrays, element-wise.
-
-    Accumulation order is the call order, so results are deterministic.
-    """
-
-    def __init__(self, shape):
-        self._sum = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, value) -> None:
-        y = value - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    @property
-    def total(self) -> np.ndarray:
-        return self._sum
 
 
 def dirichlet_kernel(theta, m_max: int):
@@ -70,6 +47,8 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{what} must be a 1-d grid with at least two points")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{what} must be finite")
     steps = np.diff(axis)
     if np.any(steps <= 0):
         raise ValueError(f"{what} must be strictly increasing")
@@ -77,3 +56,49 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing):
         raise ValueError(f"{what} must be uniformly spaced")
     return spacing
+
+
+def _cis(x: float, q: np.ndarray) -> np.ndarray:
+    """exp(i*x*q) for integer-valued q, accurate however large x*q gets.
+
+    x is split so that its leading part times q is exact in double
+    precision; sin and cos then see an exact argument, and only the small
+    trailing product is rounded.
+    """
+    bits = int(np.max(np.abs(q), initial=0)).bit_length()
+    unit = math.ldexp(1.0, max(math.frexp(x)[1] - 53 + bits, -1074))
+    lead = round(x / unit) * unit
+    return np.exp(1j * (lead * q)) * np.exp(1j * ((x - lead) * q))
+
+
+def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
+    """S_k = sum_{m=0}^{M} coef[m] * cos(m*(theta0 + k*dtheta)), k = 0..n-1.
+
+    Chirp-z transform (Bluestein): m*k = (m^2 + k^2 - (k-m)^2)/2 turns the
+    sum into an FFT convolution with the chirp exp(-i*dtheta*l^2/2), at
+    O((n + M) log M) cost in place of O(n*M).  The output runs in blocks of
+    about M+1 points, so each FFT is about 2(M+1) long and one transform of
+    the chirp serves every block.  Block b starts at theta0 + k_b*dtheta,
+    with the phase exp(i*m*theta0) * exp(i*dtheta*m*k_b); every phase goes
+    through ``_cis``, so the error does not grow with the chirp phase.
+    Blocks are processed in chunks of at most ``_WORK_ELEMENTS`` elements.
+    Needs n >= 1 and finite theta0 and dtheta.
+    """
+    coef = np.asarray(coef, dtype=float)
+    m1 = coef.size
+    size = 1 << (m1 + min(n, m1) - 2).bit_length()
+    block = min(n, size - m1 + 1)
+    m = np.arange(m1, dtype=float)
+    lags = np.arange(1 - m1, block, dtype=float)
+    chirp_fft = np.fft.fft(np.conj(_cis(0.5 * dtheta, lags * lags)), size)
+    pre = coef * _cis(theta0, m) * _cis(0.5 * dtheta, m * m)
+    post = _cis(0.5 * dtheta, lags[m1 - 1 :] ** 2)
+    starts = np.arange(0, n, block, dtype=float)
+    out = np.empty(starts.size * block)
+    rows = max(1, _WORK_ELEMENTS // size)
+    for first in range(0, starts.size, rows):
+        k_b = starts[first : first + rows, None]
+        spectrum = np.fft.fft(pre * _cis(dtheta, m * k_b), size)
+        conv = np.fft.ifft(spectrum * chirp_fft)[:, m1 - 1 : m1 - 1 + block]
+        out[first * block : (first + k_b.size) * block] = (post * conv).real.ravel()
+    return out[:n]

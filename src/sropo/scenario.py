@@ -152,10 +152,20 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans, NaN and Infinity are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _number(obj: dict, key: str, path: str, positive: bool = True) -> float:
     value = _get(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}.{key}: expected a number")
+    if not _is_number(value):
+        raise ScenarioValidationError(f"{path}.{key}: expected a finite number")
     value = float(value)
     if positive and value <= 0:
         raise ScenarioValidationError(f"{path}.{key}: must be positive")
@@ -174,15 +184,11 @@ def _dispersion(obj: dict, path: str) -> DispersionModel:
         ) from None
     params = _get(obj, "parameters", path)
     rng = _get(obj, "validity_range", path)
-    if not isinstance(params, list) or not all(
-        isinstance(p, (int, float)) and not isinstance(p, bool) for p in params
-    ):
-        raise ScenarioValidationError(f"{path}.parameters: expected a list of numbers")
-    if (
-        not isinstance(rng, list)
-        or len(rng) != 2
-        or not all(isinstance(v, (int, float)) for v in rng)
-    ):
+    if not isinstance(params, list) or not all(map(_is_number, params)):
+        raise ScenarioValidationError(
+            f"{path}.parameters: expected a list of finite numbers"
+        )
+    if not isinstance(rng, list) or len(rng) != 2 or not all(map(_is_number, rng)):
         raise ScenarioValidationError(
             f"{path}.validity_range: expected [omega_min, omega_max]"
         )
@@ -220,10 +226,8 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
             f"{path}: provide omega_S/omega_I or a bracket for phase matching"
         )
     bracket = obj["bracket"]
-    if (
-        not isinstance(bracket, list)
-        or len(bracket) != 2
-        or not all(isinstance(v, (int, float)) for v in bracket)
+    if not isinstance(bracket, list) or len(bracket) != 2 or not all(
+        map(_is_number, bracket)
     ):
         raise ScenarioValidationError(f"{path}.bracket: expected [omega_lo, omega_hi]")
     return phase_match(crystal, omega_p, (bracket[0], bracket[1]))
@@ -283,8 +287,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         ) from None
 
     threshold = data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD)
-    if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-        raise ScenarioValidationError("regime_threshold: expected a number")
+    if not _is_number(threshold):
+        raise ScenarioValidationError("regime_threshold: expected a finite number")
 
     scales = derive_scales(crystal, cavity, pump, freqs, float(threshold))
     regime = check_regime(scales, float(threshold))

@@ -4,7 +4,8 @@ Both spectra are a comb of Lorentzians of halfwidth gamma at detunings
 -m*fsr from the respective centre frequency, weighted by the
 sinc^2(m*fsr*tau0/2) phase-matching envelope.  The first-order correlation
 g1 is the Fourier partner of the same comb; its mode integral is evaluated
-in closed form (each Lorentzian line contributes exp(-gamma*|tau|/2)).
+in closed form (each Lorentzian line contributes exp(-gamma*|tau|/2)), and
+its mode sum is a cosine series evaluated by the chirp-z transform.
 
 Spectra are tabulated against detuning from the centre frequency, and g1 is
 returned in the rotating frame of the centre frequency (the optical carrier
@@ -22,6 +23,7 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import GridTooCoarseError
+from .numerics import _cos_series, ensure_uniform_axis
 from .trace import ComplexTrace, Normalization, Trace, TraceKind, TraceMeta
 
 _POINTS_PER_GAMMA_MIN = 16.0
@@ -140,7 +142,12 @@ def g1(
 
     Returned in the rotating frame of the centre frequency: mode m
     contributes exp(i*m*fsr*tau), each line decays as exp(-gamma*|tau|/2).
-    The carrier frequency is recorded in the metadata.
+    The weights are even in m, so g1 is real; it stays a complex trace with
+    an imaginary part of exactly 0.  ``tau`` must be a finite, strictly
+    increasing, uniform grid of two points or more (ValueError otherwise): the
+    mode sum runs as a chirp-z transform in O((N + M) log M).  Where the
+    grid holds tau = 0 exactly, g1 there is exactly 1.  The carrier
+    frequency is recorded in the metadata.
     """
     field = FieldName(field)
     gamma = scales.gamma
@@ -156,7 +163,7 @@ def g1(
         tau = np.linspace(-half, half, n)
     else:
         tau = np.asarray(tau, dtype=float)
-    spacing = float(tau[-1] - tau[0]) / (tau.size - 1)
+    spacing = ensure_uniform_axis(tau, "tau")
     if 1.0 / (gamma * spacing) < _POINTS_PER_GAMMA_MIN:
         raise GridTooCoarseError(
             f"only {1.0 / (gamma * spacing):.2f} grid points per 1/gamma; "
@@ -168,11 +175,12 @@ def g1(
             f"need <= {scales.round_trip_T / (2.5 * m_count):.3e} s"
         )
 
-    weights = _mode_weights(m_count, scales)
-    values = np.zeros(tau.shape, dtype=complex)
-    for i, m in enumerate(range(-m_count, m_count + 1)):
-        values += weights[i] * np.exp(1j * (m * fsr) * tau)
-    values *= np.exp(-0.5 * gamma * np.abs(tau)) / weights.sum()
+    coef = _mode_weights(m_count, scales)[m_count:]
+    coef[1:] *= 2.0
+    comb = _cos_series(coef, fsr * tau[0], fsr * spacing, tau.size)
+    zero = np.flatnonzero(tau == 0.0)
+    norm = comb[zero[0]] if zero.size else coef.sum()
+    values = (comb / norm * np.exp(-0.5 * gamma * np.abs(tau))).astype(complex)
 
     meta = TraceMeta(
         TraceKind.G1,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sropo import measure_peaks, nearest_peak
+from sropo.cli import main
 from sropo.trace import format_float, read_table_csv, write_table_csv
 from conftest import GAMMA, ROUND_TRIP, scenario_dict
 
@@ -190,6 +191,44 @@ class TestErrorPaths:
             "--out", str(tmp_path),
         )
         assert result.returncode == 1
+
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["g2", "--tier", "series", "--peaks", "-3"], "--peaks"),
+            (["g1", "--field", "idler", "--points", "1"], "--points"),
+            (["g2", "--tier", "compact", "--points", "1"], "--points"),
+            (["spectrum", "--field", "idler", "--points", "1"], "--points"),
+            (["g1", "--field", "idler", "--m-max", "-1"], "--m-max"),
+            (["spectrum", "--field", "idler", "--m-max", "-1"], "--m-max"),
+            (["g2", "--tier", "series", "--m-max", "0"], "--m-max"),
+            (["rate", "--m-max", "0"], "--m-max"),
+            (["wavefunction", "--modes", "0"], "--modes"),
+            (["g2", "--tier", "averaged", "--resolution", "-1"], "--resolution"),
+            (["g1", "--field", "idler", "--window-gammas", "-1"], "--window-gammas"),
+            (["g1", "--field", "idler", "--window-gammas", "nan"], "--window-gammas"),
+            (["spectrum", "--field", "idler", "--window-modes", "0"], "--window-modes"),
+            (["g2", "--tier", "series", "--peaks", "two"], "--peaks"),
+        ],
+    )
+    def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--config", str(config_path), "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: exit=1 type=ArgumentError: ")
+        assert f"argument {flag}:" in out
+        assert not any(tmp_path.iterdir())
+
+    def test_non_finite_scenario_number_is_config_error(self, tmp_path, capsys):
+        data = scenario_dict()
+        data["crystal"]["length_l"] = float("nan")
+        path = write_config(tmp_path, data)  # json writes the NaN literal
+        assert main(["scales", "--config", str(path), "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "ScenarioValidationError" in out and "crystal.length_l" in out
+        assert not (tmp_path / "scales.json").exists()
 
 
 class TestDeterminismAndRoundTrip:

@@ -20,6 +20,7 @@ from sropo import (
     nearest_peak,
 )
 from sropo.peaks import local_maxima, minimum_between
+from oracles import g2_series_mode_loop
 
 
 def plateau_mean(trace, center, halfwidth):
@@ -122,6 +123,19 @@ class TestSeries:
         tau = comb_grid(scales)
         with pytest.raises(ValueError):
             g2_series(G2Request(G2Tier.COMPACT, tau), scales)
+
+
+    @pytest.mark.parametrize("flip", [False, True], ids=["tau0", "minus_tau0"])
+    def test_matches_chebyshev_oracle(self, comb_setup, flip):
+        # 1,847 modes; the oracle's own recurrence error grows with M.
+        *_, scales = comb_setup
+        if flip:
+            scales = dataclasses.replace(scales, tau0=-scales.tau0)
+        tau = comb_grid(scales)
+        trace = g2_series(G2Request(G2Tier.SERIES, tau), scales)
+        want = g2_series_mode_loop(tau, scales, trace.meta.extra["m_max"])
+        assert np.abs(trace.values - want).max() <= 1e-11
+        assert np.array_equal(trace.values == 0.0, want == 0.0)
 
 
 class TestCompact:

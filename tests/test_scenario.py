@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import pytest
 
@@ -94,6 +96,45 @@ class TestLoadScenario:
             "omega_I": 1.5e15 + 1000.0,
         }
         with pytest.raises(ScenarioValidationError, match="frequencies"):
+            load_scenario(write_config(tmp_path, data))
+
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda d: d["crystal"].__setitem__("length_l", math.nan), "crystal.length_l"),
+            (lambda d: d["cavity"].__setitem__("loss_rate_gamma", math.inf),
+             "cavity.loss_rate_gamma"),
+            (lambda d: d["pump"].__setitem__("field_amplitude_EP", -math.inf),
+             "pump.field_amplitude_EP"),
+            (lambda d: d["frequencies"].__setitem__("omega_S", math.nan),
+             "frequencies.omega_S"),
+            (lambda d: d.__setitem__("regime_threshold", math.nan), "regime_threshold"),
+            (lambda d: d["crystal"].__setitem__("chi", 10**400), "crystal.chi"),
+            (lambda d: d["crystal"]["dispersion_idler"].__setitem__(
+                "parameters", [math.nan]), "crystal.dispersion_idler.parameters"),
+            (lambda d: d["crystal"]["dispersion_pump"].__setitem__(
+                "validity_range", [1e14, math.inf]), "crystal.dispersion_pump.validity_range"),
+            (lambda d: d["crystal"]["dispersion_signal"].__setitem__(
+                "validity_range", [True, 1e16]), "crystal.dispersion_signal.validity_range"),
+            (lambda d: d.__setitem__(
+                "frequencies", {"omega_P": 3.5e15, "bracket": [False, 2.2e15]}),
+             "frequencies.bracket"),
+            (lambda d: d.__setitem__(
+                "frequencies", {"omega_P": 3.5e15, "bracket": [1.8e15, math.nan]}),
+             "frequencies.bracket"),
+        ],
+        ids=["nan_length", "inf_gamma", "minus_inf_pump", "nan_omega_s",
+             "nan_threshold", "huge_integer", "nan_parameter", "inf_range", "bool_range",
+             "bool_bracket", "nan_bracket"],
+    )
+    def test_non_finite_or_boolean_number_names_field(self, tmp_path, mutate, field):
+        data = scenario_dict()
+        mutate(data)
+        with pytest.raises(ScenarioValidationError, match=re.escape(field)):
+            scenario_from_dict(data)
+        # the JSON literals NaN and Infinity take the same path through a file
+        with pytest.raises(ScenarioValidationError, match=re.escape(field)):
             load_scenario(write_config(tmp_path, data))
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sropo import (
     GridTooCoarseError,
@@ -12,7 +14,9 @@ from sropo import (
     nearest_peak,
     spectrum,
 )
+from sropo.spectra import _mode_weights
 from scipy.integrate import trapezoid
+from oracles import g1_mode_loop
 
 
 class TestSpectrum:
@@ -151,3 +155,56 @@ class TestG1:
         tau = np.linspace(-5 / scales.gamma, 5 / scales.gamma, 201)
         with pytest.raises(GridTooCoarseError):
             g1("idler", scales, freqs, tau=tau, m_max=400)
+
+    def test_matches_mode_loop_oracle(self, spectrum_setup):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        tau = np.linspace(-3 / scales.gamma, 3 / scales.gamma, 6001)
+        trace = g1("idler", scales, freqs, tau=tau, m_max=100)
+        want = g1_mode_loop(
+            _mode_weights(100, scales), scales.fsr_delta_omega, scales.gamma, tau
+        )
+        assert np.abs(trace.values - want).max() <= 1e-11
+        assert np.all(trace.values.imag == 0.0)
+
+    def test_unity_where_grid_holds_zero_off_centre(self, spectrum_setup):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        tau = np.linspace(-1 / scales.gamma, 4 / scales.gamma, 1001)
+        assert tau[200] == 0.0
+        trace = g1("idler", scales, freqs, tau=tau, m_max=10)
+        assert trace.values[200] == 1.0 + 0.0j
+
+    @pytest.mark.parametrize(
+        "tau",
+        [
+            np.array([0.0]),
+            np.array([0.0, 1e-12, 3e-12]),
+            np.array([1e-12, 0.0, -1e-12]),
+            np.array([0.0, 1e-12, np.nan]),
+        ],
+        ids=["one_point", "non_uniform", "decreasing", "nan"],
+    )
+    def test_rejects_grid_that_is_not_uniform_and_finite(self, spectrum_setup, tau):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        with pytest.raises(ValueError, match="tau"):
+            g1("idler", scales, freqs, tau=tau, m_max=2)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        m_max=st.integers(0, 40),
+        half_gammas=st.floats(0.25, 4.0),
+        extra_points=st.integers(0, 2000),
+    )
+    def test_bounded_and_hermitian_on_random_grids(
+        self, spectrum_setup, m_max, half_gammas, extra_points
+    ):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        half = half_gammas / scales.gamma
+        finest = 1 / (16 * scales.gamma)
+        if m_max:
+            finest = min(finest, scales.round_trip_T / (2.5 * m_max))
+        n = math.ceil(2 * half / finest) + 2 + extra_points
+        tau = np.linspace(-half, half, n)
+        values = g1("idler", scales, freqs, tau=tau, m_max=m_max).values
+        assert np.all(values.imag == 0.0)
+        assert np.abs(values).max() <= 1.0 + 1e-12
+        assert np.abs(values - np.conj(values[::-1])).max() < 1e-12
