@@ -35,6 +35,9 @@ from .numerics import composite_gauss_nodes
 _GL_ORDER = 8
 _TAIL_FRACTION = 1e-6
 _SUM_CHUNK = 1 << 20
+# wavefunction_grid limits, also the CLI's flag checks
+MIN_HALFWIDTH_GAMMAS = 10.0
+MIN_POINTS_PER_MODE = 2
 
 
 @dataclass(frozen=True)
@@ -193,12 +196,14 @@ def wavefunction_grid(
     """
     if m_count < 1:
         raise ValueError("m_count must be at least 1")
-    if omega_grid_halfwidth < 10.0:
-        raise ValueError("omega_grid_halfwidth must be at least 10 gamma")
+    if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:
+        raise ValueError(
+            f"omega_grid_halfwidth must be at least {MIN_HALFWIDTH_GAMMAS:g} gamma"
+        )
     gamma = scales.gamma
     half = omega_grid_halfwidth * gamma
-    if points_per_mode < 2:
-        raise ValueError("points_per_mode must be at least 2")
+    if points_per_mode < MIN_POINTS_PER_MODE:
+        raise ValueError(f"points_per_mode must be at least {MIN_POINTS_PER_MODE}")
     # Points per gamma depend only on the grid shape; computing them from
     # gamma / spacing would round below the limit for some gamma.
     points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)

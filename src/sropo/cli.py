@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .biphoton import rate_continuum, rate_mode_sum, wavefunction_grid
+from .biphoton import (
+    MIN_HALFWIDTH_GAMMAS,
+    MIN_POINTS_PER_MODE,
+    rate_continuum,
+    rate_mode_sum,
+    wavefunction_grid,
+)
 from .cavity import resonance_mode_number
 from .correlations import (
     G2Request,
@@ -131,14 +137,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--peaks", type=_bounded(int, 0), default=5, help="round trips covered")
     p.add_argument("--points", type=_bounded(int, 2), default=None)
     p.add_argument("--m-max", type=_bounded(int, 1), default=None)
-    p.add_argument("--quad-points", type=int, default=512)
     p.add_argument("--resolution", type=_POSITIVE, default=None,
                    help="detector resolution dT in seconds (averaged tier)")
 
     p = sub.add_parser("wavefunction", parents=[common], help="two-photon amplitudes")
     p.add_argument("--modes", type=_bounded(int, 1), default=8)
-    p.add_argument("--halfwidth-gammas", type=float, default=12.0)
-    p.add_argument("--points-per-mode", type=int, default=385)
+    p.add_argument("--halfwidth-gammas", type=_bounded(float, MIN_HALFWIDTH_GAMMAS),
+                   default=12.0)
+    p.add_argument("--points-per-mode", type=_bounded(int, MIN_POINTS_PER_MODE),
+                   default=385)
     return parser
 
 
@@ -358,7 +365,6 @@ def _run(args, config: ScenarioConfig) -> list[Path]:
             tier=tier,
             tau_grid=_g2_grid(config, args),
             m_max=args.m_max,
-            quad_points=args.quad_points,
             resolution_dt=args.resolution,
         )
         runner = {

@@ -5,12 +5,12 @@ would have to leave before its idler partner could (tau < -tau0 for
 tau0 > 0, tau < 0 for tau0 < 0), and forms a train of peaks of width |tau0|
 at tau = j*T - tau0/2 whose heights decay as exp(-gamma*j*T).
 
-Tiers, from slowest/most faithful to fastest/most idealized:
+Tiers, from most faithful to most idealized:
 
-* ``exact``   -- the position across the crystal is kept as an integration
-  variable; the mode sum collapses to a Dirichlet kernel under the integral
-  and each delay point is integrated by composite Gauss-Legendre quadrature
-  over the supported part of the crystal.
+* ``exact``   -- the position across the crystal is kept: each mode's
+  response is integrated over the crystal in closed form, and the phased
+  mode sum with those complex weights is evaluated as a chirp-z transform
+  on the uniform delay grid.
 * ``series``  -- the crystal integral is frozen into the per-mode
   sinc(m*fsr*tau0/2) amplitude and the phased mode sum is evaluated as a
   chirp-z transform on the uniform delay grid.
@@ -27,7 +27,6 @@ All tiers return peak-normalized traces (maximum exactly 1).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,20 +35,13 @@ from .cavity import DerivedScales
 from .errors import (
     DegenerateGroupVelocityError,
     GridTooCoarseError,
-    QuadratureWarning,
     ResolutionTooFineError,
 )
-from .numerics import (
-    _cos_series,
-    composite_gauss_nodes,
-    dirichlet_kernel,
-    ensure_uniform_axis,
-)
+from .numerics import _cis, _cos_series, ensure_uniform_axis
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 from enum import Enum
 
-_GL_ORDER = 8
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
 _PEAK_FLOOR = 1e-6  # averaged tier: keep echoes until exp(-gamma j T) drops below
 
@@ -67,15 +59,13 @@ class G2Request:
 
     ``tau_grid`` must be uniform with spacing at most |tau0|/8 (exact,
     series, compact) or resolution_dt/8 (averaged).  ``m_max`` overrides the
-    adaptive mode truncation; ``quad_points`` is the total quadrature budget
-    per delay point in the exact tier; ``j_max`` caps the echo count in the
-    averaged tier (adaptive when None).
+    adaptive mode truncation; ``j_max`` caps the echo count in the averaged
+    tier (adaptive when None).
     """
 
     tier: G2Tier
     tau_grid: np.ndarray
     m_max: int | None = None
-    quad_points: int = 512
     resolution_dt: float | None = None
     j_max: int | None = None
 
@@ -84,8 +74,6 @@ class G2Request:
         grid = np.asarray(self.tau_grid, dtype=float)
         object.__setattr__(self, "tau_grid", grid)
         ensure_uniform_axis(grid, "tau_grid")
-        if self.quad_points < 32:
-            raise ValueError("quad_points must be at least 32")
         if self.m_max is not None and self.m_max < 1:
             raise ValueError("m_max must be at least 1")
         if self.j_max is not None and self.j_max < 0:
@@ -197,16 +185,20 @@ def g2_compact(request: G2Request, scales: DerivedScales) -> Trace:
 
 
 def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
-    """Quadrature tier: keeps the exact position dependence across the crystal.
+    """Crystal-integral tier: keeps the exact position dependence across the crystal.
 
     For each delay the amplitude is the integral over the crystal coordinate
-    u = x/l in [-1, 0] of the cavity response at t = tau - u*tau0, summed
-    over modes; the mode sum collapses to the closed-form Dirichlet kernel at
-    the same argument.  The response kernel's vanishing branch (t < 0 for
+    u = x/l in [-1, 0] of the cavity response 2*exp(-gamma*t/2) times the
+    mode comb sum_{|m|<=M} exp(i*m*fsr*t), at t = tau - u*tau0.  With
+    a_m = gamma/2 - i*m*fsr each mode integrates in closed form,
+    exp(-a_m*tau) * c_m with c_m = (1 - exp(-a_m*tau0)) / (a_m*tau0), so the
+    amplitude is 2*exp(-gamma*tau/2) * Re[c_0 + 2*sum_{m>=1} c_m e^{i*m*fsr*tau}],
+    a comb sum with complex weights evaluated by the chirp-z transform in
+    O((N + M) log M).  The response kernel's vanishing branch (t < 0 for
     every u) defines the forbidden region, which is applied as an exact-zero
-    mask; inside the allowed region the decaying branch 2*exp(-gamma*t/2)
-    applies across the whole crystal, so the per-crystal-position damping
-    that the series tier freezes at its centre value is retained here.
+    mask; inside the allowed region the decaying branch applies across the
+    whole crystal, so the per-crystal-position damping that the series tier
+    freezes at its centre value is integrated here.
     """
     _require_tier(request, G2Tier.EXACT)
     _check_peak_resolution(request, scales)
@@ -216,36 +208,24 @@ def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
     gamma = scales.gamma
     m_count = _mode_count(request, scales)
 
-    n_panels = max(1, request.quad_points // _GL_ORDER)
-    phase_scale = (m_count + 0.5) * fsr * abs(tau0)
-    if phase_scale / n_panels > math.pi / 4:
-        warnings.warn(
-            f"Dirichlet phase advance {phase_scale / n_panels:.2f} rad per panel "
-            "exceeds pi/4; raise quad_points",
-            QuadratureWarning,
-            stacklevel=2,
-        )
-
-    nodes, weights = composite_gauss_nodes(-1.0, 0.0, n_panels, _GL_ORDER)
-    allowed = np.nonzero(tau + 0.5 * tau0 >= -0.5 * abs(tau0))[0]
-    values = np.zeros_like(tau)
-    chunk = max(1, (1 << 22) // max(nodes.size, 1))
-    for start in range(0, allowed.size, chunk):
-        idx = allowed[start : start + chunk]
-        t_run = tau[idx, None] - nodes[None, :] * tau0
-        integrand = (
-            2.0
-            * np.exp(-0.5 * gamma * t_run)
-            * dirichlet_kernel(fsr * t_run, m_count)
-        )
-        amplitude = np.sum(weights[None, :] * integrand, axis=1)
-        values[idx] = amplitude * amplitude
-    return _peak_normalized(
-        tau,
-        values,
-        G2Tier.EXACT,
-        {"m_max": m_count, "quad_points": n_panels * _GL_ORDER},
+    # a_m*tau0 = x - i*phi_m.  The numerator 1 - exp(-x + i*phi) is
+    # -2i*sin(phi/2)*e^{i*phi/2} - e^{i*phi}*expm1(-x): no cancellation
+    # when x or phi is small.
+    x = 0.5 * gamma * tau0
+    m = np.arange(m_count + 1, dtype=float)
+    half_turn = _cis(0.5 * fsr * tau0, m)
+    numerator = -2j * half_turn.imag * half_turn - half_turn**2 * math.expm1(-x)
+    coef = numerator / (x - 1j * (m * (fsr * tau0)))
+    coef[1:] *= 2.0
+    amplitude = (
+        2.0
+        * np.exp(-0.5 * gamma * tau)
+        * _cos_series(coef, fsr * tau[0], fsr * request.spacing, tau.size)
     )
+
+    allowed = tau + 0.5 * tau0 >= -0.5 * abs(tau0)
+    values = np.where(allowed, amplitude * amplitude, 0.0)
+    return _peak_normalized(tau, values, G2Tier.EXACT, {"m_max": m_count})
 
 
 def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:

@@ -7,8 +7,6 @@ import math
 
 import numpy as np
 
-from .constants import TWO_PI
-
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
 
 
@@ -27,19 +25,6 @@ def composite_gauss_nodes(a: float, b: float, n_panels: int, order: int = 8):
     nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
     weights = (halves[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def dirichlet_kernel(theta, m_max: int):
-    """sum_{m=-M}^{M} exp(i m theta), which is real: sin((M+1/2)t)/sin(t/2).
-
-    The argument is reduced mod 2*pi first; the reduction leaves the value
-    unchanged because 2M+1 is odd.
-    """
-    th = np.remainder(np.asarray(theta, dtype=float) + np.pi, TWO_PI) - np.pi
-    small = np.abs(th) < 1e-4 / (m_max + 0.5)
-    denom = np.where(small, 1.0, np.sin(0.5 * th))
-    num = np.sin((m_max + 0.5) * th)
-    return np.where(small, 2.0 * m_max + 1.0, num / denom)
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
@@ -72,7 +57,10 @@ def _cis(x: float, q: np.ndarray) -> np.ndarray:
 
 
 def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
-    """S_k = sum_{m=0}^{M} coef[m] * cos(m*(theta0 + k*dtheta)), k = 0..n-1.
+    """S_k = Re sum_{m=0}^{M} coef[m] * exp(i*m*(theta0 + k*dtheta)), k = 0..n-1.
+
+    For real ``coef`` this is the cosine series sum_m coef[m]*cos(m*theta_k);
+    ``coef`` may also be complex.
 
     Chirp-z transform (Bluestein): m*k = (m^2 + k^2 - (k-m)^2)/2 turns the
     sum into an FFT convolution with the chirp exp(-i*dtheta*l^2/2), at
@@ -84,7 +72,7 @@ def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
     Blocks are processed in chunks of at most ``_WORK_ELEMENTS`` elements.
     Needs n >= 1 and finite theta0 and dtheta.
     """
-    coef = np.asarray(coef, dtype=float)
+    coef = np.asarray(coef)
     m1 = coef.size
     size = 1 << (m1 + min(n, m1) - 2).bit_length()
     block = min(n, size - m1 + 1)

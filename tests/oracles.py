@@ -1,9 +1,10 @@
 """Brute-force mode sums: oracles for the chirp-z comb-sum kernel.
 
-``spectra.g1`` and ``correlations.g2_series`` evaluate their mode sums with
-the chirp-z transform ``numerics._cos_series``.  These loops sum the same
-modes one at a time, in O(N*M), and are the independent reference the
-kernel is tested against.
+``spectra.g1``, ``correlations.g2_series`` and ``correlations.g2_exact``
+evaluate their mode sums with the chirp-z transform
+``numerics._cos_series``.  These loops sum the same modes one at a time, in
+O(N*M), or integrate the crystal by quadrature, and are the independent
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -11,6 +12,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from sropo.constants import TWO_PI
+from sropo.numerics import composite_gauss_nodes
+
+_GL_ORDER = 8
 
 
 class KahanAccumulator:
@@ -35,8 +41,10 @@ class KahanAccumulator:
 
 
 def comb_mode_loop(weights, fsr: float, tau) -> np.ndarray:
-    """sum_{m=-M}^{M} weights[m + M] * exp(i*m*fsr*tau), one mode at a time."""
-    weights = np.asarray(weights, dtype=float)
+    """sum_{m=-M}^{M} weights[m + M] * exp(i*m*fsr*tau), one mode at a time.
+
+    The weights may be real or complex."""
+    weights = np.asarray(weights)
     tau = np.asarray(tau, dtype=float)
     m_count = (weights.size - 1) // 2
     values = np.zeros(tau.shape, dtype=complex)
@@ -79,4 +87,46 @@ def g2_series_mode_loop(tau, scales, m_count: int) -> np.ndarray:
     )
     allowed = tau + 0.5 * tau0 >= -0.5 * abs(tau0)
     values = np.where(allowed, np.exp(-scales.gamma * tau) * amplitude**2, 0.0)
+    return values / values.max()
+
+
+def dirichlet_kernel(theta, m_max: int):
+    """sum_{m=-M}^{M} exp(i m theta), which is real: sin((M+1/2)t)/sin(t/2).
+
+    The argument is reduced mod 2*pi first; the reduction leaves the value
+    unchanged because 2M+1 is odd.
+    """
+    th = np.remainder(np.asarray(theta, dtype=float) + np.pi, TWO_PI) - np.pi
+    small = np.abs(th) < 1e-4 / (m_max + 0.5)
+    denom = np.where(small, 1.0, np.sin(0.5 * th))
+    num = np.sin((m_max + 0.5) * th)
+    return np.where(small, 2.0 * m_max + 1.0, num / denom)
+
+
+def g2_exact_quadrature(tau, scales, m_count: int, quad_points: int) -> np.ndarray:
+    """The exact tier by quadrature: peak-normalized, forbidden region 0.
+
+    The crystal integral over u in [-1, 0] of 2*exp(-gamma*t/2) times the
+    Dirichlet kernel at t = tau - u*tau0, by a composite 8-point
+    Gauss-Legendre rule of ``quad_points // 8`` panels, in chunks of delays.
+    """
+    tau = np.asarray(tau, dtype=float)
+    fsr = scales.fsr_delta_omega
+    tau0 = scales.tau0
+    gamma = scales.gamma
+    n_panels = max(1, quad_points // _GL_ORDER)
+    nodes, weights = composite_gauss_nodes(-1.0, 0.0, n_panels, _GL_ORDER)
+    allowed = np.nonzero(tau + 0.5 * tau0 >= -0.5 * abs(tau0))[0]
+    values = np.zeros_like(tau)
+    chunk = max(1, (1 << 22) // max(nodes.size, 1))
+    for start in range(0, allowed.size, chunk):
+        idx = allowed[start : start + chunk]
+        t_run = tau[idx, None] - nodes[None, :] * tau0
+        integrand = (
+            2.0
+            * np.exp(-0.5 * gamma * t_run)
+            * dirichlet_kernel(fsr * t_run, m_count)
+        )
+        amplitude = np.sum(weights[None, :] * integrand, axis=1)
+        values[idx] = amplitude * amplitude
     return values / values.max()

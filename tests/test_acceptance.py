@@ -169,7 +169,7 @@ def test_criterion_5_forbidden_region(cross_tier_setup):
     runners = [
         (g2_series, G2Request(G2Tier.SERIES, tau)),
         (g2_compact, G2Request(G2Tier.COMPACT, tau)),
-        (g2_exact, G2Request(G2Tier.EXACT, tau, quad_points=2048)),
+        (g2_exact, G2Request(G2Tier.EXACT, tau)),
     ]
     for runner, request in runners:
         trace = runner(request, scales)
@@ -228,7 +228,7 @@ def test_criterion_6_g2_comb(comb_setup, cross_tier_setup):
         worst_area = max(worst_area, abs(areas[j] / areas[0] / expected - 1))
     assert worst_area <= 0.02
 
-    exact_s = g2_exact(G2Request(G2Tier.EXACT, tau_s, quad_points=2048), small)
+    exact_s = g2_exact(G2Request(G2Tier.EXACT, tau_s), small)
     worst_point = float(np.abs(exact_s.values - series_s.values).max())
     assert worst_point <= 0.02
 

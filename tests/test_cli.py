@@ -210,6 +210,9 @@ class TestErrorPaths:
             (["g1", "--field", "idler", "--window-gammas", "nan"], "--window-gammas"),
             (["spectrum", "--field", "idler", "--window-modes", "0"], "--window-modes"),
             (["g2", "--tier", "series", "--peaks", "two"], "--peaks"),
+            (["wavefunction", "--halfwidth-gammas", "9.5"], "--halfwidth-gammas"),
+            (["wavefunction", "--halfwidth-gammas", "nan"], "--halfwidth-gammas"),
+            (["wavefunction", "--points-per-mode", "1"], "--points-per-mode"),
         ],
     )
     def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):

@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sropo import (
     DegenerateGroupVelocityError,
@@ -15,12 +19,14 @@ from sropo import (
     g2_compact,
     g2_exact,
     g2_series,
+    load_scenario,
     lorentzian_kernel,
     measure_peaks,
     nearest_peak,
 )
 from sropo.peaks import local_maxima, minimum_between
-from oracles import g2_series_mode_loop
+from conftest import CONFIG_DIR
+from oracles import g2_exact_quadrature, g2_series_mode_loop
 
 
 def plateau_mean(trace, center, halfwidth):
@@ -204,7 +210,7 @@ class TestExact:
     def test_forbidden_region_exactly_zero(self, cross_tier_setup):
         *_, scales = cross_tier_setup
         tau = comb_grid(scales, n_peaks=2)
-        trace = g2_exact(G2Request(G2Tier.EXACT, tau, quad_points=1024), scales)
+        trace = g2_exact(G2Request(G2Tier.EXACT, tau), scales)
         assert np.all(trace.values[tau < -scales.tau0] == 0.0)
         assert np.all(trace.values[tau > -scales.tau0] >= 0.0)
 
@@ -212,7 +218,7 @@ class TestExact:
         *_, scales = cross_tier_setup
         tau0 = scales.tau0
         tau = np.linspace(-2.0 * tau0, 0.5 * tau0, 64)
-        trace = g2_exact(G2Request(G2Tier.EXACT, tau, quad_points=1024), scales)
+        trace = g2_exact(G2Request(G2Tier.EXACT, tau), scales)
         inside = np.nonzero(tau < -tau0)[0]
         assert inside.size and np.all(trace.values[inside] == 0.0)
 
@@ -220,9 +226,69 @@ class TestExact:
         *_, scales = cross_tier_setup
         assert scales.fsr_delta_omega * abs(scales.tau0) <= 0.02
         tau = comb_grid(scales, n_peaks=3, points_per_tau0=10)
-        exact = g2_exact(G2Request(G2Tier.EXACT, tau, quad_points=2048), scales)
+        exact = g2_exact(G2Request(G2Tier.EXACT, tau), scales)
         series = g2_series(G2Request(G2Tier.SERIES, tau), scales)
         assert np.abs(exact.values - series.values).max() <= 0.02
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        round_trip=st.floats(1e-11, 1.0),
+        fsr_tau0=st.floats(0.01, 0.5),
+        sign=st.sampled_from([1.0, -1.0]),
+        gamma_over_fsr=st.floats(1e-3, 0.5),
+        m_max=st.one_of(st.none(), st.integers(1, 200)),
+        points_per_tau0=st.floats(8.5, 32.0),
+        start_tau0=st.floats(-2.0, 0.0),
+        n=st.integers(80, 800),
+    )
+    def test_matches_quadrature_oracle(
+        self, round_trip, fsr_tau0, sign, gamma_over_fsr, m_max, points_per_tau0,
+        start_tau0, n,
+    ):
+        fsr = 2 * math.pi / round_trip
+        tau0 = sign * fsr_tau0 / fsr
+        scales = DerivedScales(
+            tau0=tau0,
+            round_trip_T=round_trip,
+            fsr_delta_omega=fsr,
+            gamma=gamma_over_fsr * fsr,
+            kappa=0.0,
+            regime_ok=True,
+            regime_ratios=(0.0, 0.0, 0.0),
+        )
+        # At least 80 points at no more than 32 per |tau0| from -2|tau0|
+        # always reach the allowed region, so the peak is positive.
+        tau = abs(tau0) * (start_tau0 + np.arange(n) / points_per_tau0)
+        trace = g2_exact(G2Request(G2Tier.EXACT, tau, m_max=m_max), scales)
+        # 512 panels: the oracle's small-argument Dirichlet branch and the
+        # rule's own error stay below 1e-10 of the peak.
+        want = g2_exact_quadrature(tau, scales, trace.meta.extra["m_max"], 4096)
+        assert np.abs(trace.values - want).max() <= 1e-10
+        forbidden = tau + 0.5 * tau0 < -0.5 * abs(tau0)
+        assert np.all(trace.values[forbidden] == 0.0)
+        assert np.all(trace.values[~forbidden] > 0.0)
+        assert trace.values.max() == 1.0
+
+    def test_shipped_grid_no_warning_small_memory_old_values(self):
+        # The CLI's `g2 --tier exact --peaks 6` grid on g2_comb.json.
+        scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+        tau0, T = abs(scales.tau0), scales.round_trip_T
+        start, stop = -2 * tau0 - T / 8, 6 * T + 2 * tau0
+        tau = np.linspace(start, stop, math.ceil((stop - start) / (tau0 / 12)) + 1)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                trace = g2_exact(G2Request(G2Tier.EXACT, tau), scales)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        assert trace.values.max() == 1.0
+        # The quadrature this tier replaced, at its old 512 points.
+        want = g2_exact_quadrature(tau, scales, trace.meta.extra["m_max"], 512)
+        assert np.abs(trace.values - want).max() <= 1e-11
+        assert np.array_equal(trace.values == 0.0, want == 0.0)
 
 
 class TestAveraged:
@@ -302,7 +368,7 @@ class TestAsymmetry:
     @pytest.mark.parametrize("tier_runner", [
         (G2Tier.SERIES, g2_series, {}),
         (G2Tier.COMPACT, g2_compact, {}),
-        (G2Tier.EXACT, g2_exact, {"quad_points": 2048}),
+        (G2Tier.EXACT, g2_exact, {}),
     ], ids=["series", "compact", "exact"])
     def test_zero_before_never_after(self, cross_tier_setup, tier_runner):
         tier, runner, kwargs = tier_runner

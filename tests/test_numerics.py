@@ -12,8 +12,11 @@ EPS = np.finfo(float).eps
 
 
 def mode_loop_cos_series(coef, theta):
-    """sum_m coef[m] cos(m*theta) as the even comb with weights coef[|m|]/2."""
-    weights = np.concatenate((coef[:0:-1] / 2, coef[:1], coef[1:] / 2))
+    """Re sum_m coef[m] exp(i*m*theta) as the Hermitian comb with weights
+    coef[m]/2 at m > 0, conj(coef[m])/2 at -m and Re coef[0] at 0."""
+    weights = np.concatenate(
+        (np.conj(coef[:0:-1]) / 2, coef[:1].real, coef[1:] / 2)
+    )
     return comb_mode_loop(weights, 1.0, theta).real
 
 
@@ -24,13 +27,19 @@ def mode_loop_cos_series(coef, theta):
     theta0=st.floats(-1e4, 1e4),
     dtheta=st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e-9, 1e-9)),
     seed=st.integers(0, 2**32 - 1),
+    complex_coef=st.booleans(),
 )
-@example(m_max=0, n=1, theta0=0.0, dtheta=0.0, seed=0)
-@example(m_max=2000, n=1, theta0=-7.5, dtheta=0.3, seed=1)
-@example(m_max=2000, n=5000, theta0=1e4, dtheta=-math.pi, seed=2)
-@example(m_max=1500, n=700, theta0=3.0, dtheta=5e-324, seed=3)
-def test_cos_series_matches_mode_loop(m_max, n, theta0, dtheta, seed):
-    coef = np.random.default_rng(seed).uniform(-1.0, 1.0, m_max + 1)
+@example(m_max=0, n=1, theta0=0.0, dtheta=0.0, seed=0, complex_coef=False)
+@example(m_max=2000, n=1, theta0=-7.5, dtheta=0.3, seed=1, complex_coef=False)
+@example(m_max=2000, n=5000, theta0=1e4, dtheta=-math.pi, seed=2, complex_coef=False)
+@example(m_max=1500, n=700, theta0=3.0, dtheta=5e-324, seed=3, complex_coef=False)
+@example(m_max=0, n=3, theta0=0.5, dtheta=0.25, seed=4, complex_coef=True)
+@example(m_max=2000, n=5000, theta0=-1e4, dtheta=math.pi, seed=5, complex_coef=True)
+def test_cos_series_matches_mode_loop(m_max, n, theta0, dtheta, seed, complex_coef):
+    rng = np.random.default_rng(seed)
+    coef = rng.uniform(-1.0, 1.0, m_max + 1)
+    if complex_coef:
+        coef = coef + 1j * rng.uniform(-1.0, 1.0, m_max + 1)
     got = _cos_series(coef, theta0, dtheta, n)
     theta = theta0 + dtheta * np.arange(n)
     want = mode_loop_cos_series(coef, theta)
