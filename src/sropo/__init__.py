@@ -12,7 +12,6 @@ from .biphoton import (
     BiphotonAmplitudeGrid,
     PumpParams,
     phi_analytic,
-    phi_exact,
     rate_continuum,
     rate_mode_sum,
     wavefunction_grid,
@@ -57,7 +56,6 @@ from .errors import (
     NoSignChangeError,
     NonConvergenceError,
     OutOfRangeError,
-    QuadratureWarning,
     ResolutionTooFineError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -79,7 +77,6 @@ __all__ = [
     "BiphotonAmplitudeGrid",
     "PumpParams",
     "phi_analytic",
-    "phi_exact",
     "rate_continuum",
     "rate_mode_sum",
     "wavefunction_grid",
@@ -116,7 +113,6 @@ __all__ = [
     "NoSignChangeError",
     "NonConvergenceError",
     "OutOfRangeError",
-    "QuadratureWarning",
     "ResolutionTooFineError",
     "ScenarioParseError",
     "ScenarioValidationError",

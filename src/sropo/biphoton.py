@@ -5,16 +5,11 @@ mode m at detuning Omega,
 
     Phi_m(Omega) = (1/l) * integral_{-l}^{0} dx exp(i (m*fsr + Omega) (tau0/l) x)
                  = sinc(z) * exp(-i z),   z = (m*fsr + Omega) * tau0 / 2.
-
-``phi_exact`` evaluates the integral by composite Gauss-Legendre quadrature
-and serves as the independent oracle for the closed form ``phi_analytic``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +23,8 @@ from .errors import (
     DegenerateGroupVelocityError,
     GridTooCoarseError,
     NonConvergenceError,
-    QuadratureWarning,
 )
-from .numerics import composite_gauss_nodes
 
-_GL_ORDER = 8
-_TAIL_FRACTION = 1e-6
-_SUM_CHUNK = 1 << 20
 # wavefunction_grid limits, also the CLI's flag checks
 MIN_HALFWIDTH_GAMMAS = 10.0
 MIN_POINTS_PER_MODE = 2
@@ -51,36 +41,10 @@ class PumpParams:
             raise ValueError("field_amplitude_ep must be positive")
 
 
-def phi_analytic(m: int, omega: float, scales: DerivedScales) -> complex:
-    """Closed-form spectral amplitude sinc(z) * exp(-i z)."""
+def phi_analytic(m, omega, scales: DerivedScales):
+    """Closed-form spectral amplitude sinc(z) * exp(-i z); m and omega broadcast."""
     z = 0.5 * (m * scales.fsr_delta_omega + omega) * scales.tau0
-    return float(np.sinc(z / np.pi)) * cmath.exp(-1j * z)
-
-
-def phi_exact(
-    m: int, omega: float, scales: DerivedScales, quad_points: int = 256
-) -> complex:
-    """Spectral amplitude by composite Gauss-Legendre quadrature over the crystal.
-
-    ``quad_points`` is the total number of function evaluations; the interval
-    is split into ``quad_points // 8`` panels of an 8-point rule.  A
-    ``QuadratureWarning`` is issued when the integrand advances more than
-    pi/4 of phase per panel, in which case the caller should raise
-    ``quad_points``.
-    """
-    if quad_points < 32:
-        raise ValueError("quad_points must be at least 32")
-    z2 = (m * scales.fsr_delta_omega + omega) * scales.tau0
-    n_panels = max(1, quad_points // _GL_ORDER)
-    if abs(z2) / n_panels > math.pi / 4:
-        warnings.warn(
-            f"phase advance {abs(z2) / n_panels:.3f} rad per panel exceeds pi/4; "
-            "raise quad_points",
-            QuadratureWarning,
-            stacklevel=2,
-        )
-    nodes, weights = composite_gauss_nodes(-1.0, 0.0, n_panels, _GL_ORDER)
-    return complex(np.sum(weights * np.exp(1j * z2 * nodes)))
+    return np.sinc(z / np.pi) * np.exp(-1j * z)
 
 
 def _rate_prefactor(
@@ -110,57 +74,32 @@ def rate_continuum(
     return _rate_prefactor(crystal, pump, freqs) * TWO_PI / abs(scales.tau0)
 
 
-def _sinc_sq_partial(dz: float, m_hi: int) -> list[float]:
-    """Chunked partial sums of sinc^2(m*dz) for m = 1..m_hi (fixed chunking)."""
-    parts = []
-    for start in range(1, m_hi + 1, _SUM_CHUNK):
-        stop = min(start + _SUM_CHUNK, m_hi + 1)
-        arg = np.arange(start, stop, dtype=float) * dz
-        s = np.sin(arg) / arg
-        parts.append(float(np.sum(s * s)))
-    return parts
-
-
-_M_LIMIT = 1 << 31
-
-
 def rate_mode_sum(
     crystal: CrystalParams,
     pump: PumpParams,
     freqs: FrequencyTriple,
     scales: DerivedScales,
-    m_max: int = 1024,
 ) -> float:
-    """Generation rate as a truncated sum over longitudinal modes.
+    """Generation rate as the full sum over longitudinal modes, in closed form.
 
-    The truncation is extended automatically until the envelope tail bound
-    2/(dz^2 M), with dz = fsr*|tau0|/2, falls below ``_TAIL_FRACTION`` of the
-    partial sum; ``m_max`` only sets the starting truncation.  Scenarios with
-    fsr*|tau0| so small that the bound needs more than ``_M_LIMIT`` terms are
-    rejected rather than left running for hours.
+    The rate is prefactor * fsr * sum_{m in Z} sinc^2(m*dz), dz = fsr*|tau0|/2.
+    The Fourier transform of sinc^2(dz*x) is the triangle
+    (pi/dz) * max(0, 1 - pi*|k|/dz), so by Poisson summation, with
+    K = floor(dz/pi),
+
+        sum_{m in Z} sinc^2(m*dz) = (pi/dz) * (1 + 2K - pi*K*(K+1)/dz),
+
+    and the rate is the continuum rate times the bracket.  For dz < pi the
+    bracket is exactly 1; for dz > pi it holds the aliased triangle copies.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
     if scales.tau0 == 0.0:
         raise NonConvergenceError(
             "tau0 = 0: the mode sum does not converge; check the scenario regime"
         )
     dz = 0.5 * scales.fsr_delta_omega * abs(scales.tau0)
-    # Jump straight to the scale the tail bound implies (25% margin), verify,
-    # and double on the rare miss.  Chunk boundaries depend only on the final
-    # truncation, so the result is deterministic.
-    m_cur = max(m_max, int(2.5 / (math.pi * _TAIL_FRACTION * dz)) + 1)
-    while True:
-        if m_cur > _M_LIMIT:
-            raise NonConvergenceError(
-                f"mode sum needs more than {_M_LIMIT} terms "
-                f"(fsr*|tau0| = {2 * dz:.3e} too small)"
-            )
-        total = 1.0 + 2.0 * math.fsum(_sinc_sq_partial(dz, m_cur))
-        if 2.0 / (dz * dz * m_cur) < _TAIL_FRACTION * total:
-            break
-        m_cur *= 2
-    return _rate_prefactor(crystal, pump, freqs) * scales.fsr_delta_omega * total
+    k = math.floor(dz / math.pi)
+    bracket = 1 + 2 * k - math.pi * (k * (k + 1)) / dz
+    return rate_continuum(crystal, pump, freqs, scales) * bracket
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +152,7 @@ def wavefunction_grid(
         )
     modes = np.arange(-m_count, m_count + 1)
     omega = np.linspace(-half, half, points_per_mode)
-    z = 0.5 * (modes[:, None] * scales.fsr_delta_omega + omega[None, :]) * scales.tau0
-    phi = np.sinc(z / np.pi) * np.exp(-1j * z)
+    phi = phi_analytic(modes[:, None], omega[None, :], scales)
     raw = phi / (0.5 * gamma - 1j * omega)[None, :]
     norm_sq = float(np.sum(np.trapezoid(np.abs(raw) ** 2, omega, axis=1)))
     normalization = 1.0 / math.sqrt(norm_sq)

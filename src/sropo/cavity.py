@@ -41,9 +41,8 @@ class CavityParams:
 class DerivedScales:
     """The time/rate scales every downstream computation runs on.
 
-    ``regime_ratios`` holds (kappa/gamma, gamma/fsr, fsr*|tau0|); each must be
-    small for the scale separation the closed-form results assume.
-    ``kappa`` is +inf when tau0 == 0 (the continuum rate diverges there).
+    ``kappa`` is +inf when tau0 == 0 (the continuum rate diverges there);
+    ``check_regime`` judges the scale separation.
     """
 
     tau0: float
@@ -51,8 +50,6 @@ class DerivedScales:
     fsr_delta_omega: float
     gamma: float
     kappa: float
-    regime_ok: bool
-    regime_ratios: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -113,24 +110,23 @@ def resonance_mode_number(crystal: CrystalParams, freqs: FrequencyTriple) -> flo
     return freqs.omega_s * n_s * crystal.length_l / (0.5 * TWO_PI * C_LIGHT)
 
 
-def regime_ratios(scales: DerivedScales) -> tuple[float, float, float]:
-    return (
-        scales.kappa / scales.gamma,
-        scales.gamma / scales.fsr_delta_omega,
-        scales.fsr_delta_omega * abs(scales.tau0),
-    )
-
-
 def check_regime(
     scales: DerivedScales, threshold: float = DEFAULT_REGIME_THRESHOLD
 ) -> RegimeReport:
     """Flag each scale-separation ratio against ``threshold``.
 
-    Reporting only: no operation refuses to run outside the regime, but the
+    The ratios are (kappa/gamma, gamma/fsr, fsr*|tau0|); each must be small
+    for the scale separation the closed-form results assume.  Reporting
+    only: no operation refuses to run outside the regime, but the
     closed-form approximations degrade as the ratios grow.
     """
+    ratios = (
+        scales.kappa / scales.gamma,
+        scales.gamma / scales.fsr_delta_omega,
+        scales.fsr_delta_omega * abs(scales.tau0),
+    )
     checks = tuple(
         RegimeCheck(name, value, threshold, value <= threshold)
-        for name, value in zip(REGIME_RATIO_NAMES, scales.regime_ratios)
+        for name, value in zip(REGIME_RATIO_NAMES, ratios)
     )
     return RegimeReport(checks, all(c.passed for c in checks), threshold)

@@ -115,8 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", parents=[common], help="biphoton generation rate")
     p.add_argument("--method", choices=("continuum", "sum", "both"), default="continuum")
-    p.add_argument("--m-max", type=_bounded(int, 1), default=1024,
-                   help="starting mode truncation")
 
     p = sub.add_parser("spectrum", parents=[common], help="output spectrum")
     p.add_argument("--field", choices=("signal", "idler"), required=True)
@@ -195,6 +193,16 @@ def _trace_columns(trace: Trace | ComplexTrace, axis_name: str) -> tuple[list, l
     return names, cols
 
 
+def _write_table(config: ScenarioConfig, path: Path, extra: dict, names, cols) -> Path:
+    """Write one .csv or .json table, with ``extra`` as its metadata."""
+    if path.suffix == ".csv":
+        write_table_csv(path, _header_comments(config, extra), names, cols)
+    else:
+        meta = {"scenario_hash": config.scenario_hash, **extra}
+        write_table_json(path, meta, names, cols)
+    return path
+
+
 def _write_trace(
     config: ScenarioConfig,
     trace: Trace | ComplexTrace,
@@ -212,15 +220,7 @@ def _write_trace(
         meta_extra[key] = trace.meta.extra[key]
     names, cols = _trace_columns(trace, axis_name)
     meta_extra["columns"] = ",".join(names)
-    written = []
-    if fmt == "csv":
-        path = out_dir / f"{stem}.csv"
-        write_table_csv(path, _header_comments(config, meta_extra), names, cols)
-    else:
-        path = out_dir / f"{stem}.json"
-        meta = {"scenario_hash": config.scenario_hash, **meta_extra}
-        write_table_json(path, meta, names, cols)
-    written.append(path)
+    written = [_write_table(config, out_dir / f"{stem}.{fmt}", meta_extra, names, cols)]
     if plot:
         svg = out_dir / f"{stem}.svg"
         y = np.abs(trace.values) if isinstance(trace, ComplexTrace) else trace.values
@@ -308,7 +308,7 @@ def _run(args, config: ScenarioConfig) -> list[Path]:
             )
         if args.method in ("sum", "both"):
             payload["kappa_mode_sum_per_s"] = rate_mode_sum(
-                config.crystal, config.pump, config.freqs, config.scales, args.m_max
+                config.crystal, config.pump, config.freqs, config.scales
             )
         path = out_dir / "rate.json"
         _write_report(payload, path)
@@ -400,15 +400,8 @@ def _run(args, config: ScenarioConfig) -> list[Path]:
         }
         names = ["m", "Omega", "re_psi", "im_psi"]
         cols = [m_col, omega_col, re_col, im_col]
-        if fmt == "csv":
-            path = out_dir / "wavefunction.csv"
-            write_table_csv(path, _header_comments(config, extra), names, cols)
-        else:
-            path = out_dir / "wavefunction.json"
-            write_table_json(
-                path, {"scenario_hash": config.scenario_hash, **extra}, names, cols
-            )
-        written.append(path)
+        path = out_dir / f"wavefunction.{fmt}"
+        written.append(_write_table(config, path, extra, names, cols))
 
     else:  # pragma: no cover - argparse enforces the choices
         raise ValueError(f"unknown command {args.command!r}")

@@ -59,15 +59,13 @@ class G2Request:
 
     ``tau_grid`` must be uniform with spacing at most |tau0|/8 (exact,
     series, compact) or resolution_dt/8 (averaged).  ``m_max`` overrides the
-    adaptive mode truncation; ``j_max`` caps the echo count in the averaged
-    tier (adaptive when None).
+    adaptive mode truncation.
     """
 
     tier: G2Tier
     tau_grid: np.ndarray
     m_max: int | None = None
     resolution_dt: float | None = None
-    j_max: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "tier", G2Tier(self.tier))
@@ -76,8 +74,6 @@ class G2Request:
         ensure_uniform_axis(grid, "tau_grid")
         if self.m_max is not None and self.m_max < 1:
             raise ValueError("m_max must be at least 1")
-        if self.j_max is not None and self.j_max < 0:
-            raise ValueError("j_max must be non-negative")
 
     @property
     def spacing(self) -> float:
@@ -178,8 +174,6 @@ def g2_compact(request: G2Request, scales: DerivedScales) -> Trace:
 
     j = np.round((tau + 0.5 * tau0) / T)
     inside = (j >= 0) & (np.abs(tau - j * T + 0.5 * tau0) <= 0.5 * abs(tau0))
-    if request.j_max is not None:
-        inside &= j <= request.j_max
     values = np.where(inside, np.exp(-scales.gamma * T * np.maximum(j, 0.0)), 0.0)
     return _peak_normalized(tau, values, G2Tier.COMPACT, {})
 
@@ -233,7 +227,7 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
 
     Requires resolution_dt >= 10*|tau0| (below that the Gaussian model of the
     detector response cannot absorb the intrinsic peak width).  Echoes are
-    kept until exp(-gamma*j*T) falls below 1e-6 unless j_max caps them first.
+    kept until exp(-gamma*j*T) falls below 1e-6.
     """
     _require_tier(request, G2Tier.AVERAGED)
     if request.resolution_dt is None or request.resolution_dt <= 0:
@@ -250,10 +244,7 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
     tau = request.tau_grid
     T = scales.round_trip_T
     gamma = scales.gamma
-    if request.j_max is not None:
-        j_max = request.j_max
-    else:
-        j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
+    j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
     values = np.zeros_like(tau)
     for j in range(j_max + 1):
         values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)

@@ -1,4 +1,4 @@
-"""Exception and warning types used throughout the package."""
+"""Exception types used throughout the package."""
 
 
 class SropoError(Exception):
@@ -43,7 +43,3 @@ class ScenarioParseError(SropoError):
 
 class ScenarioValidationError(SropoError):
     """Scenario parsed but violates an invariant; message names the field path."""
-
-
-class QuadratureWarning(UserWarning):
-    """Oscillatory quadrature running with too few points per period."""

@@ -1,30 +1,12 @@
-"""Small numerical building blocks: composite quadrature, mode (comb) sums."""
+"""Small numerical building blocks: grid checks, mode (comb) sums."""
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
-
-
-@functools.lru_cache(maxsize=None)
-def _leggauss(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-def composite_gauss_nodes(a: float, b: float, n_panels: int, order: int = 8):
-    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
-    x, w = _leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-    weights = (halves[:, None] * w[None, :]).ravel()
-    return nodes, weights
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:

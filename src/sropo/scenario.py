@@ -74,9 +74,8 @@ def derive_scales(
     cavity: CavityParams,
     pump: PumpParams,
     freqs: FrequencyTriple,
-    regime_threshold: float = DEFAULT_REGIME_THRESHOLD,
 ) -> DerivedScales:
-    """Assemble the scale table: tau0, T, fsr, gamma, kappa, regime verdict."""
+    """Assemble the scale table: tau0, T, fsr, gamma, kappa."""
     tau0 = transit_time_diff(crystal, freqs)
     T = round_trip_time(crystal, cavity, freqs)
     fsr = free_spectral_range(T)
@@ -85,9 +84,7 @@ def derive_scales(
         kappa = math.inf
     else:
         kappa = _rate_prefactor(crystal, pump, freqs) * TWO_PI / abs(tau0)
-    ratios = (kappa / gamma, gamma / fsr, fsr * abs(tau0))
-    regime_ok = all(r <= regime_threshold for r in ratios)
-    return DerivedScales(tau0, T, fsr, gamma, kappa, regime_ok, ratios)
+    return DerivedScales(tau0, T, fsr, gamma, kappa)
 
 
 def _physical_fingerprint(
@@ -290,7 +287,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     if not _is_number(threshold):
         raise ScenarioValidationError("regime_threshold: expected a finite number")
 
-    scales = derive_scales(crystal, cavity, pump, freqs, float(threshold))
+    scales = derive_scales(crystal, cavity, pump, freqs)
     regime = check_regime(scales, float(threshold))
     digest = scenario_hash(crystal, cavity, pump, freqs)
     return ScenarioConfig(

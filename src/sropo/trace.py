@@ -8,7 +8,7 @@ digits so a re-read reproduces every float bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +21,6 @@ from .numerics import ensure_uniform_axis
 class TraceKind(str, Enum):
     SIGNAL_SPECTRUM = "signal_spectrum"
     IDLER_SPECTRUM = "idler_spectrum"
-    G1_MAGNITUDE = "g1_magnitude"
     G1 = "g1"
     G2 = "g2"
 
@@ -36,7 +35,6 @@ class Normalization(str, Enum):
 class TraceMeta:
     kind: TraceKind
     normalization: Normalization
-    scenario_hash: str | None = None
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
@@ -65,9 +63,6 @@ class Trace:
     def spacing(self) -> float:
         return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
 
-    def with_hash(self, scenario_hash: str) -> "Trace":
-        return replace(self, meta=replace(self.meta, scenario_hash=scenario_hash))
-
 
 @dataclass(frozen=True, eq=False)
 class ComplexTrace:
@@ -91,10 +86,6 @@ class ComplexTrace:
     @property
     def spacing(self) -> float:
         return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
-
-    def magnitude(self) -> Trace:
-        meta = replace(self.meta, kind=TraceKind.G1_MAGNITUDE)
-        return Trace(self.axis, np.abs(self.values), meta)
 
 
 def format_float(value: float) -> str:

@@ -1,22 +1,94 @@
-"""Brute-force mode sums: oracles for the chirp-z comb-sum kernel.
+"""Brute-force references: oracles for the closed forms and the comb-sum kernel.
 
 ``spectra.g1``, ``correlations.g2_series`` and ``correlations.g2_exact``
 evaluate their mode sums with the chirp-z transform
 ``numerics._cos_series``.  These loops sum the same modes one at a time, in
 O(N*M), or integrate the crystal by quadrature, and are the independent
-reference the kernel is tested against.
+reference the kernel is tested against.  ``phi_exact`` integrates the
+spectral amplitude over the crystal for ``biphoton.phi_analytic``, and
+``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import warnings
 
 import numpy as np
 
+from sropo.cavity import DerivedScales
 from sropo.constants import TWO_PI
-from sropo.numerics import composite_gauss_nodes
 
 _GL_ORDER = 8
+_SUM_CHUNK = 1 << 20
+
+
+class QuadratureWarning(UserWarning):
+    """Oscillatory quadrature running with too few points per period."""
+
+
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int):
+    x, w = np.polynomial.legendre.leggauss(order)
+    return x, w
+
+
+def composite_gauss_nodes(a: float, b: float, n_panels: int, order: int = 8):
+    """Nodes and weights of a composite Gauss-Legendre rule on [a, b]."""
+    x, w = _leggauss(order)
+    edges = np.linspace(a, b, n_panels + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    nodes = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
+    weights = (halves[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def phi_exact(
+    m: int, omega: float, scales: DerivedScales, quad_points: int = 256
+) -> complex:
+    """Spectral amplitude by composite Gauss-Legendre quadrature over the crystal.
+
+    ``quad_points`` is the total number of function evaluations; the interval
+    is split into ``quad_points // 8`` panels of an 8-point rule.  A
+    ``QuadratureWarning`` is issued when the integrand advances more than
+    pi/4 of phase per panel, in which case the caller should raise
+    ``quad_points``.
+    """
+    if quad_points < 32:
+        raise ValueError("quad_points must be at least 32")
+    z2 = (m * scales.fsr_delta_omega + omega) * scales.tau0
+    n_panels = max(1, quad_points // _GL_ORDER)
+    if abs(z2) / n_panels > math.pi / 4:
+        warnings.warn(
+            f"phase advance {abs(z2) / n_panels:.3f} rad per panel exceeds pi/4; "
+            "raise quad_points",
+            QuadratureWarning,
+            stacklevel=2,
+        )
+    nodes, weights = composite_gauss_nodes(-1.0, 0.0, n_panels, _GL_ORDER)
+    return complex(np.sum(weights * np.exp(1j * z2 * nodes)))
+
+
+def _sinc_sq_partial(dz: float, m_hi: int) -> list[float]:
+    """Chunked partial sums of sinc^2(m*dz) for m = 1..m_hi (fixed chunking)."""
+    parts = []
+    for start in range(1, m_hi + 1, _SUM_CHUNK):
+        stop = min(start + _SUM_CHUNK, m_hi + 1)
+        arg = np.arange(start, stop, dtype=float) * dz
+        s = np.sin(arg) / arg
+        parts.append(float(np.sum(s * s)))
+    return parts
+
+
+def sinc_sq_partial_sum(dz: float, m_hi: int) -> float:
+    """sum_{|m|<=m_hi} sinc^2(m*dz), term by term.
+
+    The full sum over all m exceeds it by at most the envelope tail
+    2/(dz^2 * m_hi).
+    """
+    return 1.0 + 2.0 * math.fsum(_sinc_sq_partial(dz, m_hi))
 
 
 class KahanAccumulator:
@@ -100,7 +172,9 @@ def dirichlet_kernel(theta, m_max: int):
     small = np.abs(th) < 1e-4 / (m_max + 0.5)
     denom = np.where(small, 1.0, np.sin(0.5 * th))
     num = np.sin((m_max + 0.5) * th)
-    return np.where(small, 2.0 * m_max + 1.0, num / denom)
+    # Near theta = 0: sum_m cos(m*theta) to second order in theta.
+    near = (2.0 * m_max + 1.0) * (1.0 - m_max * (m_max + 1.0) * th * th / 6.0)
+    return np.where(small, near, num / denom)
 
 
 def g2_exact_quadrature(tau, scales, m_count: int, quad_points: int) -> np.ndarray:

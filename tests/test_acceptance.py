@@ -25,13 +25,14 @@ from sropo import (
     measure_peaks,
     nearest_peak,
     phi_analytic,
-    phi_exact,
     rate_continuum,
     rate_mode_sum,
     spectrum,
 )
+from sropo.biphoton import _rate_prefactor
 from sropo.peaks import local_maxima, minimum_between
 from conftest import scenario_dict
+from oracles import phi_exact, sinc_sq_partial_sum
 
 SINC_SQ_HALF = 1.39155737825151  # sinc^2(z) = 1/2
 
@@ -65,6 +66,14 @@ def test_criterion_2_rate_consistency(rate_setup):
     k_cont = rate_continuum(crystal, pump, freqs, scales)
     rel = abs(k_sum - k_cont) / k_cont
     assert rel < 0.01
+
+    # The mode sum against its term-by-term oracle: at least the partial
+    # sum over |m| <= M, at most that plus the tail bound 2/(dz^2 M).
+    m = 1 << 20
+    per_mode = _rate_prefactor(crystal, pump, freqs) * scales.fsr_delta_omega
+    partial = per_mode * sinc_sq_partial_sum(dz, m)
+    tail = per_mode * 2.0 / (dz * dz * m)
+    assert partial <= k_sum <= partial + tail
 
     modified = dataclasses.replace(
         scales,

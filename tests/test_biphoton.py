@@ -3,22 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sropo import (
     DegenerateGroupVelocityError,
+    DerivedScales,
     GridTooCoarseError,
     NonConvergenceError,
     PumpParams,
-    QuadratureWarning,
     phi_analytic,
-    phi_exact,
     rate_continuum,
     rate_mode_sum,
+    scenario_from_dict,
     wavefunction_grid,
 )
 from sropo.biphoton import _rate_prefactor
 from sropo.scenario import load_scenario
-from conftest import CONFIG_DIR, make_setup
+from conftest import CONFIG_DIR, make_setup, scenario_dict
+from oracles import QuadratureWarning, phi_exact, sinc_sq_partial_sum
 from scipy.constants import epsilon_0 as EPS0
 
 C = 299792458.0
@@ -58,6 +61,16 @@ class TestPhi:
                 exact = phi_exact(m, float(omega), scales, quad_points=256)
                 approx = phi_analytic(m, float(omega), scales)
                 assert abs(exact - approx) <= 1e-8 * abs(exact)
+
+    def test_analytic_broadcasts_over_modes_and_detunings(self, comb_setup):
+        *_, scales = comb_setup
+        modes = np.arange(-3, 4)[:, None]
+        omega = np.linspace(-5 * scales.gamma, 5 * scales.gamma, 11)[None, :]
+        grid = phi_analytic(modes, omega, scales)
+        assert grid.shape == (7, 11)
+        for i, m in enumerate(modes[:, 0]):
+            for j, w in enumerate(omega[0]):
+                assert grid[i, j] == phi_analytic(int(m), float(w), scales)
 
     def test_magnitude_bounded_by_one(self, comb_setup):
         *_, scales = comb_setup
@@ -161,6 +174,60 @@ class TestRates:
         )
         term0 = _rate_prefactor(crystal, pump, freqs) * scales.fsr_delta_omega
         assert 0 < term0 < rate_mode_sum(crystal, pump, freqs, scales)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(dz=st.floats(0.0, 40.0, exclude_min=True))
+    @example(dz=math.pi)
+    @example(dz=2 * math.pi)
+    @example(dz=3 * math.pi)
+    @example(dz=12 * math.pi)
+    @example(dz=3.5)
+    @example(dz=0.003)
+    def test_mode_sum_within_partial_sum_tail_bound(self, rate_setup, dz):
+        # sum_{|m|<=M} sinc^2(m dz) <= S <= the same + 2/(dz^2 M), with S
+        # read off the rate as rate / (prefactor * fsr).  Exact multiples
+        # of pi are where the aliased copies of the triangle start.
+        crystal, _, pump, freqs, _ = rate_setup
+        scales = DerivedScales(tau0=dz, round_trip_T=math.pi, fsr_delta_omega=2.0,
+                               gamma=1.0, kappa=1.0)
+        s = rate_mode_sum(crystal, pump, freqs, scales) / (
+            _rate_prefactor(crystal, pump, freqs) * 2.0
+        )
+        m = 1 << 20
+        partial = sinc_sq_partial_sum(dz, m)
+        # 1e-14 allows for rounding: just below multiples of pi the closed
+        # form reads 1 ulp below the partial sum (1.1e-16 worst seen)
+        assert partial <= s * (1 + 1e-14)
+        assert s <= (partial + 2.0 / dz / dz / m) * (1 + 1e-14)
+
+    @pytest.mark.parametrize(
+        "name", ["g2_comb", "spectrum_comb", "detector_averaged", "phase_matched"]
+    )
+    def test_mode_sum_is_continuum_on_shipped_configs(self, name):
+        # fsr*|tau0|/2 < pi: no aliasing, the bracket is exactly 1
+        c = load_scenario(CONFIG_DIR / f"{name}.json")
+        args = (c.crystal, c.pump, c.freqs, c.scales)
+        assert rate_mode_sum(*args) == rate_continuum(*args)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(
+        idler_n=st.floats(1.81, 2.2),
+        pump=st.floats(1e-17, 1e-15),
+        resonators=st.lists(
+            st.tuples(st.floats(0.01, 1.0), st.floats(1e6, 1e11)),
+            min_size=2, max_size=2, unique=True,
+        ),
+    )
+    def test_continuum_independent_of_resonator_over_scenarios(
+        self, idler_n, pump, resonators
+    ):
+        rates = []
+        for length, gamma in resonators:
+            data = scenario_dict(idler_n, gamma, pump={"field_amplitude_EP": pump})
+            data["cavity"]["resonator_length_Lr"] = length
+            c = scenario_from_dict(data)
+            rates.append(rate_continuum(c.crystal, c.pump, c.freqs, c.scales))
+        assert rates[0] == rates[1]
 
     def test_degenerate_tau0_raises(self):
         crystal, cavity, pump, freqs, scales = make_setup(1.8)

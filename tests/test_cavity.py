@@ -98,15 +98,28 @@ class TestModeComb:
 
 class TestRegime:
     def scales(self, ratios):
+        """Scales whose (kappa/gamma, gamma/fsr, fsr*|tau0|) are ``ratios``."""
+        kappa_gamma, gamma_fsr, fsr_tau0 = ratios
+        fsr = 2 * math.pi / 1e-10
+        # gamma must stay positive; at the smallest float gamma/fsr is 0.0
+        gamma = gamma_fsr * fsr or math.ulp(0.0)
         return DerivedScales(
-            tau0=1e-12,
+            tau0=fsr_tau0 / fsr,
             round_trip_T=1e-10,
-            fsr_delta_omega=2 * math.pi / 1e-10,
-            gamma=1e9,
-            kappa=1.0,
-            regime_ok=all(r <= 0.1 for r in ratios),
-            regime_ratios=ratios,
+            fsr_delta_omega=fsr,
+            gamma=gamma,
+            kappa=kappa_gamma * gamma,
         )
+
+    @pytest.mark.parametrize(
+        "ratios", [(0.001, 0.05, 0.02), (0.001, 0.5, 0.02), (0.0, 0.0, 0.0)]
+    )
+    def test_values_are_the_scale_ratios(self, ratios):
+        report = check_regime(self.scales(ratios))
+        assert [c.name for c in report.checks] == [
+            "kappa/gamma", "gamma/fsr", "fsr*|tau0|"
+        ]
+        assert [c.value for c in report.checks] == pytest.approx(ratios, rel=1e-15)
 
     def test_good_cavity_passes(self):
         report = check_regime(self.scales((0.001, 0.05, 0.02)))
@@ -128,8 +141,9 @@ class TestRegime:
 
     def test_derived_scales_from_setup(self, comb_setup):
         _, _, _, _, scales = comb_setup
-        assert scales.regime_ok
-        assert scales.regime_ratios[1] == pytest.approx(0.05, rel=1e-12)
+        report = check_regime(scales)
+        assert report.ok
+        assert report.checks[1].value == pytest.approx(0.05, rel=1e-12)
         assert scales.fsr_delta_omega * scales.round_trip_T == pytest.approx(
             2 * math.pi, rel=4e-16
         )

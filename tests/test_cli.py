@@ -203,7 +203,7 @@ class TestErrorPaths:
             (["g1", "--field", "idler", "--m-max", "-1"], "--m-max"),
             (["spectrum", "--field", "idler", "--m-max", "-1"], "--m-max"),
             (["g2", "--tier", "series", "--m-max", "0"], "--m-max"),
-            (["rate", "--m-max", "0"], "--m-max"),
+            (["g2", "--tier", "exact", "--m-max", "0"], "--m-max"),
             (["wavefunction", "--modes", "0"], "--modes"),
             (["g2", "--tier", "averaged", "--resolution", "-1"], "--resolution"),
             (["g1", "--field", "idler", "--window-gammas", "-1"], "--window-gammas"),
@@ -222,6 +222,15 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert out.startswith("error: exit=1 type=ArgumentError: ")
         assert f"argument {flag}:" in out
+        assert not any(tmp_path.iterdir())
+
+    def test_rate_has_no_mode_truncation_flag(self, config_path, tmp_path, capsys):
+        # The rate is the full mode sum in closed form; there is no M to set.
+        with pytest.raises(SystemExit) as exc:
+            main(["rate", "--m-max", "5", "--config", str(config_path),
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --m-max 5" in capsys.readouterr().out
         assert not any(tmp_path.iterdir())
 
     def test_non_finite_scenario_number_is_config_error(self, tmp_path, capsys):

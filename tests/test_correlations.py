@@ -153,8 +153,6 @@ class TestCompact:
             fsr_delta_omega=2 * math.pi / 16.0,
             gamma=1.0 / 16.0,
             kappa=0.0,
-            regime_ok=True,
-            regime_ratios=(0.0, 0.0, 0.0),
         )
 
     def test_boxcar_membership_and_heights(self):
@@ -253,17 +251,15 @@ class TestExact:
             fsr_delta_omega=fsr,
             gamma=gamma_over_fsr * fsr,
             kappa=0.0,
-            regime_ok=True,
-            regime_ratios=(0.0, 0.0, 0.0),
         )
         # At least 80 points at no more than 32 per |tau0| from -2|tau0|
         # always reach the allowed region, so the peak is positive.
         tau = abs(tau0) * (start_tau0 + np.arange(n) / points_per_tau0)
         trace = g2_exact(G2Request(G2Tier.EXACT, tau, m_max=m_max), scales)
-        # 512 panels: the oracle's small-argument Dirichlet branch and the
-        # rule's own error stay below 1e-10 of the peak.
+        # 512 panels; over 300 examples of this strategy the worst deviation
+        # was 6.2e-13 of the peak, and the bound is 16 times that.
         want = g2_exact_quadrature(tau, scales, trace.meta.extra["m_max"], 4096)
-        assert np.abs(trace.values - want).max() <= 1e-10
+        assert np.abs(trace.values - want).max() <= 1e-11
         forbidden = tau + 0.5 * tau0 < -0.5 * abs(tau0)
         assert np.all(trace.values[forbidden] == 0.0)
         assert np.all(trace.values[~forbidden] > 0.0)
