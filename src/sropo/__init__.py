@@ -23,7 +23,6 @@ from .cavity import (
     RegimeReport,
     check_regime,
     free_spectral_range,
-    mode_frequency,
     resonance_mode_number,
     round_trip_time,
 )
@@ -34,7 +33,6 @@ from .correlations import (
     g2_compact,
     g2_exact,
     g2_series,
-    lorentzian_kernel,
 )
 from .dispersion import (
     CrystalParams,
@@ -61,7 +59,6 @@ from .errors import (
     ScenarioValidationError,
     SropoError,
 )
-from .peaks import PeakMeasurement, measure_peaks, nearest_peak
 from .scenario import (
     ScenarioConfig,
     derive_scales,
@@ -86,7 +83,6 @@ __all__ = [
     "RegimeReport",
     "check_regime",
     "free_spectral_range",
-    "mode_frequency",
     "resonance_mode_number",
     "round_trip_time",
     "G2Request",
@@ -95,7 +91,6 @@ __all__ = [
     "g2_compact",
     "g2_exact",
     "g2_series",
-    "lorentzian_kernel",
     "CrystalParams",
     "DispersionKind",
     "DispersionModel",
@@ -117,9 +112,6 @@ __all__ = [
     "ScenarioParseError",
     "ScenarioValidationError",
     "SropoError",
-    "PeakMeasurement",
-    "measure_peaks",
-    "nearest_peak",
     "ScenarioConfig",
     "derive_scales",
     "load_scenario",

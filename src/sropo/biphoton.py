@@ -60,6 +60,13 @@ def _rate_prefactor(
     return x * x * freqs.omega_s * freqs.omega_i / (n_s * n_i)
 
 
+def _continuum_kappa(
+    crystal: CrystalParams, pump: PumpParams, freqs: FrequencyTriple, tau0: float
+) -> float:
+    """prefactor * 2*pi / |tau0|, the continuum rate for tau0 != 0."""
+    return _rate_prefactor(crystal, pump, freqs) * TWO_PI / abs(tau0)
+
+
 def rate_continuum(
     crystal: CrystalParams,
     pump: PumpParams,
@@ -71,7 +78,7 @@ def rate_continuum(
         raise DegenerateGroupVelocityError(
             "tau0 = 0: the continuum rate diverges; check the scenario regime"
         )
-    return _rate_prefactor(crystal, pump, freqs) * TWO_PI / abs(scales.tau0)
+    return _continuum_kappa(crystal, pump, freqs, scales.tau0)
 
 
 def rate_mode_sum(
@@ -114,10 +121,6 @@ class BiphotonAmplitudeGrid:
     detuning: np.ndarray
     amplitudes: np.ndarray
     normalization: float
-
-    def norm_squared(self) -> float:
-        density = np.abs(self.amplitudes) ** 2
-        return float(np.sum(np.trapezoid(density, self.detuning, axis=1)))
 
 
 def wavefunction_grid(

@@ -96,11 +96,6 @@ def free_spectral_range(round_trip: float) -> float:
     return TWO_PI / round_trip
 
 
-def mode_frequency(freqs: FrequencyTriple, fsr: float, m: int) -> float:
-    """Frequency of longitudinal mode m, with mode 0 at the signal centre."""
-    return freqs.omega_s + m * fsr
-
-
 def resonance_mode_number(crystal: CrystalParams, freqs: FrequencyTriple) -> float:
     """Longitudinal index of the resonant signal mode, omega_s*n_s*l/(pi*c).
 

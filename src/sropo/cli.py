@@ -5,6 +5,10 @@ Every run prints a one-line scalar summary to stdout and exits 0 on success,
 1 on configuration errors, 2 on numeric errors, and 3 when --strict-regime is
 set and the scenario fails the regime check.  Identical inputs produce
 byte-identical output files.
+
+``COMMANDS`` gives each subcommand its help, flags and runner.  A runner
+returns an output stem and a report dict, a ``(trace, axis_name)`` pair or a
+``(meta, names, columns)`` table, which ``_write`` turns into files.
 """
 
 from __future__ import annotations
@@ -17,38 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .biphoton import (
-    MIN_HALFWIDTH_GAMMAS,
-    MIN_POINTS_PER_MODE,
-    rate_continuum,
-    rate_mode_sum,
-    wavefunction_grid,
-)
-from .cavity import resonance_mode_number
-from .correlations import (
-    G2Request,
-    G2Tier,
-    g2_averaged,
-    g2_compact,
-    g2_exact,
-    g2_series,
-)
-from .errors import (
-    ScenarioParseError,
-    ScenarioValidationError,
-    SropoError,
-)
+from . import __version__, biphoton, correlations, spectra
+from .cavity import DerivedScales, resonance_mode_number
+from .correlations import G2Request, G2Tier
+from .errors import ScenarioParseError, ScenarioValidationError, SropoError
 from .scenario import ScenarioConfig, load_scenario
-from .spectra import envelope_zero_mode, g1, spectrum
 from .svgplot import write_svg_plot
-from .trace import (
-    ComplexTrace,
-    Trace,
-    format_float,
-    write_table_csv,
-    write_table_json,
-)
+from .trace import ComplexTrace, format_float, write_table_csv, write_table_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -86,7 +65,191 @@ def _bounded(kind, low, strict: bool = False):
     return parse
 
 
+def _scale_fields(scales: DerivedScales) -> list[tuple[str, str, object]]:
+    """(summary name, file key, value) of each scale; kappa = inf reads "inf"."""
+    kappa = scales.kappa if math.isfinite(scales.kappa) else "inf"
+    return [
+        ("tau0", "tau0_s", scales.tau0),
+        ("T", "round_trip_T_s", scales.round_trip_T),
+        ("fsr", "fsr_rad_per_s", scales.fsr_delta_omega),
+        ("gamma", "gamma_rad_per_s", scales.gamma),
+        ("kappa", "kappa_per_s", kappa),
+    ]
+
+
+def _text(value) -> str:
+    return value if isinstance(value, str) else format_float(value)
+
+
+def _regime(config: ScenarioConfig) -> dict:
+    regime = config.regime
+    checks = [
+        {
+            "name": c.name,
+            "value": c.value if math.isfinite(c.value) else "inf",
+            "passed": c.passed,
+        }
+        for c in regime.checks
+    ]
+    return {"threshold": regime.threshold, "ok": regime.ok, "checks": checks}
+
+
+def _run_scales(args, config: ScenarioConfig):
+    report = {key: value for _, key, value in _scale_fields(config.scales)}
+    report["resonance_mode_number"] = resonance_mode_number(config.crystal, config.freqs)
+    report["regime"] = _regime(config)
+    return "scales", {"scenario_hash": config.scenario_hash, **report}
+
+
+def _run_check_regime(args, config: ScenarioConfig):
+    return "regime", {"scenario_hash": config.scenario_hash, **_regime(config)}
+
+
+def _run_rate(args, config: ScenarioConfig):
+    inputs = (config.crystal, config.pump, config.freqs, config.scales)
+    report = {"scenario_hash": config.scenario_hash}
+    if args.method in ("continuum", "both"):
+        report["kappa_continuum_per_s"] = biphoton.rate_continuum(*inputs)
+    if args.method in ("sum", "both"):
+        report["kappa_mode_sum_per_s"] = biphoton.rate_mode_sum(*inputs)
+    return "rate", report
+
+
+def _run_spectrum(args, config: ScenarioConfig):
+    detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
+    trace = spectra.spectrum(
+        args.field,
+        config.scales,
+        config.freqs,
+        detuning=detuning,
+        m_max=args.m_max,
+        normalization=config.normalization,
+    )
+    return f"spectrum_{args.field}", (trace, "detuning_rad_per_s")
+
+
+def _run_g1(args, config: ScenarioConfig):
+    tau = None
+    if args.points is not None:
+        half = args.window_gammas / config.scales.gamma
+        tau = np.linspace(-half, half, args.points)
+    trace = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
+    return f"g1_{args.field}", (trace, "tau_seconds")
+
+
+def _run_g2(args, config: ScenarioConfig):
+    s = config.scales
+    T = s.round_trip_T
+    if args.tier == G2Tier.AVERAGED.value:
+        if args.resolution is None:
+            raise ScenarioValidationError(
+                "g2 --tier averaged requires --resolution <seconds>"
+            )
+        start = -3.0 * args.resolution
+        step = args.resolution / 16.0
+    else:
+        start = -2.0 * abs(s.tau0) - T / 8.0 if s.tau0 != 0 else -T / 8.0
+        step = abs(s.tau0) / 12.0 if s.tau0 != 0 else T / 1024.0
+    stop = args.peaks * T + 2.0 * abs(s.tau0)
+    n = args.points or int(math.ceil((stop - start) / step)) + 1
+    request = G2Request(
+        tier=args.tier,
+        tau_grid=np.linspace(start, stop, n),
+        m_max=args.m_max,
+        resolution_dt=args.resolution,
+    )
+    trace = getattr(correlations, f"g2_{args.tier}")(request, s)
+    return f"g2_{args.tier}", (trace, "tau_seconds")
+
+
+def _run_wavefunction(args, config: ScenarioConfig):
+    grid = biphoton.wavefunction_grid(
+        config.scales,
+        m_count=args.modes,
+        omega_grid_halfwidth=args.halfwidth_gammas,
+        points_per_mode=args.points_per_mode,
+    )
+    n_modes, n_pts = grid.amplitudes.shape
+    meta = {
+        "kind": "biphoton_amplitudes",
+        "normalization_N": format_float(grid.normalization),
+        "modes": f"-{args.modes}..{args.modes}",
+        "points_per_mode": n_pts,
+        "columns": "m,Omega,re_psi,im_psi",
+        "units": "m dimensionless, Omega rad/s",
+    }
+    columns = [
+        np.repeat(grid.modes.astype(float), n_pts),
+        np.tile(grid.detuning, n_modes),
+        grid.amplitudes.real.ravel(),
+        grid.amplitudes.imag.ravel(),
+    ]
+    return "wavefunction", (meta, ["m", "Omega", "re_psi", "im_psi"], columns)
+
+
 _POSITIVE = _bounded(float, 0.0, strict=True)
+_FIELD = ("--field", dict(choices=("signal", "idler"), required=True))
+_POINTS = ("--points", dict(type=_bounded(int, 2)))
+_M_MAX = ("--m-max", dict(type=_bounded(int, 0)))
+
+# name -> (help, [(flag, add_argument keywords)], runner).  Runners look library
+# functions up when they run, never through this table, so that a wrapper put
+# on a module attribute after import still sees every call.
+COMMANDS = {
+    "scales": ("derived scales report", [], _run_scales),
+    "check-regime": ("regime report", [], _run_check_regime),
+    "rate": (
+        "biphoton generation rate",
+        [("--method", dict(choices=("continuum", "sum", "both"), default="continuum"))],
+        _run_rate,
+    ),
+    "spectrum": (
+        "output spectrum",
+        [
+            _FIELD,
+            ("--window-modes", dict(type=_POSITIVE, help="detuning half-width in "
+                                    "units of the free spectral range")),
+            _POINTS,
+            _M_MAX,
+        ],
+        _run_spectrum,
+    ),
+    "g1": (
+        "first-order correlation",
+        [
+            _FIELD,
+            ("--window-gammas", dict(type=_POSITIVE, default=10.0,
+                                     help="delay half-width in units of 1/gamma")),
+            _POINTS,
+            _M_MAX,
+        ],
+        _run_g1,
+    ),
+    "g2": (
+        "second-order cross-correlation",
+        [
+            ("--tier", dict(choices=[t.value for t in G2Tier], required=True)),
+            ("--peaks", dict(type=_bounded(int, 0), default=5,
+                             help="round trips covered")),
+            _POINTS,
+            ("--m-max", dict(type=_bounded(int, 1))),
+            ("--resolution", dict(type=_POSITIVE, help="detector resolution dT in "
+                                  "seconds (averaged tier)")),
+        ],
+        _run_g2,
+    ),
+    "wavefunction": (
+        "two-photon amplitudes",
+        [
+            ("--modes", dict(type=_bounded(int, 1), default=8)),
+            ("--halfwidth-gammas",
+             dict(type=_bounded(float, biphoton.MIN_HALFWIDTH_GAMMAS), default=12.0)),
+            ("--points-per-mode",
+             dict(type=_bounded(int, biphoton.MIN_POINTS_PER_MODE), default=385)),
+        ],
+        _run_wavefunction,
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -109,302 +272,53 @@ def _build_parser() -> argparse.ArgumentParser:
         "--plot", action="store_true", help="emit a static SVG next to each trace"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("scales", parents=[common], help="derived scales report")
-    sub.add_parser("check-regime", parents=[common], help="regime report")
-
-    p = sub.add_parser("rate", parents=[common], help="biphoton generation rate")
-    p.add_argument("--method", choices=("continuum", "sum", "both"), default="continuum")
-
-    p = sub.add_parser("spectrum", parents=[common], help="output spectrum")
-    p.add_argument("--field", choices=("signal", "idler"), required=True)
-    p.add_argument("--window-modes", type=_POSITIVE, default=None,
-                   help="detuning half-width in units of the free spectral range")
-    p.add_argument("--points", type=_bounded(int, 2), default=None)
-    p.add_argument("--m-max", type=_bounded(int, 0), default=None)
-
-    p = sub.add_parser("g1", parents=[common], help="first-order correlation")
-    p.add_argument("--field", choices=("signal", "idler"), required=True)
-    p.add_argument("--window-gammas", type=_POSITIVE, default=10.0,
-                   help="delay half-width in units of 1/gamma")
-    p.add_argument("--points", type=_bounded(int, 2), default=None)
-    p.add_argument("--m-max", type=_bounded(int, 0), default=None)
-
-    p = sub.add_parser("g2", parents=[common], help="second-order cross-correlation")
-    p.add_argument("--tier", choices=[t.value for t in G2Tier], required=True)
-    p.add_argument("--peaks", type=_bounded(int, 0), default=5, help="round trips covered")
-    p.add_argument("--points", type=_bounded(int, 2), default=None)
-    p.add_argument("--m-max", type=_bounded(int, 1), default=None)
-    p.add_argument("--resolution", type=_POSITIVE, default=None,
-                   help="detector resolution dT in seconds (averaged tier)")
-
-    p = sub.add_parser("wavefunction", parents=[common], help="two-photon amplitudes")
-    p.add_argument("--modes", type=_bounded(int, 1), default=8)
-    p.add_argument("--halfwidth-gammas", type=_bounded(float, MIN_HALFWIDTH_GAMMAS),
-                   default=12.0)
-    p.add_argument("--points-per-mode", type=_bounded(int, MIN_POINTS_PER_MODE),
-                   default=385)
+    for name, (help_text, flags, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _summary_line(config: ScenarioConfig, written: list[Path]) -> str:
-    s = config.scales
-    fields = [
-        f"tau0={format_float(s.tau0)}",
-        f"T={format_float(s.round_trip_T)}",
-        f"fsr={format_float(s.fsr_delta_omega)}",
-        f"gamma={format_float(s.gamma)}",
-        f"kappa={format_float(s.kappa) if math.isfinite(s.kappa) else 'inf'}",
-        f"regime={'pass' if config.regime.ok else 'fail'}",
-    ]
-    if written:
-        fields.append("wrote=" + ",".join(str(p) for p in written))
-    return " ".join(fields)
-
-
-def _header_comments(config: ScenarioConfig, extra: dict) -> list[str]:
-    s = config.scales
-    lines = [
-        f"sropo {__version__}",
-        f"scenario_hash: {config.scenario_hash}",
-    ]
-    for key in sorted(extra):
-        lines.append(f"{key}: {extra[key]}")
-    lines += [
-        f"tau0_s = {format_float(s.tau0)}",
-        f"round_trip_T_s = {format_float(s.round_trip_T)}",
-        f"fsr_rad_per_s = {format_float(s.fsr_delta_omega)}",
-        f"gamma_rad_per_s = {format_float(s.gamma)}",
-        "kappa_per_s = "
-        + (format_float(s.kappa) if math.isfinite(s.kappa) else "inf"),
-        f"regime: {config.regime.summary()}",
-    ]
-    return lines
-
-
-def _trace_columns(trace: Trace | ComplexTrace, axis_name: str) -> tuple[list, list]:
-    if isinstance(trace, ComplexTrace):
-        names = [axis_name, "re_value", "im_value"]
-        cols = [trace.axis, trace.values.real, trace.values.imag]
-    else:
-        value_name = "g2_value" if trace.meta.kind.value == "g2" else "value"
-        names = [axis_name, value_name]
-        cols = [trace.axis, trace.values]
-    return names, cols
-
-
-def _write_table(config: ScenarioConfig, path: Path, extra: dict, names, cols) -> Path:
-    """Write one .csv or .json table, with ``extra`` as its metadata."""
-    if path.suffix == ".csv":
-        write_table_csv(path, _header_comments(config, extra), names, cols)
-    else:
-        meta = {"scenario_hash": config.scenario_hash, **extra}
-        write_table_json(path, meta, names, cols)
-    return path
-
-
-def _write_trace(
-    config: ScenarioConfig,
-    trace: Trace | ComplexTrace,
-    stem: str,
-    axis_name: str,
-    out_dir: Path,
-    fmt: str,
-    plot: bool,
-) -> list[Path]:
-    meta_extra = {
-        "kind": trace.meta.kind.value,
-        "normalization": trace.meta.normalization.value,
-    }
-    for key in sorted(trace.meta.extra):
-        meta_extra[key] = trace.meta.extra[key]
-    names, cols = _trace_columns(trace, axis_name)
-    meta_extra["columns"] = ",".join(names)
-    written = [_write_table(config, out_dir / f"{stem}.{fmt}", meta_extra, names, cols)]
-    if plot:
-        svg = out_dir / f"{stem}.svg"
-        y = np.abs(trace.values) if isinstance(trace, ComplexTrace) else trace.values
-        write_svg_plot(svg, trace.axis, y, stem, axis_name, "value")
-        written.append(svg)
-    return written
-
-
-def _report_payload(config: ScenarioConfig) -> dict:
-    s = config.scales
-    return {
-        "scenario_hash": config.scenario_hash,
-        "tau0_s": s.tau0,
-        "round_trip_T_s": s.round_trip_T,
-        "fsr_rad_per_s": s.fsr_delta_omega,
-        "gamma_rad_per_s": s.gamma,
-        "kappa_per_s": s.kappa if math.isfinite(s.kappa) else "inf",
-        "resonance_mode_number": resonance_mode_number(config.crystal, config.freqs),
-        "regime": {
-            "threshold": config.regime.threshold,
-            "ok": config.regime.ok,
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": c.value if math.isfinite(c.value) else "inf",
-                    "passed": c.passed,
-                }
-                for c in config.regime.checks
-            ],
-        },
-    }
-
-
-def _write_report(payload: dict, path: Path) -> None:
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="ascii"
-    )
-
-
-def _g2_grid(config: ScenarioConfig, args) -> np.ndarray:
-    s = config.scales
-    tier = G2Tier(args.tier)
-    T = s.round_trip_T
-    if tier is G2Tier.AVERAGED:
-        if args.resolution is None:
-            raise ScenarioValidationError(
-                "g2 --tier averaged requires --resolution <seconds>"
-            )
-        start = -3.0 * args.resolution
-        step = args.resolution / 16.0
-    else:
-        start = -2.0 * abs(s.tau0) - T / 8.0 if s.tau0 != 0 else -T / 8.0
-        step = abs(s.tau0) / 12.0 if s.tau0 != 0 else T / 1024.0
-    stop = args.peaks * T + 2.0 * abs(s.tau0)
-    if args.points is not None:
-        n = args.points
-    else:
-        n = int(math.ceil((stop - start) / step)) + 1
-    return np.linspace(start, stop, n)
-
-
-def _run(args, config: ScenarioConfig) -> list[Path]:
+def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
+    """Write a runner's result; the output directory is made only now."""
     out_dir = Path(args.out if args.out is not None else config.output_directory)
     out_dir.mkdir(parents=True, exist_ok=True)
+    if isinstance(result, dict):
+        path = out_dir / f"{stem}.json"
+        path.write_text(
+            json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="ascii"
+        )
+        return [path]
+    trace = None
+    if len(result) == 3:
+        meta, names, columns = result
+    else:
+        trace, axis_name = result
+        kind = trace.meta.kind.value
+        meta = {"kind": kind, "normalization": trace.meta.normalization.value}
+        meta.update(trace.meta.extra)
+        if isinstance(trace, ComplexTrace):
+            names = [axis_name, "re_value", "im_value"]
+            columns = [trace.axis, trace.values.real, trace.values.imag]
+        else:
+            names = [axis_name, "g2_value" if kind == "g2" else "value"]
+            columns = [trace.axis, trace.values]
+        meta["columns"] = ",".join(names)
     fmt = args.format if args.format is not None else config.output_format
-    written: list[Path] = []
-
-    if args.command == "scales":
-        path = out_dir / "scales.json"
-        _write_report(_report_payload(config), path)
-        written.append(path)
-
-    elif args.command == "check-regime":
-        path = out_dir / "regime.json"
-        _write_report(_report_payload(config)["regime"] | {
-            "scenario_hash": config.scenario_hash
-        }, path)
-        written.append(path)
-
-    elif args.command == "rate":
-        payload = {"scenario_hash": config.scenario_hash}
-        if args.method in ("continuum", "both"):
-            payload["kappa_continuum_per_s"] = rate_continuum(
-                config.crystal, config.pump, config.freqs, config.scales
-            )
-        if args.method in ("sum", "both"):
-            payload["kappa_mode_sum_per_s"] = rate_mode_sum(
-                config.crystal, config.pump, config.freqs, config.scales
-            )
-        path = out_dir / "rate.json"
-        _write_report(payload, path)
-        written.append(path)
-
-    elif args.command == "spectrum":
-        detuning = None
-        if args.window_modes is not None or args.points is not None:
-            window = (
-                args.window_modes
-                if args.window_modes is not None
-                else envelope_zero_mode(config.scales) + 0.5
-            )
-            half = window * config.scales.fsr_delta_omega
-            n = (
-                args.points
-                if args.points is not None
-                else 2 * math.ceil(24.0 * half / config.scales.gamma) + 1
-            )
-            detuning = np.linspace(-half, half, n)
-        trace = spectrum(
-            args.field,
-            config.scales,
-            config.freqs,
-            detuning=detuning,
-            m_max=args.m_max,
-            normalization=config.normalization,
-        )
-        written += _write_trace(
-            config,
-            trace,
-            f"spectrum_{args.field}",
-            "detuning_rad_per_s",
-            out_dir,
-            fmt,
-            args.plot,
-        )
-
-    elif args.command == "g1":
-        tau = None
-        if args.points is not None:
-            half = args.window_gammas / config.scales.gamma
-            tau = np.linspace(-half, half, args.points)
-        trace = g1(
-            args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max
-        )
-        written += _write_trace(
-            config, trace, f"g1_{args.field}", "tau_seconds", out_dir, fmt, args.plot
-        )
-
-    elif args.command == "g2":
-        tier = G2Tier(args.tier)
-        request = G2Request(
-            tier=tier,
-            tau_grid=_g2_grid(config, args),
-            m_max=args.m_max,
-            resolution_dt=args.resolution,
-        )
-        runner = {
-            G2Tier.EXACT: g2_exact,
-            G2Tier.SERIES: g2_series,
-            G2Tier.COMPACT: g2_compact,
-            G2Tier.AVERAGED: g2_averaged,
-        }[tier]
-        trace = runner(request, config.scales)
-        written += _write_trace(
-            config, trace, f"g2_{tier.value}", "tau_seconds", out_dir, fmt, args.plot
-        )
-
-    elif args.command == "wavefunction":
-        grid = wavefunction_grid(
-            config.scales,
-            m_count=args.modes,
-            omega_grid_halfwidth=args.halfwidth_gammas,
-            points_per_mode=args.points_per_mode,
-        )
-        n_modes, n_pts = grid.amplitudes.shape
-        m_col = np.repeat(grid.modes.astype(float), n_pts)
-        omega_col = np.tile(grid.detuning, n_modes)
-        re_col = grid.amplitudes.real.ravel()
-        im_col = grid.amplitudes.imag.ravel()
-        extra = {
-            "kind": "biphoton_amplitudes",
-            "normalization_N": format_float(grid.normalization),
-            "modes": f"-{args.modes}..{args.modes}",
-            "points_per_mode": n_pts,
-            "columns": "m,Omega,re_psi,im_psi",
-            "units": "m dimensionless, Omega rad/s",
-        }
-        names = ["m", "Omega", "re_psi", "im_psi"]
-        cols = [m_col, omega_col, re_col, im_col]
-        path = out_dir / f"wavefunction.{fmt}"
-        written.append(_write_table(config, path, extra, names, cols))
-
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
+    written = [out_dir / f"{stem}.{fmt}"]
+    if fmt == "csv":
+        header = [f"sropo {__version__}", f"scenario_hash: {config.scenario_hash}"]
+        header += [f"{key}: {meta[key]}" for key in sorted(meta)]
+        header += [f"{key} = {_text(v)}" for _, key, v in _scale_fields(config.scales)]
+        header.append(f"regime: {config.regime.summary()}")
+        write_table_csv(written[0], header, names, columns)
+    else:
+        meta = {"scenario_hash": config.scenario_hash, **meta}
+        write_table_json(written[0], meta, names, columns)
+    if args.plot and trace is not None:
+        y = np.abs(trace.values) if isinstance(trace, ComplexTrace) else trace.values
+        written.append(out_dir / f"{stem}.svg")
+        write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
     return written
 
 
@@ -414,13 +328,17 @@ def main(argv=None) -> int:
         config = load_scenario(args.config)
         if args.strict_regime and not config.regime.ok:
             return _error(EXIT_REGIME, "RegimeFailure", config.regime.summary())
-        written = _run(args, config)
+        stem, result = COMMANDS[args.command][2](args, config)
+        written = _write(args, config, stem, result)
     except (ScenarioParseError, ScenarioValidationError) as exc:
         return _error(EXIT_CONFIG, type(exc).__name__, exc)
     except (SropoError, ValueError) as exc:
         return _error(EXIT_NUMERIC, type(exc).__name__, exc)
 
-    print(_summary_line(config, written))
+    summary = [f"{name}={_text(v)}" for name, _, v in _scale_fields(config.scales)]
+    summary.append(f"regime={'pass' if config.regime.ok else 'fail'}")
+    summary.append("wrote=" + ",".join(str(p) for p in written))
+    print(" ".join(summary))
     return EXIT_OK
 
 

@@ -80,23 +80,6 @@ class G2Request:
         return float(self.tau_grid[-1] - self.tau_grid[0]) / (self.tau_grid.size - 1)
 
 
-def lorentzian_kernel(t, gamma: float):
-    """Closed form of -(1/pi) * integral dW exp(-iWt) / (gamma/2 - iW).
-
-    Zero for t < 0, one at t = 0, and 2*exp(-gamma*t/2) for t > 0.  Accepts
-    scalars or arrays.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    out = np.where(
-        t_arr > 0,
-        2.0 * np.exp(-0.5 * gamma * np.where(t_arr > 0, t_arr, 0.0)),
-        np.where(t_arr == 0, 1.0, 0.0),
-    )
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
 def _require_tier(request: G2Request, tier: G2Tier) -> None:
     if request.tier is not tier:
         raise ValueError(f"request tier is {request.tier.value}, expected {tier.value}")

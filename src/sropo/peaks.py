@@ -84,20 +84,3 @@ def nearest_peak(peaks: list[PeakMeasurement], center: float) -> PeakMeasurement
     if not peaks:
         raise ValueError("no peaks to search")
     return min(peaks, key=lambda p: abs(p.center - center))
-
-
-def local_maxima(values) -> np.ndarray:
-    """Indices of strict interior local maxima."""
-    v = np.asarray(values, dtype=float)
-    idx = np.nonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:]))[0] + 1
-    return idx
-
-
-def minimum_between(values, i_left: int, i_right: int) -> tuple[int, float]:
-    """Index and value of the minimum strictly between two sample indices."""
-    if i_right <= i_left + 1:
-        raise ValueError("no interior samples between the given indices")
-    v = np.asarray(values, dtype=float)
-    segment = v[i_left + 1 : i_right]
-    k = int(np.argmin(segment)) + i_left + 1
-    return k, float(v[k])

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .biphoton import PumpParams, _rate_prefactor
+from .biphoton import PumpParams, _continuum_kappa
 from .cavity import (
     DEFAULT_REGIME_THRESHOLD,
     CavityParams,
@@ -41,7 +41,6 @@ from .cavity import (
     free_spectral_range,
     round_trip_time,
 )
-from .constants import TWO_PI
 from .dispersion import (
     CrystalParams,
     DispersionKind,
@@ -66,7 +65,6 @@ class ScenarioConfig:
     output_directory: str
     output_format: str
     normalization: Normalization
-    regime_threshold: float
 
 
 def derive_scales(
@@ -83,7 +81,7 @@ def derive_scales(
     if tau0 == 0.0:
         kappa = math.inf
     else:
-        kappa = _rate_prefactor(crystal, pump, freqs) * TWO_PI / abs(tau0)
+        kappa = _continuum_kappa(crystal, pump, freqs, tau0)
     return DerivedScales(tau0, T, fsr, gamma, kappa)
 
 
@@ -301,7 +299,6 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         output_directory=str(directory),
         output_format=str(fmt),
         normalization=normalization,
-        regime_threshold=float(threshold),
     )
 
 

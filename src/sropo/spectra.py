@@ -64,6 +64,30 @@ def _centre_frequency(field: FieldName, freqs: FrequencyTriple) -> float:
     return freqs.omega_s if field is FieldName.SIGNAL else freqs.omega_i
 
 
+def spectrum_grid(
+    scales: DerivedScales,
+    window_modes: float | None = None,
+    points: int | None = None,
+) -> np.ndarray:
+    """Detuning grid of ``spectrum``: ``window_modes`` fsr either side.
+
+    By default the window reaches half a mode beyond the envelope's first
+    zero, with 24 points per gamma.  That count rounds as half / (gamma/24)
+    for the default window and as 24 * half / gamma for a given one; the two
+    differ on round windows and are kept so that grids stay byte-identical.
+    """
+    gamma = scales.gamma
+    if window_modes is None:
+        half = (envelope_zero_mode(scales) + 0.5) * scales.fsr_delta_omega
+        per_side = half / (gamma / _DEFAULT_POINTS_PER_GAMMA)
+    else:
+        half = window_modes * scales.fsr_delta_omega
+        per_side = _DEFAULT_POINTS_PER_GAMMA * half / gamma
+    if points is None:
+        points = 2 * math.ceil(per_side) + 1
+    return np.linspace(-half, half, points)
+
+
 def spectrum(
     field: FieldName | str,
     scales: DerivedScales,
@@ -74,19 +98,15 @@ def spectrum(
 ) -> Trace:
     """Output spectrum of the chosen field on a detuning grid.
 
-    With ``detuning=None`` the grid spans the central envelope (out to half a
-    mode beyond its first zero) at ``_DEFAULT_POINTS_PER_GAMMA`` samples per
-    linewidth.  A supplied grid must carry at least 16 points per gamma.
+    With ``detuning=None`` the grid is ``spectrum_grid(scales)``, the central
+    envelope.  A supplied grid must carry at least 16 points per gamma.
     Mode m contributes a Lorentzian at detuning -m*fsr.
     """
     field = FieldName(field)
     gamma = scales.gamma
     fsr = scales.fsr_delta_omega
     if detuning is None:
-        half = (envelope_zero_mode(scales) + 0.5) * fsr
-        spacing = gamma / _DEFAULT_POINTS_PER_GAMMA
-        n = 2 * math.ceil(half / spacing) + 1
-        detuning = np.linspace(-half, half, n)
+        detuning = spectrum_grid(scales)
     else:
         detuning = np.asarray(detuning, dtype=float)
     spacing = float(detuning[-1] - detuning[0]) / (detuning.size - 1)

@@ -110,27 +110,6 @@ def write_table_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def read_table_csv(path: str | Path):
-    """Inverse of :func:`write_table_csv`: (comments, names, columns)."""
-    comments: list[str] = []
-    names: list[str] | None = None
-    rows: list[list[float]] = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        if not line:
-            continue
-        if line.startswith("#"):
-            comments.append(line[1:].strip())
-        elif names is None:
-            names = line.split(",")
-        else:
-            rows.append([float(tok) for tok in line.split(",")])
-    if names is None:
-        raise ValueError(f"{path}: no column header found")
-    data = np.array(rows, dtype=float)
-    columns = [data[:, i] for i in range(len(names))]
-    return comments, names, columns
-
-
 def _json_safe(value):
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)

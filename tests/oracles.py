@@ -5,8 +5,9 @@ evaluate their mode sums with the chirp-z transform
 ``numerics._cos_series``.  These loops sum the same modes one at a time, in
 O(N*M), or integrate the crystal by quadrature, and are the independent
 reference the kernel is tested against.  ``phi_exact`` integrates the
-spectral amplitude over the crystal for ``biphoton.phi_analytic``, and
-``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``.
+spectral amplitude over the crystal for ``biphoton.phi_analytic``,
+``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
+and ``lorentzian_kernel`` is the cavity response the exact tier integrates.
 """
 
 from __future__ import annotations
@@ -175,6 +176,24 @@ def dirichlet_kernel(theta, m_max: int):
     # Near theta = 0: sum_m cos(m*theta) to second order in theta.
     near = (2.0 * m_max + 1.0) * (1.0 - m_max * (m_max + 1.0) * th * th / 6.0)
     return np.where(small, near, num / denom)
+
+
+def lorentzian_kernel(t, gamma: float):
+    """Closed form of -(1/pi) * integral dW exp(-iWt) / (gamma/2 - iW).
+
+    The cavity response that ``correlations.g2_exact`` integrates across the
+    crystal: zero for t < 0, one at t = 0, and 2*exp(-gamma*t/2) for t > 0.
+    Accepts scalars or arrays.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    out = np.where(
+        t_arr > 0,
+        2.0 * np.exp(-0.5 * gamma * np.where(t_arr > 0, t_arr, 0.0)),
+        np.where(t_arr == 0, 1.0, 0.0),
+    )
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return float(out)
+    return out
 
 
 def g2_exact_quadrature(tau, scales, m_count: int, quad_points: int) -> np.ndarray:

@@ -21,18 +21,16 @@ from sropo import (
     g2_compact,
     g2_exact,
     g2_series,
-    lorentzian_kernel,
-    measure_peaks,
-    nearest_peak,
     phi_analytic,
     rate_continuum,
     rate_mode_sum,
     spectrum,
 )
 from sropo.biphoton import _rate_prefactor
-from sropo.peaks import local_maxima, minimum_between
+from sropo.peaks import measure_peaks, nearest_peak
 from conftest import scenario_dict
-from oracles import phi_exact, sinc_sq_partial_sum
+from helpers import local_maxima, minimum_between
+from oracles import lorentzian_kernel, phi_exact, sinc_sq_partial_sum
 
 SINC_SQ_HALF = 1.39155737825151  # sinc^2(z) = 1/2
 

@@ -21,6 +21,7 @@ from sropo import (
 from sropo.biphoton import _rate_prefactor
 from sropo.scenario import load_scenario
 from conftest import CONFIG_DIR, make_setup, scenario_dict
+from helpers import norm_squared
 from oracles import QuadratureWarning, phi_exact, sinc_sq_partial_sum
 from scipy.constants import epsilon_0 as EPS0
 
@@ -242,7 +243,7 @@ class TestWavefunctionGrid:
         *_, scales = comb_setup
         grid = wavefunction_grid(scales, m_count=8, omega_grid_halfwidth=10.0,
                                  points_per_mode=321)
-        assert grid.norm_squared() == pytest.approx(1.0, abs=1e-6)
+        assert norm_squared(grid) == pytest.approx(1.0, abs=1e-6)
 
     def test_mode_ratio_is_sinc(self, comb_setup):
         *_, scales = comb_setup

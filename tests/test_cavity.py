@@ -10,11 +10,11 @@ from sropo import (
     GeometryError,
     check_regime,
     free_spectral_range,
-    mode_frequency,
     resonance_mode_number,
     round_trip_time,
 )
 from conftest import constant_model, make_setup
+from helpers import mode_frequency
 
 
 def crystal_with(signal_n=1.8):

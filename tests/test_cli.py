@@ -1,15 +1,18 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sropo import measure_peaks, nearest_peak
-from sropo.cli import main
-from sropo.trace import format_float, read_table_csv, write_table_csv
-from conftest import GAMMA, ROUND_TRIP, scenario_dict
+from sropo.cli import COMMANDS, main
+from sropo.peaks import measure_peaks, nearest_peak
+from sropo.trace import format_float, write_table_csv
+from conftest import CONFIG_DIR, GAMMA, ROUND_TRIP, scenario_dict
+from helpers import read_table_csv
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -233,6 +236,20 @@ class TestErrorPaths:
         assert "unrecognized arguments: --m-max 5" in capsys.readouterr().out
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["g2", "--tier", "series", "--points", "3"], 2),  # grid too coarse
+            (["g2", "--tier", "averaged"], 1),  # no --resolution
+        ],
+    )
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys, args, code):
+        out = tmp_path / "out"
+        config = str(CONFIG_DIR / "g2_comb.json")
+        assert main([*args, "--config", config, "--out", str(out)]) == code
+        assert f"error: exit={code}" in capsys.readouterr().out
+        assert not out.exists()
+
     def test_non_finite_scenario_number_is_config_error(self, tmp_path, capsys):
         data = scenario_dict()
         data["crystal"]["length_l"] = float("nan")
@@ -328,3 +345,36 @@ def test_commands_run_with_scipy_blocked(config_path, tmp_path, args, written):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert (tmp_path / written).is_file()
+
+
+REPO_ROOT = CONFIG_DIR.parent
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``sropo ...`` command of the bash block under README "Command line"."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("sropo ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_covers_every_subcommand():
+    assert sorted({argv[0] for argv in README_COMMANDS}) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[a[0] for a in README_COMMANDS])
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO_ROOT)  # the commands name configs/ relative to the root
+    argv = list(argv)
+    if "--out" in argv:
+        argv[argv.index("--out") + 1] = str(tmp_path)
+    else:
+        argv += ["--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = capsys.readouterr().out.strip().splitlines()[-1]
+    written = summary.split("wrote=", 1)[1].split(",")
+    assert all(Path(p).is_file() for p in written), written

@@ -20,13 +20,11 @@ from sropo import (
     g2_exact,
     g2_series,
     load_scenario,
-    lorentzian_kernel,
-    measure_peaks,
-    nearest_peak,
 )
-from sropo.peaks import local_maxima, minimum_between
+from sropo.peaks import measure_peaks, nearest_peak
 from conftest import CONFIG_DIR
-from oracles import g2_exact_quadrature, g2_series_mode_loop
+from helpers import local_maxima, minimum_between
+from oracles import g2_exact_quadrature, g2_series_mode_loop, lorentzian_kernel
 
 
 def plateau_mean(trace, center, halfwidth):

@@ -10,10 +10,9 @@ from sropo import (
     Normalization,
     envelope_zero_mode,
     g1,
-    measure_peaks,
-    nearest_peak,
     spectrum,
 )
+from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import _mode_weights
 from scipy.integrate import trapezoid
 from oracles import g1_mode_loop
