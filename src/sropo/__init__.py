@@ -67,7 +67,7 @@ from .scenario import (
     scenario_hash,
 )
 from .spectra import FieldName, envelope_zero_mode, g1, spectrum
-from .trace import ComplexTrace, Normalization, Trace, TraceKind, TraceMeta
+from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 __all__ = [
     "__version__",
@@ -121,7 +121,6 @@ __all__ = [
     "envelope_zero_mode",
     "g1",
     "spectrum",
-    "ComplexTrace",
     "Normalization",
     "Trace",
     "TraceKind",

@@ -27,7 +27,7 @@ from .correlations import G2Request, G2Tier
 from .errors import ScenarioParseError, ScenarioValidationError, SropoError
 from .scenario import ScenarioConfig, load_scenario
 from .svgplot import write_svg_plot
-from .trace import ComplexTrace, format_float, write_table_csv, write_table_json
+from .trace import format_float, write_table_csv, write_table_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -129,10 +129,7 @@ def _run_spectrum(args, config: ScenarioConfig):
 
 
 def _run_g1(args, config: ScenarioConfig):
-    tau = None
-    if args.points is not None:
-        half = args.window_gammas / config.scales.gamma
-        tau = np.linspace(-half, half, args.points)
+    tau = spectra.g1_grid(config.scales, args.window_gammas, args.points, args.m_max)
     trace = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
     return f"g1_{args.field}", (trace, "tau_seconds")
 
@@ -163,11 +160,10 @@ def _run_g2(args, config: ScenarioConfig):
 
 
 def _run_wavefunction(args, config: ScenarioConfig):
-    grid = biphoton.wavefunction_grid(
-        config.scales,
-        m_count=args.modes,
-        omega_grid_halfwidth=args.halfwidth_gammas,
-        points_per_mode=args.points_per_mode,
+    given = {"omega_grid_halfwidth": args.halfwidth_gammas,
+             "points_per_mode": args.points_per_mode}
+    grid = biphoton.wavefunction_grid(  # a flag left out keeps the library default
+        config.scales, args.modes, **{k: v for k, v in given.items() if v is not None}
     )
     n_modes, n_pts = grid.amplitudes.shape
     meta = {
@@ -218,8 +214,8 @@ COMMANDS = {
         "first-order correlation",
         [
             _FIELD,
-            ("--window-gammas", dict(type=_POSITIVE, default=10.0,
-                                     help="delay half-width in units of 1/gamma")),
+            ("--window-gammas", dict(type=_POSITIVE, help="delay half-width in "
+                                     "units of 1/gamma")),
             _POINTS,
             _M_MAX,
         ],
@@ -243,9 +239,8 @@ COMMANDS = {
         [
             ("--modes", dict(type=_bounded(int, 1), default=8)),
             ("--halfwidth-gammas",
-             dict(type=_bounded(float, biphoton.MIN_HALFWIDTH_GAMMAS), default=12.0)),
-            ("--points-per-mode",
-             dict(type=_bounded(int, biphoton.MIN_POINTS_PER_MODE), default=385)),
+             dict(type=_bounded(float, biphoton.MIN_HALFWIDTH_GAMMAS))),
+            ("--points-per-mode", dict(type=_bounded(int, biphoton.MIN_POINTS_PER_MODE))),
         ],
         _run_wavefunction,
     ),
@@ -297,7 +292,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         kind = trace.meta.kind.value
         meta = {"kind": kind, "normalization": trace.meta.normalization.value}
         meta.update(trace.meta.extra)
-        if isinstance(trace, ComplexTrace):
+        if np.iscomplexobj(trace.values):
             names = [axis_name, "re_value", "im_value"]
             columns = [trace.axis, trace.values.real, trace.values.imag]
         else:
@@ -316,7 +311,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         meta = {"scenario_hash": config.scenario_hash, **meta}
         write_table_json(written[0], meta, names, columns)
     if args.plot and trace is not None:
-        y = np.abs(trace.values) if isinstance(trace, ComplexTrace) else trace.values
+        y = np.abs(trace.values) if np.iscomplexobj(trace.values) else trace.values
         written.append(out_dir / f"{stem}.svg")
         write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
     return written

@@ -24,10 +24,11 @@ from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import GridTooCoarseError
 from .numerics import _cos_series, ensure_uniform_axis
-from .trace import ComplexTrace, Normalization, Trace, TraceKind, TraceMeta
+from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _POINTS_PER_GAMMA_MIN = 16.0
 _DEFAULT_POINTS_PER_GAMMA = 24.0
+_DEFAULT_WINDOW_GAMMAS = 10.0  # g1 delay half-width, in units of 1/gamma
 _ENVELOPE_REACH = 5.0  # default mode coverage, in units of the first-zero mode
 
 
@@ -72,19 +73,36 @@ def spectrum_grid(
     """Detuning grid of ``spectrum``: ``window_modes`` fsr either side.
 
     By default the window reaches half a mode beyond the envelope's first
-    zero, with 24 points per gamma.  That count rounds as half / (gamma/24)
-    for the default window and as 24 * half / gamma for a given one; the two
-    differ on round windows and are kept so that grids stay byte-identical.
+    zero, and the grid holds 24 points per gamma.
     """
-    gamma = scales.gamma
     if window_modes is None:
-        half = (envelope_zero_mode(scales) + 0.5) * scales.fsr_delta_omega
-        per_side = half / (gamma / _DEFAULT_POINTS_PER_GAMMA)
-    else:
-        half = window_modes * scales.fsr_delta_omega
-        per_side = _DEFAULT_POINTS_PER_GAMMA * half / gamma
+        window_modes = envelope_zero_mode(scales) + 0.5
+    half = window_modes * scales.fsr_delta_omega
     if points is None:
-        points = 2 * math.ceil(per_side) + 1
+        points = 2 * math.ceil(half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)) + 1
+    return np.linspace(-half, half, points)
+
+
+def g1_grid(
+    scales: DerivedScales,
+    window_gammas: float | None = None,
+    points: int | None = None,
+    m_max: int | None = None,
+) -> np.ndarray:
+    """Delay grid of ``g1``: ``window_gammas``/gamma either side (default 10).
+
+    By default the spacing resolves both 1/gamma (16 points) and the fastest
+    beat of the modes ``g1`` keeps for ``m_max`` (4 points per period).
+    """
+    if window_gammas is None:
+        window_gammas = _DEFAULT_WINDOW_GAMMAS
+    half = window_gammas / scales.gamma
+    if points is None:
+        spacing = min(
+            1.0 / (_POINTS_PER_GAMMA_MIN * scales.gamma),
+            scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
+        )
+        points = 2 * math.ceil(half / spacing) + 1
     return np.linspace(-half, half, points)
 
 
@@ -99,17 +117,17 @@ def spectrum(
     """Output spectrum of the chosen field on a detuning grid.
 
     With ``detuning=None`` the grid is ``spectrum_grid(scales)``, the central
-    envelope.  A supplied grid must carry at least 16 points per gamma.
-    Mode m contributes a Lorentzian at detuning -m*fsr.
+    envelope.  A supplied grid must be finite, strictly increasing and
+    uniform, of two points or more (ValueError otherwise), and carry at least
+    16 points per gamma.  Mode m contributes a Lorentzian at detuning -m*fsr.
     """
     field = FieldName(field)
     gamma = scales.gamma
     fsr = scales.fsr_delta_omega
     if detuning is None:
         detuning = spectrum_grid(scales)
-    else:
-        detuning = np.asarray(detuning, dtype=float)
-    spacing = float(detuning[-1] - detuning[0]) / (detuning.size - 1)
+    detuning = np.asarray(detuning, dtype=float)
+    spacing = ensure_uniform_axis(detuning, "detuning")
     if gamma / spacing < _POINTS_PER_GAMMA_MIN:
         raise GridTooCoarseError(
             f"only {gamma / spacing:.2f} grid points per gamma; "
@@ -157,13 +175,14 @@ def g1(
     freqs: FrequencyTriple,
     tau: np.ndarray | None = None,
     m_max: int | None = None,
-) -> ComplexTrace:
+) -> Trace:
     """First-order correlation of the chosen field, normalized to g1(0) = 1.
 
     Returned in the rotating frame of the centre frequency: mode m
     contributes exp(i*m*fsr*tau), each line decays as exp(-gamma*|tau|/2).
-    The weights are even in m, so g1 is real; it stays a complex trace with
-    an imaginary part of exactly 0.  ``tau`` must be a finite, strictly
+    The weights are even in m, so g1 is real; its values stay complex, with
+    an imaginary part of exactly 0.  With ``tau=None`` the grid is
+    ``g1_grid(scales, m_max=m_max)``.  ``tau`` must be a finite, strictly
     increasing, uniform grid of two points or more (ValueError otherwise): the
     mode sum runs as a chirp-z transform in O((N + M) log M).  Where the
     grid holds tau = 0 exactly, g1 there is exactly 1.  The carrier
@@ -174,15 +193,8 @@ def g1(
     fsr = scales.fsr_delta_omega
     m_count = _auto_mode_count(scales, m_max)
     if tau is None:
-        half = 10.0 / gamma
-        spacing = min(
-            1.0 / (_POINTS_PER_GAMMA_MIN * gamma),
-            scales.round_trip_T / (4.0 * max(m_count, 1)),
-        )
-        n = 2 * math.ceil(half / spacing) + 1
-        tau = np.linspace(-half, half, n)
-    else:
-        tau = np.asarray(tau, dtype=float)
+        tau = g1_grid(scales, m_max=m_max)
+    tau = np.asarray(tau, dtype=float)
     spacing = ensure_uniform_axis(tau, "tau")
     if 1.0 / (gamma * spacing) < _POINTS_PER_GAMMA_MIN:
         raise GridTooCoarseError(
@@ -215,4 +227,4 @@ def g1(
             "m_max": m_count,
         },
     )
-    return ComplexTrace(tau, values, meta)
+    return Trace(tau, values, meta)

@@ -40,7 +40,10 @@ class TraceMeta:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Real-valued function of one variable on a uniform grid."""
+    """Function of one variable on a uniform grid.
+
+    Real values must be non-negative; complex values may have any phase.
+    """
 
     axis: np.ndarray
     values: np.ndarray
@@ -48,7 +51,8 @@ class Trace:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        is_complex = np.iscomplexobj(self.values)
+        values = np.asarray(self.values, dtype=complex if is_complex else float)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
         ensure_uniform_axis(axis, "trace axis")
@@ -56,32 +60,8 @@ class Trace:
             raise ValueError("values must have the same shape as axis")
         if not np.all(np.isfinite(values)):
             raise ValueError("trace values must be finite")
-        if np.any(values < 0):
+        if not is_complex and np.any(values < 0):
             raise ValueError("trace values must be non-negative")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexTrace:
-    """Complex-valued function of one variable on a uniform grid."""
-
-    axis: np.ndarray
-    values: np.ndarray
-    meta: TraceMeta
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        values = np.asarray(self.values, dtype=complex)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
-        ensure_uniform_axis(axis, "trace axis")
-        if values.shape != axis.shape:
-            raise ValueError("values must have the same shape as axis")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("trace values must be finite")
 
     @property
     def spacing(self) -> float:

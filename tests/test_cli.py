@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sropo import load_scenario
 from sropo.cli import COMMANDS, main
 from sropo.peaks import measure_peaks, nearest_peak
+from sropo.spectra import g1_grid
 from sropo.trace import format_float, write_table_csv
 from conftest import CONFIG_DIR, GAMMA, ROUND_TRIP, scenario_dict
 from helpers import read_table_csv
@@ -149,6 +151,31 @@ class TestRunBasics:
         assert result.returncode == 0
         svg = (tmp_path / "g2_compact.svg").read_text()
         assert svg.startswith("<svg") and "<polyline" in svg
+
+
+class TestGridFlags:
+    def test_g1_window_gammas_applies_with_or_without_points(self, tmp_path):
+        config = CONFIG_DIR / "g2_comb.json"
+        scales = load_scenario(config).scales
+        grid = g1_grid(scales, 3.0)
+        files = []
+        for points in ([], ["--points", str(grid.size)]):
+            out = tmp_path / str(len(points))
+            assert main(["g1", "--config", str(config), "--field", "idler",
+                         "--window-gammas", "3", *points, "--out", str(out)]) == 0
+            files.append((out / "g1_idler.csv").read_bytes())
+        assert files[0] == files[1]
+        _, _, (tau, _, _) = read_table_csv(tmp_path / "0" / "g1_idler.csv")
+        assert np.array_equal(tau, grid)
+        assert tau[-1] == -tau[0] == 3.0 / scales.gamma
+
+    def test_spectrum_window_modes_rounds_as_the_default_window(self, tmp_path):
+        # gamma/fsr = 0.05, so 2.5 fsr at 24 points per gamma is 1200 a side.
+        config = CONFIG_DIR / "g2_comb.json"
+        assert main(["spectrum", "--config", str(config), "--field", "signal",
+                     "--window-modes", "2.5", "--out", str(tmp_path)]) == 0
+        _, _, (detuning, _) = read_table_csv(tmp_path / "spectrum_signal.csv")
+        assert detuning.size == 2401
 
 
 class TestErrorPaths:
@@ -378,3 +405,12 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     summary = capsys.readouterr().out.strip().splitlines()[-1]
     written = summary.split("wrote=", 1)[1].split(",")
     assert all(Path(p).is_file() for p in written), written
+
+
+def test_readme_library_use_runs():
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["trace"].values.max() == 1.0

@@ -20,9 +20,11 @@ from sropo import (
     g2_exact,
     g2_series,
     load_scenario,
+    scenario_from_dict,
 )
+from sropo.cli import COMMANDS, _build_parser
 from sropo.peaks import measure_peaks, nearest_peak
-from conftest import CONFIG_DIR
+from conftest import C_LIGHT, CONFIG_DIR, scenario_dict
 from helpers import local_maxima, minimum_between
 from oracles import g2_exact_quadrature, g2_series_mode_loop, lorentzian_kernel
 
@@ -372,3 +374,93 @@ class TestAsymmetry:
         before = tau < min(0.0, -scales.tau0)
         assert np.all(trace.values[before] == 0.0)
         assert trace.values[~before].max() > 0.5
+
+
+@st.composite
+def g2_cli_cases(draw):
+    """A random valid scenario and ``g2`` flags; the grid is the CLI's.
+
+    |tau0|/T lies in [0.004, 0.04] with either sign, gamma*T in [0.03, 0.6],
+    and the averaged tier's resolution between 10*|tau0| and T/2.
+    """
+    length = draw(st.floats(0.002, 0.02))
+    resonator = length * draw(st.floats(1.5, 5.0))
+    n_s = draw(st.floats(1.7, 2.4))
+    T = (2 * length * n_s + 2 * (resonator - length)) / C_LIGHT
+    ratio = draw(st.floats(0.004, 0.04)) * draw(st.sampled_from((-1.0, 1.0)))
+    data = scenario_dict(
+        idler_n=n_s + ratio * T * C_LIGHT / length,
+        gamma=draw(st.floats(0.03, 0.6)) / T,
+    )
+    data["crystal"]["length_l"] = length
+    data["crystal"]["dispersion_signal"]["parameters"] = [n_s]
+    data["cavity"]["resonator_length_Lr"] = resonator
+    config = scenario_from_dict(data)
+    tau0, T = abs(config.scales.tau0), config.scales.round_trip_T
+    resolution = 10 * tau0 + draw(st.floats(0.0, 1.0)) * (T / 2 - 10 * tau0)
+    return config, draw(st.integers(0, 4)), resolution
+
+
+def g2_on_cli_grid(case, tier):
+    config, peaks, resolution = case
+    argv = ["g2", "--config", "-", "--tier", tier, "--peaks", str(peaks)]
+    if tier == "averaged":
+        argv += ["--resolution", repr(resolution)]
+    args = _build_parser().parse_args(argv)
+    _, (trace, _) = COMMANDS["g2"][2](args, config)
+    return trace
+
+
+def tall_peaks(trace):
+    """Peaks of height >= 0.1; the floor 0.05 keeps their half-height crossings."""
+    return [p for p in measure_peaks(trace.axis, trace.values, 0.05) if p.height >= 0.1]
+
+
+class TestTierPropertiesOnCliGrid:
+    # Worst case over 1,000 examples of this strategy: comb-tier peak centres
+    # 0.034 |tau0| (compact 0.042, the grid's |tau0|/24), plateau ratios 3.3e-16,
+    # averaged peak centres 0.20 dT.  The 0.20 is the last echo, which the CLI
+    # grid cuts at 2|tau0| past its centre; the others sit within 2.3e-4 dT.
+    @pytest.mark.parametrize("tier", ["exact", "series", "compact"])
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=g2_cli_cases())
+    def test_comb_tiers(self, tier, case):
+        s = case[0].scales
+        tau0, T = s.tau0, s.round_trip_T
+        trace = g2_on_cli_grid(case, tier)
+        tau = trace.axis
+        assert trace.values.max() == 1.0
+        assert np.all(trace.values[tau + 0.5 * tau0 < -0.5 * abs(tau0)] == 0.0)
+        peaks = tall_peaks(trace)
+        assert peaks
+        for p in peaks:
+            j = round((p.center + 0.5 * tau0) / T)
+            assert j >= 0
+            assert abs(p.center - (j * T - 0.5 * tau0)) <= abs(tau0) / 4
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=g2_cli_cases())
+    def test_compact_plateaus_fall_by_exp_gamma_t(self, case):
+        s = case[0].scales
+        trace = g2_on_cli_grid(case, "compact")
+        plateaus = []
+        for j in range(case[1] + 1):
+            inner = np.abs(trace.axis - (j * s.round_trip_T - 0.5 * s.tau0)) < abs(s.tau0) / 4
+            assert np.ptp(trace.values[inner]) == 0.0
+            plateaus.append(trace.values[inner][0])
+        ratios = np.array(plateaus[1:]) / np.array(plateaus[:-1])
+        assert np.all(np.abs(ratios / math.exp(-s.gamma * s.round_trip_T) - 1) <= 1e-12)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=g2_cli_cases())
+    def test_averaged_tier(self, case):
+        config, _, resolution = case
+        T = config.scales.round_trip_T
+        trace = g2_on_cli_grid(case, "averaged")
+        assert trace.values.max() == 1.0
+        peaks = tall_peaks(trace)
+        assert peaks
+        for p in peaks:
+            j = round(p.center / T)
+            assert j >= 0
+            assert abs(p.center - j * T) <= resolution / 4

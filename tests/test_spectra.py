@@ -5,17 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sropo.spectra
 from sropo import (
     GridTooCoarseError,
     Normalization,
     envelope_zero_mode,
     g1,
+    load_scenario,
     spectrum,
 )
 from sropo.peaks import measure_peaks, nearest_peak
-from sropo.spectra import _mode_weights
+from sropo.spectra import _mode_weights, g1_grid, spectrum_grid
 from scipy.integrate import trapezoid
+from conftest import CONFIG_DIR
 from oracles import g1_mode_loop
+
+CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 
 
 class TestSpectrum:
@@ -91,8 +96,41 @@ class TestSpectrum:
         trace = spectrum("signal", scales, freqs)
         assert trace.values.max() == 1.0
 
+    @pytest.mark.parametrize(
+        "detuning",
+        [
+            np.array([0.0]),
+            np.linspace(1e9, -1e9, 2001),
+            np.array([0.0, 1e6, np.nan]),
+        ],
+        ids=["one_point", "decreasing", "nan"],
+    )
+    def test_rejects_bad_grid_before_computing(
+        self, spectrum_setup, monkeypatch, detuning
+    ):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+
+        def no_work(*args):
+            raise AssertionError("mode weights computed for a refused grid")
+
+        monkeypatch.setattr(sropo.spectra, "_mode_weights", no_work)
+        with pytest.raises(ValueError, match="detuning"):
+            spectrum("idler", scales, freqs, detuning=detuning)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_given_window_rounds_as_the_default_window(self, name):
+        scales = load_scenario(CONFIG_DIR / name).scales
+        window = envelope_zero_mode(scales) + 0.5
+        assert np.array_equal(spectrum_grid(scales), spectrum_grid(scales, window))
+
 
 class TestG1:
+    def test_default_grid_is_g1_grid(self, spectrum_setup):
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        trace = g1("idler", scales, freqs, m_max=10)
+        assert np.array_equal(trace.axis, g1_grid(scales, m_max=10))
+        assert trace.axis[-1] == 10.0 / scales.gamma
+
     def test_unity_at_zero_delay(self, spectrum_setup):
         crystal, cavity, pump, freqs, scales = spectrum_setup
         tau = np.linspace(-5 / scales.gamma, 5 / scales.gamma, 2001)
