@@ -25,6 +25,7 @@ from . import __version__, biphoton, correlations, spectra
 from .cavity import DerivedScales, resonance_mode_number
 from .correlations import G2Request, G2Tier
 from .errors import ScenarioParseError, ScenarioValidationError, SropoError
+from .numerics import grid_points
 from .scenario import ScenarioConfig, load_scenario
 from .svgplot import write_svg_plot
 from .trace import format_float, write_table_csv, write_table_json
@@ -148,7 +149,8 @@ def _run_g2(args, config: ScenarioConfig):
         start = -2.0 * abs(s.tau0) - T / 8.0 if s.tau0 != 0 else -T / 8.0
         step = abs(s.tau0) / 12.0 if s.tau0 != 0 else T / 1024.0
     stop = args.peaks * T + 2.0 * abs(s.tau0)
-    n = args.points or int(math.ceil((stop - start) / step)) + 1
+    source = "--peaks" if args.resolution is None else "--peaks and --resolution"
+    n = grid_points(args.points, (stop - start) / step, source)
     request = G2Request(
         tier=args.tier,
         tau_grid=np.linspace(start, stop, n),

@@ -1,4 +1,4 @@
-"""Small numerical building blocks: grid checks, mode (comb) sums."""
+"""Small numerical building blocks: grid checks and budget, mode (comb) sums."""
 
 from __future__ import annotations
 
@@ -6,7 +6,22 @@ import math
 
 import numpy as np
 
+from .errors import ScenarioValidationError
+
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
+MAX_GRID_POINTS = 1 << 25  # largest sampling grid any command builds
+
+
+def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -> int:
+    """``points``, else ``sides * ceil(steps) + 1``; refused before allocating if
+    past ``MAX_GRID_POINTS``, naming ``--points`` or ``source``, the flag at fault.
+    """
+    if points is not None:
+        steps, sides, source = points - 1, 1, "--points"
+    if not steps <= (MAX_GRID_POINTS - 1) // sides:  # also refuses inf and nan
+        raise ScenarioValidationError(
+            f"the grid from {source} would hold more than {MAX_GRID_POINTS} points")
+    return sides * math.ceil(steps) + 1
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:

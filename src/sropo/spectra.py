@@ -23,13 +23,14 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import GridTooCoarseError
-from .numerics import _cos_series, ensure_uniform_axis
+from .numerics import _cos_series, ensure_uniform_axis, grid_points
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _POINTS_PER_GAMMA_MIN = 16.0
 _DEFAULT_POINTS_PER_GAMMA = 24.0
 _DEFAULT_WINDOW_GAMMAS = 10.0  # g1 delay half-width, in units of 1/gamma
 _ENVELOPE_REACH = 5.0  # default mode coverage, in units of the first-zero mode
+_BLOCK = 1 << 15  # grid points per block of _lorentzian_comb
 
 
 class FieldName(str, Enum):
@@ -61,6 +62,26 @@ def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
     return w * w
 
 
+def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarray:
+    """sum_{m=-M}^{M} weights[m + M] / (half_gamma_sq + (detuning + m*fsr)^2),
+    in blocks of ``_BLOCK`` points through one cache-sized buffer: every point
+    sees the plain per-mode loop's operations in order, so bit for bit alike.
+    """
+    values = np.zeros_like(detuning)
+    work = np.empty(min(detuning.size, _BLOCK))
+    for start in range(0, detuning.size, _BLOCK):
+        d = detuning[start : start + _BLOCK]
+        v = values[start : start + _BLOCK]
+        buf = work[: d.size]
+        for i, m in enumerate(range(-m_count, m_count + 1)):
+            np.add(d, m * fsr, out=buf)
+            np.square(buf, out=buf)
+            np.add(half_gamma_sq, buf, out=buf)
+            np.divide(weights[i], buf, out=buf)
+            v += buf
+    return values
+
+
 def _centre_frequency(field: FieldName, freqs: FrequencyTriple) -> float:
     return freqs.omega_s if field is FieldName.SIGNAL else freqs.omega_i
 
@@ -73,14 +94,14 @@ def spectrum_grid(
     """Detuning grid of ``spectrum``: ``window_modes`` fsr either side.
 
     By default the window reaches half a mode beyond the envelope's first
-    zero, and the grid holds 24 points per gamma.
+    zero, and the grid holds 24 points per gamma.  Grids past the point budget
+    (``numerics.grid_points``) are refused here and in ``g1_grid``.
     """
     if window_modes is None:
         window_modes = envelope_zero_mode(scales) + 0.5
     half = window_modes * scales.fsr_delta_omega
-    if points is None:
-        points = 2 * math.ceil(half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)) + 1
-    return np.linspace(-half, half, points)
+    steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
+    return np.linspace(-half, half, grid_points(points, steps, "--window-modes", 2))
 
 
 def g1_grid(
@@ -97,13 +118,12 @@ def g1_grid(
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
     half = window_gammas / scales.gamma
-    if points is None:
-        spacing = min(
-            1.0 / (_POINTS_PER_GAMMA_MIN * scales.gamma),
-            scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
-        )
-        points = 2 * math.ceil(half / spacing) + 1
-    return np.linspace(-half, half, points)
+    spacing = min(
+        1.0 / (_POINTS_PER_GAMMA_MIN * scales.gamma),
+        scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
+    )
+    source = "--window-gammas and --m-max"
+    return np.linspace(-half, half, grid_points(points, half / spacing, source, 2))
 
 
 def spectrum(
@@ -137,9 +157,7 @@ def spectrum(
     m_count = _auto_mode_count(scales, m_max)
     weights = _mode_weights(m_count, scales)
     half_gamma_sq = (0.5 * gamma) ** 2
-    values = np.zeros_like(detuning)
-    for i, m in enumerate(range(-m_count, m_count + 1)):
-        values += weights[i] / (half_gamma_sq + (detuning + m * fsr) ** 2)
+    values = _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq)
 
     normalization = Normalization(normalization)
     if normalization is Normalization.PEAK_UNITY:

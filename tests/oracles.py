@@ -1,5 +1,7 @@
 """Brute-force references: oracles for the closed forms and the comb-sum kernel.
 
+``spectra.spectrum`` sums its Lorentzian comb in grid blocks;
+``spectrum_mode_loop`` is the plain per-mode loop it must equal bit for bit.
 ``spectra.g1``, ``correlations.g2_series`` and ``correlations.g2_exact``
 evaluate their mode sums with the chirp-z transform
 ``numerics._cos_series``.  These loops sum the same modes one at a time, in
@@ -111,6 +113,18 @@ class KahanAccumulator:
     @property
     def total(self) -> np.ndarray:
         return self._sum
+
+
+def spectrum_mode_loop(
+    detuning, weights, m_count: int, fsr: float, half_gamma_sq: float
+) -> np.ndarray:
+    """sum_{m=-M}^{M} weights[m + M] / (half_gamma_sq + (detuning + m*fsr)^2),
+    one full-grid pass per mode: the reference for ``spectra._lorentzian_comb``.
+    """
+    values = np.zeros_like(detuning)
+    for i, m in enumerate(range(-m_count, m_count + 1)):
+        values += weights[i] / (half_gamma_sq + (detuning + m * fsr) ** 2)
+    return values
 
 
 def comb_mode_loop(weights, fsr: float, tau) -> np.ndarray:

@@ -8,8 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sropo.cli
 from sropo import load_scenario
 from sropo.cli import COMMANDS, main
+from sropo.numerics import MAX_GRID_POINTS
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import g1_grid
 from sropo.trace import format_float, write_table_csv
@@ -285,6 +287,45 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert "ScenarioValidationError" in out and "crystal.length_l" in out
         assert not (tmp_path / "scales.json").exists()
+
+
+class TestGridBudget:
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["spectrum", "--field", "idler", "--points", "1000000000000001"],
+             "--points"),
+            (["spectrum", "--field", "idler", "--points", str(MAX_GRID_POINTS + 1)],
+             "--points"),
+            (["spectrum", "--field", "idler", "--window-modes", "1e6"],
+             "--window-modes"),
+            (["g1", "--field", "idler", "--points", str(MAX_GRID_POINTS + 1)],
+             "--points"),
+            (["g1", "--field", "idler", "--window-gammas", "1e7"],
+             "--window-gammas and --m-max"),
+            (["g2", "--tier", "compact", "--peaks", "100000000000000"], "--peaks"),
+            (["g2", "--tier", "series", "--points", str(MAX_GRID_POINTS + 1)],
+             "--points"),
+            (["g2", "--tier", "averaged", "--resolution", "1e-16"],
+             "--peaks and --resolution"),
+        ],
+    )
+    def test_oversized_grid_is_config_error_before_allocating(
+        self, tmp_path, capsys, monkeypatch, args, flag
+    ):
+        config = load_scenario(CONFIG_DIR / "g2_comb.json")
+        monkeypatch.setattr(sropo.cli, "load_scenario", lambda path: config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated past the budget")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        assert main([*args, "--config", "unused.json", "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert f"the grid from {flag} would hold more than" in text
+        assert not out.exists()
 
 
 class TestDeterminismAndRoundTrip:

@@ -1,24 +1,28 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sropo.spectra
 from sropo import (
+    DerivedScales,
     GridTooCoarseError,
     Normalization,
+    ScenarioValidationError,
     envelope_zero_mode,
     g1,
     load_scenario,
     spectrum,
 )
+from sropo.numerics import MAX_GRID_POINTS, grid_points
 from sropo.peaks import measure_peaks, nearest_peak
-from sropo.spectra import _mode_weights, g1_grid, spectrum_grid
+from sropo.spectra import _BLOCK, _mode_weights, g1_grid, spectrum_grid
 from scipy.integrate import trapezoid
 from conftest import CONFIG_DIR
-from oracles import g1_mode_loop
+from oracles import g1_mode_loop, spectrum_mode_loop
 
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 
@@ -122,6 +126,123 @@ class TestSpectrum:
         scales = load_scenario(CONFIG_DIR / name).scales
         window = envelope_zero_mode(scales) + 0.5
         assert np.array_equal(spectrum_grid(scales), spectrum_grid(scales, window))
+
+
+def loop_spectrum(trace, scales):
+    """The oracle loop on ``trace``'s grid and modes, normalised as ``trace`` is."""
+    m_count = trace.meta.extra["m_max"]
+    values = spectrum_mode_loop(
+        trace.axis, _mode_weights(m_count, scales), m_count,
+        scales.fsr_delta_omega, (0.5 * scales.gamma) ** 2,
+    )
+    if trace.meta.normalization is Normalization.PEAK_UNITY:
+        return values / values.max()
+    return values / np.trapezoid(values, trace.axis)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Grid sizes at and around multiples of the comb's block length.
+BLOCK_EDGE_SIZES = st.builds(
+    lambda k, d: max(2, k * _BLOCK + d), st.integers(0, 2), st.integers(-2, 2)
+)
+
+
+class TestLorentzianCombBlocks:
+    """The blocked comb sum is bit for bit the plain per-mode loop."""
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(
+        n=st.one_of(BLOCK_EDGE_SIZES, st.integers(2, 2 * _BLOCK + 3)),
+        fsr_tau0=st.floats(0.05, 0.3),
+        sign=st.sampled_from([1.0, -1.0]),
+        gamma_over_fsr=st.floats(0.005, 0.1),
+        m_max=st.one_of(st.sampled_from([0, 1]), st.integers(2, 12), st.none()),
+        points_per_gamma=st.floats(16.0, 64.0),
+        offset=st.floats(-1.0, 1.0),
+        normalization=st.sampled_from(
+            [Normalization.PEAK_UNITY, Normalization.UNIT_INTEGRAL]
+        ),
+    )
+    @example(n=2, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05, m_max=None,
+             points_per_gamma=24.0, offset=0.0, normalization=Normalization.PEAK_UNITY)
+    @example(n=_BLOCK - 1, fsr_tau0=0.1, sign=-1.0, gamma_over_fsr=0.05, m_max=7,
+             points_per_gamma=24.0, offset=0.0, normalization=Normalization.PEAK_UNITY)
+    @example(n=_BLOCK, fsr_tau0=0.2, sign=1.0, gamma_over_fsr=0.02, m_max=None,
+             points_per_gamma=16.0, offset=0.3,
+             normalization=Normalization.UNIT_INTEGRAL)
+    @example(n=_BLOCK + 1, fsr_tau0=0.05, sign=-1.0, gamma_over_fsr=0.1, m_max=1,
+             points_per_gamma=30.0, offset=-0.5, normalization=Normalization.PEAK_UNITY)
+    @example(n=2 * _BLOCK + 1, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05,
+             m_max=None, points_per_gamma=24.0, offset=0.0,
+             normalization=Normalization.UNIT_INTEGRAL)
+    def test_equals_mode_loop_bit_for_bit(
+        self, spectrum_setup, n, fsr_tau0, sign, gamma_over_fsr, m_max,
+        points_per_gamma, offset, normalization,
+    ):
+        *_, freqs, _ = spectrum_setup
+        round_trip = 3.9e-10
+        fsr = 2 * math.pi / round_trip
+        scales = DerivedScales(
+            tau0=sign * fsr_tau0 / fsr,
+            round_trip_T=round_trip,
+            fsr_delta_omega=fsr,
+            gamma=gamma_over_fsr * fsr,
+            kappa=0.0,
+        )
+        spacing = scales.gamma / points_per_gamma
+        start = (offset - 0.5) * (n - 1) * spacing
+        detuning = np.linspace(start, start + (n - 1) * spacing, n)
+        trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=m_max,
+                         normalization=normalization)
+        assert same_bits(trace.values, loop_spectrum(trace, scales))
+
+    @pytest.mark.parametrize("name", ["spectrum_comb.json", "g2_comb.json"])
+    def test_shipped_default_grid_equals_mode_loop(self, name):
+        config = load_scenario(CONFIG_DIR / name)
+        trace = spectrum("idler", config.scales, config.freqs,
+                         normalization=config.normalization)
+        assert trace.axis.size > _BLOCK
+        assert same_bits(trace.values, loop_spectrum(trace, config.scales))
+
+    def test_shipped_grid_peak_memory(self):
+        # Past the grid itself, the pre-blocking loop and the blocked sum both
+        # peak at 4.0 grid copies; a block view that keeps the raw sum alive
+        # through the normalisation reaches 5.3.
+        config = load_scenario(CONFIG_DIR / "g2_comb.json")
+        detuning = spectrum_grid(config.scales)
+        tracemalloc.start()
+        try:
+            spectrum("idler", config.scales, config.freqs, detuning=detuning)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert detuning.size == 112_801
+        assert peak < 4.5 * 8 * detuning.size
+
+
+class TestGridBudget:
+    """The refusals themselves run through the CLI (tests/test_cli.py)."""
+
+    def test_count_at_the_budget_is_built(self, spectrum_setup, monkeypatch):
+        *_, scales = spectrum_setup
+        monkeypatch.setattr(np, "linspace", lambda start, stop, num: num)
+        assert spectrum_grid(scales, points=MAX_GRID_POINTS) == MAX_GRID_POINTS
+        assert g1_grid(scales, points=MAX_GRID_POINTS) == MAX_GRID_POINTS
+
+    def test_budget_edge_is_exact(self):
+        half = (MAX_GRID_POINTS - 1) // 2
+        assert grid_points(MAX_GRID_POINTS, math.nan, "w") == MAX_GRID_POINTS
+        assert grid_points(None, MAX_GRID_POINTS - 1, "w") == MAX_GRID_POINTS
+        assert grid_points(None, half, "w", 2) == MAX_GRID_POINTS - 1  # odd counts
+        with pytest.raises(ScenarioValidationError, match="grid from --points "):
+            grid_points(MAX_GRID_POINTS + 1, 1.0, "w")
+        for steps, sides in [(MAX_GRID_POINTS, 1), (half + 1e-6, 2),
+                             (math.inf, 2), (math.nan, 1)]:
+            with pytest.raises(ScenarioValidationError, match="grid from w "):
+                grid_points(None, steps, "w", sides)
 
 
 class TestG1:
