@@ -24,6 +24,7 @@ from .errors import (
     GridTooCoarseError,
     NonConvergenceError,
 )
+from .numerics import grid_points
 
 # wavefunction_grid limits, also the CLI's flag checks
 MIN_HALFWIDTH_GAMMAS = 10.0
@@ -153,6 +154,8 @@ def wavefunction_grid(
         raise GridTooCoarseError(
             f"only {points_per_gamma:.1f} grid points per gamma; at least 16 required"
         )
+    grid_points(None, (2 * m_count + 1) * points_per_mode - 1,
+                "--modes and --points-per-mode")
     modes = np.arange(-m_count, m_count + 1)
     omega = np.linspace(-half, half, points_per_mode)
     phi = phi_analytic(modes[:, None], omega[None, :], scales)

@@ -25,7 +25,6 @@ from . import __version__, biphoton, correlations, spectra
 from .cavity import DerivedScales, resonance_mode_number
 from .correlations import G2Request, G2Tier
 from .errors import ScenarioParseError, ScenarioValidationError, SropoError
-from .numerics import grid_points
 from .scenario import ScenarioConfig, load_scenario
 from .svgplot import write_svg_plot
 from .trace import format_float, write_table_csv, write_table_json
@@ -55,9 +54,12 @@ def _bounded(kind, low, strict: bool = False):
     def parse(text: str):
         try:
             value = kind(text)
+            finite = math.isfinite(value)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+        except OverflowError:  # an integer beyond the float range
+            raise argparse.ArgumentTypeError(f"too large: {len(text)} digits")
+        if not (finite and (value > low if strict else value >= low)):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text}"
             )
@@ -137,26 +139,8 @@ def _run_g1(args, config: ScenarioConfig):
 
 def _run_g2(args, config: ScenarioConfig):
     s = config.scales
-    T = s.round_trip_T
-    if args.tier == G2Tier.AVERAGED.value:
-        if args.resolution is None:
-            raise ScenarioValidationError(
-                "g2 --tier averaged requires --resolution <seconds>"
-            )
-        start = -3.0 * args.resolution
-        step = args.resolution / 16.0
-    else:
-        start = -2.0 * abs(s.tau0) - T / 8.0 if s.tau0 != 0 else -T / 8.0
-        step = abs(s.tau0) / 12.0 if s.tau0 != 0 else T / 1024.0
-    stop = args.peaks * T + 2.0 * abs(s.tau0)
-    source = "--peaks" if args.resolution is None else "--peaks and --resolution"
-    n = grid_points(args.points, (stop - start) / step, source)
-    request = G2Request(
-        tier=args.tier,
-        tau_grid=np.linspace(start, stop, n),
-        m_max=args.m_max,
-        resolution_dt=args.resolution,
-    )
+    tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
+    request = G2Request(args.tier, tau, args.m_max, args.resolution)
     trace = getattr(correlations, f"g2_{args.tier}")(request, s)
     return f"g2_{args.tier}", (trace, "tau_seconds")
 

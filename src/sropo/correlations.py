@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -36,11 +37,10 @@ from .errors import (
     DegenerateGroupVelocityError,
     GridTooCoarseError,
     ResolutionTooFineError,
+    ScenarioValidationError,
 )
-from .numerics import _cis, _cos_series, ensure_uniform_axis
+from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points
 from .trace import Normalization, Trace, TraceKind, TraceMeta
-
-from enum import Enum
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
 _PEAK_FLOOR = 1e-6  # averaged tier: keep echoes until exp(-gamma j T) drops below
@@ -85,23 +85,44 @@ def _require_tier(request: G2Request, tier: G2Tier) -> None:
         raise ValueError(f"request tier is {request.tier.value}, expected {tier.value}")
 
 
-def _check_peak_resolution(request: G2Request, scales: DerivedScales) -> None:
+def _check_peak_resolution(spacing: float, scales: DerivedScales) -> None:
     if scales.tau0 == 0.0:
         raise DegenerateGroupVelocityError(
             "tau0 = 0: correlation peaks have zero width and cannot be sampled"
         )
     limit = abs(scales.tau0) / 8.0
-    if request.spacing > limit:
+    if spacing > limit:
         raise GridTooCoarseError(
-            f"tau_grid spacing {request.spacing:.3e} s exceeds |tau0|/8 = {limit:.3e} s"
+            f"tau_grid spacing {spacing:.3e} s exceeds |tau0|/8 = {limit:.3e} s"
         )
 
 
+def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=None):
+    """Delay grid of ``g2``: comb tiers from -2|tau0| - T/8 in steps of |tau0|/12
+    (tau0 = 0 refused, as the tiers refuse it), the averaged tier from -3*dT in
+    steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0|.
+    """
+    T, t0 = scales.round_trip_T, abs(scales.tau0)
+    if G2Tier(tier) is not G2Tier.AVERAGED:
+        _check_peak_resolution(t0 / 12.0, scales)
+        start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
+    elif resolution is None:
+        raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
+    else:
+        start, step = -3.0 * resolution, resolution / 16.0
+        source = "--peaks and --resolution"
+    stop = peaks * T + 2.0 * t0
+    return np.linspace(start, stop, grid_points(points, (stop - start) / step, source))
+
+
 def _mode_count(request: G2Request, scales: DerivedScales) -> int:
-    if request.m_max is not None:
-        return request.m_max
-    dz = 0.5 * scales.fsr_delta_omega * abs(scales.tau0)
-    return math.ceil(_MODE_REACH / dz)
+    """M, refused past the grid budget before the M+1 mode weights are allocated."""
+    m_count = request.m_max
+    if m_count is None:
+        dz = 0.5 * scales.fsr_delta_omega * abs(scales.tau0)
+        m_count = math.ceil(_MODE_REACH / dz)
+    grid_points(None, m_count, "--m-max")
+    return m_count
 
 
 def _peak_normalized(
@@ -126,7 +147,7 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
     evaluated by the chirp-z transform in O((N + M) log M).
     """
     _require_tier(request, G2Tier.SERIES)
-    _check_peak_resolution(request, scales)
+    _check_peak_resolution(request.spacing, scales)
     tau = request.tau_grid
     fsr = scales.fsr_delta_omega
     tau0 = scales.tau0
@@ -150,7 +171,7 @@ def g2_compact(request: G2Request, scales: DerivedScales) -> Trace:
     centre (they are disjoint whenever |tau0| < T).
     """
     _require_tier(request, G2Tier.COMPACT)
-    _check_peak_resolution(request, scales)
+    _check_peak_resolution(request.spacing, scales)
     tau = request.tau_grid
     T = scales.round_trip_T
     tau0 = scales.tau0
@@ -178,7 +199,7 @@ def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
     freezes at its centre value is integrated here.
     """
     _require_tier(request, G2Tier.EXACT)
-    _check_peak_resolution(request, scales)
+    _check_peak_resolution(request.spacing, scales)
     tau = request.tau_grid
     fsr = scales.fsr_delta_omega
     tau0 = scales.tau0

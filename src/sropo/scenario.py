@@ -52,6 +52,9 @@ from .dispersion import (
 from .errors import ScenarioParseError, ScenarioValidationError
 from .trace import Normalization
 
+# output.normalization: the two a spectrum supports (no other command reads it)
+_OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -225,6 +228,11 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
         map(_is_number, bracket)
     ):
         raise ScenarioValidationError(f"{path}.bracket: expected [omega_lo, omega_hi]")
+    if not 0 < bracket[0] < bracket[1] < omega_p:
+        raise ScenarioValidationError(
+            f"{path}.bracket: must satisfy 0 < lo < hi < omega_P = {omega_p!r}, "
+            f"got {bracket!r}"
+        )
     return phase_match(crystal, omega_p, (bracket[0], bracket[1]))
 
 
@@ -274,12 +282,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     if fmt not in ("csv", "json"):
         raise ScenarioValidationError("output.format: must be 'csv' or 'json'")
     norm_name = out.get("normalization", Normalization.PEAK_UNITY.value)
-    try:
-        normalization = Normalization(norm_name)
-    except ValueError:
+    if norm_name not in _OUTPUT_NORMALIZATIONS:
         raise ScenarioValidationError(
-            f"output.normalization: unknown value {norm_name!r}"
-        ) from None
+            f"output.normalization: must be one of {', '.join(_OUTPUT_NORMALIZATIONS)}, "
+            f"got {norm_name!r}"
+        )
+    normalization = Normalization(norm_name)
 
     threshold = data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD)
     if not _is_number(threshold):

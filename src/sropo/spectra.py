@@ -56,6 +56,7 @@ def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
 
 
 def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
+    grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights, refused past the budget
     m = np.arange(-m_count, m_count + 1, dtype=float)
     z = 0.5 * m * scales.fsr_delta_omega * scales.tau0
     w = np.sinc(z / np.pi)

@@ -11,6 +11,7 @@ import pytest
 import sropo.cli
 from sropo import load_scenario
 from sropo.cli import COMMANDS, main
+from sropo.correlations import g2_grid
 from sropo.numerics import MAX_GRID_POINTS
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import g1_grid
@@ -179,6 +180,32 @@ class TestGridFlags:
         _, _, (detuning, _) = read_table_csv(tmp_path / "spectrum_signal.csv")
         assert detuning.size == 2401
 
+    def test_g2_grid_rule(self, tmp_path):
+        # Comb tiers: -2|tau0| - T/8 to peaks*T + 2|tau0|, the fewest uniform steps
+        # of at most |tau0|/12.  T = 116|tau0| up to rounding, so the span is
+        # 8574 such steps and a hair more, which the ceiling makes 8575.
+        s = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+        T, t0 = s.round_trip_T, abs(s.tau0)
+        tau = g2_grid(s, "series", 6)
+        assert (tau[0], tau[-1], tau.size) == (-2 * t0 - T / 8, 6 * T + 2 * t0, 8576)
+        span = tau[-1] - tau[0]
+        assert span / (tau.size - 1) <= t0 / 12 < span / (tau.size - 2)
+        # Averaged tier: -3 dT to peaks*T + 2|tau0| in steps of at most dT/16.
+        s = load_scenario(CONFIG_DIR / "detector_averaged.json").scales
+        dt = 7.74e-12
+        tau = g2_grid(s, "averaged", 5, dt)
+        stop = 5 * s.round_trip_T + 2 * abs(s.tau0)
+        assert (tau[0], tau[-1], tau.size) == (-3 * dt, stop, 4050)
+        span = tau[-1] - tau[0]
+        assert span / (tau.size - 1) <= dt / 16 < span / (tau.size - 2)
+        # The CLI writes exactly this axis.
+        config = CONFIG_DIR / "g2_comb.json"
+        assert main(["g2", "--config", str(config), "--tier", "series", "--peaks", "6",
+                     "--out", str(tmp_path)]) == 0
+        _, _, (axis, _) = read_table_csv(tmp_path / "g2_series.csv")
+        want = g2_grid(load_scenario(config).scales, "series", 6)
+        assert np.array_equal(axis.view(np.int64), want.view(np.int64))
+
 
 class TestErrorPaths:
     def test_missing_config_is_config_error(self, tmp_path):
@@ -245,6 +272,11 @@ class TestErrorPaths:
             (["wavefunction", "--halfwidth-gammas", "9.5"], "--halfwidth-gammas"),
             (["wavefunction", "--halfwidth-gammas", "nan"], "--halfwidth-gammas"),
             (["wavefunction", "--points-per-mode", "1"], "--points-per-mode"),
+            # integers past the float range
+            (["g2", "--tier", "compact", "--peaks", "1" + "0" * 399], "--peaks"),
+            (["g2", "--tier", "compact", "--points", "1" + "0" * 399], "--points"),
+            (["spectrum", "--field", "idler", "--m-max", "1" + "0" * 399], "--m-max"),
+            (["wavefunction", "--modes", "1" + "0" * 399], "--modes"),
         ],
     )
     def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):
@@ -279,6 +311,34 @@ class TestErrorPaths:
         assert f"error: exit={code}" in capsys.readouterr().out
         assert not out.exists()
 
+    @pytest.mark.parametrize("tier", ["exact", "series", "compact", "averaged"])
+    def test_g2_at_zero_tau0(self, tmp_path, capsys, tier):
+        # Comb tiers cannot sample peaks of zero width; the averaged tier can.
+        path = write_config(tmp_path, scenario_dict(idler_n=1.8))  # tau0 = 0
+        out = tmp_path / "out"
+        argv = ["g2", "--config", str(path), "--tier", tier, "--out", str(out)]
+        if tier == "averaged":
+            assert main([*argv, "--resolution", "7.74e-12"]) == 0
+            assert (out / "g2_averaged.csv").is_file()
+            return
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: exit=2 type=DegenerateGroupVelocityError: tau0 = 0")
+        assert not out.exists()
+
+    def test_spectrum_refuses_unit_at_zero_normalization(self, tmp_path, capsys):
+        data = scenario_dict()
+        data["output"]["normalization"] = "unit_at_zero"
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--field", "idler", "--config", str(path),
+                     "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: exit=1 type=ScenarioValidationError: "
+                               "output.normalization: must be one of peak_unity, "
+                               "unit_integral")
+        assert not out.exists()
+
     def test_non_finite_scenario_number_is_config_error(self, tmp_path, capsys):
         data = scenario_dict()
         data["crystal"]["length_l"] = float("nan")
@@ -308,6 +368,9 @@ class TestGridBudget:
              "--points"),
             (["g2", "--tier", "averaged", "--resolution", "1e-16"],
              "--peaks and --resolution"),
+            # --resolution does not size a comb-tier grid
+            (["g2", "--tier", "compact", "--peaks", "100000000000000",
+              "--resolution", "1e-12"], "--peaks"),
         ],
     )
     def test_oversized_grid_is_config_error_before_allocating(
@@ -320,6 +383,39 @@ class TestGridBudget:
             raise AssertionError("grid allocated past the budget")
 
         monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        assert main([*args, "--config", "unused.json", "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert f"the grid from {flag} would hold more than" in text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["spectrum", "--field", "idler", "--m-max", "1000000000000000"], "--m-max"),
+            (["g1", "--field", "idler", "--m-max", str(MAX_GRID_POINTS // 2)],
+             "--window-gammas and --m-max"),  # its grid resolves every mode beat
+            (["g2", "--tier", "series", "--m-max", "1000000000000000"], "--m-max"),
+            (["g2", "--tier", "exact", "--m-max", str(MAX_GRID_POINTS)], "--m-max"),
+            (["wavefunction", "--modes", "1000000000000000"],
+             "--modes and --points-per-mode"),
+            (["wavefunction", "--modes", str(MAX_GRID_POINTS // 770 + 1)],
+             "--modes and --points-per-mode"),
+        ],
+    )
+    def test_oversized_mode_count_is_config_error_before_allocating(
+        self, tmp_path, capsys, monkeypatch, args, flag
+    ):
+        # 2M+1 weights (spectrum), M+1 (series, exact), (2M+1) x points
+        # (wavefunction, 385 points per mode by default).
+        config = load_scenario(CONFIG_DIR / "g2_comb.json")
+        monkeypatch.setattr(sropo.cli, "load_scenario", lambda path: config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mode array allocated past the budget")
+
+        monkeypatch.setattr(np, "arange", refuse)
         out = tmp_path / "out"
         assert main([*args, "--config", "unused.json", "--out", str(out)]) == 1
         text = capsys.readouterr().out

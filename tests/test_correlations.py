@@ -22,7 +22,8 @@ from sropo import (
     load_scenario,
     scenario_from_dict,
 )
-from sropo.cli import COMMANDS, _build_parser
+from sropo import correlations
+from sropo.correlations import g2_grid
 from sropo.peaks import measure_peaks, nearest_peak
 from conftest import C_LIGHT, CONFIG_DIR, scenario_dict
 from helpers import local_maxima, minimum_between
@@ -268,9 +269,7 @@ class TestExact:
     def test_shipped_grid_no_warning_small_memory_old_values(self):
         # The CLI's `g2 --tier exact --peaks 6` grid on g2_comb.json.
         scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
-        tau0, T = abs(scales.tau0), scales.round_trip_T
-        start, stop = -2 * tau0 - T / 8, 6 * T + 2 * tau0
-        tau = np.linspace(start, stop, math.ceil((stop - start) / (tau0 / 12)) + 1)
+        tau = g2_grid(scales, G2Tier.EXACT, 6)
         tracemalloc.start()
         try:
             with warnings.catch_warnings():
@@ -285,6 +284,24 @@ class TestExact:
         want = g2_exact_quadrature(tau, scales, trace.meta.extra["m_max"], 512)
         assert np.abs(trace.values - want).max() <= 1e-11
         assert np.array_equal(trace.values == 0.0, want == 0.0)
+
+    def test_tends_to_compact_as_modes_grow(self):
+        # Plateau-normalised at tau = -tau0/2, the exact tier approaches the
+        # boxcar train as M grows.  Measured relative L1 distance: 0.0665,
+        # 0.0213, 0.0095 at M = 1, 4, 16 x the default 1,847.
+        scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+        tau = g2_grid(scales, G2Tier.EXACT, 3)
+        compact = g2_compact(G2Request(G2Tier.COMPACT, tau), scales).values
+        centre = int(np.argmin(np.abs(tau + 0.5 * scales.tau0)))
+        default = g2_exact(G2Request(G2Tier.EXACT, tau), scales).meta.extra["m_max"]
+        errors = []
+        for factor in (1, 4, 16):
+            request = G2Request(G2Tier.EXACT, tau, m_max=factor * default)
+            exact = g2_exact(request, scales).values
+            exact = exact / exact[centre]
+            errors.append(np.abs(exact - compact).sum() / compact.sum())
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 0.012
 
 
 class TestAveraged:
@@ -403,12 +420,10 @@ def g2_cli_cases(draw):
 
 def g2_on_cli_grid(case, tier):
     config, peaks, resolution = case
-    argv = ["g2", "--config", "-", "--tier", tier, "--peaks", str(peaks)]
-    if tier == "averaged":
-        argv += ["--resolution", repr(resolution)]
-    args = _build_parser().parse_args(argv)
-    _, (trace, _) = COMMANDS["g2"][2](args, config)
-    return trace
+    resolution = resolution if tier == "averaged" else None
+    tau = g2_grid(config.scales, tier, peaks, resolution)
+    request = G2Request(tier, tau, resolution_dt=resolution)
+    return getattr(correlations, f"g2_{tier}")(request, config.scales)
 
 
 def tall_peaks(trace):

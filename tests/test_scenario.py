@@ -123,10 +123,20 @@ class TestLoadScenario:
             (lambda d: d.__setitem__(
                 "frequencies", {"omega_P": 3.5e15, "bracket": [1.8e15, math.nan]}),
              "frequencies.bracket"),
+            (lambda d: d.__setitem__(
+                "frequencies", {"omega_P": 3.5e15, "bracket": [2.2e15, 1.8e15]}),
+             "frequencies.bracket"),
+            (lambda d: d.__setitem__(
+                "frequencies", {"omega_P": 3.5e15, "bracket": [1.8e15, 4e15]}),
+             "frequencies.bracket"),
+            (lambda d: d.__setitem__(
+                "frequencies", {"omega_P": 3.5e15, "bracket": [0, 1e15]}),
+             "frequencies.bracket"),
         ],
         ids=["nan_length", "inf_gamma", "minus_inf_pump", "nan_omega_s",
              "nan_threshold", "huge_integer", "nan_parameter", "inf_range", "bool_range",
-             "bool_bracket", "nan_bracket"],
+             "bool_bracket", "nan_bracket", "reversed_bracket", "bracket_past_pump",
+             "bracket_from_zero"],
     )
     def test_non_finite_or_boolean_number_names_field(self, tmp_path, mutate, field):
         data = scenario_dict()
@@ -136,6 +146,24 @@ class TestLoadScenario:
         # the JSON literals NaN and Infinity take the same path through a file
         with pytest.raises(ScenarioValidationError, match=re.escape(field)):
             load_scenario(write_config(tmp_path, data))
+
+
+class TestOutputNormalization:
+    @pytest.mark.parametrize("name", ["peak_unity", "unit_integral"])
+    def test_spectrum_normalizations_accepted(self, name):
+        data = scenario_dict()
+        data["output"]["normalization"] = name
+        assert scenario_from_dict(data).normalization.value == name
+
+    @pytest.mark.parametrize("name", ["unit_at_zero", "peak", 1])
+    def test_other_values_refused_naming_field_and_allowed(self, name):
+        data = scenario_dict()
+        data["output"]["normalization"] = name
+        with pytest.raises(
+            ScenarioValidationError,
+            match=r"output\.normalization: must be one of peak_unity, unit_integral",
+        ):
+            scenario_from_dict(data)
 
 
 class TestScenarioHash:

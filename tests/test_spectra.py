@@ -224,7 +224,7 @@ class TestLorentzianCombBlocks:
 
 
 class TestGridBudget:
-    """The refusals themselves run through the CLI (tests/test_cli.py)."""
+    """The refusals the CLI can reach run through it (tests/test_cli.py)."""
 
     def test_count_at_the_budget_is_built(self, spectrum_setup, monkeypatch):
         *_, scales = spectrum_setup
@@ -243,6 +243,19 @@ class TestGridBudget:
                              (math.inf, 2), (math.nan, 1)]:
             with pytest.raises(ScenarioValidationError, match="grid from w "):
                 grid_points(None, steps, "w", sides)
+
+    def test_g1_mode_weights_refused_before_allocating(self, spectrum_setup, monkeypatch):
+        # A grid this fine passes g1's checks for 2**24 modes; through the CLI
+        # the default grid is refused first.
+        crystal, cavity, pump, freqs, scales = spectrum_setup
+        tau = np.array([0.0, 1e-30])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mode weights allocated past the budget")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        with pytest.raises(ScenarioValidationError, match="grid from --m-max "):
+            g1("idler", scales, freqs, tau=tau, m_max=MAX_GRID_POINTS // 2)
 
 
 class TestG1:
