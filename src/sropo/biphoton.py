@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cavity import DerivedScales
 from .constants import SPEED_OF_LIGHT as C_LIGHT
@@ -24,7 +23,9 @@ from .errors import (
     GridTooCoarseError,
     NonConvergenceError,
 )
-from .numerics import grid_points
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # wavefunction_grid limits, also the CLI's flag checks
 MIN_HALFWIDTH_GAMMAS = 10.0
@@ -44,6 +45,7 @@ class PumpParams:
 
 def phi_analytic(m, omega, scales: DerivedScales):
     """Closed-form spectral amplitude sinc(z) * exp(-i z); m and omega broadcast."""
+    import numpy as np  # here, not at the top: the rates need no numpy
     z = 0.5 * (m * scales.fsr_delta_omega + omega) * scales.tau0
     return np.sinc(z / np.pi) * np.exp(-1j * z)
 
@@ -137,6 +139,9 @@ def wavefunction_grid(
     Lorentzian tails hold less than 1e-3 of the norm); ``points_per_mode`` is
     the number of detuning samples, at least 16 per gamma.
     """
+    import numpy as np
+    from .numerics import grid_points
+
     if m_count < 1:
         raise ValueError("m_count must be at least 1")
     if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:

@@ -19,15 +19,11 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, biphoton, correlations, spectra
+from . import __version__, biphoton
 from .cavity import DerivedScales, resonance_mode_number
-from .correlations import G2Request, G2Tier
 from .errors import ScenarioParseError, ScenarioValidationError, SropoError
+from .names import G2Tier, format_float
 from .scenario import ScenarioConfig, load_scenario
-from .svgplot import write_svg_plot
-from .trace import format_float, write_table_csv, write_table_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,6 +115,7 @@ def _run_rate(args, config: ScenarioConfig):
 
 
 def _run_spectrum(args, config: ScenarioConfig):
+    from . import spectra
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
     trace = spectra.spectrum(
         args.field,
@@ -132,20 +129,23 @@ def _run_spectrum(args, config: ScenarioConfig):
 
 
 def _run_g1(args, config: ScenarioConfig):
+    from . import spectra
     tau = spectra.g1_grid(config.scales, args.window_gammas, args.points, args.m_max)
     trace = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
     return f"g1_{args.field}", (trace, "tau_seconds")
 
 
 def _run_g2(args, config: ScenarioConfig):
+    from . import correlations
     s = config.scales
     tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
-    request = G2Request(args.tier, tau, args.m_max, args.resolution)
+    request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution)
     trace = getattr(correlations, f"g2_{args.tier}")(request, s)
     return f"g2_{args.tier}", (trace, "tau_seconds")
 
 
 def _run_wavefunction(args, config: ScenarioConfig):
+    import numpy as np
     given = {"omega_grid_halfwidth": args.halfwidth_gammas,
              "points_per_mode": args.points_per_mode}
     grid = biphoton.wavefunction_grid(  # a flag left out keeps the library default
@@ -176,7 +176,9 @@ _M_MAX = ("--m-max", dict(type=_bounded(int, 0)))
 
 # name -> (help, [(flag, add_argument keywords)], runner).  Runners look library
 # functions up when they run, never through this table, so that a wrapper put
-# on a module attribute after import still sees every call.
+# on a module attribute after import still sees every call.  The array modules
+# (and numpy) are imported by the runners that use them, so scales,
+# check-regime and rate never load numpy.
 COMMANDS = {
     "scales": ("derived scales report", [], _run_scales),
     "check-regime": ("regime report", [], _run_check_regime),
@@ -270,6 +272,8 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
             json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="ascii"
         )
         return [path]
+    from . import svgplot, trace as writers  # numpy comes with the table writers
+
     trace = None
     if len(result) == 3:
         meta, names, columns = result
@@ -278,7 +282,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         kind = trace.meta.kind.value
         meta = {"kind": kind, "normalization": trace.meta.normalization.value}
         meta.update(trace.meta.extra)
-        if np.iscomplexobj(trace.values):
+        if trace.values.dtype.kind == "c":
             names = [axis_name, "re_value", "im_value"]
             columns = [trace.axis, trace.values.real, trace.values.imag]
         else:
@@ -292,14 +296,14 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         header += [f"{key}: {meta[key]}" for key in sorted(meta)]
         header += [f"{key} = {_text(v)}" for _, key, v in _scale_fields(config.scales)]
         header.append(f"regime: {config.regime.summary()}")
-        write_table_csv(written[0], header, names, columns)
+        writers.write_table_csv(written[0], header, names, columns)
     else:
         meta = {"scenario_hash": config.scenario_hash, **meta}
-        write_table_json(written[0], meta, names, columns)
+        writers.write_table_json(written[0], meta, names, columns)
     if args.plot and trace is not None:
-        y = np.abs(trace.values) if np.iscomplexobj(trace.values) else trace.values
+        y = abs(trace.values) if trace.values.dtype.kind == "c" else trace.values
         written.append(out_dir / f"{stem}.svg")
-        write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
+        svgplot.write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
     return written
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -39,18 +38,12 @@ from .errors import (
     ResolutionTooFineError,
     ScenarioValidationError,
 )
+from .names import G2Tier
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
 _PEAK_FLOOR = 1e-6  # averaged tier: keep echoes until exp(-gamma j T) drops below
-
-
-class G2Tier(str, Enum):
-    EXACT = "exact"
-    SERIES = "series"
-    COMPACT = "compact"
-    AVERAGED = "averaged"
 
 
 @dataclass(frozen=True, eq=False)

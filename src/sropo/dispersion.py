@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .constants import SPEED_OF_LIGHT as C_LIGHT
 from .constants import TWO_PI
 from .errors import (
@@ -80,8 +78,8 @@ class DispersionModel:
             )
         if not (0.0 < lo < hi):
             raise ValueError("validity_range must satisfy 0 < lo < hi")
-        for omega in np.linspace(lo, hi, _VALIDATION_SAMPLES):
-            n = _index_unchecked(self, float(omega))
+        for omega in _linspace(lo, hi, _VALIDATION_SAMPLES):
+            n = _index_unchecked(self, omega)
             if not math.isfinite(n) or n <= 1.0:
                 raise ValueError(
                     f"{kind.value} model yields n = {n!r} <= 1 at "
@@ -91,6 +89,14 @@ class DispersionModel:
     def contains(self, omega: float) -> bool:
         lo, hi = self.validity_range
         return lo <= omega <= hi
+
+
+def _linspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.linspace(lo, hi, num)`` bit for bit, as floats, wherever the step
+    (hi - lo)/(num - 1) is nonzero: lo + i*step, the last point hi itself.
+    """
+    step = (hi - lo) / (num - 1)
+    return [lo + i * step for i in range(num - 1)] + [hi]
 
 
 def _wavelength_um_sq(omega: float) -> float:
@@ -282,9 +288,9 @@ def phase_match(
             - wavenumber(crystal.dispersion_idler, omega_p - omega_s)
         )
 
-    grid = np.linspace(lo, hi, _SCAN_INTERVALS + 1)
-    values = np.array([mismatch(float(w)) for w in grid])
-    if np.all(np.abs(values) < tol):
+    grid = _linspace(lo, hi, _SCAN_INTERVALS + 1)
+    values = [mismatch(w) for w in grid]
+    if all(abs(v) < tol for v in values):
         raise DegenerateDispersionError(
             "phase mismatch below tolerance over the whole bracket; "
             "the signal/idler split is non-unique, specify omega_s explicitly"
@@ -292,8 +298,8 @@ def phase_match(
 
     root = None
     for i in range(_SCAN_INTERVALS):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(values[i]), float(values[i + 1])
+        a, b = grid[i], grid[i + 1]
+        fa, fb = values[i], values[i + 1]
         if fa == 0.0:
             root = a
             break

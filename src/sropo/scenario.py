@@ -50,7 +50,7 @@ from .dispersion import (
     transit_time_diff,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .trace import Normalization
+from .names import Normalization
 
 # output.normalization: the two a spectrum supports (no other command reads it)
 _OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)

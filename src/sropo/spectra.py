@@ -22,7 +22,7 @@ import numpy as np
 
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
-from .errors import GridTooCoarseError
+from .errors import DegenerateGroupVelocityError, GridTooCoarseError
 from .numerics import _cos_series, ensure_uniform_axis, grid_points
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
@@ -38,12 +38,13 @@ class FieldName(str, Enum):
     IDLER = "idler"
 
 
-def envelope_zero_mode(scales: DerivedScales) -> int:
-    """Mode index at the first zero of the sinc^2 envelope."""
+def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") -> int:
+    """Mode index at the first zero of the sinc^2 envelope.  At tau0 = 0 there
+    is none: the error asks for ``needs``, the argument that does without it.
+    """
     if scales.tau0 == 0.0:
-        raise ValueError(
-            "tau0 = 0: the envelope has no zero; pass an explicit m_max"
-        )
+        raise DegenerateGroupVelocityError(
+            f"tau0 = 0: the envelope has no zero; pass {needs}")
     return math.ceil(2.0 * math.pi / (scales.fsr_delta_omega * abs(scales.tau0)))
 
 
@@ -99,7 +100,7 @@ def spectrum_grid(
     (``numerics.grid_points``) are refused here and in ``g1_grid``.
     """
     if window_modes is None:
-        window_modes = envelope_zero_mode(scales) + 0.5
+        window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
     half = window_modes * scales.fsr_delta_omega
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
     return np.linspace(-half, half, grid_points(points, steps, "--window-modes", 2))

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .names import Normalization
 from .numerics import ensure_uniform_axis
 
 
@@ -23,12 +24,6 @@ class TraceKind(str, Enum):
     IDLER_SPECTRUM = "idler_spectrum"
     G1 = "g1"
     G2 = "g2"
-
-
-class Normalization(str, Enum):
-    PEAK_UNITY = "peak_unity"
-    UNIT_INTEGRAL = "unit_integral"
-    UNIT_AT_ZERO = "unit_at_zero"
 
 
 @dataclass(frozen=True)
@@ -68,11 +63,6 @@ class Trace:
         return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
 
 
-def format_float(value: float) -> str:
-    """17-significant-digit decimal form; round-trips any float64 exactly."""
-    return format(float(value), ".17g")
-
-
 def write_table_csv(
     path: str | Path,
     comments: Sequence[str],
@@ -83,7 +73,7 @@ def write_table_csv(
         raise ValueError("one name per column required")
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(column_names))
-    # "%.17g" formats a float exactly as format_float does.
+    # "%.17g" formats a float exactly as names.format_float does.
     row_format = ",".join(["%.17g"] * len(columns))
     rows = np.column_stack(columns).tolist()
     lines.extend(row_format % tuple(row) for row in rows)

@@ -121,3 +121,9 @@ def scenario_dict(idler_n: float = 1.9, gamma: float = GAMMA, **overrides) -> di
     }
     data.update(overrides)
     return data
+
+
+def pytest_report_header(config):
+    from record_golden import comparison_mode
+
+    return f"golden outputs compared by {comparison_mode()}"

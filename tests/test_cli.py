@@ -12,10 +12,11 @@ import sropo.cli
 from sropo import load_scenario
 from sropo.cli import COMMANDS, main
 from sropo.correlations import g2_grid
+from sropo.names import format_float
 from sropo.numerics import MAX_GRID_POINTS
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import g1_grid
-from sropo.trace import format_float, write_table_csv
+from sropo.trace import write_table_csv
 from conftest import CONFIG_DIR, GAMMA, ROUND_TRIP, scenario_dict
 from helpers import read_table_csv
 
@@ -324,6 +325,32 @@ class TestErrorPaths:
         assert main(argv) == 2
         assert capsys.readouterr().out.startswith(
             "error: exit=2 type=DegenerateGroupVelocityError: tau0 = 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, needs",
+        [
+            (["spectrum"], "--window-modes"),
+            (["spectrum", "--m-max", "10"], "--window-modes"),
+            (["spectrum", "--window-modes", "3"], "--m-max"),
+            (["spectrum", "--window-modes", "3", "--m-max", "10"], None),
+            (["g1"], "--m-max"),
+            (["g1", "--m-max", "10"], None),
+        ],
+    )
+    def test_envelope_flags_at_zero_tau0(self, tmp_path, capsys, args, needs):
+        # The sinc^2 envelope has no zero, so the flag it would set is required.
+        path = write_config(tmp_path, scenario_dict(idler_n=1.8))  # tau0 = 0
+        out = tmp_path / "out"
+        argv = [*args, "--field", "idler", "--config", str(path), "--out", str(out)]
+        if needs is None:
+            assert main(argv) == 0
+            assert out.is_dir()
+            return
+        assert main(argv) == 2
+        assert capsys.readouterr().out == (
+            "error: exit=2 type=DegenerateGroupVelocityError: tau0 = 0: the envelope "
+            f"has no zero; pass {needs[2:].replace('-', '_')} ({needs})\n")
         assert not out.exists()
 
     def test_spectrum_refuses_unit_at_zero_normalization(self, tmp_path, capsys):

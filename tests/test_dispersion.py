@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.constants
 import scipy.optimize
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sropo import (
     CrystalParams,
@@ -20,7 +22,7 @@ from sropo import (
     wavenumber,
 )
 from sropo.constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from sropo.dispersion import _bisect
+from sropo.dispersion import _SCAN_INTERVALS, _VALIDATION_SAMPLES, _bisect, _linspace
 from sropo.scenario import load_scenario
 from conftest import C_LIGHT, CONFIG_DIR, constant_model
 
@@ -320,3 +322,18 @@ class TestBisectMatchesScipy:
             scipy.optimize.bisect(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=200)
         with pytest.raises(error):
             _bisect(f, a, b)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    ends=st.lists(st.floats(1e-300, 1e300), min_size=2, max_size=2, unique=True),
+    num=st.sampled_from([_VALIDATION_SAMPLES, _SCAN_INTERVALS + 1]) | st.integers(2, 1000),
+)
+@example(ends=[1e14, 1e16], num=_VALIDATION_SAMPLES)
+@example(ends=[1.0, math.nextafter(1.0, 2.0)], num=_SCAN_INTERVALS + 1)
+def test_linspace_is_numpy_linspace_bit_for_bit(ends, num):
+    lo, hi = sorted(ends)
+    grid = _linspace(lo, hi, num)
+    assert all(type(w) is float for w in grid)
+    expected = np.linspace(lo, hi, num)
+    assert np.array_equal(np.array(grid).view(np.int64), expected.view(np.int64))
