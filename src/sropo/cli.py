@@ -21,7 +21,9 @@ from pathlib import Path
 
 from . import __version__, biphoton
 from .cavity import DerivedScales, resonance_mode_number
-from .errors import ScenarioParseError, ScenarioValidationError, SropoError
+from .errors import (
+    GridTooCoarseError, ScenarioParseError, ScenarioValidationError, SropoError,
+)
 from .names import G2Tier, format_float
 from .scenario import ScenarioConfig, load_scenario
 
@@ -173,6 +175,9 @@ _POSITIVE = _bounded(float, 0.0, strict=True)
 _FIELD = ("--field", dict(choices=("signal", "idler"), required=True))
 _POINTS = ("--points", dict(type=_bounded(int, 2)))
 _M_MAX = ("--m-max", dict(type=_bounded(int, 0)))
+# The flags that shape a grid, named when it is too coarse.
+_GRID_FLAGS = ("window_modes", "window_gammas", "points", "halfwidth_gammas",
+               "points_per_mode")
 
 # name -> (help, [(flag, add_argument keywords)], runner).  Runners look library
 # functions up when they run, never through this table, so that a wrapper put
@@ -252,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit with status 3 if the scenario fails the regime check",
     )
     common.add_argument(
-        "--plot", action="store_true", help="emit a static SVG next to each trace"
+        "--plot", action="store_true",
+        help="emit a static SVG next to the trace (spectrum, g1, g2)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
@@ -308,7 +314,10 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.plot and args.command == "wavefunction":
+        parser.error("argument --plot: wavefunction writes a table, not a trace")
     try:
         config = load_scenario(args.config)
         if args.strict_regime and not config.regime.ok:
@@ -317,6 +326,11 @@ def main(argv=None) -> int:
         written = _write(args, config, stem, result)
     except (ScenarioParseError, ScenarioValidationError) as exc:
         return _error(EXIT_CONFIG, type(exc).__name__, exc)
+    except GridTooCoarseError as exc:  # the default grids are fine: name the flags
+        given = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
+                         if k in _GRID_FLAGS and v is not None)
+        message = f"{given}: {exc}" if given else exc
+        return _error(EXIT_NUMERIC, type(exc).__name__, message)
     except (SropoError, ValueError) as exc:
         return _error(EXIT_NUMERIC, type(exc).__name__, exc)
 

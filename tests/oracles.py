@@ -1,7 +1,8 @@
 """Brute-force references: oracles for the closed forms and the comb-sum kernel.
 
-``spectra.spectrum`` sums its Lorentzian comb in grid blocks;
-``spectrum_mode_loop`` is the plain per-mode loop it must equal bit for bit.
+``spectra.spectrum`` sums the near lines of its Lorentzian comb directly and
+the rest from a Chebyshev table per free spectral range;
+``spectrum_mode_loop`` is the plain per-mode loop it must match pointwise.
 ``spectra.g1``, ``correlations.g2_series`` and ``correlations.g2_exact``
 evaluate their mode sums with the chirp-z transform
 ``numerics._cos_series``.  These loops sum the same modes one at a time, in

@@ -278,6 +278,8 @@ class TestErrorPaths:
             (["g2", "--tier", "compact", "--points", "1" + "0" * 399], "--points"),
             (["spectrum", "--field", "idler", "--m-max", "1" + "0" * 399], "--m-max"),
             (["wavefunction", "--modes", "1" + "0" * 399], "--modes"),
+            # a table has no trace to plot
+            (["wavefunction", "--plot"], "--plot"),
         ],
     )
     def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):
@@ -297,6 +299,24 @@ class TestErrorPaths:
         assert exc.value.code == 1
         assert "unrecognized arguments: --m-max 5" in capsys.readouterr().out
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, given",
+        [
+            (["spectrum", "--field", "idler", "--points", "5"], "--points 5"),
+            (["spectrum", "--field", "idler", "--window-modes", "3", "--points", "500"],
+             "--window-modes 3.0 --points 500"),
+            (["g1", "--field", "idler", "--points", "3"], "--points 3"),
+            (["g2", "--tier", "series", "--points", "3"], "--points 3"),
+            (["wavefunction", "--points-per-mode", "300"], "--points-per-mode 300"),
+        ],
+    )
+    def test_too_coarse_grid_names_its_flags(self, config_path, tmp_path, capsys, args,
+                                             given):
+        argv = [*args, "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: exit=2 type=GridTooCoarseError: {given}: ")
 
     @pytest.mark.parametrize(
         "args, code",
