@@ -25,8 +25,22 @@ def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
-    """Check a grid is strictly increasing and uniform; return the spacing."""
+    """Check a grid is strictly increasing and uniform; return the spacing.
+
+    One pass accepts a grid whose spacing, from its endpoints, is finite and
+    positive and whose steps all differ from it by at most 1e-9 of it (NaN
+    and inf fail that comparison); any other grid runs the four checks in
+    turn, and the first to fail names the error.
+    """
     axis = np.asarray(axis, dtype=float)
+    if axis.ndim == 1 and axis.size >= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
+            steps = np.diff(axis)
+            steps -= spacing
+        np.abs(steps, out=steps)
+        if 0.0 < spacing < math.inf and steps.max() <= 1e-9 * spacing:
+            return spacing
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{what} must be a 1-d grid with at least two points")
     if not np.all(np.isfinite(axis)):
@@ -53,6 +67,23 @@ def _cis(x: float, q: np.ndarray) -> np.ndarray:
     return np.exp(1j * (lead * q)) * np.exp(1j * ((x - lead) * q))
 
 
+def _fft_length(m1: int, n: int) -> int:
+    """FFT length L of ``_cos_series`` for M+1 = m1 terms and n outputs: the
+    power of two with the least (blocks + 1) * L * log2(L), the blocks'
+    transforms plus the chirp's, where a block holds L - M outputs.  L runs
+    from the shortest that holds min(n, M+1) outputs to 32 times it, within
+    ``_WORK_ELEMENTS`` unless the shortest is not.
+    """
+    low = (m1 + min(n, m1) - 2).bit_length()
+
+    def work(p: int) -> int:
+        blocks = -(-n // min(n, (1 << p) - m1 + 1))
+        return (blocks + 1) * p << p
+
+    powers = [p for p in range(low, low + 6) if p == low or 1 << p <= _WORK_ELEMENTS]
+    return 1 << min(powers, key=work)
+
+
 def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
     """S_k = Re sum_{m=0}^{M} coef[m] * exp(i*m*(theta0 + k*dtheta)), k = 0..n-1.
 
@@ -62,16 +93,17 @@ def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
     Chirp-z transform (Bluestein): m*k = (m^2 + k^2 - (k-m)^2)/2 turns the
     sum into an FFT convolution with the chirp exp(-i*dtheta*l^2/2), at
     O((n + M) log M) cost in place of O(n*M).  The output runs in blocks of
-    about M+1 points, so each FFT is about 2(M+1) long and one transform of
-    the chirp serves every block.  Block b starts at theta0 + k_b*dtheta,
-    with the phase exp(i*m*theta0) * exp(i*dtheta*m*k_b); every phase goes
-    through ``_cis``, so the error does not grow with the chirp phase.
-    Blocks are processed in chunks of at most ``_WORK_ELEMENTS`` elements.
-    Needs n >= 1 and finite theta0 and dtheta.
+    L - M points, L = ``_fft_length(M+1, n)``, so a grid much longer than M
+    gets fewer, longer transforms; one transform of the chirp serves every
+    block.  Block b starts at theta0 + k_b*dtheta, with the phase
+    exp(i*m*theta0) * exp(i*dtheta*m*k_b); every phase goes through ``_cis``,
+    so the error does not grow with the chirp phase.  Blocks are processed
+    in chunks of at most ``_WORK_ELEMENTS`` elements.  Needs n >= 1 and
+    finite theta0 and dtheta.
     """
     coef = np.asarray(coef)
     m1 = coef.size
-    size = 1 << (m1 + min(n, m1) - 2).bit_length()
+    size = _fft_length(m1, n)
     block = min(n, size - m1 + 1)
     m = np.arange(m1, dtype=float)
     lags = np.arange(1 - m1, block, dtype=float)

@@ -10,7 +10,9 @@ O(N*M), or integrate the crystal by quadrature, and are the independent
 reference the kernel is tested against.  ``phi_exact`` integrates the
 spectral amplitude over the crystal for ``biphoton.phi_analytic``,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
-and ``lorentzian_kernel`` is the cavity response the exact tier integrates.
+``lorentzian_kernel`` is the cavity response the exact tier integrates, and
+``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
+runs in one pass.
 """
 
 from __future__ import annotations
@@ -238,3 +240,20 @@ def g2_exact_quadrature(tau, scales, m_count: int, quad_points: int) -> np.ndarr
         amplitude = np.sum(weights[None, :] * integrand, axis=1)
         values[idx] = amplitude * amplitude
     return values / values.max()
+
+
+def uniform_axis_four_checks(axis, what: str = "axis") -> float:
+    """The grid check as four checks in turn, each with its own message: the
+    reference for the one-pass ``numerics.ensure_uniform_axis``."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1 or axis.size < 2:
+        raise ValueError(f"{what} must be a 1-d grid with at least two points")
+    if not np.all(np.isfinite(axis)):
+        raise ValueError(f"{what} must be finite")
+    steps = np.diff(axis)
+    if np.any(steps <= 0):
+        raise ValueError(f"{what} must be strictly increasing")
+    spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
+    if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing):
+        raise ValueError(f"{what} must be uniformly spaced")
+    return spacing

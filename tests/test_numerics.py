@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sropo import numerics
 from sropo.numerics import _cos_series
-from oracles import comb_mode_loop
+from oracles import comb_mode_loop, uniform_axis_four_checks
 
 EPS = np.finfo(float).eps
 
@@ -35,6 +37,13 @@ def mode_loop_cos_series(coef, theta):
 @example(m_max=1500, n=700, theta0=3.0, dtheta=5e-324, seed=3, complex_coef=False)
 @example(m_max=0, n=3, theta0=0.5, dtheta=0.25, seed=4, complex_coef=True)
 @example(m_max=2000, n=5000, theta0=-1e4, dtheta=math.pi, seed=5, complex_coef=True)
+# Grids much longer than M, where the kernel picks a longer FFT than the
+# shortest: g1's (M+1, n) on spectrum_comb.json and the 40-peak G2 comb tiers'
+# on g2_comb.json; then n < M+1 and n = 1, which keep the shortest.
+@example(m_max=320, n=80_779, theta0=-1.3e3, dtheta=0.031, seed=6, complex_coef=False)
+@example(m_max=1845, n=55_841, theta0=-9.4, dtheta=3.4e-4, seed=7, complex_coef=True)
+@example(m_max=1845, n=1200, theta0=2.0, dtheta=-0.7, seed=8, complex_coef=True)
+@example(m_max=320, n=1, theta0=1.5e3, dtheta=0.031, seed=9, complex_coef=False)
 def test_cos_series_matches_mode_loop(m_max, n, theta0, dtheta, seed, complex_coef):
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, m_max + 1)
@@ -50,10 +59,97 @@ def test_cos_series_matches_mode_loop(m_max, n, theta0, dtheta, seed, complex_co
     assert np.max(np.abs(got - want)) <= tol
 
 
+@pytest.mark.parametrize(
+    "m1, n, shortest, picked",
+    [
+        (321, 80_779, 1024, 2048),  # g1 on spectrum_comb.json
+        (1846, 55_841, 4096, 8192),  # 40-peak series and exact on g2_comb.json
+        (301, 20_000, 1024, 2048),
+        (1846, 1200, 4096, 4096),  # n < M+1: one block at the shortest
+        (321, 1, 512, 512),
+        (1, 1000, 1, 1),  # M = 0
+    ],
+)
+def test_fft_length_is_least_work_power_of_two(m1, n, shortest, picked):
+    def work(size):
+        return (math.ceil(n / min(n, size - m1 + 1)) + 1) * size * math.log2(size)
+
+    assert numerics._fft_length(m1, n) == picked
+    # ``shortest`` is the least power of two that holds min(n, M+1) outputs.
+    assert shortest - m1 + 1 >= min(n, m1) > shortest // 2 - m1 + 1
+    assert all(work(picked) <= work(shortest << j) for j in range(6))
+
+
+def test_fft_length_keeps_the_work_cap(monkeypatch):
+    monkeypatch.setattr(numerics, "_WORK_ELEMENTS", 2048)
+    assert numerics._fft_length(321, 80_779) == 2048
+    monkeypatch.setattr(numerics, "_WORK_ELEMENTS", 1024)
+    assert numerics._fft_length(321, 80_779) == 1024
+    assert numerics._fft_length(1846, 55_841) == 4096  # the shortest exceeds the cap
+
+
 def test_cos_series_in_chunks_matches_one_pass(monkeypatch):
     coef = np.random.default_rng(5).uniform(-1.0, 1.0, 301)
     whole = _cos_series(coef, 2.5, 0.01, 20_000)
-    monkeypatch.setattr(numerics, "_WORK_ELEMENTS", 1024)  # one block per chunk
+    size = numerics._fft_length(coef.size, 20_000)
+    monkeypatch.setattr(numerics, "_WORK_ELEMENTS", size)  # one block per chunk
+    assert numerics._fft_length(coef.size, 20_000) == size
     chunked = _cos_series(coef, 2.5, 0.01, 20_000)
     # Each chunk splits its phases for its own largest m*k_b: rounding only.
     assert np.max(np.abs(chunked - whole)) <= 4 * EPS * np.sum(np.abs(coef))
+
+
+def _check_outcome(check, axis):
+    """The spacing a grid check returns, or the message it refuses or warns
+    with (an overflowing spacing warns)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return check(axis, "grid")
+        except (ValueError, RuntimeWarning) as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+@st.composite
+def faulty_grids(draw):
+    """A uniform grid with at most one fault: a NaN or an infinity at any
+    index, one reversed step, or one point moved by just over or under 1e-9
+    of the spacing."""
+    n = draw(st.integers(2, 40))
+    spacing = draw(st.floats(1e-12, 1e3))
+    start = draw(st.floats(-1e3, 1e3)) * spacing
+    axis = start + spacing * np.arange(n)
+    fault = draw(st.sampled_from(["none", "nan", "inf", "-inf", "reversed", "moved"]))
+    i = draw(st.integers(0, n - 1))
+    if fault in ("nan", "inf", "-inf"):
+        axis[i] = float(fault)
+    elif fault == "reversed":
+        i = min(i, n - 2)
+        axis[i], axis[i + 1] = axis[i + 1], axis[i]
+    elif fault == "moved" and 0 < i < n - 1:
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        axis[i] += sign * 1e-9 * spacing * draw(st.sampled_from([0.99, 0.999, 1.001, 1.01]))
+    return axis
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(axis=faulty_grids())
+@example(axis=np.zeros((2, 3)))
+@example(axis=np.array(5.0))
+@example(axis=[])
+@example(axis=np.array([1.0]))
+@example(axis=np.array([0.0, 1.0]))
+@example(axis=np.array([1.0, 0.0]))
+@example(axis=np.array([3.0, 3.0]))
+@example(axis=np.array([np.nan, 1.0, 2.0]))
+@example(axis=np.array([0.0, 1.0, np.inf]))
+@example(axis=np.array([-np.inf, 0.0, 1.0]))
+# one step 5e-9 short, the others 5e-10 long: only |step - spacing| refuses it
+@example(axis=np.concatenate(([0.0], 1.0 - 5e-9 + np.arange(11) * (1.0 + 5e-10))))
+@example(axis=np.array([-1e308, 0.0, 1e308]))  # the spacing overflows: a warning
+@example(axis=np.array([-1.5e308, 0.0, 0.0, 1.5e308]))  # inf spacing, a zero step
+@example(axis=np.array([-1e308, np.inf, 1e308]))
+def test_one_pass_axis_check_matches_four_checks(axis):
+    assert _check_outcome(numerics.ensure_uniform_axis, axis) == _check_outcome(
+        uniform_axis_four_checks, axis
+    )

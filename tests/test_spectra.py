@@ -17,7 +17,7 @@ from sropo import (
     load_scenario,
     spectrum,
 )
-from sropo.numerics import MAX_GRID_POINTS, grid_points
+from sropo.numerics import MAX_GRID_POINTS, ensure_uniform_axis, grid_points
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import _BLOCK, _mode_weights, g1_grid, spectrum_grid
 from scipy.integrate import trapezoid
@@ -184,7 +184,9 @@ class TestLorentzianCombBlocks:
         sign=st.sampled_from([1.0, -1.0]),
         gamma_over_fsr=st.floats(0.005, 0.1),
         m_max=st.one_of(st.sampled_from([0, 1]), st.integers(2, 12), st.none()),
-        points_per_gamma=st.floats(16.0, 64.0),
+        # above 16 by more than the rounding, which may refuse a grid at 16.0
+        # (test_grid_a_rounding_below_16_per_gamma_is_refused)
+        points_per_gamma=st.floats(16.001, 64.0),
         offset=st.floats(-1.0, 1.0),
         normalization=st.sampled_from(BOTH_NORMALIZATIONS),
     )
@@ -212,6 +214,21 @@ class TestLorentzianCombBlocks:
         trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=m_max,
                          normalization=normalization)
         assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
+
+    def test_grid_a_rounding_below_16_per_gamma_is_refused(self, spectrum_setup):
+        *_, freqs, _ = spectrum_setup
+        scales = scales_with(0.1, 1.0, 0.05)
+        n = 1001
+        spacing = scales.gamma / 16.0
+        while True:
+            detuning = np.linspace(0.0, (n - 1) * spacing, n)
+            points_per_gamma = scales.gamma / ensure_uniform_axis(detuning)
+            if points_per_gamma < 16.0:
+                break
+            spacing = np.nextafter(spacing, np.inf)
+        assert 16.0 - points_per_gamma < 1e-13
+        with pytest.raises(GridTooCoarseError, match="only 16 grid points per gamma"):
+            spectrum("idler", scales, freqs, detuning=detuning)
 
     @pytest.mark.parametrize("normalization", BOTH_NORMALIZATIONS)
     @pytest.mark.parametrize("sign", [1.0, -1.0])
