@@ -46,8 +46,10 @@ class PumpParams:
 def phi_analytic(m, omega, scales: DerivedScales):
     """Closed-form spectral amplitude sinc(z) * exp(-i z); m and omega broadcast."""
     import numpy as np  # here, not at the top: the rates need no numpy
+    from .numerics import _expi
+
     z = 0.5 * (m * scales.fsr_delta_omega + omega) * scales.tau0
-    return np.sinc(z / np.pi) * np.exp(-1j * z)
+    return np.sinc(z / np.pi) * _expi(-z)
 
 
 def _rate_prefactor(

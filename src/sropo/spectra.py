@@ -269,7 +269,11 @@ def g1(
     comb = _cos_series(coef, fsr * tau[0], fsr * spacing, tau.size)
     zero = np.flatnonzero(tau == 0.0)
     norm = comb[zero[0]] if zero.size else coef.sum()
-    values = (comb / norm * np.exp(-0.5 * gamma * np.abs(tau))).astype(complex)
+    decay = np.abs(tau)
+    decay *= -0.5 * gamma
+    comb /= norm
+    comb *= np.exp(decay, out=decay)
+    values = comb.astype(complex)
 
     meta = TraceMeta(
         TraceKind.G1,

@@ -10,9 +10,10 @@ O(N*M), or integrate the crystal by quadrature, and are the independent
 reference the kernel is tested against.  ``phi_exact`` integrates the
 spectral amplitude over the crystal for ``biphoton.phi_analytic``,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
-``lorentzian_kernel`` is the cavity response the exact tier integrates, and
+``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
-runs in one pass.
+runs in one pass, and ``cis_decimal`` is the phase factor ``numerics._cis``
+forms in double precision.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -257,3 +259,31 @@ def uniform_axis_four_checks(axis, what: str = "axis") -> float:
     if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing):
         raise ValueError(f"{what} must be uniformly spaced")
     return spacing
+
+
+# pi to 40 significant digits.
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def cis_decimal(x: float, q: int) -> complex:
+    """exp(i*x*q) with x*q formed exactly in decimal, reduced into [-pi, pi]
+    with the 40-digit pi, and cos and sin summed as Taylor series at 45
+    digits: within 1e-20 of the exact value before the one rounding to
+    double, for |x*q| up to about 1e20.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 1100  # any double times an integer below 2**64, exactly
+        phase = Decimal(x) * q
+        ctx.prec = 45
+        phase = phase.remainder_near(2 * _PI_40)
+        square = phase * phase
+        cos_term, sin_term = Decimal(1), phase
+        cos, sin = cos_term, sin_term
+        k = 1
+        while abs(cos_term) > Decimal("1e-45") or abs(sin_term) > Decimal("1e-45") * abs(phase):
+            cos_term *= -square / ((2 * k - 1) * (2 * k))
+            sin_term *= -square / ((2 * k) * (2 * k + 1))
+            cos += cos_term
+            sin += sin_term
+            k += 1
+    return complex(float(cos), float(sin))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from sropo import numerics
 from sropo.numerics import _cos_series
-from oracles import comb_mode_loop, uniform_axis_four_checks
+from oracles import cis_decimal, comb_mode_loop, uniform_axis_four_checks
 
 EPS = np.finfo(float).eps
 
@@ -97,6 +98,86 @@ def test_cos_series_in_chunks_matches_one_pass(monkeypatch):
     chunked = _cos_series(coef, 2.5, 0.01, 20_000)
     # Each chunk splits its phases for its own largest m*k_b: rounding only.
     assert np.max(np.abs(chunked - whole)) <= 4 * EPS * np.sum(np.abs(coef))
+
+
+def test_cos_series_reuses_its_work_array(monkeypatch):
+    # Five blocks of L - M = 724 outputs in chunks of two rows: 2, 2 and 1, so
+    # the later chunks run in rows whose padding held the last transform.
+    coef = np.random.default_rng(6).uniform(-1.0, 1.0, 301)
+    whole = _cos_series(coef, 2.5, 0.01, 3_500)
+    size = numerics._fft_length(coef.size, 3_500)
+    monkeypatch.setattr(numerics, "_WORK_ELEMENTS", 2 * size)
+    assert numerics._fft_length(coef.size, 3_500) == size == 1024
+    chunked = _cos_series(coef, 2.5, 0.01, 3_500)
+    assert np.max(np.abs(chunked - whole)) <= 4 * EPS * np.sum(np.abs(coef))
+
+
+@pytest.mark.parametrize(
+    "m1, n, complex_coef, peak_mib",
+    [
+        # g1 on spectrum_comb.json: 47 blocks of L = 2,048, one work array of
+        # 1.47 MiB and an output of 0.62 MiB; 2.87 MiB measured.
+        (316, 80_217, False, 3.1),
+        # 40-peak exact tier on g2_comb.json: 9 blocks of L = 8,192, 1.13 MiB
+        # and 0.44 MiB; 2.62 MiB measured.
+        (1848, 55_904, True, 2.85),
+    ],
+)
+def test_cos_series_peak_memory(m1, n, complex_coef, peak_mib):
+    # A temporary the size of the work array, or of a chunk's complex
+    # output, breaks the bound; a float copy of a chunk's output does not.
+    rng = np.random.default_rng(7)
+    coef = rng.uniform(-1.0, 1.0, m1)
+    if complex_coef:
+        coef = coef + 1j * rng.uniform(-1.0, 1.0, m1)
+    tracemalloc.start()
+    try:
+        _cos_series(coef, -9.4, 3.4e-4, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_mib * 2**20
+
+
+def test_expi_is_the_complex_exp_bit_for_bit():
+    # The kernel's outputs stayed byte-identical when its phases moved from
+    # np.exp(1j*a) to cos and sin; a phase of -0 is the one difference to mend.
+    rng = np.random.default_rng(8)
+    phase = np.concatenate((
+        [0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, 1e300, -1e300],
+        rng.uniform(-4.0, 4.0, 5_000), rng.uniform(-1e9, 1e9, 5_000),
+    ))
+    got = numerics._expi(phase)
+    assert np.array_equal(got.view(np.int64), np.exp(1j * phase).view(np.int64))
+    assert np.array_equal(numerics._expi(phase[:, None]), got[:, None])
+
+
+# The worst of _cis's deviation from cis_decimal, less the trailing product's
+# rounding: 1.109 eps over 50,000 random examples of the strategy below, and
+# 1.118 eps (sqrt(5)/2) over 60,000 single q with |x| from 1e-30 to 1e14.
+CIS_ROUNDING = 1.25 * EPS
+
+
+# |q| reaches 1.27e10 > 2**33 (M*k_b) in g1's default call on
+# detector_averaged.json, so the strategy runs to 2**34.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    x=st.floats(-1e4, 1e4),
+    q=st.lists(st.integers(-(2**34), 2**34), min_size=1, max_size=6),
+)
+@example(x=-1.3e3, q=[0, 1, 315])  # pre-phases of g1 on spectrum_comb.json
+@example(x=0.0155, q=[0, 2047**2])  # its chirp
+@example(x=2.2568872337873873e-4, q=[0, 12_680_786_881])  # detector_averaged.json
+@example(x=-0.0, q=[0, 5])
+@example(x=5e-324, q=[2**34])
+@example(x=1e4, q=[2**34, -(2**34), 1])
+def test_cis_matches_exact_phase(x, q):
+    got = numerics._cis(x, np.array(q, dtype=float))
+    want = np.array([cis_decimal(x, k) for k in q])
+    # The leading product is exact; the trailing one, (x - lead)*q, is at most
+    # ulp(x)*max|q|*|q| and rounds by half an ulp of that.
+    trailing = EPS * math.ulp(x) * max(map(abs, q)) * np.abs(np.array(q, dtype=float)) / 2
+    assert np.all(np.abs(got - want) <= CIS_ROUNDING + trailing)
 
 
 def _check_outcome(check, axis):
