@@ -48,8 +48,14 @@ def phi_analytic(m, omega, scales: DerivedScales):
     import numpy as np  # here, not at the top: the rates need no numpy
     from .numerics import _expi
 
-    z = 0.5 * (m * scales.fsr_delta_omega + omega) * scales.tau0
-    return np.sinc(z / np.pi) * _expi(-z)
+    z = np.asarray(np.add(np.multiply(m, scales.fsr_delta_omega), omega))
+    z *= 0.5 * scales.tau0  # as 0.5 * (...) * tau0, halving being exact
+    x = np.negative(z, out=np.empty_like(z))
+    phi = _expi(x)
+    np.multiply(np.pi, np.divide(z, np.pi, out=x), out=x)  # np.sinc(z / pi)'s steps:
+    x[x == 0] = np.finfo(float).eps  # x = pi * (z / pi), eps where x is 0, sin(x) / x
+    np.divide(np.sin(x, out=z), x, out=z)
+    return np.multiply(z, phi, out=phi)[()]
 
 
 def _rate_prefactor(
@@ -165,8 +171,10 @@ def wavefunction_grid(
                 "--modes and --points-per-mode")
     modes = np.arange(-m_count, m_count + 1)
     omega = np.linspace(-half, half, points_per_mode)
-    phi = phi_analytic(modes[:, None], omega[None, :], scales)
-    raw = phi / (0.5 * gamma - 1j * omega)[None, :]
-    norm_sq = float(np.sum(np.trapezoid(np.abs(raw) ** 2, omega, axis=1)))
+    raw = phi_analytic(modes[:, None], omega[None, :], scales)
+    raw /= (0.5 * gamma - 1j * omega)[None, :]
+    density = np.abs(raw)
+    norm_sq = float(np.sum(np.trapezoid(np.square(density, out=density), omega, axis=1)))
     normalization = 1.0 / math.sqrt(norm_sq)
-    return BiphotonAmplitudeGrid(modes, omega, normalization * raw, normalization)
+    raw *= normalization  # as normalization * raw: the scalar's imaginary part is 0
+    return BiphotonAmplitudeGrid(modes, omega, raw, normalization)

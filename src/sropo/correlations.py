@@ -26,6 +26,7 @@ All tiers return peak-normalized traces (maximum exactly 1).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -118,18 +119,22 @@ def _mode_count(request: G2Request, scales: DerivedScales) -> int:
     return m_count
 
 
+def _first_allowed(tau: np.ndarray, tau0: float) -> int:  # rounded t + tau0/2 is monotone
+    return bisect.bisect_left(tau, True, key=lambda t: t + 0.5 * tau0 >= -0.5 * abs(tau0))
+
+
 def _peak_normalized(
     tau: np.ndarray, values: np.ndarray, tier: G2Tier, extra: dict
 ) -> Trace:
     peak = values.max()
     if peak > 0:
-        values = values / peak
+        values /= peak
     meta = TraceMeta(
         TraceKind.G2,
         Normalization.PEAK_UNITY,
         extra={"tier": tier.value, **extra},
     )
-    return Trace(tau, values, meta)
+    return Trace(tau, values, meta, axis_checked=True)
 
 
 def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
@@ -151,8 +156,10 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
         coef, fsr * (tau[0] + 0.5 * tau0), fsr * request.spacing, tau.size
     )
 
-    allowed = tau + 0.5 * tau0 >= -0.5 * abs(tau0)
-    values = np.where(allowed, np.exp(-scales.gamma * tau) * amplitude**2, 0.0)
+    values = np.multiply(-scales.gamma, tau)
+    np.exp(values, out=values)
+    values *= np.square(amplitude, out=amplitude)
+    values[: _first_allowed(tau, tau0)] = 0.0
     return _peak_normalized(tau, values, G2Tier.SERIES, {"m_max": m_count})
 
 
@@ -208,14 +215,12 @@ def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
     numerator = -2j * half_turn.imag * half_turn - half_turn**2 * math.expm1(-x)
     coef = numerator / (x - 1j * (m * (fsr * tau0)))
     coef[1:] *= 2.0
-    amplitude = (
-        2.0
-        * np.exp(-0.5 * gamma * tau)
-        * _cos_series(coef, fsr * tau[0], fsr * request.spacing, tau.size)
-    )
-
-    allowed = tau + 0.5 * tau0 >= -0.5 * abs(tau0)
-    values = np.where(allowed, amplitude * amplitude, 0.0)
+    amplitude = np.multiply(-0.5 * gamma, tau)
+    np.exp(amplitude, out=amplitude)
+    amplitude *= 2.0
+    amplitude *= _cos_series(coef, fsr * tau[0], fsr * request.spacing, tau.size)
+    values = np.square(amplitude, out=amplitude)
+    values[: _first_allowed(tau, tau0)] = 0.0
     return _peak_normalized(tau, values, G2Tier.EXACT, {"m_max": m_count})
 
 

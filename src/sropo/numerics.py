@@ -33,16 +33,15 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     turn, and the first to fail names the error.
     """
     axis = np.asarray(axis, dtype=float)
-    if axis.ndim == 1 and axis.size >= 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
-            steps = np.diff(axis)
-            steps -= spacing
-        np.abs(steps, out=steps)
-        if 0.0 < spacing < math.inf and steps.max() <= 1e-9 * spacing:
-            return spacing
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{what} must be a 1-d grid with at least two points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
+        steps = np.diff(axis)
+        steps -= spacing
+    np.abs(steps, out=steps)
+    if 0.0 < spacing < math.inf and steps.max() <= 1e-9 * spacing:
+        return spacing
     if not np.all(np.isfinite(axis)):
         raise ValueError(f"{what} must be finite")
     steps = np.diff(axis)
@@ -62,8 +61,7 @@ def _expi(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if out is None:
         out = np.empty(np.shape(phase), dtype=complex)
     np.cos(phase, out=out.real)
-    imag = out.imag
-    np.sin(phase, out=imag)
+    imag = np.sin(phase, out=out.imag)
     imag += 0.0
     return out
 
@@ -105,34 +103,41 @@ def _fft_length(m1: int, n: int) -> int:
     return 1 << min(powers, key=work)
 
 
+def _split_cis(x: float, k: np.ndarray, m1: int, out: np.ndarray) -> np.ndarray:
+    """exp(i*x*m*k) for a column k and m < m1, into the C-contiguous rows of
+    ``out`` (a multiple of r long), as exp(i*x*hi*k) * exp(i*x*lo*k) for
+    m = hi + lo, hi a multiple of r = 2**(bits(m1)//2), about sqrt(m1)."""
+    r = 1 << m1.bit_length() // 2
+    m = np.arange(-(-m1 // r) * r, dtype=float)
+    table = out.reshape(k.size, -1, r)[:, : m.size // r]
+    lo = _cis(x, m[:r] * k)[:, None]
+    return np.multiply(_cis(x, m[::r] * k)[:, :, None], lo, out=table)
+
+
 def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
     """S_k = Re sum_{m=0}^{M} coef[m] * exp(i*m*(theta0 + k*dtheta)), k = 0..n-1.
 
-    For real ``coef`` this is the cosine series sum_m coef[m]*cos(m*theta_k);
-    ``coef`` may also be complex.
-
-    Chirp-z transform (Bluestein): m*k = (m^2 + k^2 - (k-m)^2)/2 turns the
-    sum into an FFT convolution with the chirp exp(-i*dtheta*l^2/2), at
-    O((n + M) log M) cost in place of O(n*M).  The output runs in blocks of
-    L - M points, L = ``_fft_length(M+1, n)``, so a grid much longer than M
-    gets fewer, longer transforms; one transform of the chirp, times the
-    inverse transform's 1/L (exact: L is a power of two), serves every block.
-    Block b starts at theta0 + k_b*dtheta, with the phase
-    exp(i*m*theta0) * exp(i*dtheta*m*k_b); every phase goes through ``_cis``,
-    so the error does not grow with the chirp phase.  Blocks are processed
-    in chunks of at most ``_WORK_ELEMENTS`` elements, each transformed in
-    place in one work array.  Needs n >= 1 and finite theta0 and dtheta.
+    For real ``coef`` the cosine series sum_m coef[m]*cos(m*theta_k); ``coef``
+    may also be complex.  Chirp-z transform (Bluestein): m*k = (m^2 + k^2 -
+    (k-m)^2)/2 turns the sum into an FFT convolution with the chirp c(-l),
+    c(l) = exp(i*dtheta*l^2/2) (one table gives it and the m^2 and k^2
+    factors), at O((n + M) log M) cost in place of O(n*M).  The output runs
+    in blocks of L - M points, L = ``_fft_length(M+1, n)``, in chunks of at
+    most ``_WORK_ELEMENTS`` elements transformed in place in one work array;
+    one transform of the chirp, times the inverse's 1/L (exact: L is a power
+    of two), serves all.  Block b starts at theta0 + k_b*dtheta, with the
+    phase exp(i*m*theta0) * exp(i*dtheta*m*k_b) (``_split_cis``).  Every
+    factor goes through ``_cis``, so the error does not grow with the phase;
+    the split adds one rounding.  Needs n >= 1 and finite theta0 and dtheta.
     """
     coef = np.asarray(coef)
     m1 = coef.size
     size = _fft_length(m1, n)
     block = min(n, size - m1 + 1)
-    m = np.arange(m1, dtype=float)
-    lags = np.arange(1 - m1, block, dtype=float)
-    chirp_fft = np.fft.fft(np.conj(_cis(0.5 * dtheta, lags * lags)), size)
+    chirp = _cis(0.5 * dtheta, np.arange(max(m1, block), dtype=float) ** 2)
+    chirp_fft = np.fft.fft(np.conj(chirp[abs(np.arange(1 - m1, block))]), size)
     chirp_fft *= 1.0 / size
-    pre = coef * _cis(theta0, m) * _cis(0.5 * dtheta, m * m)
-    post = _cis(0.5 * dtheta, lags[m1 - 1 :] ** 2)
+    pre = coef * _cis(theta0, np.arange(m1, dtype=float)) * chirp[:m1]
     starts = np.arange(0, n, block, dtype=float)
     out = np.empty((starts.size, block))
     rows = min(starts.size, max(1, _WORK_ELEMENTS // size))
@@ -142,12 +147,12 @@ def _cos_series(coef, theta0: float, dtheta: float, n: int) -> np.ndarray:
     for first in range(0, starts.size, rows):
         k_b = starts[first : first + rows, None]
         chunk = work[: k_b.size]
-        head = _cis(dtheta, m * k_b, out=chunk[:, :m1])
-        np.multiply(pre, head, out=head)
+        _split_cis(dtheta, k_b, m1, chunk)
+        np.multiply(pre, chunk[:, :m1], out=chunk[:, :m1])
         chunk[:, m1:] = 0.0
         np.fft.fft(chunk, out=chunk)
         np.multiply(chunk, chirp_fft, out=chunk)
         np.fft.ifft(chunk, norm="forward", out=chunk)
         conv = chunk[:, m1 - 1 : m1 - 1 + block]
-        out[first : first + k_b.size] = np.multiply(post, conv, out=conv).real
+        out[first : first + k_b.size] = np.multiply(chirp[:block], conv, out=conv).real
     return out.ravel()[:n]

@@ -200,9 +200,9 @@ def spectrum(
 
     normalization = Normalization(normalization)
     if normalization is Normalization.PEAK_UNITY:
-        values = values / values.max()
+        values /= values.max()
     elif normalization is Normalization.UNIT_INTEGRAL:
-        values = values / np.trapezoid(values, detuning)
+        values /= np.trapezoid(values, detuning)
     else:
         raise ValueError(f"unsupported spectrum normalization {normalization}")
 
@@ -223,7 +223,7 @@ def spectrum(
             "m_max": m_count,
         },
     )
-    return Trace(detuning, values, meta)
+    return Trace(detuning, values, meta, axis_checked=True)
 
 
 def g1(
@@ -288,4 +288,4 @@ def g1(
             "m_max": m_count,
         },
     )
-    return Trace(tau, values, meta)
+    return Trace(tau, values, meta, axis_checked=True)

@@ -8,7 +8,7 @@ digits so a re-read reproduces every float bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -43,14 +43,16 @@ class Trace:
     axis: np.ndarray
     values: np.ndarray
     meta: TraceMeta
+    axis_checked: InitVar[bool] = False  # True: axis has passed ensure_uniform_axis
 
-    def __post_init__(self):
+    def __post_init__(self, axis_checked):
         axis = np.asarray(self.axis, dtype=float)
         is_complex = np.iscomplexobj(self.values)
         values = np.asarray(self.values, dtype=complex if is_complex else float)
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "values", values)
-        ensure_uniform_axis(axis, "trace axis")
+        if not axis_checked:
+            ensure_uniform_axis(axis, "trace axis")
         if values.shape != axis.shape:
             raise ValueError("values must have the same shape as axis")
         if not np.all(np.isfinite(values)):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import sropo.cli
-from sropo import load_scenario
+import sropo.dispersion
+from sropo import FrequencyTriple, load_scenario, transit_time_diff
 from sropo.cli import COMMANDS, main
 from sropo.correlations import g2_grid
 from sropo.names import format_float
@@ -51,6 +52,32 @@ class TestRunBasics:
         assert payload["tau0_s"] == pytest.approx(3.3356409519815163e-12, rel=1e-12)
         assert payload["regime"]["ok"] is True
         assert payload["resonance_mode_number"] > 0
+
+    def test_scales_bisects_a_phase_matched_root(self, tmp_path, monkeypatch):
+        # configs/phase_matched.json's scan lands exactly on its root,
+        # omega_s = 2.0e15, so no bisection runs there.  From 1.81e15 the
+        # root falls between two scan points.
+        data = json.loads((CONFIG_DIR / "phase_matched.json").read_text())
+        data["frequencies"]["bracket"] = [1.81e15, 2.2e15]
+        bisect, roots = sropo.dispersion._bisect, []
+
+        def spy(f, a, b):
+            roots.append((bisect(f, a, b), f))
+            return roots[-1][0]
+
+        monkeypatch.setattr(sropo.dispersion, "_bisect", spy)
+        config = write_config(tmp_path, data)
+        assert main(["scales", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(roots) == 1
+        root, mismatch = roots[0]
+        assert root == pytest.approx(2.0e15, rel=1e-12)
+        crystal = load_scenario(CONFIG_DIR / "phase_matched.json").crystal
+        k_p = sropo.dispersion.wavenumber(crystal.dispersion_pump, 3.5e15)
+        assert abs(mismatch(root)) <= 1e-12 * k_p
+        at_root = FrequencyTriple.from_pump_and_signal(3.5e15, 2.0e15)
+        payload = json.loads((tmp_path / "out" / "scales.json").read_text())
+        assert payload["tau0_s"] == pytest.approx(transit_time_diff(crystal, at_root),
+                                                  rel=1e-10)
 
     def test_check_regime_pass(self, config_path, tmp_path):
         result = run_cli(

@@ -45,6 +45,16 @@ def mode_loop_cos_series(coef, theta):
 @example(m_max=1845, n=55_841, theta0=-9.4, dtheta=3.4e-4, seed=7, complex_coef=True)
 @example(m_max=1845, n=1200, theta0=2.0, dtheta=-0.7, seed=8, complex_coef=True)
 @example(m_max=320, n=1, theta0=1.5e3, dtheta=0.031, seed=9, complex_coef=False)
+# The split block phase (``_split_cis``) at its edges: M+1 = 1 and 2 (r = 1
+# and 2), perfect squares 16 and 1,024 (hi*r ends at M+1) with n = 1 and
+# n < M+1, and M+1 = 5 and 316, where the last hi row runs past M+1 (3*2 and
+# 20*16 columns).
+@example(m_max=0, n=700, theta0=2.5, dtheta=0.3, seed=10, complex_coef=True)
+@example(m_max=1, n=7, theta0=-3.0, dtheta=1.1, seed=11, complex_coef=False)
+@example(m_max=15, n=1, theta0=40.0, dtheta=0.2, seed=12, complex_coef=True)
+@example(m_max=1023, n=700, theta0=-0.5, dtheta=2e-3, seed=13, complex_coef=False)
+@example(m_max=4, n=1, theta0=1e3, dtheta=-2.5, seed=14, complex_coef=False)
+@example(m_max=315, n=20_000, theta0=-1.3e3, dtheta=0.031, seed=15, complex_coef=True)
 def test_cos_series_matches_mode_loop(m_max, n, theta0, dtheta, seed, complex_coef):
     rng = np.random.default_rng(seed)
     coef = rng.uniform(-1.0, 1.0, m_max + 1)
@@ -116,16 +126,17 @@ def test_cos_series_reuses_its_work_array(monkeypatch):
     "m1, n, complex_coef, peak_mib",
     [
         # g1 on spectrum_comb.json: 47 blocks of L = 2,048, one work array of
-        # 1.47 MiB and an output of 0.62 MiB; 2.87 MiB measured.
-        (316, 80_217, False, 3.1),
+        # 1.47 MiB and an output of 0.62 MiB; 2.72 MiB measured.
+        (316, 80_217, False, 2.9),
         # 40-peak exact tier on g2_comb.json: 9 blocks of L = 8,192, 1.13 MiB
-        # and 0.44 MiB; 2.62 MiB measured.
-        (1848, 55_904, True, 2.85),
+        # and 0.44 MiB; 2.35 MiB measured.
+        (1848, 55_904, True, 2.55),
     ],
 )
 def test_cos_series_peak_memory(m1, n, complex_coef, peak_mib):
     # A temporary the size of the work array, or of a chunk's complex
-    # output, breaks the bound; a float copy of a chunk's output does not.
+    # output, breaks the bound; a float copy of a chunk's output, or a
+    # complex rows x (M+1) block phase, does not (the peak is in _split_cis).
     rng = np.random.default_rng(7)
     coef = rng.uniform(-1.0, 1.0, m1)
     if complex_coef:
@@ -178,6 +189,44 @@ def test_cis_matches_exact_phase(x, q):
     # ulp(x)*max|q|*|q| and rounds by half an ulp of that.
     trailing = EPS * math.ulp(x) * max(map(abs, q)) * np.abs(np.array(q, dtype=float)) / 2
     assert np.all(np.abs(got - want) <= CIS_ROUNDING + trailing)
+
+
+# Two _cis factors and the complex product of them.  The worst of
+# _split_cis's deviation from cis_decimal, less the factors' trailing terms,
+# was 1.73 eps over 15,000 random examples like the strategy below (about
+# 450,000 phases; half of them with |x| < 4, the rest up to 1e4).
+SPLIT_ROUNDING = 2 * CIS_ROUNDING + 1.25 * EPS
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    x=st.floats(-1e4, 1e4),
+    m1=st.integers(1, 3000),
+    k=st.lists(st.integers(0, 2**25), min_size=1, max_size=4),
+)
+@example(x=0.031, m1=316, k=[0, 1733, 79_718])  # g1 on spectrum_comb.json
+@example(x=3.4e-4, m1=1848, k=[0, 6345, 50_760])  # the 40-peak G2 comb tiers
+@example(x=-0.0, m1=5, k=[0, 1])
+@example(x=1e4, m1=1, k=[2**25])
+@example(x=5e-324, m1=1024, k=[2**25 - 1])
+def test_split_cis_matches_exact_phase(x, m1, k):
+    """exp(i*x*m*k) from ``_split_cis`` within ``SPLIT_ROUNDING`` (each
+    factor's ``_cis`` rounding and one complex product) plus each factor's
+    trailing term, eps*ulp(x)*Q*|q|/2 with Q the largest |q| of its table."""
+    r = 1 << m1.bit_length() // 2
+    k = np.array(k, dtype=float)
+    out = np.empty((k.size, 1 << (m1 - 1).bit_length()), dtype=complex)
+    numerics._split_cis(x, k[:, None], m1, out)
+    rng = np.random.default_rng(m1)
+    m = np.unique(np.concatenate(([0, 1, r - 1, r, r + 1, m1 - 2, m1 - 1],
+                                  rng.integers(0, m1, 16))))
+    m = m[(m >= 0) & (m < m1)]
+    hi, lo = m - m % r, m % r
+    q_hi, q_lo = (m1 - 1) // r * r * k.max(), (r - 1) * k.max()
+    for row, kb in zip(out, k):
+        want = np.array([cis_decimal(x, int(mm) * int(kb)) for mm in m])
+        trailing = EPS * math.ulp(x) * kb * (q_hi * hi + q_lo * lo) / 2
+        assert np.all(np.abs(row[m] - want) <= SPLIT_ROUNDING + trailing)
 
 
 def _check_outcome(check, axis):

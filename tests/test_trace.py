@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from sropo import Normalization, Trace, TraceKind, TraceMeta
+import sropo.correlations
+import sropo.spectra
+import sropo.trace
+from sropo import G2Request, Normalization, Trace, TraceKind, TraceMeta
+from sropo.correlations import g2_exact, g2_grid, g2_series
+from sropo.numerics import ensure_uniform_axis
+from conftest import make_setup
 
 META = TraceMeta(TraceKind.G1, Normalization.UNIT_AT_ZERO)
 AXIS = np.linspace(-1.0, 1.0, 5)
@@ -51,3 +57,48 @@ def test_complex_values_of_any_phase_accepted():
     assert trace.values.dtype == np.complex128
     assert np.array_equal(trace.values, values)
     assert (trace.values.real < 0).any() and (trace.values.imag < 0).any()
+
+
+def test_checked_axis_still_checks_the_values():
+    with pytest.raises(ValueError, match="finite"):
+        Trace(AXIS, [0.0, np.nan, 1.0, 0.5, 0.0], META, axis_checked=True)
+    with pytest.raises(ValueError, match="shape"):
+        Trace(AXIS, np.ones(4), META, axis_checked=True)
+    trace = Trace(AXIS, [0.0, 0.5, 1.0, 0.5, 0.0], META, axis_checked=True)
+    assert trace.values.dtype == np.float64 and trace.spacing == 0.5
+
+
+def _g2(tier, evaluate):
+    def run(scales, freqs):
+        return evaluate(G2Request(tier, g2_grid(scales, tier, 2)), scales)
+    return run
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda scales, freqs: sropo.spectra.g1("idler", scales, freqs), None),
+    (lambda scales, freqs: sropo.spectra.spectrum("idler", scales, freqs), None),
+    (_g2("series", g2_series), None),
+    (_g2("exact", g2_exact), None),
+    (lambda scales, freqs: sropo.spectra.g1("idler", scales, freqs, tau=[0.0, 1e-12, 3e-12]),
+     "tau"),
+    (lambda scales, freqs: G2Request("series", [0.0, 1e-12, 3e-12]), "tau_grid"),
+], ids=["g1", "spectrum", "series", "exact", "g1_bad_tau", "g2_bad_grid"])
+def test_library_traces_check_their_grid_once(monkeypatch, build, bad):
+    # The kernel checks the grid it is given and its trace reuses that check;
+    # a grid that fails it is refused before any trace is built.
+    *_, freqs, scales = make_setup(1.9)
+    checked = []
+
+    def counted(axis, what="axis"):
+        checked.append(what)
+        return ensure_uniform_axis(axis, what)
+
+    for module in (sropo.spectra, sropo.correlations, sropo.trace):
+        monkeypatch.setattr(module, "ensure_uniform_axis", counted)
+    if bad is None:
+        assert build(scales, freqs).axis.size > 2
+        assert len(checked) == 1 and checked[0] != "trace axis"
+    else:
+        with pytest.raises(ValueError, match=f"{bad} must be uniformly spaced"):
+            build(scales, freqs)
+        assert checked == [bad]
