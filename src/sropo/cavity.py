@@ -90,9 +90,7 @@ def round_trip_time(
 
 
 def free_spectral_range(round_trip: float) -> float:
-    """Longitudinal mode spacing 2*pi/T in rad/s."""
-    if round_trip <= 0:
-        raise ValueError("round-trip time must be positive")
+    """Longitudinal mode spacing 2*pi/T in rad/s; ``derive_scales`` checks T."""
     return TWO_PI / round_trip
 
 

@@ -274,9 +274,8 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, dict):
         path = out_dir / f"{stem}.json"
-        path.write_text(
-            json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="ascii"
-        )
+        text = json.dumps(result, indent=1, sort_keys=True, allow_nan=False)
+        path.write_text(text + "\n", encoding="ascii")
         return [path]
     from . import svgplot, trace as writers  # numpy comes with the table writers
 

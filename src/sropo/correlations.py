@@ -229,7 +229,8 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
 
     Requires resolution_dt >= 10*|tau0| (below that the Gaussian model of the
     detector response cannot absorb the intrinsic peak width).  Echoes are
-    kept until exp(-gamma*j*T) falls below 1e-6.
+    kept until exp(-gamma*j*T) falls below 1e-6 (``j_max``) and summed only
+    up to 14 dT past the grid, beyond which each adds exactly 0.
     """
     _require_tier(request, G2Tier.AVERAGED)
     if request.resolution_dt is None or request.resolution_dt <= 0:
@@ -247,8 +248,9 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
     T = scales.round_trip_T
     gamma = scales.gamma
     j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
+    j_last = min(j_max, math.floor((tau[-1] + 14.0 * dt) / T))
     values = np.zeros_like(tau)
-    for j in range(j_max + 1):
+    for j in range(j_last + 1):
         values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)
     return _peak_normalized(
         tau, values, G2Tier.AVERAGED, {"resolution_dt_s": dt, "j_max": j_max}

@@ -296,20 +296,12 @@ def phase_match(
             "the signal/idler split is non-unique, specify omega_s explicitly"
         )
 
-    root = None
+    # A scan point whose mismatch is exactly 0 is a root; _bisect returns it as is.
     for i in range(_SCAN_INTERVALS):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = values[i], values[i + 1]
-        if fa == 0.0:
-            root = a
+        if values[i] * values[i + 1] <= 0.0:
+            root = _bisect(mismatch, grid[i], grid[i + 1])
             break
-        if fb == 0.0:
-            root = b
-            break
-        if fa * fb < 0.0:
-            root = _bisect(mismatch, a, b)
-            break
-    if root is None:
+    else:
         raise NoSignChangeError(
             "phase mismatch does not change sign on the bracket "
             f"[{lo:.6e}, {hi:.6e}]"

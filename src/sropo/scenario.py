@@ -70,57 +70,61 @@ class ScenarioConfig:
     normalization: Normalization
 
 
+# Each physical block's JSON keys in its dataclass's field order: the one
+# schema that parses the crystal, cavity and pump blocks and hashes all four.
+_BLOCKS = {
+    "crystal": (CrystalParams, ("length_l", "chi", "cross_section_A", "dispersion_signal",
+                                "dispersion_idler", "dispersion_pump")),
+    "cavity": (CavityParams, ("resonator_length_Lr", "loss_rate_gamma")),
+    "pump": (PumpParams, ("field_amplitude_EP",)),
+    "frequencies": (FrequencyTriple, ("omega_P", "omega_S", "omega_I")),
+}
+# The input fields each derived scale is computed from, named when it fails.
+_TAU0_INPUTS = "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler"
+_T_INPUTS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
+_KAPPA_INPUTS = ("crystal.chi, crystal.cross_section_A, pump.field_amplitude_EP, "
+                 + _TAU0_INPUTS)
+
+
+def _checked(name: str, value: float, inputs: str, positive: bool = True) -> float:
+    if not math.isfinite(value) or (positive and value <= 0):
+        raise ScenarioValidationError(
+            f"{inputs}: derived {name} = {value!r} over- or underflows a double"
+        )
+    return value
+
+
 def derive_scales(
     crystal: CrystalParams,
     cavity: CavityParams,
     pump: PumpParams,
     freqs: FrequencyTriple,
 ) -> DerivedScales:
-    """Assemble the scale table: tau0, T, fsr, gamma, kappa."""
+    """Assemble the scale table: tau0, T, fsr, gamma, kappa.
+
+    tau0 must be finite; T, fsr and (for tau0 != 0) kappa finite and
+    positive.  A scale that over- or underflows is a configuration error
+    naming the input fields it comes from.  tau0 == 0 gives kappa = +inf.
+    """
     tau0 = transit_time_diff(crystal, freqs)
-    T = round_trip_time(crystal, cavity, freqs)
-    fsr = free_spectral_range(T)
-    gamma = cavity.loss_rate_gamma
-    if tau0 == 0.0:
-        kappa = math.inf
-    else:
-        kappa = _continuum_kappa(crystal, pump, freqs, tau0)
-    return DerivedScales(tau0, T, fsr, gamma, kappa)
+    _checked("tau0", tau0, _TAU0_INPUTS, positive=False)
+    T = _checked("T", round_trip_time(crystal, cavity, freqs), _T_INPUTS)
+    fsr = _checked("fsr", free_spectral_range(T), _T_INPUTS)
+    kappa = math.inf
+    if tau0 != 0.0:
+        try:
+            kappa = _continuum_kappa(crystal, pump, freqs, tau0)
+        except (ZeroDivisionError, OverflowError):  # e.g. 4*eps0*c*A underflows to 0
+            kappa = math.nan
+        _checked("kappa", kappa, _KAPPA_INPUTS)
+    return DerivedScales(tau0, T, fsr, cavity.loss_rate_gamma, kappa)
 
 
-def _physical_fingerprint(
-    crystal: CrystalParams,
-    cavity: CavityParams,
-    pump: PumpParams,
-    freqs: FrequencyTriple,
-) -> dict:
-    def model(m: DispersionModel) -> dict:
-        return {
-            "kind": m.kind.value,
-            "parameters": list(m.parameters),
-            "validity_range": list(m.validity_range),
-        }
-
-    return {
-        "crystal": {
-            "length_l": crystal.length_l,
-            "chi": crystal.chi,
-            "cross_section_A": crystal.cross_section_A,
-            "dispersion_signal": model(crystal.dispersion_signal),
-            "dispersion_idler": model(crystal.dispersion_idler),
-            "dispersion_pump": model(crystal.dispersion_pump),
-        },
-        "cavity": {
-            "resonator_length_Lr": cavity.resonator_length_lr,
-            "loss_rate_gamma": cavity.loss_rate_gamma,
-        },
-        "pump": {"field_amplitude_EP": pump.field_amplitude_ep},
-        "frequencies": {
-            "omega_P": freqs.omega_p,
-            "omega_S": freqs.omega_s,
-            "omega_I": freqs.omega_i,
-        },
-    }
+def _physical_fingerprint(*blocks) -> dict:
+    """Each block's fields (``vars`` keeps their order) under its ``_BLOCKS`` keys."""
+    return {name: {key: vars(v) if isinstance(v, DispersionModel) else v
+                   for key, v in zip(keys, vars(block).values())}
+            for (name, (_, keys)), block in zip(_BLOCKS.items(), blocks)}
 
 
 def scenario_hash(
@@ -160,12 +164,12 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(obj: dict, key: str, path: str, positive: bool = True) -> float:
+def _number(obj: dict, key: str, path: str) -> float:
     value = _get(obj, key, path)
     if not _is_number(value):
         raise ScenarioValidationError(f"{path}.{key}: expected a finite number")
     value = float(value)
-    if positive and value <= 0:
+    if value <= 0:
         raise ScenarioValidationError(f"{path}.{key}: must be positive")
     return value
 
@@ -196,6 +200,17 @@ def _dispersion(obj: dict, path: str) -> DispersionModel:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
+def _block(data: dict, name: str, source: str):
+    """The crystal, cavity or pump block, parsed by its row of ``_BLOCKS``."""
+    cls, keys = _BLOCKS[name]
+    obj = _expect_mapping(_get(data, name, source), name)
+    return cls(*(
+        _dispersion(_get(obj, key, name), f"{name}.{key}") if key.startswith("dispersion_")
+        else _number(obj, key, name)
+        for key in keys
+    ))
+
+
 def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
     path = "frequencies"
     obj = _expect_mapping(obj, path)
@@ -207,14 +222,9 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
             "mutually exclusive"
         )
     if explicit:
-        if "omega_S" in obj:
-            omega_s = _number(obj, "omega_S", path)
-            omega_i = omega_p - omega_s
-        else:
-            omega_i = _number(obj, "omega_I", path)
-            omega_s = omega_p - omega_i
-        if "omega_S" in obj and "omega_I" in obj:
-            omega_i = _number(obj, "omega_I", path)
+        omega_s = _number(obj, "omega_S", path) if "omega_S" in obj else None
+        omega_i = _number(obj, "omega_I", path) if "omega_I" in obj else omega_p - omega_s
+        omega_s = omega_p - omega_i if omega_s is None else omega_s
         try:
             return FrequencyTriple(omega_p, omega_s, omega_i)
         except ValueError as exc:
@@ -239,39 +249,14 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
 def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     data = _expect_mapping(data, source)
 
-    crystal_obj = _expect_mapping(_get(data, "crystal", source), "crystal")
-    crystal = CrystalParams(
-        length_l=_number(crystal_obj, "length_l", "crystal"),
-        chi=_number(crystal_obj, "chi", "crystal"),
-        cross_section_A=_number(crystal_obj, "cross_section_A", "crystal"),
-        dispersion_signal=_dispersion(
-            _get(crystal_obj, "dispersion_signal", "crystal"),
-            "crystal.dispersion_signal",
-        ),
-        dispersion_idler=_dispersion(
-            _get(crystal_obj, "dispersion_idler", "crystal"),
-            "crystal.dispersion_idler",
-        ),
-        dispersion_pump=_dispersion(
-            _get(crystal_obj, "dispersion_pump", "crystal"),
-            "crystal.dispersion_pump",
-        ),
-    )
-
-    cavity_obj = _expect_mapping(_get(data, "cavity", source), "cavity")
-    lr = _number(cavity_obj, "resonator_length_Lr", "cavity")
-    if lr < crystal.length_l:
+    crystal = _block(data, "crystal", source)
+    cavity = _block(data, "cavity", source)
+    pump = _block(data, "pump", source)
+    if cavity.resonator_length_lr < crystal.length_l:
         raise ScenarioValidationError(
             "cavity.resonator_length_Lr: must be at least crystal.length_l "
-            f"({lr!r} < {crystal.length_l!r})"
+            f"({cavity.resonator_length_lr!r} < {crystal.length_l!r})"
         )
-    cavity = CavityParams(
-        resonator_length_lr=lr,
-        loss_rate_gamma=_number(cavity_obj, "loss_rate_gamma", "cavity"),
-    )
-
-    pump_obj = _expect_mapping(_get(data, "pump", source), "pump")
-    pump = PumpParams(field_amplitude_ep=_number(pump_obj, "field_amplitude_EP", "pump"))
 
     freqs = _resolve_frequencies(_get(data, "frequencies", source), crystal)
 

@@ -82,12 +82,6 @@ def write_table_csv(
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
-def _json_safe(value):
-    if isinstance(value, float) and not np.isfinite(value):
-        return repr(value)
-    return value
-
-
 def write_table_json(
     path: str | Path,
     meta: Mapping[str, object],
@@ -95,10 +89,9 @@ def write_table_json(
     columns: Sequence[np.ndarray],
 ) -> None:
     payload = {
-        "meta": {k: _json_safe(v) for k, v in sorted(meta.items())},
+        "meta": dict(meta),
         "columns": list(column_names),
         "data": [[float(col[i]) for col in columns] for i in range(len(columns[0]))],
     }
-    Path(path).write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="ascii"
-    )
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")

@@ -11,6 +11,7 @@ reference the kernel is tested against.  ``phi_exact`` integrates the
 spectral amplitude over the crystal for ``biphoton.phi_analytic``,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
+``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
 ``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
 runs in one pass, and ``cis_decimal`` is the phase factor ``numerics._cis``
 forms in double precision.
@@ -242,6 +243,24 @@ def g2_exact_quadrature(tau, scales, m_count: int, quad_points: int) -> np.ndarr
         amplitude = np.sum(weights[None, :] * integrand, axis=1)
         values[idx] = amplitude * amplitude
     return values / values.max()
+
+
+def g2_averaged_all_echoes(tau, scales, dt: float) -> np.ndarray:
+    """The averaged tier summed over all j_max + 1 echoes, peak-normalized.
+
+    ``correlations.g2_averaged`` stops 14 dT past the grid's end, where each
+    echo's Gaussian is exactly 0.0; this sum runs to exp(-gamma*j*T) < 1e-6.
+    """
+    tau = np.asarray(tau, dtype=float)
+    T, gamma = scales.round_trip_T, scales.gamma
+    j_max = math.ceil(-math.log(1e-6) / (gamma * T))
+    values = np.zeros_like(tau)
+    for j in range(j_max + 1):
+        values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)
+    peak = values.max()
+    if peak > 0:
+        values /= peak
+    return values
 
 
 def uniform_axis_four_checks(axis, what: str = "axis") -> float:

@@ -55,21 +55,22 @@ class TestRunBasics:
 
     def test_scales_bisects_a_phase_matched_root(self, tmp_path, monkeypatch):
         # configs/phase_matched.json's scan lands exactly on its root,
-        # omega_s = 2.0e15, so no bisection runs there.  From 1.81e15 the
-        # root falls between two scan points.
+        # omega_s = 2.0e15, and _bisect returns that scan point without a
+        # step.  From 1.81e15 the root falls strictly between two scan points.
         data = json.loads((CONFIG_DIR / "phase_matched.json").read_text())
         data["frequencies"]["bracket"] = [1.81e15, 2.2e15]
         bisect, roots = sropo.dispersion._bisect, []
 
         def spy(f, a, b):
-            roots.append((bisect(f, a, b), f))
+            roots.append((bisect(f, a, b), f, a, b))
             return roots[-1][0]
 
         monkeypatch.setattr(sropo.dispersion, "_bisect", spy)
         config = write_config(tmp_path, data)
         assert main(["scales", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert len(roots) == 1
-        root, mismatch = roots[0]
+        root, mismatch, a, b = roots[0]
+        assert a < root < b
         assert root == pytest.approx(2.0e15, rel=1e-12)
         crystal = load_scenario(CONFIG_DIR / "phase_matched.json").crystal
         k_p = sropo.dispersion.wavenumber(crystal.dispersion_pump, 3.5e15)
@@ -421,6 +422,77 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert "ScenarioValidationError" in out and "crystal.length_l" in out
         assert not (tmp_path / "scales.json").exists()
+
+
+def _phase_matched_with(block, key, value):
+    data = json.loads((CONFIG_DIR / "phase_matched.json").read_text())
+    data[block][key] = value
+    return data
+
+
+def _strict_json(path):
+    """The file's JSON; a NaN or Infinity literal in it fails the test."""
+    def refuse(literal):
+        raise AssertionError(f"{path.name} holds the non-JSON literal {literal}")
+    return json.loads(path.read_text(encoding="ascii"), parse_constant=refuse)
+
+
+class TestDerivedScales:
+    # Each input over- or underflows one derived scale at a finite input.
+    @pytest.mark.parametrize("command", [["scales"], ["check-regime"], ["rate"],
+                                         ["g2", "--tier", "compact"]])
+    @pytest.mark.parametrize("block, key, value, scale", [
+        ("crystal", "cross_section_A", 5e-324, "kappa"),  # its prefactor divides by 0
+        ("cavity", "resonator_length_Lr", 1e308, "T"),  # T = inf, fsr = 0
+        ("crystal", "chi", 1e308, "kappa"),  # kappa = inf
+        ("crystal", "chi", 1e-300, "kappa"),  # kappa = 0
+    ])
+    def test_overflowing_scale_is_config_error(self, tmp_path, capsys, command, block,
+                                               key, value, scale):
+        path = write_config(tmp_path, _phase_matched_with(block, key, value))
+        out = tmp_path / "out"
+        assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert f"{block}.{key}" in lines[0] and f"derived {scale} = " in lines[0]
+        assert not out.exists()
+
+    def test_overflow_prints_no_traceback(self, tmp_path):
+        path = write_config(tmp_path, _phase_matched_with("crystal", "cross_section_A",
+                                                          5e-324))
+        result = run_cli("scales", "--config", str(path), "--out", str(tmp_path / "out"))
+        assert result.returncode == 1
+        assert result.stdout.startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert result.stderr == ""
+
+    def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):
+        # tau0 = l/v_gI - l/v_gS underflows to exactly 0: the documented
+        # tau0 = 0 path, not an overflow.
+        path = write_config(tmp_path, _phase_matched_with("crystal", "length_l", 5e-324))
+        assert main(["scales", "--config", str(path), "--out", str(tmp_path)]) == 0
+        assert "tau0=0 " in capsys.readouterr().out
+        payload = _strict_json(tmp_path / "scales.json")
+        assert payload["kappa_per_s"] == "inf" and payload["tau0_s"] == 0.0
+
+    @pytest.mark.parametrize("idler_n", [1.81, 1.8], ids=["tau0", "tau0-zero"])
+    def test_json_files_hold_only_finite_numbers(self, tmp_path, capsys, idler_n):
+        path = str(write_config(tmp_path, scenario_dict(idler_n=idler_n)))
+        commands = [["scales"], ["check-regime"],
+                    ["g2", "--tier", "averaged", "--resolution", "7.74e-12", "--peaks", "1"],
+                    ["spectrum", "--field", "idler", "--window-modes", "1", "--m-max", "10"],
+                    ["g1", "--field", "signal", "--m-max", "10"]]
+        if idler_n != 1.8:  # these refuse tau0 = 0 with exit 2
+            commands += [["rate", "--method", "both"], ["wavefunction", "--modes", "1"]]
+            commands += [["g2", "--tier", tier, "--peaks", "1"]
+                         for tier in ("series", "exact", "compact")]
+        out = tmp_path / "out"
+        for argv in commands:
+            assert main([*argv, "--config", path, "--out", str(out), "--format", "json"]) == 0
+        written = sorted(out.glob("*.json"))
+        assert len(written) == len(commands)
+        for file in written:
+            _strict_json(file)
 
 
 class TestGridBudget:

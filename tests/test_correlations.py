@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -27,7 +28,9 @@ from sropo.correlations import g2_grid
 from sropo.peaks import measure_peaks, nearest_peak
 from conftest import C_LIGHT, CONFIG_DIR, scenario_dict
 from helpers import local_maxima, minimum_between
-from oracles import g2_exact_quadrature, g2_series_mode_loop, lorentzian_kernel
+from oracles import (
+    g2_averaged_all_echoes, g2_exact_quadrature, g2_series_mode_loop, lorentzian_kernel,
+)
 
 
 def plateau_mean(trace, center, halfwidth):
@@ -368,6 +371,28 @@ class TestAveraged:
             G2Request(G2Tier.AVERAGED, tau + tau0 / 2, resolution_dt=dt), scales
         )
         assert np.abs(smeared - averaged.values).max() < 0.01
+
+    # Four configs, gamma x 10^-2..10^0.5 (up to 4,400 echoes), 0-7 peaks.
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        name=st.sampled_from(["g2_comb", "spectrum_comb", "detector_averaged",
+                              "phase_matched"]),
+        gamma_exponent=st.floats(-2.0, 0.5),
+        resolution_exponent=st.floats(0.0, 1.5),
+        peaks=st.integers(0, 7),
+    )
+    def test_echo_cut_matches_all_echoes_bit_for_bit(
+        self, name, gamma_exponent, resolution_exponent, peaks
+    ):
+        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        data["cavity"]["loss_rate_gamma"] *= 10.0**gamma_exponent
+        s = scenario_from_dict(data).scales
+        dt = 10 * abs(s.tau0) * 10.0**resolution_exponent
+        tau = g2_grid(s, G2Tier.AVERAGED, peaks, dt)
+        trace = g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=dt), s)
+        assert trace.values.tobytes() == g2_averaged_all_echoes(tau, s, dt).tobytes()
+        j_max = math.ceil(-math.log(1e-6) / (s.gamma * s.round_trip_T))
+        assert trace.meta.extra["j_max"] == j_max
 
     def test_spacing_enforced(self, averaged_setup):
         *_, scales = averaged_setup

@@ -35,6 +35,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError, match="cavity.resonator_length_Lr"):
             load_scenario(path)
 
+    def test_fsr_overflow_names_its_inputs(self):
+        # T = 2*l*n_s/c = 1.2e-308 is positive, and 2*pi/T overflows to inf.
+        data = scenario_dict()
+        data["crystal"]["length_l"] = data["cavity"]["resonator_length_Lr"] = 1e-300
+        with pytest.raises(ScenarioValidationError, match=re.escape(
+                "crystal.length_l, crystal.dispersion_signal, "
+                "cavity.resonator_length_Lr: derived fsr = inf over- or underflows")):
+            scenario_from_dict(data)
+
     def test_explicit_frequencies_and_bracket_exclusive(self, tmp_path):
         data = scenario_dict()
         data["frequencies"]["bracket"] = [1.8e15, 2.2e15]

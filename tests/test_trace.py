@@ -102,3 +102,11 @@ def test_library_traces_check_their_grid_once(monkeypatch, build, bad):
         with pytest.raises(ValueError, match=f"{bad} must be uniformly spaced"):
             build(scales, freqs)
         assert checked == [bad]
+
+
+def test_json_table_refuses_a_non_finite_meta_value(tmp_path):
+    # Derived scales are checked finite when a scenario loads, so a
+    # non-finite value here is a fault: refused, never written as Infinity.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        sropo.trace.write_table_json(tmp_path / "t.json", {"x": float("inf")}, ["a"],
+                                     [np.ones(2)])
