@@ -43,19 +43,29 @@ class PumpParams:
             raise ValueError("field_amplitude_ep must be positive")
 
 
-def phi_analytic(m, omega, scales: DerivedScales):
-    """Closed-form spectral amplitude sinc(z) * exp(-i z); m and omega broadcast."""
+def _phi_factors(m, omega, scales: DerivedScales):
+    """sinc(z), exp(-i*alpha) and exp(-i*beta), whose product is Phi_m(Omega):
+    alpha = m*fsr*tau0/2 and beta = Omega*tau0/2 keep the shapes of m and
+    omega, and z = alpha + beta broadcasts.  The phases cost one cos and sin
+    per value of m and of omega; sin(z)/z, exactly 1 where z = 0, is the one
+    transcendental over the broadcast grid.
+    """
     import numpy as np  # here, not at the top: the rates need no numpy
     from .numerics import _expi
 
-    z = np.asarray(np.add(np.multiply(m, scales.fsr_delta_omega), omega))
-    z *= 0.5 * scales.tau0  # as 0.5 * (...) * tau0, halving being exact
-    x = np.negative(z, out=np.empty_like(z))
-    phi = _expi(x)
-    np.multiply(np.pi, np.divide(z, np.pi, out=x), out=x)  # np.sinc(z / pi)'s steps:
-    x[x == 0] = np.finfo(float).eps  # x = pi * (z / pi), eps where x is 0, sin(x) / x
-    np.divide(np.sin(x, out=z), x, out=z)
-    return np.multiply(z, phi, out=phi)[()]
+    half = 0.5 * scales.tau0
+    alpha = np.multiply(np.multiply(m, scales.fsr_delta_omega), half)
+    beta = np.multiply(omega, half)
+    z = np.asarray(np.add(alpha, beta))
+    z[z == 0] = np.finfo(float).eps  # sin(eps) / eps is exactly 1
+    sinc = np.divide(np.sin(z), z, out=z)
+    return sinc, _expi(np.negative(alpha)), _expi(np.negative(beta))
+
+
+def phi_analytic(m, omega, scales: DerivedScales):
+    """Closed-form spectral amplitude sinc(z) * exp(-i z); m and omega broadcast."""
+    sinc, phase_m, phase_omega = _phi_factors(m, omega, scales)
+    return (sinc * (phase_m * phase_omega))[()]
 
 
 def _rate_prefactor(
@@ -171,10 +181,11 @@ def wavefunction_grid(
                 "--modes and --points-per-mode")
     modes = np.arange(-m_count, m_count + 1)
     omega = np.linspace(-half, half, points_per_mode)
-    raw = phi_analytic(modes[:, None], omega[None, :], scales)
-    raw /= (0.5 * gamma - 1j * omega)[None, :]
-    density = np.abs(raw)
-    norm_sq = float(np.sum(np.trapezoid(np.square(density, out=density), omega, axis=1)))
-    normalization = 1.0 / math.sqrt(norm_sq)
-    raw *= normalization  # as normalization * raw: the scalar's imaginary part is 0
-    return BiphotonAmplitudeGrid(modes, omega, raw, normalization)
+    sinc, phase_m, phase_omega = _phi_factors(modes[:, None], omega, scales)
+    lorentz = 1.0 / (0.5 * gamma - 1j * omega)
+    density = np.square(sinc).sum(axis=0) * np.square(np.abs(lorentz))
+    normalization = 1.0 / math.sqrt(float(np.trapezoid(density, omega)))
+    phase_omega *= normalization * lorentz
+    amplitudes = np.multiply(phase_m, phase_omega)
+    amplitudes *= sinc
+    return BiphotonAmplitudeGrid(modes, omega, amplitudes, normalization)

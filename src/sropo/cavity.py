@@ -7,6 +7,7 @@ occupies part of a resonator of length L_r >= l; the rest is free space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT as C_LIGHT
@@ -17,7 +18,7 @@ from .dispersion import (
     group_velocity,
     refractive_index,
 )
-from .errors import GeometryError
+from .errors import GeometryError, ScenarioValidationError
 
 DEFAULT_REGIME_THRESHOLD = 0.1
 REGIME_RATIO_NAMES = ("kappa/gamma", "gamma/fsr", "fsr*|tau0|")
@@ -97,10 +98,17 @@ def free_spectral_range(round_trip: float) -> float:
 def resonance_mode_number(crystal: CrystalParams, freqs: FrequencyTriple) -> float:
     """Longitudinal index of the resonant signal mode, omega_s*n_s*l/(pi*c).
 
-    Informational only; it cancels out of every derived quantity.
+    Informational only; it cancels out of every derived quantity.  A number
+    that overflows a double is a configuration error naming its inputs.
     """
     n_s = refractive_index(crystal.dispersion_signal, freqs.omega_s)
-    return freqs.omega_s * n_s * crystal.length_l / (0.5 * TWO_PI * C_LIGHT)
+    number = freqs.omega_s * n_s * crystal.length_l / (0.5 * TWO_PI * C_LIGHT)
+    if not math.isfinite(number):
+        raise ScenarioValidationError(
+            "crystal.length_l, crystal.dispersion_signal: resonance mode number "
+            f"= {number!r} overflows a double"
+        )
+    return number
 
 
 def check_regime(

@@ -269,12 +269,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
-    """Write a runner's result; the output directory is made only now."""
+    """Write a runner's result; the output directory is made only now, after
+    a report is serialised."""
     out_dir = Path(args.out if args.out is not None else config.output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(result, dict):
-        path = out_dir / f"{stem}.json"
         text = json.dumps(result, indent=1, sort_keys=True, allow_nan=False)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        path = out_dir / f"{stem}.json"
         path.write_text(text + "\n", encoding="ascii")
         return [path]
     from . import svgplot, trace as writers  # numpy comes with the table writers
@@ -296,6 +297,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         meta["columns"] = ",".join(names)
     fmt = args.format if args.format is not None else config.output_format
     written = [out_dir / f"{stem}.{fmt}"]
+    out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         header = [f"sropo {__version__}", f"scenario_hash: {config.scenario_hash}"]
         header += [f"{key}: {meta[key]}" for key in sorted(meta)]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +42,12 @@ from .errors import (
 )
 from .names import G2Tier
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points
+from .scenario import _TAU0_INPUTS
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
 _PEAK_FLOOR = 1e-6  # averaged tier: keep echoes until exp(-gamma j T) drops below
+_LOG_MAX = math.log(sys.float_info.max)  # exp(x) overflows a double past this
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +126,14 @@ def _first_allowed(tau: np.ndarray, tau0: float) -> int:  # rounded t + tau0/2 i
     return bisect.bisect_left(tau, True, key=lambda t: t + 0.5 * tau0 >= -0.5 * abs(tau0))
 
 
+def _check_span(exponent: float, tier: G2Tier) -> None:
+    """Refuse a tier whose allowed values span exp(exponent) past a double."""
+    if exponent > _LOG_MAX:
+        raise ScenarioValidationError(
+            f"{_TAU0_INPUTS}, cavity.loss_rate_gamma: the {tier.value} tier's values "
+            f"span exp({exponent!r}), past a double (exp({_LOG_MAX:.2f}))")
+
+
 def _peak_normalized(
     tau: np.ndarray, values: np.ndarray, tier: G2Tier, extra: dict
 ) -> Trace:
@@ -149,6 +160,7 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
     tau = request.tau_grid
     fsr = scales.fsr_delta_omega
     tau0 = scales.tau0
+    _check_span(scales.gamma * tau0, G2Tier.SERIES)  # exp(-gamma*tau) from tau = -tau0
     m_count = _mode_count(request, scales)
     z = np.arange(1, m_count + 1) * (0.5 * fsr * tau0)
     coef = np.concatenate(([1.0], 2.0 * np.sin(z) / z))
@@ -156,10 +168,11 @@ def g2_series(request: G2Request, scales: DerivedScales) -> Trace:
         coef, fsr * (tau[0] + 0.5 * tau0), fsr * request.spacing, tau.size
     )
 
-    values = np.multiply(-scales.gamma, tau)
-    np.exp(values, out=values)
-    values *= np.square(amplitude, out=amplitude)
-    values[: _first_allowed(tau, tau0)] = 0.0
+    first = _first_allowed(tau, tau0)
+    values = np.square(amplitude, out=amplitude)
+    values[:first] = 0.0
+    envelope = np.multiply(-scales.gamma, tau[first:])
+    values[first:] *= np.exp(envelope, out=envelope)
     return _peak_normalized(tau, values, G2Tier.SERIES, {"m_max": m_count})
 
 
@@ -204,6 +217,7 @@ def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
     fsr = scales.fsr_delta_omega
     tau0 = scales.tau0
     gamma = scales.gamma
+    _check_span(gamma * abs(tau0), G2Tier.EXACT)
     m_count = _mode_count(request, scales)
 
     # a_m*tau0 = x - i*phi_m.  The numerator 1 - exp(-x + i*phi) is
@@ -215,12 +229,14 @@ def g2_exact(request: G2Request, scales: DerivedScales) -> Trace:
     numerator = -2j * half_turn.imag * half_turn - half_turn**2 * math.expm1(-x)
     coef = numerator / (x - 1j * (m * (fsr * tau0)))
     coef[1:] *= 2.0
-    amplitude = np.multiply(-0.5 * gamma, tau)
+    first = _first_allowed(tau, tau0)
+    values = _cos_series(coef, fsr * tau[0], fsr * request.spacing, tau.size)
+    values[:first] = 0.0
+    amplitude = np.multiply(-0.5 * gamma, tau[first:])
     np.exp(amplitude, out=amplitude)
     amplitude *= 2.0
-    amplitude *= _cos_series(coef, fsr * tau[0], fsr * request.spacing, tau.size)
-    values = np.square(amplitude, out=amplitude)
-    values[: _first_allowed(tau, tau0)] = 0.0
+    amplitude *= values[first:]
+    np.square(amplitude, out=values[first:])
     return _peak_normalized(tau, values, G2Tier.EXACT, {"m_max": m_count})
 
 

@@ -84,6 +84,7 @@ _TAU0_INPUTS = "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_
 _T_INPUTS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
 _KAPPA_INPUTS = ("crystal.chi, crystal.cross_section_A, pump.field_amplitude_EP, "
                  + _TAU0_INPUTS)
+_GAMMA_T_INPUTS = "cavity.loss_rate_gamma, " + _T_INPUTS
 
 
 def _checked(name: str, value: float, inputs: str, positive: bool = True) -> float:
@@ -102,14 +103,16 @@ def derive_scales(
 ) -> DerivedScales:
     """Assemble the scale table: tau0, T, fsr, gamma, kappa.
 
-    tau0 must be finite; T, fsr and (for tau0 != 0) kappa finite and
-    positive.  A scale that over- or underflows is a configuration error
-    naming the input fields it comes from.  tau0 == 0 gives kappa = +inf.
+    tau0 must be finite; T, fsr, gamma*T (the decay per round trip) and (for
+    tau0 != 0) kappa finite and positive.  A scale that over- or underflows
+    is a configuration error naming the input fields it comes from.
+    tau0 == 0 gives kappa = +inf.
     """
     tau0 = transit_time_diff(crystal, freqs)
     _checked("tau0", tau0, _TAU0_INPUTS, positive=False)
     T = _checked("T", round_trip_time(crystal, cavity, freqs), _T_INPUTS)
     fsr = _checked("fsr", free_spectral_range(T), _T_INPUTS)
+    _checked("gamma*T", cavity.loss_rate_gamma * T, _GAMMA_T_INPUTS)
     kappa = math.inf
     if tau0 != 0.0:
         try:

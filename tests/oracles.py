@@ -9,6 +9,9 @@ evaluate their mode sums with the chirp-z transform
 O(N*M), or integrate the crystal by quadrature, and are the independent
 reference the kernel is tested against.  ``phi_exact`` integrates the
 spectral amplitude over the crystal for ``biphoton.phi_analytic``,
+``phi_direct`` evaluates sinc(z) * exp(-i z) at every grid point, where
+``biphoton.wavefunction_grid`` takes the phases from the mode and detuning
+axes,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
@@ -78,6 +81,19 @@ def phi_exact(
         )
     nodes, weights = composite_gauss_nodes(-1.0, 0.0, n_panels, _GL_ORDER)
     return complex(np.sum(weights * np.exp(1j * z2 * nodes)))
+
+
+def phi_direct(m, omega, scales: DerivedScales):
+    """sinc(z) * exp(-i z), z = (m*fsr + omega) * tau0/2, formed at each
+    broadcast point: one cos, two sin and np.sinc's steps per point."""
+    z = np.asarray(np.add(np.multiply(m, scales.fsr_delta_omega), omega))
+    z *= 0.5 * scales.tau0  # as 0.5 * (...) * tau0, halving being exact
+    x = np.negative(z, out=np.empty_like(z))
+    phi = np.exp(1j * x)
+    np.multiply(np.pi, np.divide(z, np.pi, out=x), out=x)  # np.sinc(z / pi)'s steps:
+    x[x == 0] = np.finfo(float).eps  # x = pi * (z / pi), eps where x is 0, sin(x) / x
+    np.divide(np.sin(x, out=z), x, out=z)
+    return np.multiply(z, phi, out=phi)[()]
 
 
 def _sinc_sq_partial(dz: float, m_hi: int) -> list[float]:

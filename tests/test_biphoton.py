@@ -22,7 +22,7 @@ from sropo.biphoton import _rate_prefactor
 from sropo.scenario import load_scenario
 from conftest import CONFIG_DIR, make_setup, scenario_dict
 from helpers import norm_squared
-from oracles import QuadratureWarning, phi_exact, sinc_sq_partial_sum
+from oracles import QuadratureWarning, phi_direct, phi_exact, sinc_sq_partial_sum
 from scipy.constants import epsilon_0 as EPS0
 
 C = 299792458.0
@@ -238,7 +238,47 @@ class TestRates:
             rate_mode_sum(crystal, pump, freqs, scales)
 
 
+G2_COMB_FSR = 16238375580.248734  # configs/g2_comb.json
+
+
 class TestWavefunctionGrid:
+    # psi against the per-point formula: alpha = m*fsr*tau0/2, beta =
+    # Omega*tau0/2 and z = alpha + beta each round once on either side, the
+    # phases pass that on as is and sinc at most 0.44 of it, so the two
+    # differ by a few eps * (1 + A), A = max|alpha| + max|beta|.  Measured
+    # worst over 4,500 random draws of these ranges: 3.5 eps * (1 + A) of
+    # max|psi|.  At 64 modes on g2_comb.json (A = 1.75) it is 4.5e-16.
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        fsr=st.sampled_from((1.0, G2_COMB_FSR)),
+        gamma_ratio=st.floats(1e-3, 0.5),
+        dz=st.floats(1e-3, 0.5),
+        sign=st.sampled_from((1.0, -1.0)),
+        m_count=st.integers(1, 64),
+        halfwidth=st.floats(10.0, 40.0),
+        extra_points=st.integers(0, 400),
+    )
+    @example(fsr=G2_COMB_FSR, gamma_ratio=0.049999999999999996, dz=0.027082695289567135,
+             sign=1.0, m_count=64, halfwidth=12.0, extra_points=16)  # the shipped grid
+    # Omega = -m*fsr lies on the grid for m = 1..4: z is exactly 0 off row 0
+    @example(fsr=1.0, gamma_ratio=0.25, dz=0.15, sign=-1.0, m_count=4, halfwidth=16.0,
+             extra_points=0)
+    def test_matches_per_point_formula(self, fsr, gamma_ratio, dz, sign, m_count,
+                                       halfwidth, extra_points):
+        scales = DerivedScales(tau0=sign * 2.0 * dz / fsr, round_trip_T=2 * math.pi / fsr,
+                               fsr_delta_omega=fsr, gamma=gamma_ratio * fsr, kappa=1.0)
+        least = math.ceil(32.0 * halfwidth) + 1  # 16 points per gamma
+        points = least + min(extra_points, max(0, 401 - least))
+        grid = wavefunction_grid(scales, m_count, halfwidth, points)
+        omega = grid.detuning
+        raw = phi_direct(grid.modes[:, None], omega[None, :], scales)
+        raw /= 0.5 * scales.gamma - 1j * omega
+        raw /= math.sqrt(np.sum(np.trapezoid(np.abs(raw) ** 2, omega, axis=1)))
+        reach = m_count * dz + halfwidth * gamma_ratio * dz
+        bound = 4.0 * np.finfo(float).eps * (1.0 + reach)
+        assert np.max(np.abs(grid.amplitudes - raw)) <= bound * np.max(np.abs(raw))
+        assert norm_squared(grid) == pytest.approx(1.0, abs=1e-12)
+
     def test_unit_norm(self, comb_setup):
         *_, scales = comb_setup
         grid = wavefunction_grid(scales, m_count=8, omega_grid_halfwidth=10.0,

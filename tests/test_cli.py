@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -424,9 +425,14 @@ class TestErrorPaths:
         assert not (tmp_path / "scales.json").exists()
 
 
-def _phase_matched_with(block, key, value):
-    data = json.loads((CONFIG_DIR / "phase_matched.json").read_text())
-    data[block][key] = value
+def _config_with(name, *edits):
+    """A shipped config with each (key, ..., key, value) edit applied."""
+    data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    for *keys, value in edits:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
     return data
 
 
@@ -439,17 +445,19 @@ def _strict_json(path):
 
 class TestDerivedScales:
     # Each input over- or underflows one derived scale at a finite input.
-    @pytest.mark.parametrize("command", [["scales"], ["check-regime"], ["rate"],
-                                         ["g2", "--tier", "compact"]])
+    @pytest.mark.parametrize("command", [
+        ["scales"], ["check-regime"], ["rate"], ["g2", "--tier", "compact"],
+        ["g2", "--tier", "averaged", "--resolution", "7.74e-12"]])
     @pytest.mark.parametrize("block, key, value, scale", [
         ("crystal", "cross_section_A", 5e-324, "kappa"),  # its prefactor divides by 0
         ("cavity", "resonator_length_Lr", 1e308, "T"),  # T = inf, fsr = 0
         ("crystal", "chi", 1e308, "kappa"),  # kappa = inf
         ("crystal", "chi", 1e-300, "kappa"),  # kappa = 0
+        ("cavity", "loss_rate_gamma", 5e-324, "gamma*T"),  # the echo count divides by 0
     ])
     def test_overflowing_scale_is_config_error(self, tmp_path, capsys, command, block,
                                                key, value, scale):
-        path = write_config(tmp_path, _phase_matched_with(block, key, value))
+        path = write_config(tmp_path, _config_with("phase_matched", (block, key, value)))
         out = tmp_path / "out"
         assert main([*command, "--config", str(path), "--out", str(out)]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -459,17 +467,65 @@ class TestDerivedScales:
         assert not out.exists()
 
     def test_overflow_prints_no_traceback(self, tmp_path):
-        path = write_config(tmp_path, _phase_matched_with("crystal", "cross_section_A",
-                                                          5e-324))
+        path = write_config(tmp_path, _config_with("phase_matched",
+                                                    ("crystal", "cross_section_A", 5e-324)))
         result = run_cli("scales", "--config", str(path), "--out", str(tmp_path / "out"))
         assert result.returncode == 1
         assert result.stdout.startswith("error: exit=1 type=ScenarioValidationError: ")
         assert result.stderr == ""
 
+    def test_resonance_mode_number_overflow_is_config_error(self, tmp_path, capsys):
+        # l = L_r = 1e300 keeps the five scales finite (T = 1.2e292 s), but
+        # omega_s*n_s*l/(pi*c), which only scales reports, overflows
+        data = _config_with("g2_comb", ("crystal", "length_l", 1e300),
+                            ("cavity", "resonator_length_Lr", 1e300))
+        out = tmp_path / "out"
+        assert main(["scales", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "error: exit=1 type=ScenarioValidationError: crystal.length_l, "
+            "crystal.dispersion_signal: resonance mode number = inf overflows a double"]
+        assert not out.exists()
+
+    def test_report_is_serialised_before_its_directory_is_made(self, tmp_path):
+        args = argparse.Namespace(out=str(tmp_path / "out"), format=None, plot=False)
+        config = load_scenario(CONFIG_DIR / "g2_comb.json")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            sropo.cli._write(args, config, "report", {"value": math.inf})
+        assert not (tmp_path / "out").exists()
+
+    # A group index of 2**70 makes |tau0| = 3.9e10 s, so gamma*|tau0| = 3.2e19:
+    # signal side tau0 < 0, idler side tau0 > 0.  The exact tier's values span
+    # exp(gamma*|tau0|) and the series tier's exp(gamma*tau0) (tau >= -tau0),
+    # past a double, and both refuse; with tau0 < 0 the series envelope is at
+    # most 1 from the first allowed delay on, and that run writes its trace.
+    @pytest.mark.parametrize("side, tier, code", [
+        ("signal", "exact", 1), ("signal", "series", 0),
+        ("idler", "exact", 1), ("idler", "series", 1),
+    ])
+    def test_huge_group_index_comb_tiers(self, tmp_path, capsys, side, tier, code):
+        data = _config_with("spectrum_comb",
+                            ("crystal", f"dispersion_{side}", "parameters", 0, 2**70))
+        out = tmp_path / "out"
+        assert main(["g2", "--tier", tier, "--peaks", "1", "--format", "json", "--config",
+                     str(write_config(tmp_path, data)), "--out", str(out)]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        if code == 0:
+            table = _strict_json(out / f"g2_{tier}.json")
+            values = [row[1] for row in table["data"]]
+            assert max(values) == 1.0 and min(values) == 0.0
+            return
+        assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert "crystal.dispersion_signal" in lines[0]
+        assert "cavity.loss_rate_gamma" in lines[0]
+        assert f"the {tier} tier's values span exp(" in lines[0]
+        assert not out.exists()
+
     def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):
         # tau0 = l/v_gI - l/v_gS underflows to exactly 0: the documented
         # tau0 = 0 path, not an overflow.
-        path = write_config(tmp_path, _phase_matched_with("crystal", "length_l", 5e-324))
+        path = write_config(tmp_path, _config_with("phase_matched", ("crystal", "length_l", 5e-324)))
         assert main(["scales", "--config", str(path), "--out", str(tmp_path)]) == 0
         assert "tau0=0 " in capsys.readouterr().out
         payload = _strict_json(tmp_path / "scales.json")
