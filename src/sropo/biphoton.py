@@ -18,11 +18,7 @@ from .constants import SPEED_OF_LIGHT as C_LIGHT
 from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
-from .errors import (
-    DegenerateGroupVelocityError,
-    GridTooCoarseError,
-    NonConvergenceError,
-)
+from .errors import DegenerateGroupVelocityError, NonConvergenceError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -147,19 +143,24 @@ class BiphotonAmplitudeGrid:
 def wavefunction_grid(
     scales: DerivedScales,
     m_count: int,
-    omega_grid_halfwidth: float = 12.0,
-    points_per_mode: int = 385,
+    omega_grid_halfwidth: float | None = None,
+    points_per_mode: int | None = None,
 ) -> BiphotonAmplitudeGrid:
     """Two-photon amplitude psi(m, Omega) ~ Phi_m(Omega) / (gamma/2 - i Omega).
 
     ``m_count`` is the largest |m| kept; ``omega_grid_halfwidth`` is the
-    detuning half-width in units of gamma (at least 10, so the neglected
-    Lorentzian tails hold less than 1e-3 of the norm); ``points_per_mode`` is
-    the number of detuning samples, at least 16 per gamma.
+    detuning half-width in units of gamma (default 12; at least 10, so the
+    neglected Lorentzian tails hold less than 1e-3 of the norm);
+    ``points_per_mode`` is the number of detuning samples (default 385), at
+    least 16 per gamma.
     """
     import numpy as np
-    from .numerics import grid_points
+    from .numerics import POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points
 
+    if omega_grid_halfwidth is None:
+        omega_grid_halfwidth = 12.0
+    if points_per_mode is None:
+        points_per_mode = 385
     if m_count < 1:
         raise ValueError("m_count must be at least 1")
     if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:
@@ -167,16 +168,14 @@ def wavefunction_grid(
             f"omega_grid_halfwidth must be at least {MIN_HALFWIDTH_GAMMAS:g} gamma"
         )
     gamma = scales.gamma
+    check_linewidth(gamma)
     half = omega_grid_halfwidth * gamma
     if points_per_mode < MIN_POINTS_PER_MODE:
         raise ValueError(f"points_per_mode must be at least {MIN_POINTS_PER_MODE}")
     # Points per gamma depend only on the grid shape; computing them from
     # gamma / spacing would round below the limit for some gamma.
     points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)
-    if points_per_gamma < 16.0:
-        raise GridTooCoarseError(
-            f"only {points_per_gamma:.1f} grid points per gamma; at least 16 required"
-        )
+    require_points(points_per_gamma, POINTS_PER_GAMMA_MIN, "gamma")
     grid_points(None, (2 * m_count + 1) * points_per_mode - 1,
                 "--modes and --points-per-mode")
     modes = np.arange(-m_count, m_count + 1)

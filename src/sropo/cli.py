@@ -148,11 +148,8 @@ def _run_g2(args, config: ScenarioConfig):
 
 def _run_wavefunction(args, config: ScenarioConfig):
     import numpy as np
-    given = {"omega_grid_halfwidth": args.halfwidth_gammas,
-             "points_per_mode": args.points_per_mode}
-    grid = biphoton.wavefunction_grid(  # a flag left out keeps the library default
-        config.scales, args.modes, **{k: v for k, v in given.items() if v is not None}
-    )
+    grid = biphoton.wavefunction_grid(
+        config.scales, args.modes, args.halfwidth_gammas, args.points_per_mode)
     n_modes, n_pts = grid.amplitudes.shape
     meta = {
         "kind": "biphoton_amplitudes",

@@ -35,14 +35,11 @@ import numpy as np
 
 from .cavity import DerivedScales
 from .errors import (
-    DegenerateGroupVelocityError,
-    GridTooCoarseError,
-    ResolutionTooFineError,
-    ScenarioValidationError,
+    DegenerateGroupVelocityError, ResolutionTooFineError, ScenarioValidationError,
 )
 from .names import G2Tier
-from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points
-from .scenario import _TAU0_INPUTS
+from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
+from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
@@ -87,11 +84,7 @@ def _check_peak_resolution(spacing: float, scales: DerivedScales) -> None:
         raise DegenerateGroupVelocityError(
             "tau0 = 0: correlation peaks have zero width and cannot be sampled"
         )
-    limit = abs(scales.tau0) / 8.0
-    if spacing > limit:
-        raise GridTooCoarseError(
-            f"tau_grid spacing {spacing:.3e} s exceeds |tau0|/8 = {limit:.3e} s"
-        )
+    require_points(abs(scales.tau0) / spacing, 8.0, "|tau0|")
 
 
 def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=None):
@@ -256,15 +249,16 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
         raise ResolutionTooFineError(
             f"resolution_dt = {dt:.3e} s below 10*|tau0| = {10 * abs(scales.tau0):.3e} s"
         )
-    if request.spacing > dt / 8.0:
-        raise GridTooCoarseError(
-            f"tau_grid spacing {request.spacing:.3e} s exceeds resolution_dt/8"
-        )
+    require_points(dt / request.spacing, 8.0, "resolution_dt")
     tau = request.tau_grid
     T = scales.round_trip_T
     gamma = scales.gamma
+    _checked("resolution_dt^2", dt * dt, "--resolution")
     j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
-    j_last = min(j_max, math.floor((tau[-1] + 14.0 * dt) / T))
+    first, last = float(tau[0]), float(tau[-1])
+    j_last = math.floor(min(j_max, (last + 14.0 * dt) / T))  # the ratio may be inf
+    reach = max(-first, last) + j_last * T  # at least every |j*T - tau| below
+    _checked("4*(j*T - tau)^2", 4.0 * reach * reach, "--resolution", positive=False)
     values = np.zeros_like(tau)
     for j in range(j_last + 1):
         values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .errors import ScenarioValidationError
+from .errors import GridTooCoarseError, ScenarioValidationError
 
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
 MAX_GRID_POINTS = 1 << 25  # largest sampling grid any command builds
+POINTS_PER_GAMMA_MIN = 16.0  # floor of every grid that samples a line of width gamma
+# gamma for which (gamma/2)^2 and a Lorentzian line's peak (2/gamma)^2, times
+# MAX_GRID_POINTS lines, stay finite and normal: 8.6e-151 to 4.6e150 rad/s.
+_LINE_ROOT = math.sqrt(sys.float_info.max / MAX_GRID_POINTS)
+GAMMA_RANGE = (2.0 / _LINE_ROOT, 2.0 * _LINE_ROOT)
 
 
 def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -> int:
@@ -22,6 +28,23 @@ def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -
         raise ScenarioValidationError(
             f"the grid from {source} would hold more than {MAX_GRID_POINTS} points")
     return sides * math.ceil(steps) + 1
+
+
+def check_linewidth(gamma: float) -> None:
+    """Refuse gamma outside ``GAMMA_RANGE``, naming cavity.loss_rate_gamma: the
+    spectrum, g1 and psi, evaluated in rad/s, would over- or underflow."""
+    low, high = GAMMA_RANGE
+    if not low <= gamma <= high:
+        raise ScenarioValidationError(
+            f"cavity.loss_rate_gamma: gamma = {gamma!r} rad/s is outside "
+            f"[{low:.2g}, {high:.2g}], where its Lorentzian lines stay doubles")
+
+
+def require_points(per_unit: float, minimum: float, unit: str) -> None:
+    """Refuse a grid with fewer than ``minimum`` points per ``unit``."""
+    if per_unit < minimum:
+        raise GridTooCoarseError(
+            f"only {per_unit:.3g} grid points per {unit}; at least {minimum:g} required")
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:

@@ -85,6 +85,9 @@ _T_INPUTS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_lengt
 _KAPPA_INPUTS = ("crystal.chi, crystal.cross_section_A, pump.field_amplitude_EP, "
                  + _TAU0_INPUTS)
 _GAMMA_T_INPUTS = "cavity.loss_rate_gamma, " + _T_INPUTS
+# The inputs of each regime ratio (kappa/gamma, gamma/fsr, fsr*|tau0|).
+_RATIO_INPUTS = (_KAPPA_INPUTS + ", cavity.loss_rate_gamma", _GAMMA_T_INPUTS,
+                 f"{_T_INPUTS}, {_TAU0_INPUTS}")
 
 
 def _checked(name: str, value: float, inputs: str, positive: bool = True) -> float:
@@ -283,6 +286,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
 
     scales = derive_scales(crystal, cavity, pump, freqs)
     regime = check_regime(scales, float(threshold))
+    first = 1 if scales.tau0 == 0.0 else 0  # kappa/gamma = inf, as kappa, at tau0 = 0
+    for check, inputs in list(zip(regime.checks, _RATIO_INPUTS))[first:]:
+        _checked(check.name, check.value, inputs, positive=False)
     digest = scenario_hash(crystal, cavity, pump, freqs)
     return ScenarioConfig(
         crystal=crystal,

@@ -25,11 +25,14 @@ import numpy as np
 
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
-from .errors import DegenerateGroupVelocityError, GridTooCoarseError
-from .numerics import _cos_series, ensure_uniform_axis, grid_points
+from .errors import DegenerateGroupVelocityError
+from .numerics import (
+    POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
+    require_points,
+)
+from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
-_POINTS_PER_GAMMA_MIN = 16.0
 _DEFAULT_POINTS_PER_GAMMA = 24.0
 _DEFAULT_WINDOW_GAMMAS = 10.0  # g1 delay half-width, in units of 1/gamma
 _ENVELOPE_REACH = 5.0  # default mode coverage, in units of the first-zero mode
@@ -134,11 +137,13 @@ def spectrum_grid(
 
     By default the window reaches half a mode beyond the envelope's first
     zero, and the grid holds 24 points per gamma.  Grids past the point budget
-    (``numerics.grid_points``) are refused here and in ``g1_grid``.
+    (``numerics.grid_points``), and windows that overflow, are refused here
+    and in ``g1_grid``.
     """
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
-    half = window_modes * scales.fsr_delta_omega
+    half = _checked("detuning half-width", window_modes * scales.fsr_delta_omega,
+                    f"{_TAU0_INPUTS}, --window-modes")
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
     return np.linspace(-half, half, grid_points(points, steps, "--window-modes", 2))
 
@@ -156,9 +161,11 @@ def g1_grid(
     """
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
-    half = window_gammas / scales.gamma
+    check_linewidth(scales.gamma)
+    half = _checked("delay half-width", window_gammas / scales.gamma,
+                    "cavity.loss_rate_gamma, --window-gammas")
     spacing = min(
-        1.0 / (_POINTS_PER_GAMMA_MIN * scales.gamma),
+        1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
     source = "--window-gammas and --m-max"
@@ -187,12 +194,9 @@ def spectrum(
         detuning = spectrum_grid(scales)
     detuning = np.asarray(detuning, dtype=float)
     spacing = ensure_uniform_axis(detuning, "detuning")
-    if gamma / spacing < _POINTS_PER_GAMMA_MIN:
-        raise GridTooCoarseError(
-            f"only {gamma / spacing:.3g} grid points per gamma; "
-            f"at least {_POINTS_PER_GAMMA_MIN:g} required"
-        )
+    require_points(gamma / spacing, POINTS_PER_GAMMA_MIN, "gamma")
 
+    check_linewidth(gamma)
     m_count = _auto_mode_count(scales, m_max)
     weights = _mode_weights(m_count, scales)
     half_gamma_sq = (0.5 * gamma) ** 2
@@ -253,16 +257,10 @@ def g1(
         tau = g1_grid(scales, m_max=m_max)
     tau = np.asarray(tau, dtype=float)
     spacing = ensure_uniform_axis(tau, "tau")
-    if 1.0 / (gamma * spacing) < _POINTS_PER_GAMMA_MIN:
-        raise GridTooCoarseError(
-            f"only {1.0 / (gamma * spacing):.3g} grid points per 1/gamma; "
-            f"at least {_POINTS_PER_GAMMA_MIN:g} required"
-        )
-    if m_count >= 1 and spacing > scales.round_trip_T / (2.5 * m_count):
-        raise GridTooCoarseError(
-            "grid spacing cannot resolve the fastest retained mode beat; "
-            f"need <= {scales.round_trip_T / (2.5 * m_count):.3e} s"
-        )
+    require_points(1.0 / (gamma * spacing), POINTS_PER_GAMMA_MIN, "1/gamma")
+    if m_count >= 1:  # 2.5 * (limit/spacing) < 2.5 exactly when spacing > limit
+        limit = scales.round_trip_T / (2.5 * m_count)
+        require_points(2.5 * (limit / spacing), 2.5, "period of the fastest mode beat")
 
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0

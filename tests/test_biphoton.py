@@ -12,6 +12,7 @@ from sropo import (
     GridTooCoarseError,
     NonConvergenceError,
     PumpParams,
+    ScenarioValidationError,
     phi_analytic,
     rate_continuum,
     rate_mode_sum,
@@ -19,6 +20,7 @@ from sropo import (
     wavefunction_grid,
 )
 from sropo.biphoton import _rate_prefactor
+from sropo.numerics import GAMMA_RANGE
 from sropo.scenario import load_scenario
 from conftest import CONFIG_DIR, make_setup, scenario_dict
 from helpers import norm_squared
@@ -318,6 +320,19 @@ class TestWavefunctionGrid:
         with pytest.raises(GridTooCoarseError):
             wavefunction_grid(scales, m_count=2, omega_grid_halfwidth=10.0,
                               points_per_mode=50)
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    def test_gamma_range_ends(self, comb_setup, end):
+        # psi scales as 1/sqrt(gamma): at either end of GAMMA_RANGE it is
+        # finite with unit norm, and one float outside is refused.
+        *_, scales = comb_setup
+        gamma = GAMMA_RANGE[end]
+        grid = wavefunction_grid(dataclasses.replace(scales, gamma=gamma), m_count=2)
+        assert np.all(np.isfinite(grid.amplitudes))
+        assert norm_squared(grid) == pytest.approx(1.0, rel=1e-12)
+        outside = float(np.nextafter(gamma, (0, math.inf)[end]))
+        with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
+            wavefunction_grid(dataclasses.replace(scales, gamma=outside), m_count=2)
 
     def test_default_grid_accepts_gamma_near_shipped_config(self):
         # 384 intervals over 24 gamma is exactly 16 points per gamma for

@@ -4,6 +4,7 @@ import math
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -520,6 +521,41 @@ class TestDerivedScales:
         assert "crystal.dispersion_signal" in lines[0]
         assert "cavity.loss_rate_gamma" in lines[0]
         assert f"the {tier} tier's values span exp(" in lines[0]
+        assert not out.exists()
+
+    # A value the scales accept but a kernel cannot hold: gamma past
+    # numerics.GAMMA_RANGE (its Lorentzian lines over- or underflow), a
+    # default spectrum window of 6e303 fsr (length_l = 1e-302 makes tau0
+    # subnormal), and a resolution whose squares overflow.
+    @pytest.mark.parametrize("name, edits, command, fields", [
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 1.7e308)],
+         ["spectrum", "--field", "idler"], ["cavity.loss_rate_gamma"]),
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 1.7e308)],
+         ["g1", "--field", "idler"], ["cavity.loss_rate_gamma"]),
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 1.7e308)],
+         ["wavefunction", "--format", "json"], ["cavity.loss_rate_gamma"]),
+        ("detector_averaged", [("cavity", "loss_rate_gamma", 8.12e-292)],
+         ["wavefunction"], ["cavity.loss_rate_gamma"]),
+        ("spectrum_comb", [("crystal", "length_l", 1e-302)],
+         ["spectrum", "--field", "idler", "--points", "2001"],
+         ["crystal.length_l", "--window-modes"]),
+        ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e300"],
+         ["--resolution"]),
+        ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e200"],
+         ["--resolution"]),
+    ], ids=["spectrum", "g1", "wavefunction-huge-gamma", "wavefunction-tiny-gamma",
+            "spectrum-window", "averaged-1e300", "averaged-1e200"])
+    def test_value_out_of_a_kernels_range_is_config_error(self, tmp_path, capsys, name,
+                                                         edits, command, fields):
+        path = write_config(tmp_path, _config_with(name, *edits))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert all(field in lines[0] for field in fields)
         assert not out.exists()
 
     def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):

@@ -16,6 +16,7 @@ from sropo import (
     G2Tier,
     GridTooCoarseError,
     ResolutionTooFineError,
+    ScenarioValidationError,
     g2_averaged,
     g2_compact,
     g2_exact,
@@ -393,6 +394,16 @@ class TestAveraged:
         assert trace.values.tobytes() == g2_averaged_all_echoes(tau, s, dt).tobytes()
         j_max = math.ceil(-math.log(1e-6) / (s.gamma * s.round_trip_T))
         assert trace.meta.extra["j_max"] == j_max
+
+    def test_huge_resolution_is_finite_or_refused(self, averaged_setup):
+        # dt = 1e150 s still squares into a double; 1e200 s does not.
+        *_, scales = averaged_setup
+        tau = g2_grid(scales, G2Tier.AVERAGED, 1, 1e150)
+        trace = g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=1e150), scales)
+        assert np.all(np.isfinite(trace.values)) and trace.values.max() == 1.0
+        tau = g2_grid(scales, G2Tier.AVERAGED, 1, 1e200)
+        with pytest.raises(ScenarioValidationError, match="--resolution"):
+            g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=1e200), scales)
 
     def test_spacing_enforced(self, averaged_setup):
         *_, scales = averaged_setup

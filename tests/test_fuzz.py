@@ -1,0 +1,204 @@
+"""Scenario fuzzer: every mutated shipped config gives a typed outcome.
+
+Each case edits one or two leaves of a shipped config (a number scaled by
+10^+-6, 10^+-30 or 10^+-300, negated, zeroed, set to 5e-324 or 1.7e308, given
+the wrong JSON type, or removed) and runs one command in process on a small
+grid.  Whatever the scenario, the run must exit 0, 1, 2 or 3; a refusal
+prints exactly one ``error: exit=<n> type=<Name>:`` line and makes no output
+directory; a success writes only finite numbers (``inf`` only for the
+documented tau0 = 0 kappa); and no run raises a RuntimeWarning.
+
+The profile ``fuzz`` (the default) is derandomised, so tier-1 replays the
+same cases.  ``SROPO_FUZZ_PROFILE=fuzz-random`` draws about 2,000 fresh ones:
+
+    SROPO_FUZZ_PROFILE=fuzz-random python -m pytest tests/test_fuzz.py
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import tempfile
+import warnings
+from pathlib import Path
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from sropo.cli import main
+from conftest import CONFIG_DIR
+
+settings.register_profile(
+    "fuzz", max_examples=600, derandomize=True, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow])
+settings.register_profile(
+    "fuzz-random", max_examples=2000, derandomize=False, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow], print_blob=True)
+PROFILE = settings.get_profile(os.environ.get("SROPO_FUZZ_PROFILE", "fuzz"))
+
+CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, value in items:
+        yield from _numeric_leaves(value, (*path, key))
+
+
+LEAVES = {name: list(_numeric_leaves(data)) for name, data in CONFIGS.items()}
+
+# (kind, argument): "scale" multiplies, "set" replaces, "delete" removes the
+# key.  Half the edits scale a number, which most often leaves a valid scenario.
+SCALINGS = [("scale", 10.0**k) for k in (6, -6, 30, -30, 300, -300)]
+OTHER_EDITS = (
+    [("scale", -1.0), ("set", 0), ("set", 5e-324), ("set", 1.7e308)]
+    + [("set", v) for v in ("1", None, True, [1.0], {})]
+    + [("delete", None)]
+)
+
+_AVERAGED = ("g2", "--tier", "averaged", "--peaks", "1", "--resolution")
+COMMANDS = [
+    ("scales",),
+    ("check-regime",),
+    ("rate", "--method", "both"),
+    ("spectrum", "--field", "idler", "--window-modes", "1", "--points", "2001"),
+    ("g1", "--field", "signal", "--window-gammas", "0.1", "--points", "2001"),
+    ("g2", "--tier", "exact", "--peaks", "1"),
+    ("g2", "--tier", "series", "--peaks", "1"),
+    ("g2", "--tier", "compact", "--peaks", "1"),
+    _AVERAGED,
+    ("wavefunction", "--modes", "1"),
+]
+RESOLUTIONS = ("1e-10", "7.74e-12", "1e200", "1e300")  # seconds
+
+
+@st.composite
+def cases(draw):
+    name = draw(st.sampled_from(sorted(CONFIGS)))
+    paths = draw(st.lists(st.sampled_from(LEAVES[name]), min_size=1, max_size=2,
+                          unique=True))
+    edits = st.one_of(st.sampled_from(SCALINGS), st.sampled_from(OTHER_EDITS))
+    edits = tuple((path, draw(edits)) for path in paths)
+    command = draw(st.sampled_from(COMMANDS))
+    if command is _AVERAGED:
+        command = (*command, draw(st.sampled_from(RESOLUTIONS)))
+    options = draw(st.sampled_from([(), ("--format", "json"), ("--strict-regime",)]))
+    return name, edits, (*command, *options)
+
+
+def mutated(name, edits):
+    data = json.loads(json.dumps(CONFIGS[name]))
+    for path, (kind, arg) in sorted(edits, reverse=True):  # later list items first
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        key = path[-1]
+        if kind == "delete":
+            del node[key]
+        elif kind == "set":
+            node[key] = arg
+        else:
+            node[key] *= arg  # may reach inf, written as Infinity
+    return data
+
+
+_ERROR = re.compile(r"error: exit=(\d) type=\w+: ")
+_NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
+
+
+def _check_finite(path: Path, tau0_zero: bool):
+    """Every number in the file is finite; "inf" only where tau0 = 0."""
+    text = path.read_text(encoding="ascii")
+    if path.suffix == ".json":
+        def refuse(literal):
+            raise AssertionError(f"{path.name} holds {literal}")
+        json.loads(text, parse_constant=refuse)
+    else:
+        lines = text.splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        for line in lines[len(header) + 1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), line
+        text = "\n".join(header)
+    for word in _NON_FINITE.findall(text):
+        assert tau0_zero and word == "inf", f"{path.name} holds {word}"
+
+
+# Cases found before the fuzzer or by it: derived scales that over- or
+# underflow, a refractive index of 2**70, gamma past the Lorentzian range, a
+# default spectrum window of 6e303 fsr, a regime ratio kappa/gamma that
+# overflows, and averaged resolutions whose squares overflow.
+
+
+@settings(PROFILE)
+@given(case=cases())
+@example(case=("phase_matched", ((("crystal", "cross_section_A"), ("set", 5e-324)),),
+               ("scales",)))
+@example(case=("phase_matched", ((("cavity", "resonator_length_Lr"), ("set", 1e308)),),
+               ("g2", "--tier", "compact", "--peaks", "1")))
+@example(case=("phase_matched", ((("crystal", "chi"), ("set", 1e308)),), ("rate",)))
+@example(case=("phase_matched", ((("crystal", "chi"), ("set", 1e-300)),), ("scales",)))
+@example(case=("phase_matched", ((("cavity", "loss_rate_gamma"), ("set", 5e-324)),),
+               (*_AVERAGED, "7.74e-12")))
+@example(case=("g2_comb", ((("crystal", "length_l"), ("scale", 1e300)),
+                           (("cavity", "resonator_length_Lr"), ("scale", 1e300))),
+               ("scales",)))
+@example(case=("spectrum_comb",
+               ((("crystal", "dispersion_signal", "parameters", 0), ("set", 2**70)),),
+               ("g2", "--tier", "series", "--peaks", "1", "--format", "json")))
+@example(case=("spectrum_comb",
+               ((("crystal", "dispersion_idler", "parameters", 0), ("set", 2**70)),),
+               ("g2", "--tier", "exact", "--peaks", "1")))
+@example(case=("phase_matched", ((("crystal", "length_l"), ("set", 5e-324)),),
+               ("scales", "--format", "json")))
+@example(case=("spectrum_comb", ((("cavity", "loss_rate_gamma"), ("set", 1.7e308)),),
+               ("spectrum", "--field", "idler")))
+@example(case=("spectrum_comb", ((("cavity", "loss_rate_gamma"), ("set", 1.7e308)),),
+               ("g1", "--field", "idler")))
+@example(case=("spectrum_comb", ((("cavity", "loss_rate_gamma"), ("set", 1.7e308)),),
+               ("wavefunction", "--format", "json")))
+@example(case=("detector_averaged",
+               ((("cavity", "loss_rate_gamma"), ("set", 8.12e-292)),), ("wavefunction",)))
+@example(case=("spectrum_comb", ((("crystal", "length_l"), ("set", 1e-302)),),
+               ("spectrum", "--field", "idler", "--points", "2001")))
+@example(case=("detector_averaged", ((("crystal", "chi"), ("scale", 1e30)),
+                                     (("cavity", "loss_rate_gamma"), ("scale", 1e-300))),
+               ("check-regime", "--format", "json")))
+@example(case=("detector_averaged", (), (*_AVERAGED, "1e300")))
+@example(case=("detector_averaged", (), (*_AVERAGED, "1e200")))
+def test_every_scenario_gives_a_typed_outcome(case):
+    name, edits, command = case
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "scenario.json"
+        config.write_text(json.dumps(mutated(name, edits)), encoding="utf-8")
+        out = Path(work) / "out"
+        stdout = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main([*command, "--config", str(config), "--out", str(out)])
+            except SystemExit as exc:  # argparse refusing a flag
+                code = exc.code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code in (0, 1, 2, 3)
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        if code:
+            match = _ERROR.match(lines[0])
+            assert match and int(match.group(1)) == code, lines[0]
+            assert not out.exists()
+            return
+        written = sorted(out.iterdir())
+        assert written
+        for path in written:
+            _check_finite(path, tau0_zero=" tau0=0 " in f" {lines[0]}")

@@ -283,3 +283,70 @@ def test_one_pass_axis_check_matches_four_checks(axis):
     assert _check_outcome(numerics.ensure_uniform_axis, axis) == _check_outcome(
         uniform_axis_four_checks, axis
     )
+
+
+# The six grid floors, the |tau0| floor once per comb tier.  Each entry: the
+# refusal as each kernel wrote it before they shared ``require_points``
+# (x -> refused, x a spacing or psi's half-width), the call it guards, and a
+# start near its edge.  A two-point grid [0, x] has spacing exactly x.
+def _floors():
+    import dataclasses
+
+    from sropo import G2Request, G2Tier, spectra, wavefunction_grid
+    from sropo import correlations as g2
+    from conftest import make_setup
+
+    *_, freqs, s = make_setup(1.81)
+    s = dataclasses.replace(s, gamma=s.gamma / 3.0)  # floors that are not round numbers
+    t0, T, m, dt = abs(s.tau0), s.round_trip_T, 50, 0.02 * s.round_trip_T
+
+    def grid(x):
+        return np.array([0.0, x])
+
+    def tier(run, t):
+        return lambda x: run(G2Request(t, grid(x), m_max=3), s)
+
+    return {
+        "spectrum per gamma": (
+            lambda x: s.gamma / x < 16.0,
+            lambda x: spectra.spectrum("idler", s, freqs, grid(x), m_max=3),
+            s.gamma / 16.0),
+        "g1 per 1/gamma": (
+            lambda x: 1.0 / (s.gamma * x) < 16.0,
+            lambda x: spectra.g1("idler", s, freqs, grid(x), m_max=0),
+            1.0 / (16.0 * s.gamma)),
+        "g1 per mode beat": (
+            lambda x: x > T / (2.5 * m),
+            lambda x: spectra.g1("idler", s, freqs, grid(x), m_max=m),
+            T / (2.5 * m)),
+        "g2 series per |tau0|": (
+            lambda x: x > t0 / 8.0, tier(g2.g2_series, G2Tier.SERIES), t0 / 8.0),
+        "g2 compact per |tau0|": (
+            lambda x: x > t0 / 8.0, tier(g2.g2_compact, G2Tier.COMPACT), t0 / 8.0),
+        "g2 exact per |tau0|": (
+            lambda x: x > t0 / 8.0, tier(g2.g2_exact, G2Tier.EXACT), t0 / 8.0),
+        "g2 averaged per resolution_dt": (
+            lambda x: x > dt / 8.0,
+            lambda x: g2.g2_averaged(
+                G2Request(G2Tier.AVERAGED, grid(x), resolution_dt=dt), s),
+            dt / 8.0),
+        "psi per gamma": (  # x is the half-width in gamma; 385 points
+            lambda x: (385 - 1) / (2.0 * x) < 16.0,
+            lambda x: wavefunction_grid(s, 1, x, 385),
+            12.0),
+    }
+
+
+@pytest.mark.parametrize("floor", list(_floors()))
+def test_each_floor_keeps_its_edge(floor):
+    from sropo.errors import GridTooCoarseError
+
+    refused_before, call, x = _floors()[floor]
+    while refused_before(x):
+        x = np.nextafter(x, 0.0)
+    while not refused_before(np.nextafter(x, np.inf)):
+        x = np.nextafter(x, np.inf)
+    call(x)  # the coarsest grid accepted before is accepted
+    with pytest.raises(GridTooCoarseError,
+                       match=r"^only \S+ grid points per .+; at least \S+ required$"):
+        call(np.nextafter(x, np.inf))  # and one float coarser is refused

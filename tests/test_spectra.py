@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -17,7 +18,7 @@ from sropo import (
     load_scenario,
     spectrum,
 )
-from sropo.numerics import MAX_GRID_POINTS, ensure_uniform_axis, grid_points
+from sropo.numerics import GAMMA_RANGE, MAX_GRID_POINTS, ensure_uniform_axis, grid_points
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import _BLOCK, _mode_weights, g1_grid, spectrum_grid
 from scipy.integrate import trapezoid
@@ -214,6 +215,31 @@ class TestLorentzianCombBlocks:
         trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=m_max,
                          normalization=normalization)
         assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
+
+    @pytest.mark.parametrize("end", [0, 1], ids=["low", "high"])
+    @pytest.mark.parametrize("normalization", BOTH_NORMALIZATIONS)
+    def test_gamma_range_ends(self, spectrum_setup, end, normalization):
+        # At either end of GAMMA_RANGE the spectrum and the g1 grid are finite;
+        # one float outside, both are refused.
+        *_, freqs, scales = spectrum_setup
+
+        def run(gamma):  # 16 points per gamma, within one fsr cell each side
+            half = min(gamma, scales.fsr_delta_omega)
+            return spectrum("idler", dataclasses.replace(scales, gamma=gamma), freqs,
+                            np.linspace(-half, half, 33), m_max=2,
+                            normalization=normalization)
+
+        gamma = GAMMA_RANGE[end]
+        trace = run(gamma)
+        assert np.all(np.isfinite(trace.values)) and trace.values[16] > 0
+        assert np.all(np.isfinite(g1_grid(dataclasses.replace(scales, gamma=gamma),
+                                          points=5)))
+        gamma = float(np.nextafter(gamma, (0, math.inf)[end]))
+        outside = dataclasses.replace(scales, gamma=gamma)
+        with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
+            run(gamma)
+        with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
+            g1_grid(outside, points=5)
 
     def test_grid_a_rounding_below_16_per_gamma_is_refused(self, spectrum_setup):
         *_, freqs, _ = spectrum_setup
