@@ -65,7 +65,8 @@ def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
 
 
 def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
-    grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights, refused past the budget
+    """sinc^2 envelope at modes -M..M; its callers count the 2M+1 weights
+    against the budget (``numerics.grid_points``) first."""
     m = np.arange(-m_count, m_count + 1, dtype=float)
     z = 0.5 * m * scales.fsr_delta_omega * scales.tau0
     w = np.sinc(z / np.pi)
@@ -198,6 +199,13 @@ def spectrum(
 
     check_linewidth(gamma)
     m_count = _auto_mode_count(scales, m_max)
+    # Refused past the budget before any is made: the 2M+1 weights, and
+    # _lorentzian_comb's table of _CHEB_NODES rows per fsr cell of the grid
+    # and lattice of cells + 2M line shapes.
+    cells = np.rint(detuning[-1] / fsr) - np.rint(detuning[0] / fsr) + 1.0
+    grid_points(None, m_count, "--m-max", 2)
+    grid_points(None, _CHEB_NODES * cells, "--window-modes")
+    grid_points(None, cells + 2.0 * m_count, "--window-modes and --m-max")
     weights = _mode_weights(m_count, scales)
     half_gamma_sq = (0.5 * gamma) ** 2
     values = _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq)
@@ -257,11 +265,14 @@ def g1(
         tau = g1_grid(scales, m_max=m_max)
     tau = np.asarray(tau, dtype=float)
     spacing = ensure_uniform_axis(tau, "tau")
-    require_points(1.0 / (gamma * spacing), POINTS_PER_GAMMA_MIN, "1/gamma")
+    check_linewidth(gamma)
+    step = gamma * spacing  # an underflow to 0 is a grid infinitely fine per 1/gamma
+    require_points(1.0 / step if step else math.inf, POINTS_PER_GAMMA_MIN, "1/gamma")
     if m_count >= 1:  # 2.5 * (limit/spacing) < 2.5 exactly when spacing > limit
         limit = scales.round_trip_T / (2.5 * m_count)
         require_points(2.5 * (limit / spacing), 2.5, "period of the fastest mode beat")
 
+    grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0
     comb = _cos_series(coef, fsr * tau[0], fsr * spacing, tau.size)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .trace import ROW_CHUNK
+
 _WIDTH, _HEIGHT = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _N_TICKS = 5
@@ -40,7 +42,6 @@ def write_svg_plot(
     def sy(v: float) -> float:
         return _MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h
 
-    pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -81,8 +82,12 @@ def write_svg_plot(
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">{y_label}</text>'
     )
-    lines.append(
-        f'<polyline points="{pts}" fill="none" stroke="#1f4e79" stroke-width="1.2"/>'
-    )
-    lines.append("</svg>")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines.append('<polyline points="')
+    with open(path, "w", encoding="ascii") as out:
+        out.write("\n".join(lines))
+        sep = ""
+        for start in range(0, x.size, ROW_CHUNK):
+            chunk = zip(x[start : start + ROW_CHUNK], y[start : start + ROW_CHUNK])
+            out.write(sep + " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in chunk))
+            sep = " "
+        out.write('" fill="none" stroke="#1f4e79" stroke-width="1.2"/>\n</svg>\n')

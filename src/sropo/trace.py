@@ -65,6 +65,19 @@ class Trace:
         return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
 
 
+ROW_CHUNK = 4096  # rows a writer formats at a time: its memory stays O(ROW_CHUNK)
+
+
+def _row_chunks(columns: Sequence[np.ndarray]):
+    """The table's rows, ``ROW_CHUNK`` at a time, as 2-d arrays; columns of
+    unequal length are refused at the call, before any file is opened."""
+    size = len(columns[0])
+    if any(len(col) != size for col in columns):
+        raise ValueError("columns must have the same length")
+    return (np.column_stack([col[start : start + ROW_CHUNK] for col in columns])
+            for start in range(0, size, ROW_CHUNK))
+
+
 def write_table_csv(
     path: str | Path,
     comments: Sequence[str],
@@ -73,13 +86,14 @@ def write_table_csv(
 ) -> None:
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(column_names))
     # "%.17g" formats a float exactly as names.format_float does.
-    row_format = ",".join(["%.17g"] * len(columns))
-    rows = np.column_stack(columns).tolist()
-    lines.extend(row_format % tuple(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
+    chunks = _row_chunks(columns)
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(f"# {c}\n" for c in comments)
+        out.write(",".join(column_names) + "\n")
+        for rows in chunks:
+            out.write("".join(row_format % tuple(row) for row in rows.tolist()))
 
 
 def write_table_json(
@@ -88,10 +102,22 @@ def write_table_json(
     column_names: Sequence[str],
     columns: Sequence[np.ndarray],
 ) -> None:
-    payload = {
-        "meta": dict(meta),
-        "columns": list(column_names),
-        "data": [[float(col[i]) for col in columns] for i in range(len(columns[0]))],
-    }
-    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="ascii")
+    """The table as {"columns", "data", "meta"}, as ``json.dumps(indent=1,
+    sort_keys=True)`` writes it: the rows are dumped a chunk at a time, one
+    indent level deeper, into the ``"data"`` array of the dumped header.  A
+    non-finite value is refused before the file is opened."""
+    payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
+    head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
+        '\n "data": []')
+    if not all(np.isfinite(rows).all() for rows in _row_chunks(columns)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    with open(path, "w", encoding="ascii") as out:
+        out.write(head + '\n "data": [')
+        sep, close = "\n", "]"
+        for rows in _row_chunks(columns):
+            text = json.dumps(rows.astype(float, copy=False).tolist(), indent=1)
+            # text is "[\n [\n  1.0, ...\n ]\n]": write its rows without the
+            # outer brackets, one space deeper.
+            out.write(sep + " " + text[2:-2].replace("\n", "\n "))
+            sep, close = ",\n", "\n ]"
+        out.write(close + tail + "\n")

@@ -16,16 +16,20 @@ axes,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
 ``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
-runs in one pass, and ``cis_decimal`` is the phase factor ``numerics._cis``
-forms in double precision.
+runs in one pass, ``cis_decimal`` is the phase factor ``numerics._cis``
+forms in double precision, and ``write_table_csv_whole``,
+``write_table_json_whole`` and ``svg_polyline_whole`` build the whole table or
+polyline at once, where ``trace`` and ``svgplot`` write it in chunks of rows.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import math
 import warnings
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 
@@ -322,3 +326,48 @@ def cis_decimal(x: float, q: int) -> complex:
             sin += sin_term
             k += 1
     return complex(float(cos), float(sin))
+
+
+def write_table_csv_whole(path, comments, column_names, columns) -> None:
+    """``trace.write_table_csv`` with every row formatted into one string."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(column_names))
+    row_format = ",".join(["%.17g"] * len(columns))
+    rows = np.column_stack(columns).tolist()
+    lines.extend(row_format % tuple(row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+def write_table_json_whole(path, meta, column_names, columns) -> None:
+    """``trace.write_table_json`` with the whole payload dumped at once."""
+    payload = {
+        "meta": dict(meta),
+        "columns": list(column_names),
+        "data": [[float(col[i]) for col in columns] for i in range(len(columns[0]))],
+    }
+    text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")
+
+
+def svg_polyline_whole(x, y) -> str:
+    """The ``points`` of ``svgplot.write_svg_plot``'s polyline, in one join."""
+    from sropo.svgplot import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x0, x1 = float(x.min()), float(x.max())
+    y0, y1 = float(y.min()), float(y.max())
+    if x1 == x0:
+        x1 = x0 + 1.0
+    if y1 == y0:
+        y1 = y0 + 1.0
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+
+    def sx(v: float) -> float:
+        return _MARGIN_L + (v - x0) / (x1 - x0) * plot_w
+
+    def sy(v: float) -> float:
+        return _MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h
+
+    return " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))

@@ -661,6 +661,37 @@ class TestGridBudget:
         assert f"the grid from {flag} would hold more than" in text
         assert not out.exists()
 
+    # The spectrum's far lines come from a table of 18 rows per fsr cell of the
+    # grid: 3 points over +-W fsr span 2W + 1 cells.  W = 932068 is the first
+    # window past the budget (18 * 1864137 > 2**25 - 1).  np.arange, the
+    # kernel's first allocation, raises here, so a check that let W through
+    # allocates nothing (the table alone would take about 270 MB).
+    @pytest.mark.parametrize("window, refused", [(932067, False), (932068, True)])
+    def test_spectrum_table_past_the_budget_is_config_error(
+        self, tmp_path, capsys, monkeypatch, window, refused
+    ):
+        config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
+        gamma = 2e7 * config.scales.fsr_delta_omega  # >= 16 points per gamma at W fsr
+        path = write_config(tmp_path, _config_with(
+            "spectrum_comb", ("cavity", "loss_rate_gamma", gamma)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("comb table allocated")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        out = tmp_path / "out"
+        args = ["spectrum", "--field", "idler", "--points", "3", "--window-modes",
+                str(window), "--config", str(path), "--out", str(out)]
+        if not refused:  # within the budget the kernel goes on to allocate
+            with pytest.raises(AssertionError, match="comb table allocated"):
+                main(args)
+            return
+        assert main(args) == 1
+        text = capsys.readouterr().out
+        assert text.startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert "the grid from --window-modes would hold more than" in text
+        assert not out.exists()
+
 
 class TestDeterminismAndRoundTrip:
     def test_csv_round_trip_bit_exact(self, config_path, tmp_path):

@@ -370,8 +370,52 @@ class TestGridBudget:
         with pytest.raises(ScenarioValidationError, match="grid from --m-max "):
             g1("idler", scales, freqs, tau=tau, m_max=MAX_GRID_POINTS // 2)
 
+    def test_chebyshev_table_refused_before_allocating(self, spectrum_setup, monkeypatch):
+        # 33 points over +-gamma at the top of GAMMA_RANGE span about 6e140 fsr
+        # cells: the far lines' table (18 rows per cell) is refused before any
+        # array is made.
+        *_, freqs, scales = spectrum_setup
+        gamma = GAMMA_RANGE[1]
+        detuning = np.linspace(-gamma, gamma, 33)
+        monkeypatch.setattr(np, "arange", self._refuse)
+        with pytest.raises(ScenarioValidationError, match="grid from --window-modes "):
+            spectrum("idler", dataclasses.replace(scales, gamma=gamma), freqs, detuning)
+
+    def test_line_lattice_refused_before_allocating(self, spectrum_setup, monkeypatch):
+        # 2M+1 weights within the budget, but the lattice of line shapes over
+        # 3 cells holds 2M + 3 > MAX_GRID_POINTS entries.
+        *_, freqs, scales = spectrum_setup
+        fsr = scales.fsr_delta_omega
+        detuning = np.linspace(-fsr, fsr, 3)
+        monkeypatch.setattr(np, "arange", self._refuse)
+        with pytest.raises(ScenarioValidationError,
+                           match="grid from --window-modes and --m-max "):
+            spectrum("idler", dataclasses.replace(scales, gamma=16.0 * fsr), freqs,
+                     detuning, m_max=(MAX_GRID_POINTS - 1) // 2)
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("comb table allocated past the budget")
+
 
 class TestG1:
+    def test_supplied_tau_checks_the_linewidth(self, spectrum_setup):
+        # As spectrum does: gamma outside GAMMA_RANGE is refused before
+        # 1/(gamma*spacing) divides by an underflow.
+        *_, freqs, scales = spectrum_setup
+        with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
+            g1("idler", dataclasses.replace(scales, gamma=1e-300), freqs,
+               tau=[0.0, 1e-30], m_max=0)
+
+    def test_spacing_below_a_gamma_underflow_is_fine_enough(self, spectrum_setup):
+        # gamma*spacing underflows to 0: infinitely many points per 1/gamma.
+        *_, freqs, scales = spectrum_setup
+        gamma = GAMMA_RANGE[0]
+        assert gamma * 1e-300 == 0.0
+        trace = g1("idler", dataclasses.replace(scales, gamma=gamma), freqs,
+                   tau=[0.0, 1e-300], m_max=0)
+        assert np.array_equal(trace.values, [1.0, 1.0])
+
     def test_default_grid_is_g1_grid(self, spectrum_setup):
         crystal, cavity, pump, freqs, scales = spectrum_setup
         trace = g1("idler", scales, freqs, m_max=10)

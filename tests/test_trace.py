@@ -1,5 +1,12 @@
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sropo.correlations
 import sropo.spectra
@@ -7,7 +14,10 @@ import sropo.trace
 from sropo import G2Request, Normalization, Trace, TraceKind, TraceMeta
 from sropo.correlations import g2_exact, g2_grid, g2_series
 from sropo.numerics import ensure_uniform_axis
+from sropo.svgplot import write_svg_plot
+from sropo.trace import ROW_CHUNK, write_table_csv, write_table_json
 from conftest import make_setup
+from oracles import svg_polyline_whole, write_table_csv_whole, write_table_json_whole
 
 META = TraceMeta(TraceKind.G1, Normalization.UNIT_AT_ZERO)
 AXIS = np.linspace(-1.0, 1.0, 5)
@@ -110,3 +120,119 @@ def test_json_table_refuses_a_non_finite_meta_value(tmp_path):
     with pytest.raises(ValueError, match="JSON compliant"):
         sropo.trace.write_table_json(tmp_path / "t.json", {"x": float("inf")}, ["a"],
                                      [np.ones(2)])
+
+
+# Row counts about the chunk edges, and values from the subnormals to 1e308
+# with -0.0; the CSV writer also prints nan and +-inf.
+CHUNK_EDGES = [0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 1]
+FINITE = st.floats(-1e308, 1e308)
+ANCHORS = [-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]
+
+
+@st.composite
+def tables(draw, values, rows=st.sampled_from(CHUNK_EDGES), width=st.integers(1, 4)):
+    """1-4 columns of ``rows`` values picked from a drawn pool of ``values``."""
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=12)) + ANCHORS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return list(pool[rng.integers(pool.size, size=(draw(width), draw(rows)))])
+
+
+META_WITH_DATA_KEY = {"kind": "g1", "columns": "tau_s,value", "x": -0.0,
+                      "nested": {"data": [], "z": 1e308}}
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(columns=tables(st.floats()))
+def test_chunked_csv_matches_whole_table_writer(columns):
+    names = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        chunked, whole = Path(tmp, "chunked.csv"), Path(tmp, "whole.csv")
+        write_table_csv(chunked, ["sropo", "a: 1"], names, columns)
+        write_table_csv_whole(whole, ["sropo", "a: 1"], names, columns)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(columns=tables(FINITE))
+def test_chunked_json_matches_whole_table_writer(columns):
+    # The header dump holds a nested "data" key, one indent level below the
+    # table's own.
+    names = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        chunked, whole = Path(tmp, "chunked.json"), Path(tmp, "whole.json")
+        write_table_json(chunked, META_WITH_DATA_KEY, names, columns)
+        write_table_json_whole(whole, META_WITH_DATA_KEY, names, columns)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(columns=tables(FINITE, rows=st.sampled_from(CHUNK_EDGES[1:]), width=st.just(2)))
+def test_chunked_svg_polyline_matches_one_join(columns):
+    x, y = columns
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "plot.svg")
+        try:
+            want = svg_polyline_whole(x, y)
+        except ZeroDivisionError:
+            # One value, or a constant series, at |value| >= 2**53: its span
+            # of 1 rounds to 0 in both (CHANGES.md, FOUND).
+            with pytest.raises(ZeroDivisionError):
+                write_svg_plot(path, x, y, "t", "x", "y")
+            return
+        write_svg_plot(path, x, y, "t", "x", "y")
+        text = path.read_text(encoding="ascii")
+    points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
+    assert points == [want]
+    assert text.endswith('stroke-width="1.2"/>\n</svg>\n')
+
+
+def _write_csv(path, columns):
+    write_table_csv(path, ["sropo"], ["a", "b", "c"], columns)
+
+
+def _write_json(path, columns):
+    write_table_json(path, {"kind": "g1"}, ["a", "b", "c"], columns)
+
+
+def _write_svg(path, columns):
+    write_svg_plot(path, columns[0], columns[1], "t", "x", "y")
+
+
+WRITER_PEAK_BOUND = 4 << 20  # bytes: a chunk's rows, their text and the encoder's pieces
+
+
+@pytest.mark.parametrize("write", [_write_csv, _write_json, _write_svg],
+                         ids=["csv", "json", "svg"])
+def test_writer_memory_does_not_grow_with_the_table(tmp_path, write):
+    # tracemalloc sees numpy's buffers too.  A whole-table writer peaks at
+    # about 19 (CSV), 27 (JSON) and 4 MiB (SVG) on 50,000 rows, 8x that on
+    # 400,000; a chunked one holds the same few MiB at both sizes.
+    peaks = []
+    for rows in (50_000, 400_000):
+        columns = [np.linspace(-1.0, 1.0, rows), np.linspace(0.0, 1.0, rows) ** 2,
+                   np.geomspace(1e-300, 1e300, rows)]
+        tracemalloc.start()
+        try:
+            write(tmp_path / "table", columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
+    assert max(peaks) < WRITER_PEAK_BOUND, peaks
+
+
+def test_json_table_refuses_a_non_finite_value_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.json"
+    column = np.ones(3 * ROW_CHUNK + 1)
+    column[-1] = np.nan  # in the last chunk
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_table_json(path, {"kind": "g1"}, ["a", "b"], [np.ones(column.size), column])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [_write_csv, _write_json], ids=["csv", "json"])
+def test_columns_of_unequal_length_are_refused_before_opening_the_file(tmp_path, write):
+    path = tmp_path / "table"
+    with pytest.raises(ValueError, match="same length"):
+        write(path, [np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK)])
+    assert not path.exists()
