@@ -91,6 +91,8 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     """Delay grid of ``g2``: comb tiers from -2|tau0| - T/8 in steps of |tau0|/12
     (tau0 = 0 refused, as the tiers refuse it), the averaged tier from -3*dT in
     steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0|.
+    An end that overflows, or a step that underflows to 0, is refused naming
+    the flag it comes from.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
     if G2Tier(tier) is not G2Tier.AVERAGED:
@@ -99,9 +101,11 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     elif resolution is None:
         raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
     else:
-        start, step = -3.0 * resolution, resolution / 16.0
+        start = _checked("delay grid start", -3.0 * resolution, "--resolution",
+                         positive=False)
+        step = _checked("delay grid step", resolution / 16.0, "--resolution")
         source = "--peaks and --resolution"
-    stop = peaks * T + 2.0 * t0
+    stop = _checked("delay grid end", peaks * T + 2.0 * t0, "--peaks", positive=False)
     return np.linspace(start, stop, grid_points(points, (stop - start) / step, source))
 
 

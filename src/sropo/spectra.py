@@ -8,7 +8,9 @@ in closed form (each Lorentzian line contributes exp(-gamma*|tau|/2)), and
 its mode sum is a cosine series evaluated by the chirp-z transform.  The
 spectrum's comb keeps the same truncation |m| <= M: the lines next to a point
 are summed directly, and the rest come from a Chebyshev table per free
-spectral range, within about 1e-14 of the per-mode sum.
+spectral range, re-expanded into a short series on each half of it and
+summed along each half's run of grid points, within about 1e-14 of the
+per-mode sum.
 
 Spectra are tabulated against detuning from the centre frequency, and g1 is
 returned in the rotating frame of the centre frequency (the optical carrier
@@ -18,6 +20,7 @@ directly on the detuning axis of ``spectrum``.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 
@@ -38,7 +41,8 @@ _DEFAULT_WINDOW_GAMMAS = 10.0  # g1 delay half-width, in units of 1/gamma
 _ENVELOPE_REACH = 5.0  # default mode coverage, in units of the first-zero mode
 _NEAR = 1  # lines within this many fsr of a point's cell: summed directly
 _CHEB_NODES = 18  # Chebyshev points per fsr cell for the other lines
-_BLOCK = 1 << 13  # grid points per block of _lorentzian_comb (64 KB arrays)
+_HALF_TERMS = 14  # Chebyshev terms per half cell, re-expanded from those points
+_BLOCK = 1 << 13  # most grid points per block of _lorentzian_comb (64 KB arrays)
 
 
 class FieldName(str, Enum):
@@ -73,55 +77,116 @@ def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
     return w * w
 
 
+def _chebyshev_fit(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q Chebyshev points x_i = cos(pi*(i + 1/2)/q) of [-1, 1], and the
+    matrix from the values there to the q coefficients of the interpolant."""
+    theta = np.pi * (np.arange(q) + 0.5) / q
+    to_coef = np.cos(np.outer(np.arange(q), theta)) * (2.0 / q)
+    to_coef[0] *= 0.5
+    return np.cos(theta), to_coef
+
+
+@functools.lru_cache(maxsize=None)
+def _half_cell_coefficients(q: int, terms: int) -> np.ndarray:
+    """(2, terms, q): from a cell's values at its q Chebyshev points to the
+    ``terms`` Chebyshev coefficients of the interpolant's re-expansion on the
+    left (0) and right (1) half of the cell, interpolated at ``terms``
+    Chebyshev points of each half.  Built on first use: a BLAS product at
+    import cost every process importing this module about 1 MiB of memory."""
+    _, to_coef = _chebyshev_fit(q)
+    y, to_half = _chebyshev_fit(terms)
+    x = 0.5 * (y + np.array([[-1.0], [1.0]]))  # the half's points, in cell units
+    return to_half @ np.cos(np.arccos(x)[..., None] * np.arange(q)) @ to_coef
+
+
 def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarray:
     """sum_{m=-M}^{M} weights[m + M] / (half_gamma_sq + (detuning + m*fsr)^2)
     on an increasing grid, in O(N + q*cells*M) for N points over ``cells`` fsr.
 
-    A point sits in cell n = rint(detuning/fsr), at offset
-    x = (detuning - n*fsr)/(fsr/2) in [-1, 1].  The lines with |n + m| <= _NEAR
-    are summed directly, as the mode loop sums them.  The others have no pole
+    Cell n spans [n - 1/2, n + 1/2]*fsr.  The lines with |n + m| <= _NEAR are
+    summed directly, as the mode loop sums them.  The others have no pole
     within 1.5 fsr of the cell, so their sum is smooth on it: it is tabulated
     at q = _CHEB_NODES Chebyshev points of every cell (one correlation of the
-    weights with the lattice of line shapes per point), turned into Chebyshev
-    coefficients and evaluated by Clenshaw's recurrence, in blocks of
-    ``_BLOCK`` points.
+    weights with the lattice of line shapes per point).  The cell's q-point
+    interpolant is re-expanded into a _HALF_TERMS-term Chebyshev series on
+    each half cell, whose nearest far pole lies 7 half-widths from its centre
+    (4 from a full cell's).  The grid is walked in runs of points in one half
+    cell, in blocks of whole runs of at most ``_BLOCK`` points (a longer run
+    is split): each half cell's coefficients, centre and near lines are
+    repeated along its run, and the series is summed by Clenshaw's
+    recurrence in place.
     """
-    q = _CHEB_NODES
-    theta = np.pi * (np.arange(q) + 0.5) / q
     first, last = (int(np.rint(d / fsr)) for d in (detuning[0], detuning[-1]))
     k = np.arange(first - m_count, last + m_count + 1, dtype=float)  # k = n + m
     far = np.abs(k) > _NEAR
-    table = np.empty((q, last - first + 1))
-    for row, x in zip(table, np.cos(theta)):
+    table = np.empty((_CHEB_NODES, last - first + 1))
+    for row, x in zip(table, _chebyshev_fit(_CHEB_NODES)[0]):
         lines = half_gamma_sq + ((k + 0.5 * x) * fsr) ** 2
         row[:] = np.correlate(np.where(far, 1.0 / lines, 0.0), weights, "valid")
-    to_coef = np.cos(np.outer(np.arange(q), theta)) * (2.0 / q)
-    to_coef[0] *= 0.5
-    coef = to_coef @ table  # coef[j, n - first]: coefficient j of cell n
     # The weight of every mode near some cell, from mode ``low`` on; 0 past M.
     low = min(-m_count, -last - _NEAR)
     padded = np.zeros(max(m_count, _NEAR - first) - low + 1)
     padded[-m_count - low : m_count - low + 1] = weights
 
+    # Half cells 2i and 2i + 1 are the left and right halves of cell first + i.
+    # Only the halves that hold points are kept, so that a grid sparser than
+    # the cells costs nothing per empty half; kept half h holds the run
+    # detuning[bounds[h]:bounds[h + 1]].
+    edges = np.arange(2 * first, 2 * last + 1) * (0.5 * fsr)
+    bounds = np.concatenate(([0], np.searchsorted(detuning, edges), [detuning.size]))
+    kept = np.flatnonzero(np.diff(bounds))
+    bounds = np.append(bounds[kept], detuning.size)
+    cell, right = np.divmod(kept, 2)
+    n = (cell + first).astype(float)
+    # Per kept half: its series' coefficients, its centre, and each near
+    # line's m*fsr and weight.  einsum rather than matmul: on the large
+    # configs a BLAS product this size runs threaded, and the spinning second
+    # thread doubled the call's CPU time.
+    to_half = _half_cell_coefficients(_CHEB_NODES, _HALF_TERMS)
+    both = np.einsum("sij,jc->sic", to_half, table[:, cell])
+    coef = np.where(right, both[1], both[0])
+    centre = (n + np.where(right, 0.25, -0.25)) * fsr
+    m = np.arange(-_NEAR, _NEAR + 1)[:, None] - n
+    offsets = m * fsr
+    near_weights = padded[(m - low).astype(np.intp)]
+
     values = np.empty_like(detuning)
-    for start in range(0, detuning.size, _BLOCK):
-        d = detuning[start : start + _BLOCK]
-        n = np.rint(d / fsr)
-        x2 = (d - n * fsr) * (4.0 / fsr)  # 2x
-        cell = (n - first).astype(np.intp)
-        b1, b2 = np.zeros_like(d), np.zeros_like(d)
-        for c in coef[:0:-1]:  # b_j = c_j + 2x*b_{j+1} - b_{j+2}
-            np.subtract(c[cell], b2, out=b2)
-            b2 += x2 * b1
-            b1, b2 = b2, b1
-        v = values[start : start + _BLOCK]
-        np.multiply(0.5 * x2, b1, out=v)  # far sum: c_0 + x*b_1 - b_2
-        v += coef[0][cell]
+    start = 0
+    while start < detuning.size:
+        stop = int(bounds[np.searchsorted(bounds, start + _BLOCK, "right") - 1])
+        if stop <= start:  # one run longer than _BLOCK
+            stop = min(start + _BLOCK, detuning.size)
+        h = int(np.searchsorted(bounds, start, "right")) - 1
+        runs = np.diff(np.clip(bounds[h : np.searchsorted(bounds, stop) + 1], start, stop))
+        halves = slice(h, h + runs.size)
+        d = detuning[start:stop]
+        x2 = np.repeat(centre[halves], runs)
+        np.subtract(d, x2, out=x2)
+        x2 *= 8.0 / fsr  # 2x, for x in [-1, 1] on the half cell
+        scratch = np.empty_like(d)
+        # b_j = c_j + 2x*b_{j+1} - b_{j+2}, down from b = c at the last term
+        b2 = np.repeat(coef[-1, halves], runs)
+        b1 = np.repeat(coef[-2, halves], runs)
+        b1 += np.multiply(x2, b2, out=scratch)
+        for c in coef[-3:0:-1, halves]:
+            c = np.repeat(c, runs)
+            c -= b2
+            c += np.multiply(x2, b1, out=scratch)
+            b1, b2 = c, b1
+        v = values[start:stop]
+        x2 *= 0.5
+        np.multiply(x2, b1, out=v)  # far sum: c_0 + x*b_1 - b_2
         v -= b2
-        for near in range(-_NEAR, _NEAR + 1):
-            m = near - n
-            w = padded[(m - low).astype(np.intp)]
-            v += w / (half_gamma_sq + (d + m * fsr) ** 2)
+        v += np.repeat(coef[0, halves], runs)
+        for offset, weight in zip(offsets[:, halves], near_weights[:, halves]):
+            lines = np.repeat(offset, runs)
+            lines += d
+            lines *= lines
+            lines += half_gamma_sq
+            w = np.repeat(weight, runs)
+            w /= lines
+            v += w
+        start = stop
     return values
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,19 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
+def _axis_range(values: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest value; a constant series gets the range [v, v + 1],
+    or, where v + 1 rounds back to v (|v| >= 2**53), v and its next float."""
+    low, high = float(values.min()), float(values.max())
+    if high == low:
+        high = low + 1.0
+    if high == low:
+        high = math.nextafter(low, math.inf)
+        if math.isinf(high):  # low is the largest double
+            low, high = math.nextafter(low, -math.inf), low
+    return low, high
+
+
 def write_svg_plot(
     path: str | Path,
     x: np.ndarray,
@@ -27,12 +41,8 @@ def write_svg_plot(
 ) -> None:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x0, x1 = float(x.min()), float(x.max())
-    y0, y1 = float(y.min()), float(y.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, x1 = _axis_range(x)
+    y0, y1 = _axis_range(y)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -1,8 +1,9 @@
 """Brute-force references: oracles for the closed forms and the comb-sum kernel.
 
 ``spectra.spectrum`` sums the near lines of its Lorentzian comb directly and
-the rest from a Chebyshev table per free spectral range;
-``spectrum_mode_loop`` is the plain per-mode loop it must match pointwise.
+the rest from a Chebyshev series on each half free spectral range, re-expanded
+from a table per free spectral range; ``spectrum_mode_loop`` is the plain
+per-mode loop it must match pointwise.
 ``spectra.g1``, ``correlations.g2_series`` and ``correlations.g2_exact``
 evaluate their mode sums with the chirp-z transform
 ``numerics._cos_series``.  These loops sum the same modes one at a time, in
@@ -357,10 +358,15 @@ def svg_polyline_whole(x, y) -> str:
     y = np.asarray(y, dtype=float)
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
+    # A constant series spans 1, or one float where + 1 rounds back to it.
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + 1.0 if x0 + 1.0 != x0 else math.nextafter(x0, math.inf)
+        if math.isinf(x1):
+            x0, x1 = math.nextafter(x0, -math.inf), x0
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + 1.0 if y0 + 1.0 != y0 else math.nextafter(y0, math.inf)
+        if math.isinf(y1):
+            y0, y1 = math.nextafter(y0, -math.inf), y0
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 

@@ -526,7 +526,8 @@ class TestDerivedScales:
     # A value the scales accept but a kernel cannot hold: gamma past
     # numerics.GAMMA_RANGE (its Lorentzian lines over- or underflow), a
     # default spectrum window of 6e303 fsr (length_l = 1e-302 makes tau0
-    # subnormal), and a resolution whose squares overflow.
+    # subnormal), a resolution whose squares overflow, and resolutions whose
+    # delay grid step underflows to 0 or whose grid start overflows.
     @pytest.mark.parametrize("name, edits, command, fields", [
         ("spectrum_comb", [("cavity", "loss_rate_gamma", 1.7e308)],
          ["spectrum", "--field", "idler"], ["cavity.loss_rate_gamma"]),
@@ -543,8 +544,13 @@ class TestDerivedScales:
          ["--resolution"]),
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e200"],
          ["--resolution"]),
+        ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "5e-324"],
+         ["--resolution", "step = 0.0"]),
+        ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e308",
+                                   "--points", "3"], ["--resolution", "start = -inf"]),
     ], ids=["spectrum", "g1", "wavefunction-huge-gamma", "wavefunction-tiny-gamma",
-            "spectrum-window", "averaged-1e300", "averaged-1e200"])
+            "spectrum-window", "averaged-1e300", "averaged-1e200", "averaged-step-underflow",
+            "averaged-start-overflow"])
     def test_value_out_of_a_kernels_range_is_config_error(self, tmp_path, capsys, name,
                                                          edits, command, fields):
         path = write_config(tmp_path, _config_with(name, *edits))

@@ -135,7 +135,8 @@ def _check_finite(path: Path, tau0_zero: bool):
 # Cases found before the fuzzer or by it: derived scales that over- or
 # underflow, a refractive index of 2**70, gamma past the Lorentzian range, a
 # default spectrum window of 6e303 fsr, a regime ratio kappa/gamma that
-# overflows, and averaged resolutions whose squares overflow.
+# overflows, averaged resolutions whose squares overflow, and averaged
+# resolutions whose grid step underflows to 0 or whose grid start overflows.
 
 
 @settings(PROFILE)
@@ -174,6 +175,8 @@ def _check_finite(path: Path, tau0_zero: bool):
                ("check-regime", "--format", "json")))
 @example(case=("detector_averaged", (), (*_AVERAGED, "1e300")))
 @example(case=("detector_averaged", (), (*_AVERAGED, "1e200")))
+@example(case=("spectrum_comb", (), (*_AVERAGED, "5e-324")))
+@example(case=("g2_comb", (), (*_AVERAGED, "1e308", "--points", "3")))
 def test_every_scenario_gives_a_typed_outcome(case):
     name, edits, command = case
     with tempfile.TemporaryDirectory() as work:

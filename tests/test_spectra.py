@@ -142,12 +142,64 @@ def loop_spectrum(trace, scales):
 
 
 # Largest deviation of the near/far comb sum from the mode loop, relative to
-# the local value.  Worst seen: 8.7e-15 over 1,500 random examples of the
-# property test below, 1.4e-14 on the fixed grids, 1.6e-14 on the sampled
-# shipped grids.  The Chebyshev truncation at 18 points per cell contributes
-# about 5e-15 at worst (a lone line two cells away); the rest is both sums'
-# rounding, which grows with the cell index n as about n*eps.
+# the local value.  Worst seen: 1.2e-14 over 1,500 random examples of the
+# property test below, 5.9e-15 on the fixed grids and the cell edges, 1.3e-14
+# on the sampled shipped grids.  The 14-term series per half cell contribute
+# about 7e-15 at worst, at a point two cells from a lone line, where the far
+# sum is the whole value (test_half_cell_series_follows_the_cell_series bounds
+# them); 13 terms give 4.5e-14 there, and 7.5e-14 once the spectrum is scaled
+# to its peak.  The rest is both sums' rounding, which grows with the cell
+# index n as about n*eps.
 COMB_RTOL = 5e-14
+
+
+def chebyshev_tail(a, first):
+    """2 * sum_{k >= first} a_k for 1/(a - y)^2 on [-1, 1], a > 1: the bound on
+    the error of its interpolant at ``first`` Chebyshev points (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 4.2).  The
+    coefficients follow from 1/(a - y) = (2/sqrt(a^2 - 1)) * sum' rho^-k T_k(y),
+    rho = a + sqrt(a^2 - 1), differentiated in a:
+    a_k = 2 * (k + a/sqrt(a^2 - 1)) * rho^-k / (a^2 - 1)."""
+    root = math.sqrt(a * a - 1.0)
+    k = np.arange(first, first + 400, dtype=float)
+    return 2.0 * float(np.sum(2.0 * (k + a / root) * (a + root) ** -k / (a * a - 1.0)))
+
+
+@pytest.mark.parametrize("pole", [4.0, -4.0])
+@pytest.mark.parametrize("side", [0, 1], ids=["left", "right"])
+def test_half_cell_series_follows_the_cell_series(pole, side):
+    """The re-expansion on its own: a half cell's _HALF_TERMS-term series
+    against the _CHEB_NODES-term series of the whole cell it comes from.
+
+    The far line nearest a cell has its pole 2 fsr from the cell's centre, at
+    x = +-4 in units of fsr/2; at gamma -> 0 its shape is f(x) = 1/(pole - x)^2,
+    the slowest-converging far sum there is.  With p the cell's interpolant,
+    s = I p the half's and L <= 1 + (2/pi)*ln(_HALF_TERMS) the Lebesgue
+    constant of I, s - p = (I f - f) + I(p - f) - (p - f), so
+    |s - p| <= |I f - f| + (1 + L)*|p - f|, and each interpolation error is at
+    most ``chebyshev_tail`` past its degree.  In the half's own variable y,
+    f = 4/(a - y)^2 with the pole a = 7 half-widths from the centre of the
+    nearer half (rho = 7 + sqrt(48) = 13.9) and 9 from the farther one; on
+    the cell, a = 4 (rho = 4 + sqrt(15) = 7.87).  Divided by f's least value
+    on the half, where f is the whole local value of a lone line, the bound
+    stays below COMB_RTOL: 3.4e-14 and 4.0e-14 (it is 1.3e-13 at 13 terms).
+    """
+    def f(x):
+        return 1.0 / (pole - x) ** 2
+
+    q, terms = sropo.spectra._CHEB_NODES, sropo.spectra._HALF_TERMS
+    cell = np.polynomial.chebyshev.chebinterpolate(f, q - 1)
+    nodes = sropo.spectra._chebyshev_fit(q)[0]
+    half = sropo.spectra._half_cell_coefficients(q, terms)[side] @ f(nodes)
+    x = np.linspace(side - 1.0, side, 2001)
+    got = np.polynomial.chebyshev.chebval(2.0 * x - (2 * side - 1), half)
+    want = np.polynomial.chebyshev.chebval(x, cell)
+
+    lebesgue = 1.0 + 2.0 / math.pi * math.log(terms)
+    a = abs(pole - (side - 0.5)) / 0.5
+    bound = 4.0 * chebyshev_tail(a, terms) + (1.0 + lebesgue) * chebyshev_tail(4.0, q)
+    assert np.max(np.abs(got - want)) <= bound
+    assert bound / f(x).min() < COMB_RTOL
 
 
 def relative_deviation(got, want):
@@ -167,7 +219,20 @@ def scales_with(fsr_tau0, sign, gamma_over_fsr):
     )
 
 
-# Grid sizes at and around multiples of the comb's block length.
+def aligned_grid(scales, n, run, first_edge, offset):
+    """n points, ``run`` to each half cell (fsr/2), from ``offset`` spacings
+    past the half-cell edge first_edge*fsr/2.  With ``run`` a power of two and
+    offset 1/2, every run edge sits half a spacing from a point, and the
+    comb's blocks end at the multiples of _BLOCK: at the last run edge within
+    _BLOCK points when a run divides _BLOCK, and within a run when it is
+    longer."""
+    spacing = scales.fsr_delta_omega / (2.0 * run)
+    start = first_edge * 0.5 * scales.fsr_delta_omega + offset * spacing
+    return np.linspace(start, start + (n - 1) * spacing, n)
+
+
+# Grid sizes at and around multiples of the comb's block length, where the
+# blocks of an aligned grid end.
 BLOCK_EDGE_SIZES = st.builds(
     lambda k, d: max(2, k * _BLOCK + d), st.integers(0, 2), st.integers(-2, 2)
 )
@@ -183,35 +248,54 @@ class TestLorentzianCombBlocks:
         n=st.one_of(BLOCK_EDGE_SIZES, st.integers(2, 2 * _BLOCK + 3)),
         fsr_tau0=st.floats(0.05, 0.3),
         sign=st.sampled_from([1.0, -1.0]),
-        gamma_over_fsr=st.floats(0.005, 0.1),
+        gamma_over_fsr=st.floats(0.0005, 0.1),
         m_max=st.one_of(st.sampled_from([0, 1]), st.integers(2, 12), st.none()),
-        # above 16 by more than the rounding, which may refuse a grid at 16.0
-        # (test_grid_a_rounding_below_16_per_gamma_is_refused)
-        points_per_gamma=st.floats(16.001, 64.0),
-        offset=st.floats(-1.0, 1.0),
+        # Points per half cell, as a multiple of the least power of two that
+        # gives more than 16 points per gamma, by more than the rounding that
+        # may refuse a grid at 16.0 (test_grid_a_rounding_below_16_per_gamma_is_refused):
+        # 1, 2 or 4 align the blocks, any other factor does not.
+        run_factor=st.one_of(st.sampled_from([1.0, 2.0, 4.0]), st.floats(1.0, 4.0)),
+        first_edge=st.integers(-8, 8),
+        offset=st.one_of(st.just(0.5), st.floats(0.0, 1.0)),
         normalization=st.sampled_from(BOTH_NORMALIZATIONS),
     )
+    # One block, cut short and exactly full; the first block full and a second
+    # of one point; three blocks; runs longer than a block (2**14 points per
+    # half cell), split within the run; points on the run edges (offset 0);
+    # a lone line (M = 0) from 1.5 to 17.5 cells away, where the far sum is
+    # the whole value.
     @example(n=2, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05, m_max=None,
-             points_per_gamma=24.0, offset=0.0, normalization=Normalization.PEAK_UNITY)
+             run_factor=1.0, first_edge=0, offset=0.5,
+             normalization=Normalization.PEAK_UNITY)
     @example(n=_BLOCK - 1, fsr_tau0=0.1, sign=-1.0, gamma_over_fsr=0.05, m_max=7,
-             points_per_gamma=24.0, offset=0.0, normalization=Normalization.PEAK_UNITY)
+             run_factor=1.0, first_edge=-3, offset=0.5,
+             normalization=Normalization.PEAK_UNITY)
     @example(n=_BLOCK, fsr_tau0=0.2, sign=1.0, gamma_over_fsr=0.02, m_max=None,
-             points_per_gamma=16.0, offset=0.3,
+             run_factor=2.0, first_edge=-8, offset=0.5,
              normalization=Normalization.UNIT_INTEGRAL)
     @example(n=_BLOCK + 1, fsr_tau0=0.05, sign=-1.0, gamma_over_fsr=0.1, m_max=1,
-             points_per_gamma=30.0, offset=-0.5, normalization=Normalization.PEAK_UNITY)
+             run_factor=4.0, first_edge=-4, offset=0.5,
+             normalization=Normalization.PEAK_UNITY)
     @example(n=2 * _BLOCK + 1, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05,
-             m_max=None, points_per_gamma=24.0, offset=0.0,
+             m_max=None, run_factor=1.0, first_edge=-5, offset=0.5,
              normalization=Normalization.UNIT_INTEGRAL)
+    @example(n=_BLOCK + 1, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.0005, m_max=2,
+             run_factor=1.0, first_edge=-1, offset=0.5,
+             normalization=Normalization.PEAK_UNITY)
+    @example(n=2 * _BLOCK + 3, fsr_tau0=0.1, sign=-1.0, gamma_over_fsr=0.0005,
+             m_max=None, run_factor=1.0, first_edge=0, offset=0.0,
+             normalization=Normalization.UNIT_INTEGRAL)
+    @example(n=2 * _BLOCK, fsr_tau0=0.3, sign=1.0, gamma_over_fsr=0.05, m_max=0,
+             run_factor=2.0, first_edge=3, offset=0.0,
+             normalization=Normalization.PEAK_UNITY)
     def test_matches_mode_loop_pointwise(
         self, spectrum_setup, n, fsr_tau0, sign, gamma_over_fsr, m_max,
-        points_per_gamma, offset, normalization,
+        run_factor, first_edge, offset, normalization,
     ):
         *_, freqs, _ = spectrum_setup
         scales = scales_with(fsr_tau0, sign, gamma_over_fsr)
-        spacing = scales.gamma / points_per_gamma
-        start = (offset - 0.5) * (n - 1) * spacing
-        detuning = np.linspace(start, start + (n - 1) * spacing, n)
+        run = run_factor * 2.0 ** math.ceil(math.log2(8.001 / gamma_over_fsr))
+        detuning = aligned_grid(scales, n, run, first_edge, offset)
         trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=m_max,
                          normalization=normalization)
         assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
@@ -285,15 +369,29 @@ class TestLorentzianCombBlocks:
     @pytest.mark.parametrize("m_max", [0, 1, 2, 40])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_points_on_cell_edges_match_mode_loop(self, m_max, sign):
-        # delta = +-fsr/2 exactly: rint's tie, and rounding, may put a point
-        # in either neighbouring cell; both tables must give the same sum.
+        # delta = +-fsr/2 exactly (cell edges: rint's tie, and rounding, may
+        # put a point in either neighbouring cell) and delta = n*fsr exactly
+        # (half-cell edges: a point may fall in either half), each with the
+        # next float on both sides; both cells' or halves' series must give
+        # the same sum.
         scales = scales_with(0.1, sign, 0.05)
         fsr = scales.fsr_delta_omega
-        edges = (np.arange(-60, 60) + 0.5) * fsr
-        detuning = np.sort(np.concatenate([edges, np.nextafter(edges, 0.0),
-                                           np.nextafter(edges, np.inf)]))
+        edges = np.concatenate([(np.arange(-60, 60) + 0.5) * fsr, np.arange(-60, 61) * fsr,
+                                np.arange(-120, 121) * (0.5 * fsr)])
+        detuning = np.unique(np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                             np.nextafter(edges, np.inf)]))
         weights = _mode_weights(m_max, scales)
         args = (weights, m_max, fsr, (0.5 * scales.gamma) ** 2)
+        got = sropo.spectra._lorentzian_comb(detuning, *args)
+        assert relative_deviation(got, spectrum_mode_loop(detuning, *args)) <= COMB_RTOL
+
+    @pytest.mark.parametrize("cells_per_point", [0.7, 1.25, 40.0])
+    def test_grid_sparser_than_the_half_cells_matches_mode_loop(self, cells_per_point):
+        # A spacing past fsr/2 leaves half cells without points: empty runs.
+        scales = scales_with(0.1, 1.0, 0.05)
+        fsr = scales.fsr_delta_omega
+        detuning = np.linspace(-0.3, cells_per_point * 99 - 0.3, 100) * fsr
+        args = (_mode_weights(40, scales), 40, fsr, (0.5 * scales.gamma) ** 2)
         got = sropo.spectra._lorentzian_comb(detuning, *args)
         assert relative_deviation(got, spectrum_mode_loop(detuning, *args)) <= COMB_RTOL
 
@@ -321,9 +419,8 @@ class TestLorentzianCombBlocks:
         assert relative_deviation(got, want) <= COMB_RTOL
 
     def test_shipped_grid_peak_memory(self):
-        # Past the grid itself, the pre-blocking loop and the blocked sum both
-        # peak at 4.0 grid copies; a block view that keeps the raw sum alive
-        # through the normalisation reaches 5.3.
+        # Past the grid itself, the sum peaks at 1.8 grid copies: the values
+        # and one block's 64 KB arrays.
         config = load_scenario(CONFIG_DIR / "g2_comb.json")
         detuning = spectrum_grid(config.scales)
         tracemalloc.start()

@@ -171,19 +171,30 @@ def test_chunked_svg_polyline_matches_one_join(columns):
     x, y = columns
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "plot.svg")
-        try:
-            want = svg_polyline_whole(x, y)
-        except ZeroDivisionError:
-            # One value, or a constant series, at |value| >= 2**53: its span
-            # of 1 rounds to 0 in both (CHANGES.md, FOUND).
-            with pytest.raises(ZeroDivisionError):
-                write_svg_plot(path, x, y, "t", "x", "y")
-            return
+        want = svg_polyline_whole(x, y)
         write_svg_plot(path, x, y, "t", "x", "y")
         text = path.read_text(encoding="ascii")
     points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
     assert points == [want]
     assert text.endswith('stroke-width="1.2"/>\n</svg>\n')
+
+
+@pytest.mark.parametrize("value, labels", [
+    (5.0, ["5", "5.25", "5.5", "5.75", "6"]),  # the span of 1 a small value keeps
+    (2.0**53, ["9.0072e+15"] * 5),  # 2**53 + 1 rounds to 2**53: one float wider
+    (-1e17, ["-1e+17"] * 5),
+    (np.finfo(float).max, ["1.79769e+308"] * 5),  # no float above: one below
+    (-np.finfo(float).max, ["-1.79769e+308"] * 5),
+])
+def test_constant_series_plots_on_a_non_zero_span(tmp_path, value, labels):
+    path = tmp_path / "plot.svg"
+    write_svg_plot(path, [value, value], [value, value], "t", "x", "y")
+    text = path.read_text(encoding="ascii")
+    ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
+    assert ticks[0::2] == labels and ticks[1::2] == labels  # x, y per tick
+    points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
+    assert points == [svg_polyline_whole([value] * 2, [value] * 2)]
+    assert not re.search(r"nan|inf", points[0])
 
 
 def _write_csv(path, columns):
