@@ -152,10 +152,15 @@ def wavefunction_grid(
     detuning half-width in units of gamma (default 12; at least 10, so the
     neglected Lorentzian tails hold less than 1e-3 of the norm);
     ``points_per_mode`` is the number of detuning samples (default 385), at
-    least 16 per gamma.
+    least 16 per gamma, on an exact mirror about 0 (``numerics.symmetric_grid``;
+    Omega = 0 at an odd count).  psi(-m, -Omega) = conj(psi(m, Omega)), so
+    only the rows m >= 0 are evaluated; the norm's density over Omega sums
+    those rows and, reversed in Omega, the rows m >= 1.
     """
     import numpy as np
-    from .numerics import POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points
+    from .numerics import (
+        POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points, symmetric_grid,
+    )
 
     if omega_grid_halfwidth is None:
         omega_grid_halfwidth = 12.0
@@ -179,12 +184,17 @@ def wavefunction_grid(
     grid_points(None, (2 * m_count + 1) * points_per_mode - 1,
                 "--modes and --points-per-mode")
     modes = np.arange(-m_count, m_count + 1)
-    omega = np.linspace(-half, half, points_per_mode)
-    sinc, phase_m, phase_omega = _phi_factors(modes[:, None], omega, scales)
+    omega = symmetric_grid(half, points_per_mode)
+    sinc, phase_m, phase_omega = _phi_factors(modes[m_count:, None], omega, scales)
     lorentz = 1.0 / (0.5 * gamma - 1j * omega)
-    density = np.square(sinc).sum(axis=0) * np.square(np.abs(lorentz))
+    sinc_sq = np.square(sinc)
+    density = sinc_sq.sum(axis=0)
+    density += sinc_sq[1:].sum(axis=0)[::-1]
+    density *= np.square(np.abs(lorentz))
     normalization = 1.0 / math.sqrt(float(np.trapezoid(density, omega)))
     phase_omega *= normalization * lorentz
-    amplitudes = np.multiply(phase_m, phase_omega)
-    amplitudes *= sinc
+    amplitudes = np.empty((modes.size, omega.size), dtype=complex)
+    upper = np.multiply(phase_m, phase_omega, out=amplitudes[m_count:])
+    upper *= sinc
+    np.conjugate(upper[:0:-1, ::-1], out=amplitudes[:m_count])
     return BiphotonAmplitudeGrid(modes, omega, amplitudes, normalization)

@@ -30,6 +30,25 @@ def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -
     return sides * math.ceil(steps) + 1
 
 
+def symmetric_grid(half: float, n: int) -> np.ndarray:
+    """``np.linspace(-half, half, n)`` made an exact mirror about 0: its first
+    n//2 points are the last n//2 negated, and an odd grid's centre is 0.
+    linspace's own halves differ in the last bit at about 60% of points."""
+    grid = np.linspace(-half, half, n)
+    h = n // 2
+    grid[:h] = -grid[::-1][:h]
+    if n % 2:
+        grid[h] = 0.0
+    return grid
+
+
+def mirror_count(axis: np.ndarray) -> int:
+    """h = n//2 if ``axis[:h]`` is ``-axis[n-h:]`` reversed, bit for bit, else 0:
+    an even kernel evaluates ``axis[h:]`` and mirrors it onto ``axis[:h]``."""
+    h = axis.size // 2
+    return h if np.array_equal(axis[:h], -axis[::-1][:h]) else 0
+
+
 def check_linewidth(gamma: float) -> None:
     """Refuse gamma outside ``GAMMA_RANGE``, naming cavity.loss_rate_gamma: the
     spectrum, g1 and psi, evaluated in rad/s, would over- or underflow."""

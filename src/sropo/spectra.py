@@ -10,7 +10,11 @@ spectrum's comb keeps the same truncation |m| <= M: the lines next to a point
 are summed directly, and the rest come from a Chebyshev table per free
 spectral range, re-expanded into a short series on each half of it and
 summed along each half's run of grid points, within about 1e-14 of the
-per-mode sum.
+per-mode sum.  Both are even (in detuning and in delay): on a grid that is
+an exact mirror about 0 (``numerics.mirror_count``), as the default grids
+are (``numerics.symmetric_grid``), each kernel evaluates the non-negative
+half and copies it onto the negative half in reverse; any other grid is
+evaluated at every point.
 
 Spectra are tabulated against detuning from the centre frequency, and g1 is
 returned in the rotating frame of the centre frequency (the optical carrier
@@ -31,7 +35,7 @@ from .dispersion import FrequencyTriple
 from .errors import DegenerateGroupVelocityError
 from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
-    require_points,
+    mirror_count, require_points, symmetric_grid,
 )
 from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
@@ -202,7 +206,8 @@ def spectrum_grid(
     """Detuning grid of ``spectrum``: ``window_modes`` fsr either side.
 
     By default the window reaches half a mode beyond the envelope's first
-    zero, and the grid holds 24 points per gamma.  Grids past the point budget
+    zero, and the grid holds 24 points per gamma.  The grid is an exact mirror
+    about 0 (``numerics.symmetric_grid``).  Grids past the point budget
     (``numerics.grid_points``), and windows that overflow, are refused here
     and in ``g1_grid``.
     """
@@ -211,7 +216,7 @@ def spectrum_grid(
     half = _checked("detuning half-width", window_modes * scales.fsr_delta_omega,
                     f"{_TAU0_INPUTS}, --window-modes")
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
-    return np.linspace(-half, half, grid_points(points, steps, "--window-modes", 2))
+    return symmetric_grid(half, grid_points(points, steps, "--window-modes", 2))
 
 
 def g1_grid(
@@ -223,7 +228,8 @@ def g1_grid(
     """Delay grid of ``g1``: ``window_gammas``/gamma either side (default 10).
 
     By default the spacing resolves both 1/gamma (16 points) and the fastest
-    beat of the modes ``g1`` keeps for ``m_max`` (4 points per period).
+    beat of the modes ``g1`` keeps for ``m_max`` (4 points per period).  The
+    grid is an exact mirror about 0, through tau = 0 at an odd count.
     """
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
@@ -235,7 +241,7 @@ def g1_grid(
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
     source = "--window-gammas and --m-max"
-    return np.linspace(-half, half, grid_points(points, half / spacing, source, 2))
+    return symmetric_grid(half, grid_points(points, half / spacing, source, 2))
 
 
 def spectrum(
@@ -273,7 +279,11 @@ def spectrum(
     grid_points(None, cells + 2.0 * m_count, "--window-modes and --m-max")
     weights = _mode_weights(m_count, scales)
     half_gamma_sq = (0.5 * gamma) ** 2
-    values = _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq)
+    h = mirror_count(detuning)
+    values = _lorentzian_comb(detuning[h:], weights, m_count, fsr, half_gamma_sq)
+    # Joined after the kernel: an output array made before it left the heap
+    # trimmed, and the next call in the benchmark paid page faults.
+    values = np.concatenate((values[::-1][:h], values))
 
     normalization = Normalization(normalization)
     if normalization is Normalization.PEAK_UNITY:
@@ -340,14 +350,21 @@ def g1(
     grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0
-    comb = _cos_series(coef, fsr * tau[0], fsr * spacing, tau.size)
-    zero = np.flatnonzero(tau == 0.0)
+    # The series runs on tau[h:] at that half's own spacing, as on a grid of
+    # tau[h:] alone; a lone point's spacing (n = 2) does not enter.
+    h = mirror_count(tau)
+    upper = tau[h:]
+    step = (upper[-1] - upper[0]) / max(upper.size - 1, 1)
+    comb = _cos_series(coef, fsr * upper[0], fsr * step, upper.size)
+    zero = np.flatnonzero(upper == 0.0)
     norm = comb[zero[0]] if zero.size else coef.sum()
-    decay = np.abs(tau)
+    decay = np.abs(upper)
     decay *= -0.5 * gamma
     comb /= norm
     comb *= np.exp(decay, out=decay)
-    values = comb.astype(complex)
+    values = np.zeros(tau.size, dtype=complex)
+    values.real[h:] = comb
+    values[:h] = values[::-1][:h]
 
     meta = TraceMeta(
         TraceKind.G1,

@@ -18,9 +18,11 @@ def _fmt(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def _axis_range(values: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest value; a constant series gets the range [v, v + 1],
-    or, where v + 1 rounds back to v (|v| >= 2**53), v and its next float."""
+def _axis_range(values: np.ndarray) -> tuple[float, float, float]:
+    """Smallest and largest value, each times the scale, and the scale: 1, or
+    1/2 where high - low overflows (halving is exact).  A constant series gets
+    the range [v, v + 1], or, where v + 1 rounds back to v (|v| >= 2**53), v
+    and its next float."""
     low, high = float(values.min()), float(values.max())
     if high == low:
         high = low + 1.0
@@ -28,7 +30,8 @@ def _axis_range(values: np.ndarray) -> tuple[float, float]:
         high = math.nextafter(low, math.inf)
         if math.isinf(high):  # low is the largest double
             low, high = math.nextafter(low, -math.inf), low
-    return low, high
+    scale = 1.0 if math.isfinite(high - low) else 0.5
+    return low * scale, high * scale, scale
 
 
 def write_svg_plot(
@@ -41,8 +44,8 @@ def write_svg_plot(
 ) -> None:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    x0, x1 = _axis_range(x)
-    y0, y1 = _axis_range(y)
+    x0, x1, xs = _axis_range(x)
+    y0, y1, ys = _axis_range(y)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
@@ -63,8 +66,9 @@ def write_svg_plot(
     ]
     for i in range(_N_TICKS):
         frac = i / (_N_TICKS - 1)
-        xv = x0 + frac * (x1 - x0)
-        yv = y0 + frac * (y1 - y0)
+        # min(): at frac = 1 the sum can round past x1, and past a double
+        xv = min(x0 + frac * (x1 - x0), x1) / xs
+        yv = min(y0 + frac * (y1 - y0), y1) / ys
         xp = _MARGIN_L + frac * plot_w
         yp = _MARGIN_T + plot_h - frac * plot_h
         lines.append(
@@ -97,7 +101,8 @@ def write_svg_plot(
         out.write("\n".join(lines))
         sep = ""
         for start in range(0, x.size, ROW_CHUNK):
-            chunk = zip(x[start : start + ROW_CHUNK], y[start : start + ROW_CHUNK])
+            rows = slice(start, start + ROW_CHUNK)
+            chunk = zip(x[rows] * xs, y[rows] * ys)  # on the axes' scale
             out.write(sep + " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in chunk))
             sep = " "
         out.write('" fill="none" stroke="#1f4e79" stroke-width="1.2"/>\n</svg>\n')

@@ -1,9 +1,13 @@
-"""In-process CPU time of the spectrum and g1 kernels on the shipped configs.
+"""In-process CPU time of the spectrum, g1 and psi kernels on the shipped configs.
 
 Each call is ``spectra.spectrum`` or ``spectra.g1`` on the config's default
-grid and mode count, with no file output; the grid is built once, outside
-the timing, and one untimed call comes first.  Prints one Markdown table row
-per config and kernel: the grid size N, the mode count M, and the median and
+grid and mode count, or ``biphoton.wavefunction_grid`` at the CLI defaults
+(8 modes, 385 points), with no file output; a spectrum or g1 grid is built
+once, outside the timing, and one untimed call comes first.  Prints one
+Markdown table row per config and kernel: the grid size N (for psi, modes
+times points), the mode count M, the mirrored count h of the kernel's axis
+(``numerics.mirror_count``: n//2 when the kernel evaluated only the
+non-negative half, 0 when it evaluated every point), and the median and
 range of the CPU time (``time.process_time``) over the runs.
 
     PYTHONPATH=src python tests/kernel_time.py [--runs 5]
@@ -16,33 +20,57 @@ import statistics
 import time
 from pathlib import Path
 
-from sropo import spectra
+from sropo import biphoton, spectra
+from sropo.numerics import mirror_count
 from sropo.scenario import load_scenario
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ["spectrum_comb.json", "g2_comb.json", "phase_matched.json",
            "detector_averaged.json"]
-KERNELS = {"spectrum": (spectra.spectrum, spectra.spectrum_grid, "detuning"),
-           "g1": (spectra.g1, spectra.g1_grid, "tau")}
+WAVEFUNCTION_MODES = 8  # the CLI's --modes default
+
+
+def _spectrum(config):
+    detuning = spectra.spectrum_grid(config.scales)
+    return lambda: spectra.spectrum("idler", config.scales, config.freqs, detuning=detuning)
+
+
+def _g1(config):
+    tau = spectra.g1_grid(config.scales)
+    return lambda: spectra.g1("idler", config.scales, config.freqs, tau=tau)
+
+
+def _wavefunction(config):
+    return lambda: biphoton.wavefunction_grid(config.scales, WAVEFUNCTION_MODES)
+
+
+KERNELS = {"spectrum": _spectrum, "g1": _g1, "wavefunction": _wavefunction}
+
+
+def _sizes(result) -> tuple[int, int, int]:
+    """N, M and h of a kernel's result."""
+    if isinstance(result, biphoton.BiphotonAmplitudeGrid):
+        return result.amplitudes.size, int(result.modes[-1]), mirror_count(result.detuning)
+    return result.axis.size, result.meta.extra["m_max"], mirror_count(result.axis)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5)
     args = parser.parse_args()
-    print(f"| config | kernel | N | M | CPU, ms (median, range of {args.runs}) |")
-    print("|---|---|---|---|---|")
+    print(f"| config | kernel | N | M | h | CPU, ms (median, range of {args.runs}) |")
+    print("|---|---|---|---|---|---|")
     for name in CONFIGS:
         config = load_scenario(CONFIG_DIR / name)
-        for kernel, (run, make_grid, axis) in KERNELS.items():
-            grid = {axis: make_grid(config.scales)}
-            trace = run("idler", config.scales, config.freqs, **grid)
+        for kernel, prepare in KERNELS.items():
+            call = prepare(config)
+            n, m, h = _sizes(call())
             times = []
             for _ in range(args.runs):
                 start = time.process_time()
-                run("idler", config.scales, config.freqs, **grid)
+                call()
                 times.append(1e3 * (time.process_time() - start))
-            print(f"| `{name}` | `{kernel}` | {trace.axis.size:,} | {trace.meta.extra['m_max']:,} "
+            print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
                   f"| {statistics.median(times):.1f} ({min(times):.1f}-{max(times):.1f}) |",
                   flush=True)
 

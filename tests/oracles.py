@@ -367,13 +367,16 @@ def svg_polyline_whole(x, y) -> str:
         y1 = y0 + 1.0 if y0 + 1.0 != y0 else math.nextafter(y0, math.inf)
         if math.isinf(y1):
             y0, y1 = math.nextafter(y0, -math.inf), y0
+    # A span past the largest double is mapped at half scale, exactly.
+    xs = 1.0 if math.isfinite(x1 - x0) else 0.5
+    ys = 1.0 if math.isfinite(y1 - y0) else 0.5
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(v: float) -> float:
-        return _MARGIN_L + (v - x0) / (x1 - x0) * plot_w
+        return _MARGIN_L + (v * xs - x0 * xs) / (x1 * xs - x0 * xs) * plot_w
 
     def sy(v: float) -> float:
-        return _MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h
+        return _MARGIN_T + plot_h - (v * ys - y0 * ys) / (y1 * ys - y0 * ys) * plot_h
 
     return " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))

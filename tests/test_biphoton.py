@@ -19,8 +19,8 @@ from sropo import (
     scenario_from_dict,
     wavefunction_grid,
 )
-from sropo.biphoton import _rate_prefactor
-from sropo.numerics import GAMMA_RANGE
+from sropo.biphoton import _phi_factors, _rate_prefactor
+from sropo.numerics import GAMMA_RANGE, mirror_count
 from sropo.scenario import load_scenario
 from conftest import CONFIG_DIR, make_setup, scenario_dict
 from helpers import norm_squared
@@ -280,6 +280,49 @@ class TestWavefunctionGrid:
         bound = 4.0 * np.finfo(float).eps * (1.0 + reach)
         assert np.max(np.abs(grid.amplitudes - raw)) <= bound * np.max(np.abs(raw))
         assert norm_squared(grid) == pytest.approx(1.0, abs=1e-12)
+
+    # psi(-m, -Omega) = conj(psi(m, Omega)): the rows m < 0 are the rows m > 0
+    # conjugated with both axes reversed, and the rows m >= 0 are the product
+    # the whole grid formed before, bit for bit.  Odd and even point counts.
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        fsr=st.sampled_from((1.0, G2_COMB_FSR)),
+        gamma_ratio=st.floats(1e-3, 0.5),
+        dz=st.floats(1e-3, 0.5),
+        sign=st.sampled_from((1.0, -1.0)),
+        m_count=st.integers(1, 64),
+        halfwidth=st.floats(10.0, 40.0),
+        extra_points=st.integers(0, 400),
+    )
+    @example(fsr=G2_COMB_FSR, gamma_ratio=0.05, dz=0.027, sign=1.0, m_count=1,
+             halfwidth=12.0, extra_points=0)  # 385 points
+    @example(fsr=1.0, gamma_ratio=0.25, dz=0.15, sign=-1.0, m_count=4, halfwidth=16.0,
+             extra_points=1)  # 514 points
+    def test_conjugate_centrosymmetric_from_rows_m_at_least_zero(
+        self, fsr, gamma_ratio, dz, sign, m_count, halfwidth, extra_points
+    ):
+        scales = DerivedScales(tau0=sign * 2.0 * dz / fsr, round_trip_T=2 * math.pi / fsr,
+                               fsr_delta_omega=fsr, gamma=gamma_ratio * fsr, kappa=1.0)
+        points = math.ceil(32.0 * halfwidth) + 1 + extra_points
+        grid = wavefunction_grid(scales, m_count, halfwidth, points)
+        a, omega = grid.amplitudes, grid.detuning
+        assert mirror_count(omega) == points // 2
+        assert np.array_equal(a, np.conj(a[::-1, ::-1]))  # conj(0j) is -0j at the centre
+        sinc, phase_m, phase_omega = _phi_factors(grid.modes[:, None], omega, scales)
+        lorentz = 1.0 / (0.5 * scales.gamma - 1j * omega)
+        phase_omega *= grid.normalization * lorentz
+        whole = np.multiply(phase_m, phase_omega)
+        whole *= sinc
+        assert a[m_count:].tobytes() == whole[m_count:].tobytes()
+        density = np.square(sinc).sum(axis=0) * np.square(np.abs(lorentz))
+        whole_norm = 1.0 / math.sqrt(float(np.trapezoid(density, omega)))
+        assert grid.normalization == pytest.approx(whole_norm, rel=1e-14)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_default_detuning_axis_is_a_mirror_through_zero(self, name):
+        omega = wavefunction_grid(load_scenario(CONFIG_DIR / name).scales, 8).detuning
+        assert omega.size == 385 and mirror_count(omega) == 192
+        assert omega[192].tobytes() == np.float64(0.0).tobytes()
 
     def test_unit_norm(self, comb_setup):
         *_, scales = comb_setup

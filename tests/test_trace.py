@@ -197,6 +197,32 @@ def test_constant_series_plots_on_a_non_zero_span(tmp_path, value, labels):
     assert not re.search(r"nan|inf", points[0])
 
 
+MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("x, y, x_labels, y_labels", [
+    # x1 - x0 overflows: the axis maps at half scale, and halving is exact
+    ([-MAX, MAX], [0.0, 1.0],
+     ["-1.79769e+308", "-8.98847e+307", "0", "8.98847e+307", "1.79769e+308"],
+     ["0", "0.25", "0.5", "0.75", "1"]),
+    # both axes; the top tick's sum rounds past x1 at half scale
+    ([-1e308, MAX], [MAX, -MAX],
+     ["-1e+308", "-3.00577e+307", "3.98847e+307", "1.09827e+308", "1.79769e+308"],
+     ["-1.79769e+308", "-8.98847e+307", "0", "8.98847e+307", "1.79769e+308"]),
+])
+def test_series_spanning_past_the_largest_double_plots_finite(tmp_path, x, y, x_labels,
+                                                             y_labels):
+    path = tmp_path / "plot.svg"
+    write_svg_plot(path, x, y, "t", "x", "y")
+    text = path.read_text(encoding="ascii")
+    ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
+    assert ticks[0::2] == x_labels and ticks[1::2] == y_labels
+    points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
+    assert points == [svg_polyline_whole(x, y)]
+    assert not re.search(r"nan|inf", text)
+    assert points[0].split()[0].startswith("70.00,") and points[0].split()[-1].startswith("780.00,")
+
+
 def _write_csv(path, columns):
     write_table_csv(path, ["sropo"], ["a", "b", "c"], columns)
 
