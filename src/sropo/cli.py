@@ -321,7 +321,11 @@ def main(argv=None) -> int:
         if args.strict_regime and not config.regime.ok:
             return _error(EXIT_REGIME, "RegimeFailure", config.regime.summary())
         stem, result = COMMANDS[args.command][2](args, config)
-        written = _write(args, config, stem, result)
+        try:
+            written = _write(args, config, stem, result)
+        except OSError as exc:  # the directory cannot be made, or a file opened
+            source = "--out" if args.out is not None else "output.directory"
+            return _error(EXIT_CONFIG, type(exc).__name__, f"{source}: {exc}")
     except (ScenarioParseError, ScenarioValidationError) as exc:
         return _error(EXIT_CONFIG, type(exc).__name__, exc)
     except GridTooCoarseError as exc:  # the default grids are fine: name the flags

@@ -10,11 +10,8 @@ spectrum's comb keeps the same truncation |m| <= M: the lines next to a point
 are summed directly, and the rest come from a Chebyshev table per free
 spectral range, re-expanded into a short series on each half of it and
 summed along each half's run of grid points, within about 1e-14 of the
-per-mode sum.  Both are even (in detuning and in delay): on a grid that is
-an exact mirror about 0 (``numerics.mirror_count``), as the default grids
-are (``numerics.symmetric_grid``), each kernel evaluates the non-negative
-half and copies it onto the negative half in reverse; any other grid is
-evaluated at every point.
+per-mode sum.  Both are even, in detuning and in delay: on the default grids,
+exact mirrors about 0, each kernel runs on the non-negative half (``_even``).
 
 Spectra are tabulated against detuning from the centre frequency, and g1 is
 returned in the rotating frame of the centre frequency (the optical carrier
@@ -37,7 +34,7 @@ from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
 )
-from .scenario import _TAU0_INPUTS, _checked
+from .scenario import _OUTPUT_NORMALIZATIONS, _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _DEFAULT_POINTS_PER_GAMMA = 24.0
@@ -194,10 +191,6 @@ def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarr
     return values
 
 
-def _centre_frequency(field: FieldName, freqs: FrequencyTriple) -> float:
-    return freqs.omega_s if field is FieldName.SIGNAL else freqs.omega_i
-
-
 def spectrum_grid(
     scales: DerivedScales,
     window_modes: float | None = None,
@@ -244,6 +237,36 @@ def g1_grid(
     return symmetric_grid(half, grid_points(points, half / spacing, source, 2))
 
 
+def _even(kernel, axis: np.ndarray, dtype=float) -> np.ndarray:
+    """An even function's values on ``axis``: on an exact mirror about 0
+    (``numerics.mirror_count``) ``kernel`` runs on axis[h:], h = n//2, and
+    axis[:h] is filled in reverse, else on every point.  The output is made
+    after the kernel: made before, it left the heap trimmed and the next large
+    call paid page faults."""
+    h = mirror_count(axis)
+    half = kernel(axis[h:])
+    values = np.empty(axis.size, dtype)
+    values[h:] = half
+    values[:h] = values[::-1][:h]
+    return values
+
+
+def _trace(axis, values, kind, normalization, field, freqs, scales, m_count, centre_key,
+           **more) -> Trace:
+    """``values`` on the checked ``axis``, with the metadata the spectrum and g1
+    both carry; ``centre_key`` names the field's centre frequency."""
+    extra = {
+        "field": field.value,
+        centre_key: freqs.omega_s if field is FieldName.SIGNAL else freqs.omega_i,
+        **more,
+        "gamma_rad_per_s": scales.gamma,
+        "fsr_rad_per_s": scales.fsr_delta_omega,
+        "tau0_s": scales.tau0,
+        "m_max": m_count,
+    }
+    return Trace(axis, values, TraceMeta(kind, normalization, extra), axis_checked=True)
+
+
 def spectrum(
     field: FieldName | str,
     scales: DerivedScales,
@@ -260,6 +283,11 @@ def spectrum(
     16 points per gamma.  Mode m contributes a Lorentzian at detuning -m*fsr.
     """
     field = FieldName(field)
+    given = getattr(normalization, "value", normalization)
+    if given not in _OUTPUT_NORMALIZATIONS:
+        raise ValueError(f"unsupported spectrum normalization {given!r}; expected "
+                         + " or ".join(map(repr, _OUTPUT_NORMALIZATIONS)))
+    normalization = Normalization(normalization)
     gamma = scales.gamma
     fsr = scales.fsr_delta_omega
     if detuning is None:
@@ -278,39 +306,15 @@ def spectrum(
     grid_points(None, _CHEB_NODES * cells, "--window-modes")
     grid_points(None, cells + 2.0 * m_count, "--window-modes and --m-max")
     weights = _mode_weights(m_count, scales)
-    half_gamma_sq = (0.5 * gamma) ** 2
-    h = mirror_count(detuning)
-    values = _lorentzian_comb(detuning[h:], weights, m_count, fsr, half_gamma_sq)
-    # Joined after the kernel: an output array made before it left the heap
-    # trimmed, and the next call in the benchmark paid page faults.
-    values = np.concatenate((values[::-1][:h], values))
-
-    normalization = Normalization(normalization)
+    values = _even(lambda d: _lorentzian_comb(d, weights, m_count, fsr, (0.5 * gamma) ** 2),
+                   detuning)
     if normalization is Normalization.PEAK_UNITY:
         values /= values.max()
-    elif normalization is Normalization.UNIT_INTEGRAL:
-        values /= np.trapezoid(values, detuning)
     else:
-        raise ValueError(f"unsupported spectrum normalization {normalization}")
+        values /= np.trapezoid(values, detuning)
 
-    kind = (
-        TraceKind.SIGNAL_SPECTRUM
-        if field is FieldName.SIGNAL
-        else TraceKind.IDLER_SPECTRUM
-    )
-    meta = TraceMeta(
-        kind,
-        normalization,
-        extra={
-            "field": field.value,
-            "center_frequency_rad_per_s": _centre_frequency(field, freqs),
-            "gamma_rad_per_s": gamma,
-            "fsr_rad_per_s": fsr,
-            "tau0_s": scales.tau0,
-            "m_max": m_count,
-        },
-    )
-    return Trace(detuning, values, meta, axis_checked=True)
+    return _trace(detuning, values, TraceKind(f"{field.value}_spectrum"), normalization,
+                  field, freqs, scales, m_count, "center_frequency_rad_per_s")
 
 
 def g1(
@@ -350,33 +354,19 @@ def g1(
     grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0
-    # The series runs on tau[h:] at that half's own spacing, as on a grid of
-    # tau[h:] alone; a lone point's spacing (n = 2) does not enter.
-    h = mirror_count(tau)
-    upper = tau[h:]
-    step = (upper[-1] - upper[0]) / max(upper.size - 1, 1)
-    comb = _cos_series(coef, fsr * upper[0], fsr * step, upper.size)
-    zero = np.flatnonzero(upper == 0.0)
-    norm = comb[zero[0]] if zero.size else coef.sum()
-    decay = np.abs(upper)
-    decay *= -0.5 * gamma
-    comb /= norm
-    comb *= np.exp(decay, out=decay)
-    values = np.zeros(tau.size, dtype=complex)
-    values.real[h:] = comb
-    values[:h] = values[::-1][:h]
 
-    meta = TraceMeta(
-        TraceKind.G1,
-        Normalization.UNIT_AT_ZERO,
-        extra={
-            "field": field.value,
-            "carrier_rad_per_s": _centre_frequency(field, freqs),
-            "rotating_frame": True,
-            "gamma_rad_per_s": gamma,
-            "fsr_rad_per_s": fsr,
-            "tau0_s": scales.tau0,
-            "m_max": m_count,
-        },
-    )
-    return Trace(tau, values, meta, axis_checked=True)
+    def kernel(upper):
+        # At these points' own spacing; a lone point (n = 2) has none.
+        step = (upper[-1] - upper[0]) / max(upper.size - 1, 1)
+        comb = _cos_series(coef, fsr * upper[0], fsr * step, upper.size)
+        zero = np.flatnonzero(upper == 0.0)
+        norm = comb[zero[0]] if zero.size else coef.sum()
+        decay = np.abs(upper)
+        decay *= -0.5 * gamma
+        comb /= norm
+        comb *= np.exp(decay, out=decay)
+        return comb
+
+    values = _even(kernel, tau, complex)
+    return _trace(tau, values, TraceKind.G1, Normalization.UNIT_AT_ZERO, field, freqs,
+                  scales, m_count, "carrier_rad_per_s", rotating_frame=True)

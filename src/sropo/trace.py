@@ -109,12 +109,13 @@ def write_table_json(
     payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
     head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
         '\n "data": []')
-    if not all(np.isfinite(rows).all() for rows in _row_chunks(columns)):
+    chunks = _row_chunks(columns)
+    if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="ascii") as out:
         out.write(head + '\n "data": [')
         sep, close = "\n", "]"
-        for rows in _row_chunks(columns):
+        for rows in chunks:
             text = json.dumps(rows.astype(float, copy=False).tolist(), indent=1)
             # text is "[\n [\n  1.0, ...\n ]\n]": write its rows without the
             # outer brackets, one space deeper.

@@ -282,6 +282,33 @@ class TestErrorPaths:
         )
         assert result.returncode == 1
 
+    @pytest.mark.parametrize("args, name", [
+        (["scales"], "scales.json"), (["spectrum", "--field", "idler"], "spectrum_idler.csv"),
+    ])
+    @pytest.mark.parametrize("where, error", [
+        ("a file", "FileExistsError"),
+        ("under a file", "NotADirectoryError"),
+        ("an output file that is a directory", "IsADirectoryError"),
+    ])
+    def test_unusable_out_is_config_error(self, config_path, tmp_path, capsys, args,
+                                          name, where, error):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept", encoding="ascii")
+        out = {"a file": blocker, "under a file": blocker / "sub",
+               "an output file that is a directory": tmp_path / "out"}[where]
+        (tmp_path / "out" / name).mkdir(parents=True)
+        assert main([*args, "--config", str(config_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith(f"error: exit=1 type={error}: --out: ")
+        assert blocker.read_text(encoding="ascii") == "kept"
+
+    def test_output_directory_naming_a_file_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept", encoding="ascii")
+        path = write_config(tmp_path, scenario_dict(output={"directory": str(blocker)}))
+        assert main(["scales", "--config", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(
+            "error: exit=1 type=FileExistsError: output.directory: ")
+        assert blocker.read_text(encoding="ascii") == "kept"
 
     @pytest.mark.parametrize(
         "args, flag",

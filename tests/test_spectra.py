@@ -613,6 +613,116 @@ class TestGridBudget:
         raise AssertionError("comb table allocated past the budget")
 
 
+# Faults a library call can carry: what each changes, and the error and message
+# (per function: detuning or tau) it raises alone.  A grid is built from the
+# scales after the other faults, at ``spacing`` = 1/32 gamma (spectrum) or
+# 1e-30 s (g1, fine enough for any mode beat the budget allows).
+REFUSALS = {
+    "field": (dict(field="bogus"), ValueError, "'bogus' is not a valid FieldName"),
+    "tau0_zero": (dict(tau0=0.0, m_max=None), sropo.DegenerateGroupVelocityError,
+                  r"tau0 = 0: the envelope has no zero; pass m_max \(--m-max\)"),
+    "m_max_negative": (dict(m_max=-1), ValueError, "m_max must be non-negative"),
+    "non_uniform": (dict(steps=[0.0, 1.0, 3.0]), ValueError,
+                    "{axis} must be uniformly spaced"),
+    "too_coarse": (dict(steps=np.arange(-2.0, 3.0), coarse=True), GridTooCoarseError,
+                   r"grid points per {per}; at least 16 required"),
+    "gamma": (dict(gamma=1e200), ScenarioValidationError,
+              r"cavity.loss_rate_gamma: gamma = 1e\+200 rad/s is outside"),
+    "budget": (dict(m_max=MAX_GRID_POINTS // 2), ScenarioValidationError,
+               "grid from --m-max would hold more than"),
+}
+# The order each function refuses in; faults that set the same argument
+# (the grid, or m_max) are never combined.
+SPECTRUM_REFUSALS = ["field", "non_uniform", "too_coarse", "gamma", "m_max_negative",
+                     "tau0_zero", "budget"]
+G1_REFUSALS = ["field", "m_max_negative", "tau0_zero", "non_uniform", "gamma",
+               "too_coarse", "budget"]
+
+
+def refusal_pairs(order):
+    pairs = []
+    for i, first in enumerate(order):
+        for second in order[i + 1:]:
+            if not set(REFUSALS[first][0]) & set(REFUSALS[second][0]):
+                pairs.append((first, second))
+    return pairs
+
+
+class TestRefusalOrder:
+    """Two faults at once: the earlier refusal of each function wins."""
+
+    @staticmethod
+    def call(function, spectrum_setup, faults):
+        *_, freqs, scales = spectrum_setup
+        args = dict(field="idler", m_max=5, steps=np.arange(-16.0, 17.0), coarse=False)
+        for fault in faults:
+            args.update(REFUSALS[fault][0])
+        scales = dataclasses.replace(scales, tau0=args.get("tau0", scales.tau0),
+                                     gamma=args.get("gamma", scales.gamma))
+        if function is spectrum:
+            spacing = scales.gamma / (8.0 if args["coarse"] else 32.0)
+        else:
+            spacing = 1.0 / (8.0 * scales.gamma) if args["coarse"] else 1e-30
+        grid = np.asarray(args["steps"]) * spacing
+        return function(args["field"], scales, freqs, grid, m_max=args["m_max"])
+
+    @pytest.mark.parametrize("fault", list(REFUSALS))
+    def test_each_fault_alone_is_refused(self, spectrum_setup, fault):
+        for function, axis, per in [(spectrum, "detuning", "gamma"), (g1, "tau", "1/gamma")]:
+            _, error, message = REFUSALS[fault]
+            with pytest.raises(error, match=message.format(axis=axis, per=per)):
+                self.call(function, spectrum_setup, [fault])
+
+    @pytest.mark.parametrize("first, second", refusal_pairs(SPECTRUM_REFUSALS))
+    def test_spectrum_refuses_the_earlier_fault(self, spectrum_setup, first, second):
+        _, error, message = REFUSALS[first]
+        with pytest.raises(error, match=message.format(axis="detuning", per="gamma")):
+            self.call(spectrum, spectrum_setup, [first, second])
+
+    @pytest.mark.parametrize("first, second", refusal_pairs(G1_REFUSALS))
+    def test_g1_refuses_the_earlier_fault(self, spectrum_setup, first, second):
+        _, error, message = REFUSALS[first]
+        with pytest.raises(error, match=message.format(axis="tau", per="1/gamma")):
+            self.call(g1, spectrum_setup, [first, second])
+
+    def test_mirrored_and_linspace_grids_carry_the_same_metadata(self, spectrum_setup):
+        *_, freqs, scales = spectrum_setup
+        detuning = symmetric_grid(20.0 * scales.gamma, 801)
+        tau = symmetric_grid(0.5 * scales.round_trip_T, 201)
+        plain = np.linspace(-detuning[-1], detuning[-1], detuning.size)
+        plain_tau = np.linspace(-tau[-1], tau[-1], tau.size)
+        assert mirror_count(detuning) > 0 and mirror_count(tau) > 0
+        assert mirror_count(plain) == 0 and mirror_count(plain_tau) == 0
+        for field in ("signal", "idler"):
+            for normalization in BOTH_NORMALIZATIONS:
+                mirrored, linear = (
+                    spectrum(field, scales, freqs, grid, m_max=5,
+                             normalization=normalization).meta
+                    for grid in (detuning, plain))
+                assert mirrored == linear
+            assert (g1(field, scales, freqs, tau, m_max=5).meta
+                    == g1(field, scales, freqs, plain_tau, m_max=5).meta)
+
+    @pytest.mark.parametrize("normalization, shown", [
+        (Normalization.UNIT_AT_ZERO, "'unit_at_zero'"), ("bogus", "'bogus'"), (None, "None"),
+    ])
+    def test_spectrum_normalization_refused_before_the_comb(
+        self, spectrum_setup, monkeypatch, normalization, shown
+    ):
+        *_, freqs, scales = spectrum_setup
+        comb = spy_sizes(monkeypatch, "_lorentzian_comb", lambda d, *_: d.size)
+        message = (f"unsupported spectrum normalization {shown}; "
+                   "expected 'peak_unity' or 'unit_integral'$")
+        with pytest.raises(ValueError, match=message):
+            spectrum("idler", scales, freqs, normalization=normalization)
+        assert comb == []
+        for accepted in ("peak_unity", "unit_integral"):
+            trace = spectrum("idler", scales, freqs, np.arange(-64.0, 65.0) * scales.gamma
+                             / 32.0, m_max=3, normalization=accepted)
+            assert trace.meta.normalization is Normalization(accepted)
+        assert len(comb) == 2
+
+
 class TestG1:
     def test_supplied_tau_checks_the_linewidth(self, spectrum_setup):
         # As spectrum does: gamma outside GAMMA_RANGE is refused before
