@@ -79,7 +79,7 @@ def _scale_fields(scales: DerivedScales) -> list[tuple[str, str, object]]:
 
 
 def _text(value) -> str:
-    return value if isinstance(value, str) else format_float(value)
+    return format_float(value) if isinstance(value, float) else str(value)
 
 
 def _regime(config: ScenarioConfig) -> dict:
@@ -153,10 +153,9 @@ def _run_wavefunction(args, config: ScenarioConfig):
     n_modes, n_pts = grid.amplitudes.shape
     meta = {
         "kind": "biphoton_amplitudes",
-        "normalization_N": format_float(grid.normalization),
+        "normalization_N": grid.normalization,
         "modes": f"-{args.modes}..{args.modes}",
         "points_per_mode": n_pts,
-        "columns": "m,Omega,re_psi,im_psi",
         "units": "m dimensionless, Omega rad/s",
     }
     columns = [
@@ -267,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
     """Write a runner's result; the output directory is made only now, after
-    a report is serialised."""
+    a report is serialised; a failed table write removes the files it made."""
     out_dir = Path(args.out if args.out is not None else config.output_directory)
     if isinstance(result, dict):
         text = json.dumps(result, indent=1, sort_keys=True, allow_nan=False)
@@ -277,37 +276,41 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         return [path]
     from . import svgplot, trace as writers  # numpy comes with the table writers
 
-    trace = None
     if len(result) == 3:
         meta, names, columns = result
     else:
         trace, axis_name = result
         kind = trace.meta.kind.value
-        meta = {"kind": kind, "normalization": trace.meta.normalization.value}
-        meta.update(trace.meta.extra)
+        meta = {"kind": kind, "normalization": trace.meta.normalization.value,
+                **trace.meta.extra}
         if trace.values.dtype.kind == "c":
             names = [axis_name, "re_value", "im_value"]
             columns = [trace.axis, trace.values.real, trace.values.imag]
         else:
             names = [axis_name, "g2_value" if kind == "g2" else "value"]
             columns = [trace.axis, trace.values]
-        meta["columns"] = ",".join(names)
+    header = {"sropo": __version__, "scenario_hash": config.scenario_hash,
+              **dict(sorted(meta.items())),
+              **{key: v for _, key, v in _scale_fields(config.scales)},
+              "regime": config.regime.summary()}
     fmt = args.format if args.format is not None else config.output_format
-    written = [out_dir / f"{stem}.{fmt}"]
+    suffixes = [fmt, "svg"] if args.plot else [fmt]
+    written = [out_dir / f"{stem}.{suffix}" for suffix in suffixes]
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        header = [f"sropo {__version__}", f"scenario_hash: {config.scenario_hash}"]
-        header += [f"{key}: {meta[key]}" for key in sorted(meta)]
-        header += [f"{key} = {_text(v)}" for _, key, v in _scale_fields(config.scales)]
-        header.append(f"regime: {config.regime.summary()}")
-        writers.write_table_csv(written[0], header, names, columns)
-    else:
-        meta = {"scenario_hash": config.scenario_hash, **meta}
-        writers.write_table_json(written[0], meta, names, columns)
-    if args.plot and trace is not None:
-        y = abs(trace.values) if trace.values.dtype.kind == "c" else trace.values
-        written.append(out_dir / f"{stem}.svg")
-        svgplot.write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
+    created = [path for path in written if not path.exists()]
+    try:
+        if fmt == "csv":
+            lines = [f"{key} = {_text(v)}" for key, v in header.items()]
+            writers.write_table_csv(written[0], lines, names, columns)
+        else:
+            writers.write_table_json(written[0], header, names, columns)
+        if args.plot:  # of a trace: main refuses --plot for a table
+            y = abs(trace.values) if trace.values.dtype.kind == "c" else trace.values
+            svgplot.write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        raise
     return written
 
 

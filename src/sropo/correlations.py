@@ -29,7 +29,7 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,18 +60,15 @@ class G2Request:
     tau_grid: np.ndarray
     m_max: int | None = None
     resolution_dt: float | None = None
+    spacing: float = field(init=False)  # of tau_grid, from its endpoints
 
     def __post_init__(self):
         object.__setattr__(self, "tier", G2Tier(self.tier))
         grid = np.asarray(self.tau_grid, dtype=float)
         object.__setattr__(self, "tau_grid", grid)
-        ensure_uniform_axis(grid, "tau_grid")
+        object.__setattr__(self, "spacing", ensure_uniform_axis(grid, "tau_grid"))
         if self.m_max is not None and self.m_max < 1:
             raise ValueError("m_max must be at least 1")
-
-    @property
-    def spacing(self) -> float:
-        return float(self.tau_grid[-1] - self.tau_grid[0]) / (self.tau_grid.size - 1)
 
 
 def _require_tier(request: G2Request, tier: G2Tier) -> None:

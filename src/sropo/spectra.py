@@ -201,13 +201,13 @@ def spectrum_grid(
     By default the window reaches half a mode beyond the envelope's first
     zero, and the grid holds 24 points per gamma.  The grid is an exact mirror
     about 0 (``numerics.symmetric_grid``).  Grids past the point budget
-    (``numerics.grid_points``), and windows that overflow, are refused here
-    and in ``g1_grid``.
+    (``numerics.grid_points``), and windows whose span (twice the half-width)
+    overflows, are refused here and in ``g1_grid``.
     """
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
-    half = _checked("detuning half-width", window_modes * scales.fsr_delta_omega,
-                    f"{_TAU0_INPUTS}, --window-modes")
+    half = 0.5 * _checked("detuning span", window_modes * scales.fsr_delta_omega * 2.0,
+                          f"{_TAU0_INPUTS}, --window-modes")
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
     return symmetric_grid(half, grid_points(points, steps, "--window-modes", 2))
 
@@ -227,8 +227,8 @@ def g1_grid(
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
     check_linewidth(scales.gamma)
-    half = _checked("delay half-width", window_gammas / scales.gamma,
-                    "cavity.loss_rate_gamma, --window-gammas")
+    half = 0.5 * _checked("delay span", window_gammas / scales.gamma * 2.0,
+                          "cavity.loss_rate_gamma, --window-gammas")
     spacing = min(
         1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
@@ -251,18 +251,13 @@ def _even(kernel, axis: np.ndarray, dtype=float) -> np.ndarray:
     return values
 
 
-def _trace(axis, values, kind, normalization, field, freqs, scales, m_count, centre_key,
-           **more) -> Trace:
+def _trace(axis, values, kind, normalization, field, freqs, centre_key, **more) -> Trace:
     """``values`` on the checked ``axis``, with the metadata the spectrum and g1
     both carry; ``centre_key`` names the field's centre frequency."""
     extra = {
         "field": field.value,
         centre_key: freqs.omega_s if field is FieldName.SIGNAL else freqs.omega_i,
         **more,
-        "gamma_rad_per_s": scales.gamma,
-        "fsr_rad_per_s": scales.fsr_delta_omega,
-        "tau0_s": scales.tau0,
-        "m_max": m_count,
     }
     return Trace(axis, values, TraceMeta(kind, normalization, extra), axis_checked=True)
 
@@ -314,7 +309,7 @@ def spectrum(
         values /= np.trapezoid(values, detuning)
 
     return _trace(detuning, values, TraceKind(f"{field.value}_spectrum"), normalization,
-                  field, freqs, scales, m_count, "center_frequency_rad_per_s")
+                  field, freqs, "center_frequency_rad_per_s", m_max=m_count)
 
 
 def g1(
@@ -369,4 +364,4 @@ def g1(
 
     values = _even(kernel, tau, complex)
     return _trace(tau, values, TraceKind.G1, Normalization.UNIT_AT_ZERO, field, freqs,
-                  scales, m_count, "carrier_rad_per_s", rotating_frame=True)
+                  "carrier_rad_per_s", rotating_frame=True, m_max=m_count)

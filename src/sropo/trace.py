@@ -1,8 +1,8 @@
 """Sampled result traces and their on-disk CSV/JSON round-trip format.
 
-Files carry ``#``-prefixed header comment lines followed by a column-name row
-and comma-separated numeric rows.  Values are printed with 17 significant
-digits so a re-read reproduces every float bit-exactly.
+CSV tables carry ``# key = value`` header lines (JSON tables the same keys in
+``meta``), a column-name row and comma-separated rows of 17-significant-digit
+values, so a re-read reproduces every float bit-exactly.
 """
 
 from __future__ import annotations

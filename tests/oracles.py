@@ -285,17 +285,23 @@ def g2_averaged_all_echoes(tau, scales, dt: float) -> np.ndarray:
 
 
 def uniform_axis_four_checks(axis, what: str = "axis") -> float:
-    """The grid check as four checks in turn, each with its own message: the
-    reference for the one-pass ``numerics.ensure_uniform_axis``."""
+    """The grid check as four checks in turn, each with its own message, and
+    a fifth, between the third and the fourth, for a step or a span past the
+    largest double: the reference for the one-pass
+    ``numerics.ensure_uniform_axis``."""
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
         raise ValueError(f"{what} must be a 1-d grid with at least two points")
     if not np.all(np.isfinite(axis)):
         raise ValueError(f"{what} must be finite")
-    steps = np.diff(axis)
+    with np.errstate(over="ignore"):
+        steps = np.diff(axis)
+        span = axis[-1] - axis[0]
     if np.any(steps <= 0):
         raise ValueError(f"{what} must be strictly increasing")
-    spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
+    if not (np.all(np.isfinite(steps)) and np.isfinite(span)):
+        raise ValueError(f"{what}: its span or a step overflows a double")
+    spacing = float(span) / (axis.size - 1)
     if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing):
         raise ValueError(f"{what} must be uniformly spaced")
     return spacing

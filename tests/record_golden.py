@@ -7,11 +7,15 @@ Each invocation runs ``sropo.cli.main`` in process from the repository root
 with ``--out`` in a scratch directory.  Its entry holds the exit code, stdout
 with that directory written as ``<work>``, and for every file written the
 SHA-256 plus a sample: the header and a few evenly spaced rows of a table,
-the whole of a report.  ``tests/test_golden.py`` compares bytes when numpy
-is the recorded version, and the samples within ``RTOL`` otherwise.
+the whole of a report.  A table also records ``data_sha256``, the SHA-256 of
+its data alone: the CSV lines after the column row, or the JSON ``data``
+array.  ``tests/test_golden.py`` compares bytes when numpy is the recorded
+version, and the samples within ``RTOL`` otherwise.
 
-A change that alters an output re-records the manifest and lists each changed
-entry, with the deviation ``--check`` printed before re-recording.
+``--check`` labels each entry ``identical``, ``header only`` (exit code,
+stdout, table data and every other file as recorded: only table headers
+moved) or ``differs`` (with its deviation).  A change that alters an output
+re-records the manifest and lists each changed entry with that label.
 """
 
 from __future__ import annotations
@@ -137,19 +141,23 @@ def run(command: str, work: Path) -> dict:
 
 
 def _describe(path: Path) -> dict:
-    entry = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+    raw = path.read_bytes()
+    entry = {"sha256": hashlib.sha256(raw).hexdigest()}
     if path.suffix == ".svg":
         return entry  # drawn from the table beside it; compared by bytes only
     if path.suffix == ".json":
-        head = json.loads(path.read_text(encoding="ascii"))
+        head = json.loads(raw)
         rows = head.pop("data", None)
+        data = json.dumps(rows).encode("ascii")
     else:
-        lines = path.read_text(encoding="ascii").splitlines()
+        lines = raw.decode("ascii").splitlines()
         head = [line for line in lines if line.startswith("#")]
         head.append(lines[len(head)])  # the column names
         rows = [[float(v) for v in line.split(",")] for line in lines[len(head):]]
+        data = raw.split(b"\n", len(head))[-1]  # the bytes after the column row
     entry["head"] = head
     if rows is not None:
+        entry["data_sha256"] = hashlib.sha256(data).hexdigest()
         last = len(rows) - 1
         picks = sorted({i * last // (SAMPLE_ROWS - 1) for i in range(SAMPLE_ROWS)})
         entry["rows"] = len(rows)
@@ -208,6 +216,14 @@ def fingerprint(entry: dict) -> tuple:
     return entry["exit"], entry["stdout"], digests
 
 
+def data_fingerprint(entry: dict) -> tuple:
+    """``fingerprint`` with each table's data digest for its file digest: equal
+    for two entries whose outputs differ in table headers alone."""
+    digests = {name: file.get("data_sha256", file["sha256"])
+               for name, file in entry["files"].items()}
+    return entry["exit"], entry["stdout"], digests
+
+
 def deviation(expected: dict, actual: dict) -> float:
     """Largest relative deviation of ``actual`` from ``expected``, hashes aside;
     inf where exit code, file names, text around numbers or row counts differ."""
@@ -249,10 +265,13 @@ def main(argv: list[str]) -> int:
         if check and name not in old["entries"]:
             print(f"{name}: not recorded")
         elif check:
-            expected = old["entries"][name]
-            same = fingerprint(expected) == fingerprint(entries[name])
-            dev = deviation(expected, entries[name])
-            print(f"{name}: {'identical' if same else 'differs'}, deviation {dev:.3g}")
+            expected, actual = old["entries"][name], entries[name]
+            if fingerprint(expected) == fingerprint(actual):
+                print(f"{name}: identical, deviation 0")
+            elif data_fingerprint(expected) == data_fingerprint(actual):
+                print(f"{name}: header only")
+            else:
+                print(f"{name}: differs, deviation {deviation(expected, actual):.3g}")
     if not check:
         manifest = {"numpy": numpy_version(), "entries": entries}
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",

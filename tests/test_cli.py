@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sropo
 import sropo.cli
 import sropo.dispersion
 from sropo import FrequencyTriple, load_scenario, transit_time_diff
@@ -301,6 +303,29 @@ class TestErrorPaths:
         assert capsys.readouterr().out.startswith(f"error: exit=1 type={error}: --out: ")
         assert blocker.read_text(encoding="ascii") == "kept"
 
+    @pytest.mark.parametrize("table_existed", [False, True])
+    def test_unopenable_plot_leaves_no_file_the_run_created(self, tmp_path, capsys,
+                                                           table_existed):
+        out = tmp_path / "out"
+        (out / "spectrum_idler.svg").mkdir(parents=True)
+        (out / "kept.txt").write_text("kept", encoding="ascii")
+        before = {"kept.txt", "spectrum_idler.svg"}
+        if table_existed:
+            (out / "spectrum_idler.csv").write_text("old", encoding="ascii")
+            before.add("spectrum_idler.csv")
+        argv = ["spectrum", "--config", str(CONFIG_DIR / "spectrum_comb.json"), "--field",
+                "idler", "--out", str(out), "--plot"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out.startswith(
+            "error: exit=1 type=IsADirectoryError: --out: ")
+        assert {path.name for path in out.iterdir()} == before
+        assert (out / "spectrum_idler.svg").is_dir() and not any(
+            (out / "spectrum_idler.svg").iterdir())
+        assert (out / "kept.txt").read_text(encoding="ascii") == "kept"
+        if table_existed:  # written whole by the run, never left truncated
+            comments, names, _ = read_table_csv(out / "spectrum_idler.csv")
+            assert names == ["detuning_rad_per_s", "value"] and comments
+
     def test_output_directory_naming_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("kept", encoding="ascii")
@@ -591,6 +616,30 @@ class TestDerivedScales:
         assert all(field in lines[0] for field in fields)
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edits, command, fields", [
+        # the half-width, 9.7e307 rad/s, is a double; the span 2*half is not
+        ("spectrum_comb", [], ["spectrum", "--field", "idler", "--window-modes", "6e297",
+                               "--points", "3"], ["--window-modes", "detuning span = inf"]),
+        ("spectrum_comb", [], ["spectrum", "--field", "idler", "--window-modes", "6e297"],
+         ["--window-modes", "detuning span = inf"]),
+        # at gamma = 0.5 rad/s the half-width is 1.2e308 s
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 0.5)],
+         ["g1", "--field", "idler", "--window-gammas", "6e307", "--points", "3"],
+         ["cavity.loss_rate_gamma, --window-gammas", "delay span = inf"]),
+    ], ids=["spectrum-points", "spectrum", "g1-points"])
+    def test_window_whose_span_overflows_is_config_error(self, tmp_path, capsys, name,
+                                                         edits, command, fields):
+        path = write_config(tmp_path, _config_with(name, *edits))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's own warnings too
+            assert main([*command, "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert all(field in lines[0] for field in fields)
+        assert not out.exists()
+
     def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):
         # tau0 = l/v_gI - l/v_gS underflows to exactly 0: the documented
         # tau0 = 0 path, not an overflow.
@@ -618,6 +667,68 @@ class TestDerivedScales:
         assert len(written) == len(commands)
         for file in written:
             _strict_json(file)
+
+
+_HEADER_LINE = re.compile(r"# (\w+) = (.*)")
+_TABLE_COMMANDS = {
+    "spectrum_idler": ["spectrum", "--field", "idler", "--window-modes", "1",
+                       "--m-max", "10"],
+    "g1_signal": ["g1", "--field", "signal", "--m-max", "10"],
+    **{f"g2_{tier}": ["g2", "--tier", tier, "--peaks", "1"]
+       for tier in ("exact", "series", "compact")},
+    "g2_averaged": ["g2", "--tier", "averaged", "--resolution", "7.74e-12", "--peaks", "1"],
+    "wavefunction": ["wavefunction", "--modes", "1"],
+}
+_AT_TAU0_ZERO = ("spectrum_idler", "g1_signal", "g2_averaged")  # the others refuse it
+
+
+def _header_value(comments, key: str) -> float:
+    """A header value as perfbench/workloads.py reads it from a g2 CSV: the
+    first comment that starts with the key, split on "="."""
+    return float(next(c for c in comments if c.startswith(key)).split("=", 1)[1])
+
+
+class TestTableHeader:
+    @pytest.mark.parametrize("idler_n, stem", [
+        *(pytest.param(1.81, stem, id=stem) for stem in _TABLE_COMMANDS),
+        *(pytest.param(1.8, stem, id=f"{stem}-tau0-zero") for stem in _AT_TAU0_ZERO),
+    ])
+    def test_one_header_in_csv_and_json(self, tmp_path, capsys, idler_n, stem):
+        path = write_config(tmp_path, scenario_dict(idler_n=idler_n))
+        config = load_scenario(path)
+        for fmt in ("csv", "json"):
+            argv = [*_TABLE_COMMANDS[stem], "--config", str(path), "--format", fmt]
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / f"{stem}.csv").read_text(encoding="ascii").splitlines()
+        header = [line for line in lines if line.startswith("#")]
+        assert lines[: len(header)] == header  # one block, before the column row
+        pairs = [_HEADER_LINE.fullmatch(line) for line in header]
+        assert all(pairs), header
+        keys = [m[1] for m in pairs]
+        assert len(set(keys)) == len(keys)  # each key once
+        assert keys[:2] == ["sropo", "scenario_hash"] and keys[-1] == "regime"
+        assert "columns" not in keys
+        csv = {m[1]: m[2] for m in pairs}
+        meta = json.loads((tmp_path / f"{stem}.json").read_text(encoding="ascii"))["meta"]
+        assert list(csv) == keys and sorted(meta) == sorted(keys)
+        # the same values: a float as 17 digits, anything else as str()
+        assert csv == {k: format_float(v) if isinstance(v, float) else str(v)
+                       for k, v in meta.items()}
+        assert meta["sropo"] == sropo.__version__
+        assert meta["scenario_hash"] == config.scenario_hash
+        assert meta["regime"] == config.regime.summary()
+        scales = sropo.cli._scale_fields(config.scales)
+        assert keys[-1 - len(scales) : -1] == [key for _, key, _ in scales]
+        for _, key, value in scales:
+            assert meta[key] == value
+        if idler_n == 1.8:
+            assert meta["kappa_per_s"] == csv["kappa_per_s"] == "inf"
+        if stem.startswith("g2"):
+            comments = [line[1:].strip() for line in header]
+            s = config.scales
+            assert _header_value(comments, "tau0_s") == s.tau0
+            assert _header_value(comments, "round_trip_T_s") == s.round_trip_T
+            assert _header_value(comments, "gamma_rad_per_s") == s.gamma
 
 
 class TestGridBudget:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,8 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sropo import numerics
+from sropo import (
+    G2Request, Normalization, ScenarioValidationError, Trace, TraceKind, TraceMeta, g1,
+    load_scenario, numerics, spectrum,
+)
 from sropo.numerics import _cos_series
+from sropo.spectra import g1_grid, spectrum_grid
+from conftest import CONFIG_DIR
 from oracles import cis_decimal, comb_mode_loop, uniform_axis_four_checks
 
 EPS = np.finfo(float).eps
@@ -231,7 +237,7 @@ def test_split_cis_matches_exact_phase(x, m1, k):
 
 def _check_outcome(check, axis):
     """The spacing a grid check returns, or the message it refuses or warns
-    with (an overflowing spacing warns)."""
+    with."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
@@ -276,7 +282,7 @@ def faulty_grids(draw):
 @example(axis=np.array([-np.inf, 0.0, 1.0]))
 # one step 5e-9 short, the others 5e-10 long: only |step - spacing| refuses it
 @example(axis=np.concatenate(([0.0], 1.0 - 5e-9 + np.arange(11) * (1.0 + 5e-10))))
-@example(axis=np.array([-1e308, 0.0, 1e308]))  # the spacing overflows: a warning
+@example(axis=np.array([-1e308, 0.0, 1e308]))  # the span overflows, not a step
 @example(axis=np.array([-1.5e308, 0.0, 0.0, 1.5e308]))  # inf spacing, a zero step
 @example(axis=np.array([-1e308, np.inf, 1e308]))
 def test_one_pass_axis_check_matches_four_checks(axis):
@@ -384,3 +390,46 @@ def test_mirror_count_needs_every_pair_bit_for_bit(n):
     assert numerics.mirror_count(grid + 1e-3) == 0  # off centre
     assert numerics.mirror_count(np.linspace(-1.0, 1.0, 100)) == 0
     assert numerics.mirror_count(grid[:1]) == 0  # one point: nothing to mirror
+
+
+# Grids whose span, or a step, is past the largest double: every caller
+# refuses them with a ValueError naming the axis, and no call warns.
+# numpy attributes its warnings to its own modules, so only an "error" filter
+# for every module sees them.
+_OVERFLOWING = [np.array([-1e308, 1e308]), np.array([-1.5e308, -5e307, 5e307, 1.5e308])]
+
+
+@pytest.mark.parametrize("axis", _OVERFLOWING, ids=["step", "span"])
+@pytest.mark.parametrize("call, what", [
+    (lambda axis, c: numerics.ensure_uniform_axis(axis, "grid"), "grid"),
+    (lambda axis, c: spectrum("idler", c.scales, c.freqs, detuning=axis), "detuning"),
+    (lambda axis, c: g1("idler", c.scales, c.freqs, tau=axis), "tau"),
+    (lambda axis, c: G2Request("exact", axis), "tau_grid"),
+    (lambda axis, c: Trace(axis, np.ones(axis.size), TraceMeta(TraceKind.G2,
+                                                                Normalization.PEAK_UNITY)),
+     "trace axis"),
+], ids=["ensure_uniform_axis", "spectrum", "g1", "G2Request", "Trace"])
+def test_grid_whose_span_overflows_is_refused_without_warnings(axis, call, what):
+    config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as refused:
+            call(axis, config)
+    assert str(refused.value) == f"{what}: its span or a step overflows a double"
+
+
+def test_window_whose_span_overflows_is_refused_without_warnings():
+    scales = load_scenario(CONFIG_DIR / "spectrum_comb.json").scales
+    slow = dataclasses.replace(scales, gamma=1.0)  # 1e308/gamma is a double
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioValidationError, match="--window-modes: derived "
+                           "detuning span = inf"):
+            spectrum_grid(scales, 1e308 / scales.fsr_delta_omega, 3)
+        with pytest.raises(ScenarioValidationError, match="--window-gammas: derived "
+                           "delay span = inf"):
+            g1_grid(slow, 1e308, 3)
+        # the largest windows whose span is a double still make a grid
+        for grid in (spectrum_grid(scales, 8e307 / scales.fsr_delta_omega, 3),
+                     g1_grid(slow, 8e307, 3)):
+            assert grid[0] == -grid[-1] and numerics.ensure_uniform_axis(grid) > 0.0

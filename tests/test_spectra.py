@@ -723,6 +723,20 @@ class TestRefusalOrder:
         assert len(comb) == 2
 
 
+_SCALE_KEYS = {"tau0_s", "round_trip_T_s", "fsr_rad_per_s", "gamma_rad_per_s",
+               "kappa_per_s"}
+
+
+def test_traces_carry_no_scale_key(spectrum_setup):
+    # The command line writes the scales into every table's header; a trace
+    # carries only its own keys, m_max among them.
+    *_, freqs, scales = spectrum_setup
+    for trace in (spectrum("idler", scales, freqs, m_max=4),
+                  g1("signal", scales, freqs, m_max=4)):
+        assert not _SCALE_KEYS & set(trace.meta.extra)
+        assert trace.meta.extra["m_max"] == 4
+
+
 class TestG1:
     def test_supplied_tau_checks_the_linewidth(self, spectrum_setup):
         # As spectrum does: gamma outside GAMMA_RANGE is refused before
