@@ -88,8 +88,8 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     """Delay grid of ``g2``: comb tiers from -2|tau0| - T/8 in steps of |tau0|/12
     (tau0 = 0 refused, as the tiers refuse it), the averaged tier from -3*dT in
     steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0|.
-    An end that overflows, or a step that underflows to 0, is refused naming
-    the flag it comes from.
+    An end or span that overflows, or a step that underflows to 0, is refused
+    naming the flags it comes from.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
     if G2Tier(tier) is not G2Tier.AVERAGED:
@@ -103,7 +103,8 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
         step = _checked("delay grid step", resolution / 16.0, "--resolution")
         source = "--peaks and --resolution"
     stop = _checked("delay grid end", peaks * T + 2.0 * t0, "--peaks", positive=False)
-    return np.linspace(start, stop, grid_points(points, (stop - start) / step, source))
+    span = _checked("delay grid span", stop - start, source, positive=False)
+    return np.linspace(start, stop, grid_points(points, span / step, source))
 
 
 def _mode_count(request: G2Request, scales: DerivedScales) -> int:

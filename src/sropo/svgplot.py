@@ -1,4 +1,5 @@
-"""Minimal static SVG line plots; deterministic output, no plotting stack."""
+"""Minimal static SVG line plots; deterministic output, no plotting stack.  The
+polyline's pixels are computed in numpy and printed by ``trace._format_rows``."""
 
 from __future__ import annotations
 
@@ -7,15 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .trace import ROW_CHUNK
+from .trace import _format_rows
 
 _WIDTH, _HEIGHT = 800, 500
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 40, 50
 _N_TICKS = 5
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".6g")
 
 
 def _axis_range(values: np.ndarray) -> tuple[float, float, float]:
@@ -49,12 +46,6 @@ def write_svg_plot(
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def sx(v: float) -> float:
-        return _MARGIN_L + (v - x0) / (x1 - x0) * plot_w
-
-    def sy(v: float) -> float:
-        return _MARGIN_T + plot_h - (v - y0) / (y1 - y0) * plot_h
-
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -71,38 +62,31 @@ def write_svg_plot(
         yv = min(y0 + frac * (y1 - y0), y1) / ys
         xp = _MARGIN_L + frac * plot_w
         yp = _MARGIN_T + plot_h - frac * plot_h
-        lines.append(
+        lines += [
             f'<line x1="{xp:.2f}" y1="{_MARGIN_T + plot_h}" x2="{xp:.2f}" '
-            f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>'
-        )
-        lines.append(
+            f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>',
             f'<text x="{xp:.2f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(xv)}</text>'
-        )
-        lines.append(
+            f'font-family="sans-serif" font-size="11">{xv:.6g}</text>',
             f'<line x1="{_MARGIN_L - 5}" y1="{yp:.2f}" x2="{_MARGIN_L}" '
-            f'y2="{yp:.2f}" stroke="black"/>'
-        )
-        lines.append(
+            f'y2="{yp:.2f}" stroke="black"/>',
             f'<text x="{_MARGIN_L - 8}" y="{yp + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(yv)}</text>'
-        )
-    lines.append(
+            f'font-family="sans-serif" font-size="11">{yv:.6g}</text>',
+        ]
+    lines += [
         f'<text x="{_MARGIN_L + plot_w // 2}" y="{_HEIGHT - 8}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    lines.append(
+        f'font-family="sans-serif" font-size="13">{x_label}</text>',
         f'<text x="16" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">{y_label}</text>'
-    )
-    lines.append('<polyline points="')
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">{y_label}</text>',
+        '<polyline points="',
+    ]
+
+    def pixels(xc, yc):  # a chunk's vertices in px, each value on its axis's scale
+        return (_MARGIN_L + (xc * xs - x0) / (x1 - x0) * plot_w,
+                _MARGIN_T + plot_h - (yc * ys - y0) / (y1 - y0) * plot_h)
+
+    points = _format_rows([x, y], "%.2f,%.2f", " ", pixels)
     with open(path, "w", encoding="ascii") as out:
         out.write("\n".join(lines))
-        sep = ""
-        for start in range(0, x.size, ROW_CHUNK):
-            rows = slice(start, start + ROW_CHUNK)
-            chunk = zip(x[rows] * xs, y[rows] * ys)  # on the axes' scale
-            out.write(sep + " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in chunk))
-            sep = " "
+        out.writelines(points)
         out.write('" fill="none" stroke="#1f4e79" stroke-width="1.2"/>\n</svg>\n')

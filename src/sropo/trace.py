@@ -2,7 +2,9 @@
 
 CSV tables carry ``# key = value`` header lines (JSON tables the same keys in
 ``meta``), a column-name row and comma-separated rows of 17-significant-digit
-values, so a re-read reproduces every float bit-exactly.
+values, so a re-read reproduces every float bit-exactly.  ``_format_rows``
+prints the rows of every format, CSV, JSON and the SVG polyline, from a
+printf row template.
 """
 
 from __future__ import annotations
@@ -68,14 +70,23 @@ class Trace:
 ROW_CHUNK = 4096  # rows a writer formats at a time: its memory stays O(ROW_CHUNK)
 
 
-def _row_chunks(columns: Sequence[np.ndarray]):
-    """The table's rows, ``ROW_CHUNK`` at a time, as 2-d arrays; columns of
-    unequal length are refused at the call, before any file is opened."""
+def _format_rows(columns: Sequence[np.ndarray], row: str, sep: str, convert=None):
+    """The rows as text, ``ROW_CHUNK`` at a time: the printf template ``row``
+    (one field per column) repeated, joined by ``sep`` and filled by one ``%``
+    per chunk from its values as Python floats, mapped first by ``convert`` if
+    given.  Unequal columns are refused at the call, before a file is opened."""
     size = len(columns[0])
     if any(len(col) != size for col in columns):
         raise ValueError("columns must have the same length")
-    return (np.column_stack([col[start : start + ROW_CHUNK] for col in columns])
-            for start in range(0, size, ROW_CHUNK))
+
+    def chunks():
+        for start in range(0, size, ROW_CHUNK):
+            cols = [col[start : start + ROW_CHUNK] for col in columns]
+            values = np.stack(convert(*cols) if convert else cols, axis=1, dtype=float)
+            text = sep.join([row] * len(values)) % tuple(values.ravel().tolist())
+            yield sep + text if start else text
+
+    return chunks()
 
 
 def write_table_csv(
@@ -87,13 +98,11 @@ def write_table_csv(
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
     # "%.17g" formats a float exactly as names.format_float does.
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"
-    chunks = _row_chunks(columns)
+    rows = _format_rows(columns, ",".join(["%.17g"] * len(columns)) + "\n", "")
     with open(path, "w", encoding="ascii") as out:
         out.writelines(f"# {c}\n" for c in comments)
         out.write(",".join(column_names) + "\n")
-        for rows in chunks:
-            out.write("".join(row_format % tuple(row) for row in rows.tolist()))
+        out.writelines(rows)
 
 
 def write_table_json(
@@ -103,22 +112,16 @@ def write_table_json(
     columns: Sequence[np.ndarray],
 ) -> None:
     """The table as {"columns", "data", "meta"}, as ``json.dumps(indent=1,
-    sort_keys=True)`` writes it: the rows are dumped a chunk at a time, one
-    indent level deeper, into the ``"data"`` array of the dumped header.  A
-    non-finite value is refused before the file is opened."""
+    sort_keys=True)`` writes it: the rows, each value as ``%r`` (which is how
+    json prints a float), go into the ``"data"`` array of the dumped header.
+    A non-finite value is refused before the file is opened."""
     payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
     head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
         '\n "data": []')
-    chunks = _row_chunks(columns)
+    rows = _format_rows(columns, "\n  [" + ",".join(["\n   %r"] * len(columns)) + "\n  ]", ",")
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="ascii") as out:
         out.write(head + '\n "data": [')
-        sep, close = "\n", "]"
-        for rows in chunks:
-            text = json.dumps(rows.astype(float, copy=False).tolist(), indent=1)
-            # text is "[\n [\n  1.0, ...\n ]\n]": write its rows without the
-            # outer brackets, one space deeper.
-            out.write(sep + " " + text[2:-2].replace("\n", "\n "))
-            sep, close = ",\n", "\n ]"
-        out.write(close + tail + "\n")
+        out.writelines(rows)
+        out.write(("\n ]" if len(columns[0]) else "]") + tail + "\n")

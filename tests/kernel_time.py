@@ -1,4 +1,4 @@
-"""In-process CPU time of the spectrum, g1 and psi kernels on the shipped configs.
+"""In-process CPU time of the kernels and the writers on the shipped configs.
 
 Each call is ``spectra.spectrum`` or ``spectra.g1`` on the config's default
 grid and mode count, or ``biphoton.wavefunction_grid`` at the CLI defaults
@@ -10,6 +10,11 @@ times points), the mode count M, the mirrored count h of the kernel's axis
 non-negative half, 0 when it evaluated every point), and the median and
 range of the CPU time (``time.process_time``) over the runs.
 
+A second table times the writers on the same configs: ``write_table_csv`` and
+``write_table_json`` on the default g1 table (delay, real and imaginary part,
+as the ``g1`` command writes it) and ``write_svg_plot`` on the default
+spectrum, each into a temporary directory, with the rows and bytes written.
+
     PYTHONPATH=src python tests/kernel_time.py [--runs 5]
 """
 
@@ -17,12 +22,15 @@ from __future__ import annotations
 
 import argparse
 import statistics
+import tempfile
 import time
 from pathlib import Path
 
 from sropo import biphoton, spectra
 from sropo.numerics import mirror_count
 from sropo.scenario import load_scenario
+from sropo.svgplot import write_svg_plot
+from sropo.trace import write_table_csv, write_table_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ["spectrum_comb.json", "g2_comb.json", "phase_matched.json",
@@ -54,6 +62,34 @@ def _sizes(result) -> tuple[int, int, int]:
     return result.axis.size, result.meta.extra["m_max"], mirror_count(result.axis)
 
 
+def _writers(config):
+    """(writer, table, rows, call(path)) for each writer on the config's default
+    g1 table or spectrum."""
+    g1 = spectra.g1("idler", config.scales, config.freqs)
+    names = ["tau_seconds", "re_value", "im_value"]
+    columns = [g1.axis, g1.values.real, g1.values.imag]
+    spectrum = spectra.spectrum("idler", config.scales, config.freqs)
+    return [
+        ("write_table_csv", "g1", g1.axis.size,
+         lambda path: write_table_csv(path, ["kind = g1"], names, columns)),
+        ("write_table_json", "g1", g1.axis.size,
+         lambda path: write_table_json(path, {"kind": "g1"}, names, columns)),
+        ("write_svg_plot", "spectrum", spectrum.axis.size,
+         lambda path: write_svg_plot(path, spectrum.axis, spectrum.values, "spectrum_idler",
+                                     "detuning_rad_per_s", "value")),
+    ]
+
+
+def _cpu_ms(call, runs: int) -> str:
+    """Median and range of the CPU time of ``runs`` calls, in ms."""
+    times = []
+    for _ in range(runs):
+        start = time.process_time()
+        call()
+        times.append(1e3 * (time.process_time() - start))
+    return f"{statistics.median(times):.1f} ({min(times):.1f}-{max(times):.1f})"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=5)
@@ -65,13 +101,19 @@ def main() -> None:
         for kernel, prepare in KERNELS.items():
             call = prepare(config)
             n, m, h = _sizes(call())
-            times = []
-            for _ in range(args.runs):
-                start = time.process_time()
-                call()
-                times.append(1e3 * (time.process_time() - start))
             print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
-                  f"| {statistics.median(times):.1f} ({min(times):.1f}-{max(times):.1f}) |",
+                  f"| {_cpu_ms(call, args.runs)} |", flush=True)
+    print()
+    print(f"| config | writer | table | rows | bytes | CPU, ms (median, range of {args.runs}) |")
+    print("|---|---|---|---|---|---|")
+    for name in CONFIGS:
+        config = load_scenario(CONFIG_DIR / name)
+        for writer, table, rows, write in _writers(config):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp, "out")
+                cpu = _cpu_ms(lambda: write(path), args.runs)
+                size = path.stat().st_size
+            print(f"| `{name}` | `{writer}` | {table} | {rows:,} | {size:,} | {cpu} |",
                   flush=True)
 
 

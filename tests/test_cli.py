@@ -626,7 +626,13 @@ class TestDerivedScales:
         ("spectrum_comb", [("cavity", "loss_rate_gamma", 0.5)],
          ["g1", "--field", "idler", "--window-gammas", "6e307", "--points", "3"],
          ["cavity.loss_rate_gamma, --window-gammas", "delay span = inf"]),
-    ], ids=["spectrum-points", "spectrum", "g1-points"])
+        # the averaged tier's grid: the start -3*dT is -1.8e308 s and the end
+        # 1e307*T is 3.9e297 s, both doubles; the span between them is not
+        ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution",
+                                   "5.992310449541052e307", "--peaks", str(10**307),
+                                   "--points", "3"],
+         ["--peaks and --resolution", "delay grid span = inf"]),
+    ], ids=["spectrum-points", "spectrum", "g1-points", "g2-averaged-points"])
     def test_window_whose_span_overflows_is_config_error(self, tmp_path, capsys, name,
                                                          edits, command, fields):
         path = write_config(tmp_path, _config_with(name, *edits))

@@ -136,7 +136,8 @@ def _check_finite(path: Path, tau0_zero: bool):
 # underflow, a refractive index of 2**70, gamma past the Lorentzian range, a
 # default spectrum window of 6e303 fsr, a regime ratio kappa/gamma that
 # overflows, averaged resolutions whose squares overflow, and averaged
-# resolutions whose grid step underflows to 0 or whose grid start overflows.
+# resolutions whose grid step underflows to 0, whose grid start overflows, or
+# whose span to a far end overflows.
 
 
 @settings(PROFILE)
@@ -177,6 +178,11 @@ def _check_finite(path: Path, tau0_zero: bool):
 @example(case=("detector_averaged", (), (*_AVERAGED, "1e200")))
 @example(case=("spectrum_comb", (), (*_AVERAGED, "5e-324")))
 @example(case=("g2_comb", (), (*_AVERAGED, "1e308", "--points", "3")))
+@example(case=("detector_averaged", (), (*_AVERAGED, "5e-324")))
+@example(case=("detector_averaged", (), (*_AVERAGED, "1e308", "--points", "3")))
+@example(case=("detector_averaged", (),
+               ("g2", "--tier", "averaged", "--peaks", str(10**307), "--resolution",
+                "5.992310449541052e307", "--points", "3")))
 def test_every_scenario_gives_a_typed_outcome(case):
     name, edits, command = case
     with tempfile.TemporaryDirectory() as work:

@@ -273,3 +273,12 @@ def test_columns_of_unequal_length_are_refused_before_opening_the_file(tmp_path,
     with pytest.raises(ValueError, match="same length"):
         write(path, [np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK)])
     assert not path.exists()
+
+
+def test_svg_series_of_unequal_length_are_refused_before_opening_the_file(tmp_path):
+    # The polyline shares the tables' row formatter, and with it the check
+    # that the series have one length, rather than plotting the shorter one.
+    path = tmp_path / "plot.svg"
+    with pytest.raises(ValueError, match="same length"):
+        write_svg_plot(path, np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK), "t", "x", "y")
+    assert not path.exists()
