@@ -70,9 +70,11 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     """Check a grid is strictly increasing and uniform; return the spacing.
 
     One pass accepts a grid whose spacing, from its endpoints, is finite and
-    positive and whose steps all differ from it by at most 1e-9 of it (NaN
-    and inf fail that comparison).  Any other grid is refused by the first
-    check it fails: two points, finite, increasing, span a double, uniform.
+    positive and whose steps all differ from it by at most 1e-9 of it plus 4
+    ulp of max(|x_0|, |x_n-1|), the points' own rounding, where that rounding
+    is under half the spacing, so that every step is positive (NaN and inf
+    fail that comparison).  Any other grid is refused by the first check it
+    fails: two points, finite, increasing, span a double, uniform.
     """
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
@@ -82,7 +84,9 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
         steps = np.diff(axis)
         steps -= spacing
     np.abs(steps, out=steps)
-    if 0.0 < spacing < math.inf and steps.max() <= 1e-9 * spacing:
+    rounding = 4.0 * math.ulp(max(abs(axis[0]), abs(axis[-1])))
+    tolerance = 1e-9 * spacing + (rounding if rounding < 0.5 * spacing else 0.0)
+    if 0.0 < spacing < math.inf and steps.max() <= tolerance:
         return spacing
     if not np.all(np.isfinite(axis)):
         raise ValueError(f"{what} must be finite")

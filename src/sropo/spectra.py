@@ -107,28 +107,17 @@ def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarr
     Cell n spans [n - 1/2, n + 1/2]*fsr.  The lines with |n + m| <= _NEAR are
     summed directly, as the mode loop sums them.  The others have no pole
     within 1.5 fsr of the cell, so their sum is smooth on it: it is tabulated
-    at q = _CHEB_NODES Chebyshev points of every cell (one correlation of the
-    weights with the lattice of line shapes per point).  The cell's q-point
-    interpolant is re-expanded into a _HALF_TERMS-term Chebyshev series on
-    each half cell, whose nearest far pole lies 7 half-widths from its centre
-    (4 from a full cell's).  The grid is walked in runs of points in one half
-    cell, in blocks of whole runs of at most ``_BLOCK`` points (a longer run
-    is split): each half cell's coefficients, centre and near lines are
+    at q = _CHEB_NODES Chebyshev points of the cell of every half cell that
+    holds points (one correlation of the weights with the lattice of line
+    shapes per node).  The cell's q-point interpolant is re-expanded into a
+    _HALF_TERMS-term Chebyshev series on each half cell, whose nearest far
+    pole lies 7 half-widths from its centre (4 from a full cell's).  The grid
+    is walked in blocks of ``_BLOCK`` points, each cut into runs of points in
+    one half cell: each half cell's coefficients, centre and near lines are
     repeated along its run, and the series is summed by Clenshaw's
     recurrence in place.
     """
     first, last = (int(np.rint(d / fsr)) for d in (detuning[0], detuning[-1]))
-    k = np.arange(first - m_count, last + m_count + 1, dtype=float)  # k = n + m
-    far = np.abs(k) > _NEAR
-    table = np.empty((_CHEB_NODES, last - first + 1))
-    for row, x in zip(table, _chebyshev_fit(_CHEB_NODES)[0]):
-        lines = half_gamma_sq + ((k + 0.5 * x) * fsr) ** 2
-        row[:] = np.correlate(np.where(far, 1.0 / lines, 0.0), weights, "valid")
-    # The weight of every mode near some cell, from mode ``low`` on; 0 past M.
-    low = min(-m_count, -last - _NEAR)
-    padded = np.zeros(max(m_count, _NEAR - first) - low + 1)
-    padded[-m_count - low : m_count - low + 1] = weights
-
     # Half cells 2i and 2i + 1 are the left and right halves of cell first + i.
     # Only the halves that hold points are kept, so that a grid sparser than
     # the cells costs nothing per empty half; kept half h holds the run
@@ -139,24 +128,29 @@ def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarr
     bounds = np.append(bounds[kept], detuning.size)
     cell, right = np.divmod(kept, 2)
     n = (cell + first).astype(float)
+    k = np.arange(first - m_count, last + m_count + 1, dtype=float)  # k = n + m
+    far = np.abs(k) > _NEAR
+    # One row per kept half: einsum's sums depend on table.T's (F) memory order.
+    table = np.empty((kept.size, _CHEB_NODES))
+    for column, x in zip(table.T, _chebyshev_fit(_CHEB_NODES)[0]):
+        lines = half_gamma_sq + ((k + 0.5 * x) * fsr) ** 2
+        column[:] = np.correlate(np.where(far, 1.0 / lines, 0.0), weights, "valid")[cell]
     # Per kept half: its series' coefficients, its centre, and each near
-    # line's m*fsr and weight.  einsum rather than matmul: on the large
-    # configs a BLAS product this size runs threaded, and the spinning second
-    # thread doubled the call's CPU time.
+    # line's m*fsr and weight (0 past M).  einsum rather than matmul: on the
+    # large configs a BLAS product this size runs threaded, and the spinning
+    # second thread doubled the call's CPU time.
     to_half = _half_cell_coefficients(_CHEB_NODES, _HALF_TERMS)
-    both = np.einsum("sij,jc->sic", to_half, table[:, cell])
+    both = np.einsum("sij,jc->sic", to_half, table.T)
     coef = np.where(right, both[1], both[0])
     centre = (n + np.where(right, 0.25, -0.25)) * fsr
     m = np.arange(-_NEAR, _NEAR + 1)[:, None] - n
     offsets = m * fsr
-    near_weights = padded[(m - low).astype(np.intp)]
+    index = np.clip(m + m_count, 0, 2 * m_count).astype(np.intp)
+    near_weights = np.where(np.abs(m) <= m_count, weights[index], 0.0)
 
     values = np.empty_like(detuning)
-    start = 0
-    while start < detuning.size:
-        stop = int(bounds[np.searchsorted(bounds, start + _BLOCK, "right") - 1])
-        if stop <= start:  # one run longer than _BLOCK
-            stop = min(start + _BLOCK, detuning.size)
+    for start in range(0, detuning.size, _BLOCK):
+        stop = min(start + _BLOCK, detuning.size)
         h = int(np.searchsorted(bounds, start, "right")) - 1
         runs = np.diff(np.clip(bounds[h : np.searchsorted(bounds, stop) + 1], start, stop))
         halves = slice(h, h + runs.size)
@@ -187,7 +181,6 @@ def _lorentzian_comb(detuning, weights, m_count, fsr, half_gamma_sq) -> np.ndarr
             w = np.repeat(weight, runs)
             w /= lines
             v += w
-        start = stop
     return values
 
 
@@ -294,8 +287,9 @@ def spectrum(
     check_linewidth(gamma)
     m_count = _auto_mode_count(scales, m_max)
     # Refused past the budget before any is made: the 2M+1 weights, and
-    # _lorentzian_comb's table of _CHEB_NODES rows per fsr cell of the grid
-    # and lattice of cells + 2M line shapes.
+    # _lorentzian_comb's _CHEB_NODES correlations per fsr cell of the grid,
+    # over a lattice of cells + 2M line shapes.  Its table keeps _CHEB_NODES
+    # values per half cell with points, at most two halves per cell.
     cells = np.rint(detuning[-1] / fsr) - np.rint(detuning[0] / fsr) + 1.0
     grid_points(None, m_count, "--m-max", 2)
     grid_points(None, _CHEB_NODES * cells, "--window-modes")

@@ -8,7 +8,10 @@ Markdown table row per config and kernel: the grid size N (for psi, modes
 times points), the mode count M, the mirrored count h of the kernel's axis
 (``numerics.mirror_count``: n//2 when the kernel evaluated only the
 non-negative half, 0 when it evaluated every point), and the median and
-range of the CPU time (``time.process_time``) over the runs.
+range of the CPU time (``time.process_time``) over the runs.  A last row
+times the spectrum on a grid far sparser than its cells: 3 points over
+932,068 fsr cells of the mirrored half, at gamma = 2e7*fsr and M = 2, on the
+first config, where the comb's work goes by cells, not points.
 
 A second table times the writers on the same configs: ``write_table_csv`` and
 ``write_table_json`` on the default g1 table (delay, real and imaginary part,
@@ -21,6 +24,7 @@ spectrum, each into a temporary directory, with the rows and bytes written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import statistics
 import tempfile
 import time
@@ -50,6 +54,13 @@ def _g1(config):
 
 def _wavefunction(config):
     return lambda: biphoton.wavefunction_grid(config.scales, WAVEFUNCTION_MODES)
+
+
+def _sparse_spectrum(config):
+    scales = dataclasses.replace(config.scales, gamma=2e7 * config.scales.fsr_delta_omega)
+    detuning = spectra.spectrum_grid(scales, 932067, 3)
+    return lambda: spectra.spectrum("idler", scales, config.freqs, detuning=detuning,
+                                    m_max=2)
 
 
 KERNELS = {"spectrum": _spectrum, "g1": _g1, "wavefunction": _wavefunction}
@@ -96,13 +107,14 @@ def main() -> None:
     args = parser.parse_args()
     print(f"| config | kernel | N | M | h | CPU, ms (median, range of {args.runs}) |")
     print("|---|---|---|---|---|---|")
-    for name in CONFIGS:
-        config = load_scenario(CONFIG_DIR / name)
-        for kernel, prepare in KERNELS.items():
-            call = prepare(config)
-            n, m, h = _sizes(call())
-            print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
-                  f"| {_cpu_ms(call, args.runs)} |", flush=True)
+    rows = [(name, kernel, prepare)
+            for name in CONFIGS for kernel, prepare in KERNELS.items()]
+    rows.append((CONFIGS[0], "spectrum (sparse)", _sparse_spectrum))
+    for name, kernel, prepare in rows:
+        call = prepare(load_scenario(CONFIG_DIR / name))
+        n, m, h = _sizes(call())
+        print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
+              f"| {_cpu_ms(call, args.runs)} |", flush=True)
     print()
     print(f"| config | writer | table | rows | bytes | CPU, ms (median, range of {args.runs}) |")
     print("|---|---|---|---|---|---|")

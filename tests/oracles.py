@@ -302,7 +302,10 @@ def uniform_axis_four_checks(axis, what: str = "axis") -> float:
     if not (np.all(np.isfinite(steps)) and np.isfinite(span)):
         raise ValueError(f"{what}: its span or a step overflows a double")
     spacing = float(span) / (axis.size - 1)
-    if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing):
+    rounding = 4.0 * math.ulp(max(abs(axis[0]), abs(axis[-1])))
+    if rounding >= 0.5 * spacing:  # past half a step it would admit steps <= 0
+        rounding = 0.0
+    if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing) + rounding:
         raise ValueError(f"{what} must be uniformly spaced")
     return spacing
 

@@ -9,8 +9,11 @@ with that directory written as ``<work>``, and for every file written the
 SHA-256 plus a sample: the header and a few evenly spaced rows of a table,
 the whole of a report.  A table also records ``data_sha256``, the SHA-256 of
 its data alone: the CSV lines after the column row, or the JSON ``data``
-array.  ``tests/test_golden.py`` compares bytes when numpy is the recorded
-version, and the samples within ``RTOL`` otherwise.
+array.  The manifest also records what the bytes depend on past the code
+(``machine``): numpy's version, the SIMD targets numpy dispatches to on the
+CPU, and ``OPENBLAS_CORETYPE`` if it is set.  ``tests/test_golden.py``
+compares bytes when all of them are as recorded, and the samples within
+``RTOL`` otherwise.
 
 ``--check`` labels each entry ``identical``, ``header only`` (exit code,
 stdout, table data and every other file as recorded: only table headers
@@ -37,7 +40,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 MANIFEST = HERE / "golden.json"
 SAMPLE_ROWS = 9
-# Largest sample deviation tolerated when numpy is not the recorded version.
+# Largest sample deviation tolerated on a machine other than the recorded one.
 # With numpy's dispatched SIMD kernels switched off (NPY_DISABLE_CPU_FEATURES=
 # "X86_V3 X86_V4 AVX512_ICL AVX512_SPR") the worst entry, g2-series, deviates
 # by 2.7e-13; the bound leaves a factor of about 40 for other FFT builds.
@@ -242,17 +245,29 @@ def deviation(expected: dict, actual: dict) -> float:
     return worst
 
 
-def numpy_version() -> str:
+def machine() -> dict:
+    """numpy's version, the SIMD targets numpy dispatches to on this CPU (the
+    exp and log paths, among others, round differently on each), and the
+    OpenBLAS core OPENBLAS_CORETYPE forces, if it is set."""
     import numpy
+    from numpy._core import _multiarray_umath as umath
 
-    return numpy.__version__
+    found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    facts = {"numpy": numpy.__version__, "numpy_cpu_dispatch": found}
+    if "OPENBLAS_CORETYPE" in os.environ:
+        facts["openblas_coretype"] = os.environ["OPENBLAS_CORETYPE"]
+    return facts
+
+
+def recorded_machine(manifest: dict) -> dict:
+    return {key: value for key, value in manifest.items() if key != "entries"}
 
 
 def comparison_mode() -> str:
-    recorded = json.loads(MANIFEST.read_text(encoding="utf-8"))["numpy"]
-    if numpy_version() == recorded:
-        return f"bytes (numpy {recorded}, as recorded)"
-    return f"samples within {RTOL:g} (numpy {numpy_version()}, recorded with {recorded})"
+    recorded = recorded_machine(json.loads(MANIFEST.read_text(encoding="utf-8")))
+    if machine() == recorded:
+        return f"bytes ({recorded}, as recorded)"
+    return f"samples within {RTOL:g} ({machine()}, recorded on {recorded})"
 
 
 def main(argv: list[str]) -> int:
@@ -273,7 +288,7 @@ def main(argv: list[str]) -> int:
             else:
                 print(f"{name}: differs, deviation {deviation(expected, actual):.3g}")
     if not check:
-        manifest = {"numpy": numpy_version(), "entries": entries}
+        manifest = {**machine(), "entries": entries}
         MANIFEST.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                             encoding="utf-8")
         print(f"wrote {len(entries)} entries to {MANIFEST}")

@@ -12,6 +12,7 @@ from sropo import (
     G2Request, Normalization, ScenarioValidationError, Trace, TraceKind, TraceMeta, g1,
     load_scenario, numerics, spectrum,
 )
+from sropo.correlations import g2_grid
 from sropo.numerics import _cos_series
 from sropo.spectra import g1_grid, spectrum_grid
 from conftest import CONFIG_DIR
@@ -285,10 +286,31 @@ def faulty_grids(draw):
 @example(axis=np.array([-1e308, 0.0, 1e308]))  # the span overflows, not a step
 @example(axis=np.array([-1.5e308, 0.0, 0.0, 1.5e308]))  # inf spacing, a zero step
 @example(axis=np.array([-1e308, np.inf, 1e308]))
+# 4 ulp of 1e16 is 8, past half the spacing: the rounding term must not admit
+# a zero or a negative step, nor refuse a grid exact to the last bit
+@example(axis=np.array([1e16, 1e16 + 4, 1e16 + 4, 1e16 + 8]))
+@example(axis=np.array([1e16, 1e16 + 6, 1e16 + 4, 1e16 + 10]))
+@example(axis=np.array([1e16, 1e16 + 2, 8 + 1e16, 1e16 + 10]))
+@example(axis=np.array([1e16, 1e16 + 2, 1e16 + 4]))
+# spacing 100 at 1e16: steps 6 off (3 ulp) are the points' own rounding
+@example(axis=1e16 + np.array([0.0, 100.0, 206.0, 300.0]))
 def test_one_pass_axis_check_matches_four_checks(axis):
     assert _check_outcome(numerics.ensure_uniform_axis, axis) == _check_outcome(
         uniform_axis_four_checks, axis
     )
+
+
+def test_grids_rounded_point_by_point_pass_the_uniformity_check():
+    # linspace rounds each point to its own ulp, so a step may differ from the
+    # endpoint spacing by about 2 ulp of max|x|: past 1e-9 of the spacing on
+    # g2's default comb window at 8,000,000 points (64 MB), and on a narrow
+    # grid far from 0.
+    scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+    grid = g2_grid(scales, "compact", 2, points=8_000_000)
+    assert numerics.ensure_uniform_axis(grid, "tau_grid") > 0.0
+    del grid
+    narrow = np.linspace(1.0, 1.0 + 1e-6, 11)
+    assert numerics.ensure_uniform_axis(narrow) == pytest.approx(1e-7)
 
 
 # The six grid floors, the |tau0| floor once per comb tier.  Each entry: the

@@ -225,10 +225,9 @@ def scales_with(fsr_tau0, sign, gamma_over_fsr):
 def aligned_grid(scales, n, run, first_edge, offset):
     """n points, ``run`` to each half cell (fsr/2), from ``offset`` spacings
     past the half-cell edge first_edge*fsr/2.  With ``run`` a power of two and
-    offset 1/2, every run edge sits half a spacing from a point, and the
-    comb's blocks end at the multiples of _BLOCK: at the last run edge within
-    _BLOCK points when a run divides _BLOCK, and within a run when it is
-    longer."""
+    offset 1/2, every run edge sits half a spacing from a point.  The comb's
+    blocks always end at the multiples of _BLOCK: on a run edge when a run
+    divides _BLOCK, and within a run otherwise."""
     spacing = scales.fsr_delta_omega / (2.0 * run)
     start = first_edge * 0.5 * scales.fsr_delta_omega + offset * spacing
     return np.linspace(start, start + (n - 1) * spacing, n)
@@ -434,6 +433,22 @@ class TestLorentzianCombBlocks:
             tracemalloc.stop()
         assert detuning.size == 112_801
         assert peak < 4.5 * 8 * detuning.size
+
+    def test_sparse_grid_over_many_cells_tabulates_only_its_halves(self, spectrum_setup):
+        # 3 points over 932,068 cells of the mirrored half: the table holds
+        # only the two kept halves' nodes, and the rest of the memory is the
+        # correlations' lattice of cells + 2M line shapes (44 MiB traced).
+        *_, freqs, scales = spectrum_setup
+        scales = dataclasses.replace(scales, gamma=2e7 * scales.fsr_delta_omega)
+        detuning = spectrum_grid(scales, 932067, 3)
+        tracemalloc.start()
+        try:
+            trace = spectrum("idler", scales, freqs, detuning=detuning, m_max=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
 
 
 def same_bits(a, b):
