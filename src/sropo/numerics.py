@@ -43,8 +43,9 @@ def symmetric_grid(half: float, n: int) -> np.ndarray:
 
 
 def mirror_count(axis: np.ndarray) -> int:
-    """h = n//2 if ``axis[:h]`` is ``-axis[n-h:]`` reversed, bit for bit, else 0:
-    an even kernel evaluates ``axis[h:]`` and mirrors it onto ``axis[:h]``."""
+    """h = n//2 if ``axis[:h]`` equals ``-axis[n-h:]`` reversed, else 0: an even
+    kernel evaluates ``axis[h:]`` and mirrors it onto ``axis[:h]``.  Compared as
+    floats, not bits: -0.0 == 0.0, so [0.0, 0.0] counts; no increasing axis does."""
     h = axis.size // 2
     return h if np.array_equal(axis[:h], -axis[::-1][:h]) else 0
 

@@ -10,6 +10,7 @@ printf row template.
 from __future__ import annotations
 
 import json
+import tempfile
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -89,6 +90,51 @@ def _format_rows(columns: Sequence[np.ndarray], row: str, sep: str, convert=None
     return chunks()
 
 
+_SIGN, _INF = np.uint64(1 << 63), np.uint64(0x7FF << 52)  # the bits of -0.0 and inf
+
+
+def _mirror_rows(columns: Sequence[np.ndarray]) -> int:
+    """h = n//2 if rows 0 … h-1 are rows n-1 … n-h bit for bit, but for the
+    first field's sign bit, set below and clear above, where the field is no
+    NaN: then a lower row's text is "-" and its upper row's.  Else 0."""
+    bits = [np.asarray(col, dtype=float).view(np.uint64) for col in columns]
+    n, h = len(bits[0]), len(bits[0]) // 2
+    for start in range(0, h, ROW_CHUNK):  # memory stays O(ROW_CHUNK)
+        stop = min(start + ROW_CHUNK, h)
+        low = [bits[0][start:stop] ^ _SIGN] + [b[start:stop] for b in bits[1:]]
+        high = [b[n - stop : n - start][::-1] for b in bits]
+        if not (high[0].max() <= _INF and all(map(np.array_equal, low, high))):
+            return 0
+    return h
+
+
+def _table_rows(path: str | Path, columns: Sequence[np.ndarray], head: str, fields: str,
+                tail: str, sep: str):
+    """``_format_rows`` of the row ``head + fields + tail``.  Of a table mirrored
+    about 0 (h = ``_mirror_rows`` > 0), the upper h rows are formatted once, into
+    an unnamed scratch file beside ``path``; read back from the last chunk, their
+    rows reversed and given "-", they make the lower half."""
+    row, gap = head + fields + tail, tail + sep + head  # gap: one row's end to the next's
+    rows = _format_rows(columns, row, sep)  # refuses unequal columns, before _mirror_rows
+    n, h = len(columns[0]), _mirror_rows(columns)
+
+    def chunks():
+        with tempfile.TemporaryFile(dir=Path(path).parent) as scratch:
+            sizes = [scratch.write(text.encode("ascii"))
+                     for text in _format_rows([col[n - h :] for col in columns], row, sep)]
+            for size in reversed(sizes):  # each chunk but the first opens with sep
+                scratch.seek(-size, 1)
+                text = scratch.read(size).decode("ascii").removeprefix(sep)
+                scratch.seek(-size, 1)
+                lower = text[len(head) : len(text) - len(tail)].split(gap)[::-1]
+                yield head + "-" + (gap + "-").join(lower) + tail + sep
+            if n % 2:
+                yield row % tuple(float(col[h]) for col in columns) + sep
+            yield from (scratch.read(size).decode("ascii") for size in sizes)
+
+    return chunks() if h else rows
+
+
 def write_table_csv(
     path: str | Path,
     comments: Sequence[str],
@@ -98,7 +144,7 @@ def write_table_csv(
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
     # "%.17g" formats a float exactly as names.format_float does.
-    rows = _format_rows(columns, ",".join(["%.17g"] * len(columns)) + "\n", "")
+    rows = _table_rows(path, columns, "", ",".join(["%.17g"] * len(columns)), "\n", "")
     with open(path, "w", encoding="ascii") as out:
         out.writelines(f"# {c}\n" for c in comments)
         out.write(",".join(column_names) + "\n")
@@ -118,7 +164,8 @@ def write_table_json(
     payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
     head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
         '\n "data": []')
-    rows = _format_rows(columns, "\n  [" + ",".join(["\n   %r"] * len(columns)) + "\n  ]", ",")
+    rows = _table_rows(path, columns, "\n  [\n   ", ",\n   ".join(["%r"] * len(columns)),
+                       "\n  ]", ",")
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="ascii") as out:

@@ -15,8 +15,12 @@ first config, where the comb's work goes by cells, not points.
 
 A second table times the writers on the same configs: ``write_table_csv`` and
 ``write_table_json`` on the default g1 table (delay, real and imaginary part,
-as the ``g1`` command writes it) and ``write_svg_plot`` on the default
-spectrum, each into a temporary directory, with the rows and bytes written.
+as the ``g1`` command writes it), ``write_table_csv`` on the default spectrum
+(detuning and value, as the ``spectrum`` command writes it) and
+``write_svg_plot`` on the same spectrum, each into a temporary directory, with
+the rows, the rows h written from the mirror (``trace._mirror_rows``: n//2 when
+the table is mirrored about 0, 0 on the plain path and for the SVG), and the
+bytes written.
 
     PYTHONPATH=src python tests/kernel_time.py [--runs 5]
 """
@@ -34,7 +38,7 @@ from sropo import biphoton, spectra
 from sropo.numerics import mirror_count
 from sropo.scenario import load_scenario
 from sropo.svgplot import write_svg_plot
-from sropo.trace import write_table_csv, write_table_json
+from sropo.trace import _mirror_rows, write_table_csv, write_table_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ["spectrum_comb.json", "g2_comb.json", "phase_matched.json",
@@ -74,20 +78,24 @@ def _sizes(result) -> tuple[int, int, int]:
 
 
 def _writers(config):
-    """(writer, table, rows, call(path)) for each writer on the config's default
-    g1 table or spectrum."""
+    """(writer, table, rows, h, call(path)) for each writer on the config's
+    default g1 table or spectrum."""
     g1 = spectra.g1("idler", config.scales, config.freqs)
     names = ["tau_seconds", "re_value", "im_value"]
     columns = [g1.axis, g1.values.real, g1.values.imag]
     spectrum = spectra.spectrum("idler", config.scales, config.freqs)
+    curve = [spectrum.axis, spectrum.values]
     return [
-        ("write_table_csv", "g1", g1.axis.size,
+        ("write_table_csv", "g1", g1.axis.size, _mirror_rows(columns),
          lambda path: write_table_csv(path, ["kind = g1"], names, columns)),
-        ("write_table_json", "g1", g1.axis.size,
+        ("write_table_json", "g1", g1.axis.size, _mirror_rows(columns),
          lambda path: write_table_json(path, {"kind": "g1"}, names, columns)),
-        ("write_svg_plot", "spectrum", spectrum.axis.size,
-         lambda path: write_svg_plot(path, spectrum.axis, spectrum.values, "spectrum_idler",
-                                     "detuning_rad_per_s", "value")),
+        ("write_table_csv", "spectrum", spectrum.axis.size, _mirror_rows(curve),
+         lambda path: write_table_csv(path, ["kind = spectrum"],
+                                      ["detuning_rad_per_s", "value"], curve)),
+        ("write_svg_plot", "spectrum", spectrum.axis.size, 0,
+         lambda path: write_svg_plot(path, *curve, "spectrum_idler", "detuning_rad_per_s",
+                                     "value")),
     ]
 
 
@@ -116,16 +124,17 @@ def main() -> None:
         print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
               f"| {_cpu_ms(call, args.runs)} |", flush=True)
     print()
-    print(f"| config | writer | table | rows | bytes | CPU, ms (median, range of {args.runs}) |")
-    print("|---|---|---|---|---|---|")
+    print(f"| config | writer | table | rows | h | bytes "
+          f"| CPU, ms (median, range of {args.runs}) |")
+    print("|---|---|---|---|---|---|---|")
     for name in CONFIGS:
         config = load_scenario(CONFIG_DIR / name)
-        for writer, table, rows, write in _writers(config):
+        for writer, table, rows, h, write in _writers(config):
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp, "out")
                 cpu = _cpu_ms(lambda: write(path), args.runs)
                 size = path.stat().st_size
-            print(f"| `{name}` | `{writer}` | {table} | {rows:,} | {size:,} | {cpu} |",
+            print(f"| `{name}` | `{writer}` | {table} | {rows:,} | {h:,} | {size:,} | {cpu} |",
                   flush=True)
 
 

@@ -14,6 +14,7 @@ import pytest
 import sropo
 import sropo.cli
 import sropo.dispersion
+import sropo.trace
 from sropo import FrequencyTriple, load_scenario, transit_time_diff
 from sropo.cli import COMMANDS, main
 from sropo.correlations import g2_grid
@@ -325,6 +326,44 @@ class TestErrorPaths:
         if table_existed:  # written whole by the run, never left truncated
             comments, names, _ = read_table_csv(out / "spectrum_idler.csv")
             assert names == ["detuning_rad_per_s", "value"] and comments
+
+    G1_ARGV = ["g1", "--config", str(CONFIG_DIR / "spectrum_comb.json"), "--field", "idler"]
+
+    def test_mirrored_table_leaves_no_scratch_file(self, tmp_path, capsys, monkeypatch):
+        # The upper half's text goes to an unnamed scratch file in --out.
+        mirrored = []
+        real = sropo.trace._mirror_rows
+
+        def spy(columns):
+            mirrored.append(real(columns))
+            return mirrored[-1]
+
+        monkeypatch.setattr(sropo.trace, "_mirror_rows", spy)
+        out = tmp_path / "out"
+        assert main([*self.G1_ARGV, "--out", str(out)]) == 0
+        assert mirrored[0] > 0
+        assert [path.name for path in out.iterdir()] == ["g1_idler.csv"]
+
+    def test_failed_mirrored_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # The disk fills while the upper half is formatted, in its second chunk.
+        sizes = []
+        real = sropo.trace._format_rows
+
+        def failing(columns, row, sep, convert=None):
+            sizes.append(len(columns[0]))
+            chunks = real(columns, row, sep, convert)
+
+            def fail():
+                yield next(chunks)
+                raise OSError(28, "No space left on device")
+            return fail()
+
+        monkeypatch.setattr(sropo.trace, "_format_rows", failing)
+        out = tmp_path / "out"
+        assert main([*self.G1_ARGV, "--out", str(out)]) == 1
+        assert capsys.readouterr().out.startswith("error: exit=1 type=OSError: --out: ")
+        assert sizes[1] == sizes[0] // 2  # the upper half, so the mirrored path
+        assert not any(out.iterdir())
 
     def test_output_directory_naming_a_file_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"

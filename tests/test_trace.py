@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sropo.correlations
@@ -13,9 +13,9 @@ import sropo.spectra
 import sropo.trace
 from sropo import G2Request, Normalization, Trace, TraceKind, TraceMeta
 from sropo.correlations import g2_exact, g2_grid, g2_series
-from sropo.numerics import ensure_uniform_axis
+from sropo.numerics import ensure_uniform_axis, symmetric_grid
 from sropo.svgplot import write_svg_plot
-from sropo.trace import ROW_CHUNK, write_table_csv, write_table_json
+from sropo.trace import ROW_CHUNK, _mirror_rows, write_table_csv, write_table_json
 from conftest import make_setup
 from oracles import svg_polyline_whole, write_table_csv_whole, write_table_json_whole
 
@@ -141,15 +141,22 @@ META_WITH_DATA_KEY = {"kind": "g1", "columns": "tau_s,value", "x": -0.0,
                       "nested": {"data": [], "z": 1e308}}
 
 
+def _assert_writes_as_oracle(write, oracle, header, columns):
+    """``write`` makes the bytes of the whole-table ``oracle``, and no other file."""
+    names = [f"c{i}" for i in range(len(columns))]
+    with tempfile.TemporaryDirectory() as tmp:
+        written, whole = Path(tmp, "written"), Path(tmp, "whole")
+        write(written, header, names, columns)
+        oracle(whole, header, names, columns)
+        assert written.read_bytes() == whole.read_bytes()
+        assert sorted(path.name for path in Path(tmp).iterdir()) == ["whole", "written"]
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(columns=tables(st.floats()))
 def test_chunked_csv_matches_whole_table_writer(columns):
-    names = [f"c{i}" for i in range(len(columns))]
-    with tempfile.TemporaryDirectory() as tmp:
-        chunked, whole = Path(tmp, "chunked.csv"), Path(tmp, "whole.csv")
-        write_table_csv(chunked, ["sropo", "a: 1"], names, columns)
-        write_table_csv_whole(whole, ["sropo", "a: 1"], names, columns)
-        assert chunked.read_bytes() == whole.read_bytes()
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo", "a: 1"],
+                             columns)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -157,12 +164,76 @@ def test_chunked_csv_matches_whole_table_writer(columns):
 def test_chunked_json_matches_whole_table_writer(columns):
     # The header dump holds a nested "data" key, one indent level below the
     # table's own.
-    names = [f"c{i}" for i in range(len(columns))]
-    with tempfile.TemporaryDirectory() as tmp:
-        chunked, whole = Path(tmp, "chunked.json"), Path(tmp, "whole.json")
-        write_table_json(chunked, META_WITH_DATA_KEY, names, columns)
-        write_table_json_whole(whole, META_WITH_DATA_KEY, names, columns)
-        assert chunked.read_bytes() == whole.read_bytes()
+    _assert_writes_as_oracle(write_table_json, write_table_json_whole, META_WITH_DATA_KEY,
+                             columns)
+
+
+# Mirrored row counts: the two halves' h = n//2 rows split into chunks
+# unevenly, and an odd table has a centre row.
+MIRROR_ROWS = [2, 3, 2 * ROW_CHUNK - 1, 2 * ROW_CHUNK + 1, 2 * ROW_CHUNK + 3]
+
+
+@st.composite
+def mirrored_tables(draw, values):
+    """(columns, h): an axis that is an exact mirror about 0
+    (``numerics.symmetric_grid``) and 0-3 even columns of ``tables``' values,
+    which the writers write from the upper half's h = n//2 rows."""
+    n = draw(st.sampled_from(MIRROR_ROWS))
+    columns = draw(tables(values, rows=st.just(n), width=st.integers(0, 3)))
+    for col in columns:
+        col[: n // 2] = col[::-1][: n // 2]
+    return [symmetric_grid(draw(st.floats(0.0, 1e300)), n), *columns], n // 2
+
+
+def _one_ulp_off(row, column):
+    """(columns, 0): a 2*ROW_CHUNK + 3 row mirrored table with one field one
+    ulp off the mirror, which the writers write on the plain path."""
+    axis = symmetric_grid(1.0, 2 * ROW_CHUNK + 3)
+    columns = [axis, axis**2]
+    columns[column][row] = np.nextafter(columns[column][row], np.inf)
+    return columns, 0
+
+
+# The axis in the mirror check's second chunk; a value in the last row.
+OFF_MIRROR = [_one_ulp_off(ROW_CHUNK, 0), _one_ulp_off(-1, 1)]
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(table=mirrored_tables(st.floats()))
+@example(table=OFF_MIRROR[0])
+@example(table=OFF_MIRROR[1])
+def test_mirrored_csv_matches_whole_table_writer(table):
+    columns, h = table
+    assert _mirror_rows(columns) == h
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo"], columns)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(table=mirrored_tables(FINITE))
+@example(table=OFF_MIRROR[0])
+@example(table=OFF_MIRROR[1])
+def test_mirrored_json_matches_whole_table_writer(table):
+    columns, h = table
+    assert _mirror_rows(columns) == h
+    _assert_writes_as_oracle(write_table_json, write_table_json_whole, META_WITH_DATA_KEY,
+                             columns)
+
+
+@pytest.mark.parametrize("axis, h", [
+    ([0.0, 0.0], 0), ([0.0, -0.0], 0), ([-0.0, 0.0], 1),
+    ([-np.inf, np.inf], 1), ([-np.nan, np.nan], 0),
+])
+@pytest.mark.parametrize("width", [1, 2])
+def test_axis_mirrors_only_where_its_text_does(axis, h, width):
+    # numerics.mirror_count calls the three zero axes mirrors: np.array_equal
+    # has -0.0 == 0.0.  Written from the mirror, [0.0, 0.0] would read "-0",
+    # "0"; and NaN prints "nan" whatever its sign bit.
+    columns = [np.array(axis), np.ones(2)][:width]
+    assert _mirror_rows(columns) == h
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo"], columns)
+    if np.isfinite(axis).all():
+        _assert_writes_as_oracle(write_table_json, write_table_json_whole, {"kind": "g1"},
+                                 columns)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -238,16 +309,32 @@ def _write_svg(path, columns):
 WRITER_PEAK_BOUND = 4 << 20  # bytes: a chunk's rows, their text and the encoder's pieces
 
 
-@pytest.mark.parametrize("write", [_write_csv, _write_json, _write_svg],
-                         ids=["csv", "json", "svg"])
-def test_writer_memory_does_not_grow_with_the_table(tmp_path, write):
+def _memory_table(rows, mirrored):
+    """Three columns; mirrored: a symmetric axis and two even columns, which
+    the table writers write from their upper half."""
+    if not mirrored:
+        return [np.linspace(-1.0, 1.0, rows), np.linspace(0.0, 1.0, rows) ** 2,
+                np.geomspace(1e-300, 1e300, rows)]
+    axis = symmetric_grid(1.0, rows)
+    even = np.geomspace(1e-300, 1e300, rows)
+    even[: rows // 2] = even[::-1][: rows // 2]
+    columns = [axis, axis**2, even]
+    assert _mirror_rows(columns) == rows // 2
+    return columns
+
+
+@pytest.mark.parametrize("write, mirrored", [
+    (_write_csv, False), (_write_json, False), (_write_svg, False),
+    (_write_csv, True), (_write_json, True),
+], ids=["csv", "json", "svg", "csv_mirrored", "json_mirrored"])
+def test_writer_memory_does_not_grow_with_the_table(tmp_path, write, mirrored):
     # tracemalloc sees numpy's buffers too.  A whole-table writer peaks at
     # about 19 (CSV), 27 (JSON) and 4 MiB (SVG) on 50,000 rows, 8x that on
-    # 400,000; a chunked one holds the same few MiB at both sizes.
+    # 400,000; a chunked one holds the same few MiB at both sizes, and so does
+    # one that reads a mirrored table's upper half back from its scratch file.
     peaks = []
     for rows in (50_000, 400_000):
-        columns = [np.linspace(-1.0, 1.0, rows), np.linspace(0.0, 1.0, rows) ** 2,
-                   np.geomspace(1e-300, 1e300, rows)]
+        columns = _memory_table(rows, mirrored)
         tracemalloc.start()
         try:
             write(tmp_path / "table", columns)
