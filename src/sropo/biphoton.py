@@ -10,7 +10,6 @@ mode m at detuning Omega,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .cavity import DerivedScales
@@ -19,6 +18,7 @@ from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
 from .errors import DegenerateGroupVelocityError, NonConvergenceError
+from .names import Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -28,8 +28,7 @@ MIN_HALFWIDTH_GAMMAS = 10.0
 MIN_POINTS_PER_MODE = 2
 
 
-@dataclass(frozen=True)
-class PumpParams:
+class PumpParams(Record):
     """Classical pump: modulus of the relevant field component, V/m."""
 
     field_amplitude_ep: float
@@ -126,8 +125,7 @@ def rate_mode_sum(
     return rate_continuum(crystal, pump, freqs, scales) * bracket
 
 
-@dataclass(frozen=True, eq=False)
-class BiphotonAmplitudeGrid:
+class BiphotonAmplitudeGrid(Record, eq=False):
     """Normalized two-photon amplitudes psi(m, Omega) on a (mode, detuning) grid.
 
     ``amplitudes[i, j]`` belongs to mode ``modes[i]`` and detuning

@@ -8,7 +8,6 @@ occupies part of a resonator of length L_r >= l; the rest is free space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constants import SPEED_OF_LIGHT as C_LIGHT
 from .constants import TWO_PI
@@ -19,13 +18,13 @@ from .dispersion import (
     refractive_index,
 )
 from .errors import GeometryError, ScenarioValidationError
+from .names import Record
 
 DEFAULT_REGIME_THRESHOLD = 0.1
 REGIME_RATIO_NAMES = ("kappa/gamma", "gamma/fsr", "fsr*|tau0|")
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Record):
     """One-sided signal resonator: total length and field damping rate."""
 
     resonator_length_lr: float
@@ -38,8 +37,7 @@ class CavityParams:
             raise ValueError("loss_rate_gamma must be positive")
 
 
-@dataclass(frozen=True)
-class DerivedScales:
+class DerivedScales(Record):
     """The time/rate scales every downstream computation runs on.
 
     ``kappa`` is +inf when tau0 == 0 (the continuum rate diverges there);
@@ -53,16 +51,14 @@ class DerivedScales:
     kappa: float
 
 
-@dataclass(frozen=True)
-class RegimeCheck:
+class RegimeCheck(Record):
     name: str
     value: float
     threshold: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(Record):
     checks: tuple[RegimeCheck, ...]
     ok: bool
     threshold: float

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -315,6 +316,10 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
 
 
 def main(argv=None) -> int:
+    # One OpenBLAS thread unless the user chose: numpy starts one worker per
+    # extra CPU at import, and an idle worker spins whether or not a BLAS call
+    # follows.  Set before any runner imports numpy.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.plot and args.command == "wavefunction":

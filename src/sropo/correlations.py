@@ -29,7 +29,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .cavity import DerivedScales
 from .errors import (
     DegenerateGroupVelocityError, ResolutionTooFineError, ScenarioValidationError,
 )
-from .names import G2Tier
+from .names import G2Tier, Record
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
 from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
@@ -47,20 +46,19 @@ _PEAK_FLOOR = 1e-6  # averaged tier: keep echoes until exp(-gamma j T) drops bel
 _LOG_MAX = math.log(sys.float_info.max)  # exp(x) overflows a double past this
 
 
-@dataclass(frozen=True, eq=False)
-class G2Request:
+class G2Request(Record, eq=False):
     """What to evaluate: tier, delay grid, and the tier-specific knobs.
 
     ``tau_grid`` must be uniform with spacing at most |tau0|/8 (exact,
     series, compact) or resolution_dt/8 (averaged).  ``m_max`` overrides the
-    adaptive mode truncation.
+    adaptive mode truncation.  ``spacing``, of ``tau_grid`` from its endpoints,
+    is set at construction.
     """
 
     tier: G2Tier
     tau_grid: np.ndarray
     m_max: int | None = None
     resolution_dt: float | None = None
-    spacing: float = field(init=False)  # of tau_grid, from its endpoints
 
     def __post_init__(self):
         object.__setattr__(self, "tier", G2Tier(self.tier))

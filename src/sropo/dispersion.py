@@ -18,7 +18,6 @@ rely on finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .constants import SPEED_OF_LIGHT as C_LIGHT
@@ -29,6 +28,7 @@ from .errors import (
     NonConvergenceError,
     OutOfRangeError,
 )
+from .names import Record
 
 _VALIDATION_SAMPLES = 65
 _SCAN_INTERVALS = 256
@@ -51,8 +51,7 @@ _PARAM_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class DispersionModel:
+class DispersionModel(Record):
     """One polarization axis of a (possibly dispersive) medium.
 
     ``validity_range`` is the closed frequency interval on which the model may
@@ -159,8 +158,7 @@ def wavenumber(model: DispersionModel, omega: float) -> float:
     return omega * refractive_index(model, omega) / C_LIGHT
 
 
-@dataclass(frozen=True)
-class CrystalParams:
+class CrystalParams(Record):
     """Nonlinear crystal: geometry, susceptibility, and the three index models.
 
     ``chi`` is the effective second-order susceptibility in m/V, treated as
@@ -183,8 +181,7 @@ class CrystalParams:
             raise ValueError("cross_section_A must be positive")
 
 
-@dataclass(frozen=True)
-class FrequencyTriple:
+class FrequencyTriple(Record):
     """Pump, signal, idler centre frequencies with exact energy conservation.
 
     Construction rejects triples whose floating-point sum

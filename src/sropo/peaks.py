@@ -8,13 +8,12 @@ Lorentzians, and Gaussians alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .names import Record
 
-@dataclass(frozen=True)
-class PeakMeasurement:
+
+class PeakMeasurement(Record):
     center: float
     height: float
     fwhm: float

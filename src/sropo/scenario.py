@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .biphoton import PumpParams, _continuum_kappa
@@ -50,14 +49,13 @@ from .dispersion import (
     transit_time_diff,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .names import Normalization
+from .names import Normalization, Record
 
 # output.normalization: the two a spectrum supports (no other command reads it)
 _OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     crystal: CrystalParams
     cavity: CavityParams
     pump: PumpParams
@@ -70,7 +68,7 @@ class ScenarioConfig:
     normalization: Normalization
 
 
-# Each physical block's JSON keys in its dataclass's field order: the one
+# Each physical block's JSON keys in its record's field order: the one
 # schema that parses the crystal, cavity and pump blocks and hashes all four.
 _BLOCKS = {
     "crystal": (CrystalParams, ("length_l", "chi", "cross_section_A", "dispersion_signal",

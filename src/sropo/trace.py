@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import tempfile
-from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .names import Normalization
+from .names import Normalization, Record
 from .numerics import ensure_uniform_axis
 
 
@@ -29,15 +28,17 @@ class TraceKind(str, Enum):
     G2 = "g2"
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(Record):
     kind: TraceKind
     normalization: Normalization
-    extra: Mapping[str, object] = field(default_factory=dict)
+    extra: Mapping[str, object] | None = None  # None: a new empty dict
+
+    def __post_init__(self):
+        if self.extra is None:
+            object.__setattr__(self, "extra", {})
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Record, eq=False):
     """Function of one variable on a uniform grid.
 
     Real values must be non-negative; complex values may have any phase.
@@ -46,14 +47,13 @@ class Trace:
     axis: np.ndarray
     values: np.ndarray
     meta: TraceMeta
-    axis_checked: InitVar[bool] = False  # True: axis has passed ensure_uniform_axis
 
-    def __post_init__(self, axis_checked):
-        axis = np.asarray(self.axis, dtype=float)
-        is_complex = np.iscomplexobj(self.values)
-        values = np.asarray(self.values, dtype=complex if is_complex else float)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "values", values)
+    def __init__(self, axis, values, meta, axis_checked: bool = False):
+        """``axis_checked``: True when ``axis`` has passed ensure_uniform_axis."""
+        axis = np.asarray(axis, dtype=float)
+        is_complex = np.iscomplexobj(values)
+        values = np.asarray(values, dtype=complex if is_complex else float)
+        super().__init__(axis, values, meta)
         if not axis_checked:
             ensure_uniform_axis(axis, "trace axis")
         if values.shape != axis.shape:

@@ -28,7 +28,6 @@ bytes written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import statistics
 import tempfile
 import time
@@ -61,7 +60,7 @@ def _wavefunction(config):
 
 
 def _sparse_spectrum(config):
-    scales = dataclasses.replace(config.scales, gamma=2e7 * config.scales.fsr_delta_omega)
+    scales = config.scales.replace(gamma=2e7 * config.scales.fsr_delta_omega)
     detuning = spectra.spectrum_grid(scales, 932067, 3)
     return lambda: spectra.spectrum("idler", scales, config.freqs, detuning=detuning,
                                     m_max=2)

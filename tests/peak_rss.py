@@ -1,4 +1,5 @@
-"""Peak resident memory and CPU time of the table-writing sropo commands.
+"""Peak resident memory and CPU time of sropo commands: the table writers,
+and ``scales`` and ``g2 --tier compact``, whose time is mostly start-up.
 
 Each command runs in a fresh ``python -m sropo`` child, and each child is
 measured on its own with ``os.wait4``: its ``ru_maxrss`` and its user plus
@@ -24,6 +25,8 @@ import sys
 import tempfile
 
 COMMANDS = {
+    "scales": ["scales", "--config", "configs/g2_comb.json"],
+    "g2 --tier compact": ["g2", "--config", "configs/g2_comb.json", "--tier", "compact"],
     "g1": ["g1", "--config", "configs/spectrum_comb.json", "--field", "idler"],
     "g1 --format json": ["g1", "--config", "configs/spectrum_comb.json", "--field", "idler",
                          "--format", "json"],

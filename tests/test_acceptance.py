@@ -2,7 +2,6 @@
 tolerance, printing a PASS line when it holds (run with ``pytest -v -s``).
 """
 
-import dataclasses
 import json
 import math
 import subprocess
@@ -73,8 +72,7 @@ def test_criterion_2_rate_consistency(rate_setup):
     tail = per_mode * 2.0 / (dz * dz * m)
     assert partial <= k_sum <= partial + tail
 
-    modified = dataclasses.replace(
-        scales,
+    modified = scales.replace(
         gamma=10 * scales.gamma,
         round_trip_T=10 * scales.round_trip_T,
         fsr_delta_omega=scales.fsr_delta_omega / 10,
@@ -183,7 +181,7 @@ def test_criterion_5_forbidden_region(cross_tier_setup):
         assert np.all(trace.values[tau < -tau0] == 0.0)
         assert trace.values.max() == 1.0
 
-    flipped = dataclasses.replace(scales, tau0=-scales.tau0)
+    flipped = scales.replace(tau0=-scales.tau0)
     for runner, request in runners:
         trace = runner(request, flipped)
         assert np.all(trace.values[tau < 0.0] == 0.0)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -114,20 +113,17 @@ class TestRates:
         assert rate_continuum(crystal, double_pump, freqs, scales) == pytest.approx(
             4 * kappa, rel=1e-14
         )
-        import dataclasses
 
-        halved = dataclasses.replace(scales, tau0=2 * scales.tau0)
+        halved = scales.replace(tau0=2 * scales.tau0)
         assert rate_continuum(crystal, pump, freqs, halved) == pytest.approx(
             kappa / 2, rel=1e-14
         )
 
     def test_continuum_independent_of_resonator(self, rate_setup):
-        import dataclasses
 
         crystal, cavity, pump, freqs, scales = rate_setup
         kappa = rate_continuum(crystal, pump, freqs, scales)
-        modified = dataclasses.replace(
-            scales,
+        modified = scales.replace(
             gamma=10 * scales.gamma,
             round_trip_T=10 * scales.round_trip_T,
             fsr_delta_omega=scales.fsr_delta_omega / 10,
@@ -143,12 +139,10 @@ class TestRates:
         assert abs(k_sum - k_cont) / k_cont < 0.01
 
     def test_mode_sum_invariant_under_fsr_halving(self, comb_setup):
-        import dataclasses
 
         crystal, cavity, pump, freqs, scales = comb_setup
         k1 = rate_mode_sum(crystal, pump, freqs, scales)
-        halved_fsr = dataclasses.replace(
-            scales,
+        halved_fsr = scales.replace(
             fsr_delta_omega=scales.fsr_delta_omega / 2,
             round_trip_T=scales.round_trip_T * 2,
         )
@@ -156,12 +150,11 @@ class TestRates:
         assert abs(k2 - k1) / k1 < 0.01
 
     def test_mode_sum_even_in_tau0(self, comb_setup):
-        import dataclasses
 
         crystal, _, pump, freqs, scales = comb_setup
         k1 = rate_mode_sum(crystal, pump, freqs, scales)
         k2 = rate_mode_sum(
-            crystal, pump, freqs, dataclasses.replace(scales, tau0=-scales.tau0)
+            crystal, pump, freqs, scales.replace(tau0=-scales.tau0)
         )
         assert k1 == k2
 
@@ -370,19 +363,19 @@ class TestWavefunctionGrid:
         # finite with unit norm, and one float outside is refused.
         *_, scales = comb_setup
         gamma = GAMMA_RANGE[end]
-        grid = wavefunction_grid(dataclasses.replace(scales, gamma=gamma), m_count=2)
+        grid = wavefunction_grid(scales.replace(gamma=gamma), m_count=2)
         assert np.all(np.isfinite(grid.amplitudes))
         assert norm_squared(grid) == pytest.approx(1.0, rel=1e-12)
         outside = float(np.nextafter(gamma, (0, math.inf)[end]))
         with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
-            wavefunction_grid(dataclasses.replace(scales, gamma=outside), m_count=2)
+            wavefunction_grid(scales.replace(gamma=outside), m_count=2)
 
     def test_default_grid_accepts_gamma_near_shipped_config(self):
         # 384 intervals over 24 gamma is exactly 16 points per gamma for
         # every gamma; the check must not round below its own limit.
         scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
         for factor in np.linspace(0.99, 1.01, 200):
-            near = dataclasses.replace(scales, gamma=scales.gamma * factor)
+            near = scales.replace(gamma=scales.gamma * factor)
             grid = wavefunction_grid(near, m_count=2)
             assert grid.detuning.size == 385
 

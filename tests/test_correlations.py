@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -105,7 +104,7 @@ class TestSeries:
 
     def test_negative_tau0_reflects_structure(self, comb_setup):
         crystal, cavity, pump, freqs, scales = comb_setup
-        flipped = dataclasses.replace(scales, tau0=-scales.tau0)
+        flipped = scales.replace(tau0=-scales.tau0)
         tau0, T = scales.tau0, scales.round_trip_T
         tau = comb_grid(scales)
         trace = g2_series(G2Request(G2Tier.SERIES, tau), flipped)
@@ -141,7 +140,7 @@ class TestSeries:
         # 1,847 modes; the oracle's own recurrence error grows with M.
         *_, scales = comb_setup
         if flip:
-            scales = dataclasses.replace(scales, tau0=-scales.tau0)
+            scales = scales.replace(tau0=-scales.tau0)
         tau = comb_grid(scales)
         trace = g2_series(G2Request(G2Tier.SERIES, tau), scales)
         want = g2_series_mode_loop(tau, scales, trace.meta.extra["m_max"])

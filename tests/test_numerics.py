@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -318,14 +317,13 @@ def test_grids_rounded_point_by_point_pass_the_uniformity_check():
 # (x -> refused, x a spacing or psi's half-width), the call it guards, and a
 # start near its edge.  A two-point grid [0, x] has spacing exactly x.
 def _floors():
-    import dataclasses
 
     from sropo import G2Request, G2Tier, spectra, wavefunction_grid
     from sropo import correlations as g2
     from conftest import make_setup
 
     *_, freqs, s = make_setup(1.81)
-    s = dataclasses.replace(s, gamma=s.gamma / 3.0)  # floors that are not round numbers
+    s = s.replace(gamma=s.gamma / 3.0)  # floors that are not round numbers
     t0, T, m, dt = abs(s.tau0), s.round_trip_T, 50, 0.02 * s.round_trip_T
 
     def grid(x):
@@ -442,7 +440,7 @@ def test_grid_whose_span_overflows_is_refused_without_warnings(axis, call, what)
 
 def test_window_whose_span_overflows_is_refused_without_warnings():
     scales = load_scenario(CONFIG_DIR / "spectrum_comb.json").scales
-    slow = dataclasses.replace(scales, gamma=1.0)  # 1e308/gamma is a double
+    slow = scales.replace(gamma=1.0)  # 1e308/gamma is a double
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ScenarioValidationError, match="--window-modes: derived "

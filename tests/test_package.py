@@ -1,6 +1,7 @@
 """The package entry point: lazy names, and a scalar path that never loads numpy."""
 
 import importlib
+import os
 import subprocess
 import sys
 
@@ -58,6 +59,7 @@ import sys
 {block}
 from sropo.cli import main
 code = main(sys.argv[1:])
+assert "dataclasses" not in sys.modules, "dataclasses was imported"
 assert sys.modules.get("numpy") is None, "numpy was imported"
 sys.exit(code)
 """
@@ -82,3 +84,32 @@ def test_scalar_command_runs_without_numpy(name, block, tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert (tmp_path / written).is_file()
+
+
+_RUN_ARRAY = """
+import os, sys
+from sropo.cli import main
+code = main(sys.argv[1:])
+assert "numpy" in sys.modules and "dataclasses" not in sys.modules, "dataclasses was imported"
+threads = os.environ["OPENBLAS_NUM_THREADS"]
+assert threads == {want!r}, threads
+if threads == "1" and sys.platform == "linux":  # no idle OpenBLAS worker
+    assert len(os.listdir("/proc/self/task")) == 1, os.listdir("/proc/self/task")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("preset", [None, "2"], ids=["default", "user-set"])
+def test_array_command_runs_one_blas_thread_without_dataclasses(preset, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_ARRAY.format(want=preset or "1"), "g2", "--tier", "compact",
+         "--config", str(CONFIG_DIR / "g2_comb.json"), "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert (tmp_path / "g2_compact.csv").is_file()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -311,17 +310,17 @@ class TestLorentzianCombBlocks:
 
         def run(gamma):  # 16 points per gamma, within one fsr cell each side
             half = min(gamma, scales.fsr_delta_omega)
-            return spectrum("idler", dataclasses.replace(scales, gamma=gamma), freqs,
+            return spectrum("idler", scales.replace(gamma=gamma), freqs,
                             np.linspace(-half, half, 33), m_max=2,
                             normalization=normalization)
 
         gamma = GAMMA_RANGE[end]
         trace = run(gamma)
         assert np.all(np.isfinite(trace.values)) and trace.values[16] > 0
-        assert np.all(np.isfinite(g1_grid(dataclasses.replace(scales, gamma=gamma),
+        assert np.all(np.isfinite(g1_grid(scales.replace(gamma=gamma),
                                           points=5)))
         gamma = float(np.nextafter(gamma, (0, math.inf)[end]))
-        outside = dataclasses.replace(scales, gamma=gamma)
+        outside = scales.replace(gamma=gamma)
         with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
             run(gamma)
         with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
@@ -439,7 +438,7 @@ class TestLorentzianCombBlocks:
         # only the two kept halves' nodes, and the rest of the memory is the
         # correlations' lattice of cells + 2M line shapes (44 MiB traced).
         *_, freqs, scales = spectrum_setup
-        scales = dataclasses.replace(scales, gamma=2e7 * scales.fsr_delta_omega)
+        scales = scales.replace(gamma=2e7 * scales.fsr_delta_omega)
         detuning = spectrum_grid(scales, 932067, 3)
         tracemalloc.start()
         try:
@@ -609,7 +608,7 @@ class TestGridBudget:
         detuning = np.linspace(-gamma, gamma, 33)
         monkeypatch.setattr(np, "arange", self._refuse)
         with pytest.raises(ScenarioValidationError, match="grid from --window-modes "):
-            spectrum("idler", dataclasses.replace(scales, gamma=gamma), freqs, detuning)
+            spectrum("idler", scales.replace(gamma=gamma), freqs, detuning)
 
     def test_line_lattice_refused_before_allocating(self, spectrum_setup, monkeypatch):
         # 2M+1 weights within the budget, but the lattice of line shapes over
@@ -620,7 +619,7 @@ class TestGridBudget:
         monkeypatch.setattr(np, "arange", self._refuse)
         with pytest.raises(ScenarioValidationError,
                            match="grid from --window-modes and --m-max "):
-            spectrum("idler", dataclasses.replace(scales, gamma=16.0 * fsr), freqs,
+            spectrum("idler", scales.replace(gamma=16.0 * fsr), freqs,
                      detuning, m_max=(MAX_GRID_POINTS - 1) // 2)
 
     @staticmethod
@@ -672,8 +671,8 @@ class TestRefusalOrder:
         args = dict(field="idler", m_max=5, steps=np.arange(-16.0, 17.0), coarse=False)
         for fault in faults:
             args.update(REFUSALS[fault][0])
-        scales = dataclasses.replace(scales, tau0=args.get("tau0", scales.tau0),
-                                     gamma=args.get("gamma", scales.gamma))
+        scales = scales.replace(tau0=args.get("tau0", scales.tau0),
+                                gamma=args.get("gamma", scales.gamma))
         if function is spectrum:
             spacing = scales.gamma / (8.0 if args["coarse"] else 32.0)
         else:
@@ -758,7 +757,7 @@ class TestG1:
         # 1/(gamma*spacing) divides by an underflow.
         *_, freqs, scales = spectrum_setup
         with pytest.raises(ScenarioValidationError, match="cavity.loss_rate_gamma"):
-            g1("idler", dataclasses.replace(scales, gamma=1e-300), freqs,
+            g1("idler", scales.replace(gamma=1e-300), freqs,
                tau=[0.0, 1e-30], m_max=0)
 
     def test_spacing_below_a_gamma_underflow_is_fine_enough(self, spectrum_setup):
@@ -766,7 +765,7 @@ class TestG1:
         *_, freqs, scales = spectrum_setup
         gamma = GAMMA_RANGE[0]
         assert gamma * 1e-300 == 0.0
-        trace = g1("idler", dataclasses.replace(scales, gamma=gamma), freqs,
+        trace = g1("idler", scales.replace(gamma=gamma), freqs,
                    tau=[0.0, 1e-300], m_max=0)
         assert np.array_equal(trace.values, [1.0, 1.0])
 
