@@ -140,6 +140,10 @@ def _run_g1(args, config: ScenarioConfig):
 
 def _run_g2(args, config: ScenarioConfig):
     from . import correlations
+    if args.m_max is not None and args.tier in ("compact", "averaged"):
+        raise ScenarioValidationError(f"--m-max: g2 --tier {args.tier} has no mode sum")
+    if args.resolution is not None and args.tier != "averaged":
+        raise ScenarioValidationError(f"--resolution: g2 --tier {args.tier} has no detector")
     s = config.scales
     tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
     request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution)
@@ -172,6 +176,7 @@ _POSITIVE = _bounded(float, 0.0, strict=True)
 _FIELD = ("--field", dict(choices=("signal", "idler"), required=True))
 _POINTS = ("--points", dict(type=_bounded(int, 2)))
 _M_MAX = ("--m-max", dict(type=_bounded(int, 0)))
+_PLOT = ("--plot", dict(action="store_true", help="emit a static SVG next to the trace"))
 # The flags that shape a grid, named when it is too coarse.
 _GRID_FLAGS = ("window_modes", "window_gammas", "points", "halfwidth_gammas",
                "points_per_mode")
@@ -197,6 +202,7 @@ COMMANDS = {
                                     "units of the free spectral range")),
             _POINTS,
             _M_MAX,
+            _PLOT,
         ],
         _run_spectrum,
     ),
@@ -208,6 +214,7 @@ COMMANDS = {
                                      "units of 1/gamma")),
             _POINTS,
             _M_MAX,
+            _PLOT,
         ],
         _run_g1,
     ),
@@ -221,6 +228,7 @@ COMMANDS = {
             ("--m-max", dict(type=_bounded(int, 1))),
             ("--resolution", dict(type=_POSITIVE, help="detector resolution dT in "
                                   "seconds (averaged tier)")),
+            _PLOT,
         ],
         _run_g2,
     ),
@@ -252,10 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict-regime",
         action="store_true",
         help="exit with status 3 if the scenario fails the regime check",
-    )
-    common.add_argument(
-        "--plot", action="store_true",
-        help="emit a static SVG next to the trace (spectrum, g1, g2)"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags, _) in COMMANDS.items():
@@ -295,7 +299,8 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
               **{key: v for _, key, v in _scale_fields(config.scales)},
               "regime": config.regime.summary()}
     fmt = args.format if args.format is not None else config.output_format
-    suffixes = [fmt, "svg"] if args.plot else [fmt]
+    plot = len(result) == 2 and args.plot  # a trace: only its commands have --plot
+    suffixes = [fmt, "svg"] if plot else [fmt]
     written = [out_dir / f"{stem}.{suffix}" for suffix in suffixes]
     out_dir.mkdir(parents=True, exist_ok=True)
     created = [path for path in written if not path.exists()]
@@ -305,7 +310,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
             writers.write_table_csv(written[0], lines, names, columns)
         else:
             writers.write_table_json(written[0], header, names, columns)
-        if args.plot:  # of a trace: main refuses --plot for a table
+        if plot:
             y = abs(trace.values) if trace.values.dtype.kind == "c" else trace.values
             svgplot.write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
     except BaseException:
@@ -320,10 +325,7 @@ def main(argv=None) -> int:
     # extra CPU at import, and an idle worker spins whether or not a BLAS call
     # follows.  Set before any runner imports numpy.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.plot and args.command == "wavefunction":
-        parser.error("argument --plot: wavefunction writes a table, not a trace")
+    args = _build_parser().parse_args(argv)
     try:
         config = load_scenario(args.config)
         if args.strict_regime and not config.regime.ok:

@@ -98,21 +98,20 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     raise ValueError(f"{what} must be uniformly spaced")  # all the one pass left
 
 
-def _expi(phase: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i*phase) for real ``phase``, bit for bit ``np.exp(1j * phase)`` but
-    faster: cos and sin written into the two parts of ``out`` (new if None).
-    As in ``1j * phase``, a phase of -0 gives a sine of +0.
-    """
-    if out is None:
-        out = np.empty(np.shape(phase), dtype=complex)
+def _expi(phase: np.ndarray) -> np.ndarray:
+    """exp(i*phase) for real ``phase``, as cos and sin in a new array, 0-d for a
+    scalar.  ``np.exp(1j * phase)`` has its bits and speed, but returns a numpy
+    scalar for a scalar phase, whose complex products round otherwise than an
+    array's (FMA); and cos and sin give the same bits at every SIMD level."""
+    out = np.empty(np.shape(phase), dtype=complex)
     np.cos(phase, out=out.real)
     imag = np.sin(phase, out=out.imag)
-    imag += 0.0
+    imag += 0.0  # a phase of -0 gives a sine of +0, as in 1j * phase
     return out
 
 
-def _cis(x: float, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(i*x*q) for integer-valued q, into ``out`` (a new array if None).
+def _cis(x: float, q: np.ndarray) -> np.ndarray:
+    """exp(i*x*q) for integer-valued q, as a new array.
 
     x is split so that its leading part times q is exact in double
     precision; sin and cos then see an exact argument, and only the trailing
@@ -125,10 +124,8 @@ def _cis(x: float, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     bits = int(np.max(np.abs(q), initial=0)).bit_length()
     unit = math.ldexp(1.0, max(math.frexp(x)[1] - 53 + bits, -1074))
     lead = round(x / unit) * unit
-    phase = lead * q
-    out = _expi(phase, out)
-    np.multiply(x - lead, q, out=phase)
-    return np.multiply(out, _expi(phase), out=out)
+    out = _expi(lead * q)
+    return np.multiply(out, _expi((x - lead) * q), out=out)
 
 
 def _fft_length(m1: int, n: int) -> int:

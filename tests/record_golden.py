@@ -46,10 +46,36 @@ SAMPLE_ROWS = 9
 # by 2.7e-13; the bound leaves a factor of about 40 for other FFT builds.
 RTOL = 1e-11
 
+
+def _sellmeier(*parameters) -> dict:
+    return {"kind": "sellmeier", "parameters": list(parameters),
+            "validity_range": [8e14, 6e15]}  # 0.31-2.4 um
+
+
+def _phase_matched(bracket: list) -> dict:
+    data = json.loads((ROOT / "configs" / "phase_matched.json").read_text(encoding="utf-8"))
+    data["frequencies"]["bracket"] = bracket
+    return data
+
+
+_SELLMEIER = scenario_dict()
+_SELLMEIER["crystal"].update(  # fused silica signal; BK7 glass idler and pump
+    dispersion_signal=_sellmeier(0.6961663, 0.4079426, 0.8974794,
+                                 0.004679148, 0.01351206, 97.934),
+    dispersion_idler=_sellmeier(1.03961212, 0.231792344, 1.01046945,
+                                0.00600069867, 0.0200179144, 103.560653),
+)
+_SELLMEIER["crystal"]["dispersion_pump"] = _SELLMEIER["crystal"]["dispersion_idler"]
+
 # Scenarios written next to the output directory; an argument "@name" names one.
 SCENARIOS = {
     "tau0-zero": scenario_dict(idler_n=1.8),
     "regime-fail": scenario_dict(gamma=0.5 * 2 * math.pi / ROUND_TRIP),
+    "unit-integral": scenario_dict(output={"format": "csv",
+                                           "normalization": "unit_integral"}),
+    # no scan point of this bracket is the root: the bisection iterates
+    "bracket-off-grid": _phase_matched([1.81e15, 2.2e15]),
+    "sellmeier": _SELLMEIER,
 }
 
 _G2 = "g2 --config configs/g2_comb.json"
@@ -108,6 +134,11 @@ INVOCATIONS = {
                                        "--window-modes 3 --m-max 10",
     "tau0-zero-g1": "g1 --config @tau0-zero --field signal",
     "tau0-zero-g1-m-max": "g1 --config @tau0-zero --field signal --m-max 10",
+    # a unit-integral spectrum, a bisected phase match and Sellmeier indices
+    "spectrum-unit-integral": "spectrum --config @unit-integral --field idler",
+    "scales-bracket-off-grid": "scales --config @bracket-off-grid",
+    "scales-sellmeier": "scales --config @sellmeier",
+    "rate-sellmeier": "rate --config @sellmeier --method both",
 }
 
 

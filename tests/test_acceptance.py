@@ -314,15 +314,15 @@ def test_criterion_9_cli_determinism(tmp_path):
     for run in ("run1", "run2"):
         out = tmp_path / run
         for cmd in (
-            ["g2", "--tier", "series", "--peaks", "2"],
-            ["g2", "--tier", "compact", "--peaks", "2", "--format", "json"],
+            ["g2", "--tier", "series", "--peaks", "2", "--plot"],
+            ["g2", "--tier", "compact", "--peaks", "2", "--format", "json", "--plot"],
             ["spectrum", "--field", "idler", "--window-modes", "2.5",
-             "--m-max", "10"],
+             "--m-max", "10", "--plot"],
             ["scales"],
         ):
             result = subprocess.run(
                 [sys.executable, "-m", "sropo", *cmd, "--config", str(config),
-                 "--out", str(out), "--plot"],
+                 "--out", str(out)],
                 capture_output=True,
                 text=True,
             )

@@ -399,8 +399,6 @@ class TestErrorPaths:
             (["g2", "--tier", "compact", "--points", "1" + "0" * 399], "--points"),
             (["spectrum", "--field", "idler", "--m-max", "1" + "0" * 399], "--m-max"),
             (["wavefunction", "--modes", "1" + "0" * 399], "--modes"),
-            # a table has no trace to plot
-            (["wavefunction", "--plot"], "--plot"),
         ],
     )
     def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):
@@ -411,6 +409,51 @@ class TestErrorPaths:
         assert out.startswith("error: exit=1 type=ArgumentError: ")
         assert f"argument {flag}:" in out
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["scales", "check-regime", "rate", "wavefunction"])
+    def test_plot_is_a_flag_of_the_trace_commands_only(self, config_path, tmp_path, capsys,
+                                                       command):
+        # A report or a table has no trace to plot: argparse refuses the flag.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--plot", "--config", str(config_path), "--out", str(out)])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == (
+            "error: exit=1 type=ArgumentError: unrecognized arguments: --plot\n")
+        assert not out.exists()
+        for name in (command, "spectrum", "g1", "g2"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--help"])
+            assert exc.value.code == 0
+            assert ("--plot" in capsys.readouterr().out) is (name != command)
+
+    @pytest.mark.parametrize(
+        "config, args, flag",
+        [
+            ("g2_comb", ["--tier", "compact", "--m-max", "5"], "--m-max"),
+            ("detector_averaged",
+             ["--tier", "averaged", "--resolution", "7.74e-12", "--m-max", "5"], "--m-max"),
+            ("g2_comb", ["--tier", "series", "--resolution", "1e-11"], "--resolution"),
+            ("g2_comb", ["--tier", "exact", "--resolution", "1e-11"], "--resolution"),
+            ("g2_comb", ["--tier", "compact", "--resolution", "1e-11"], "--resolution"),
+            # refused before a grid of any size is built
+            ("g2_comb", ["--tier", "compact", "--peaks", "100000000000000",
+                         "--resolution", "1e-12"], "--resolution"),
+        ],
+    )
+    def test_g2_refuses_a_tier_flag_its_tier_does_not_read(self, tmp_path, capsys,
+                                                           monkeypatch, config, args, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid built for a refused flag")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        out = tmp_path / "out"
+        argv = ["g2", *args, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out)]
+        assert main(argv) == 1
+        text = capsys.readouterr().out
+        assert text.startswith(
+            f"error: exit=1 type=ScenarioValidationError: {flag}: g2 --tier {args[1]} ")
+        assert not out.exists()
 
     def test_rate_has_no_mode_truncation_flag(self, config_path, tmp_path, capsys):
         # The rate is the full mode sum in closed form; there is no M to set.
@@ -795,9 +838,6 @@ class TestGridBudget:
              "--points"),
             (["g2", "--tier", "averaged", "--resolution", "1e-16"],
              "--peaks and --resolution"),
-            # --resolution does not size a comb-tier grid
-            (["g2", "--tier", "compact", "--peaks", "100000000000000",
-              "--resolution", "1e-12"], "--peaks"),
         ],
     )
     def test_oversized_grid_is_config_error_before_allocating(
@@ -914,14 +954,12 @@ class TestDeterminismAndRoundTrip:
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         for out in (out1, out2):
             for cmd in (
-                ["g2", "--tier", "series", "--peaks", "2"],
+                ["g2", "--tier", "series", "--peaks", "2", "--plot"],
                 ["spectrum", "--field", "idler", "--window-modes", "2.5",
-                 "--m-max", "10"],
+                 "--m-max", "10", "--plot"],
                 ["scales"],
             ):
-                result = run_cli(
-                    *cmd, "--config", str(config_path), "--out", str(out), "--plot"
-                )
+                result = run_cli(*cmd, "--config", str(config_path), "--out", str(out))
                 assert result.returncode == 0
         files1 = sorted(p.name for p in out1.iterdir())
         files2 = sorted(p.name for p in out2.iterdir())
