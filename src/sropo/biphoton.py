@@ -18,7 +18,7 @@ from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
 from .errors import DegenerateGroupVelocityError, NonConvergenceError
-from .names import Record
+from .names import Record, as_integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -164,7 +164,7 @@ def wavefunction_grid(
         omega_grid_halfwidth = 12.0
     if points_per_mode is None:
         points_per_mode = 385
-    if m_count < 1:
+    if as_integer(m_count, "m_count") < 1:
         raise ValueError("m_count must be at least 1")
     if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:
         raise ValueError(

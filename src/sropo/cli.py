@@ -7,8 +7,8 @@ set and the scenario fails the regime check.  Identical inputs produce
 byte-identical output files.
 
 ``COMMANDS`` gives each subcommand its help, flags and runner.  A runner
-returns an output stem and a report dict, a ``(trace, axis_name)`` pair or a
-``(meta, names, columns)`` table, which ``_write`` turns into files.
+returns an output stem and either a report dict or a ``(meta, names, columns)``
+table (``trace.trace_table`` of a trace), which ``_write`` turns into files.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .cavity import DerivedScales, resonance_mode_number
 from .errors import (
     GridTooCoarseError, ScenarioParseError, ScenarioValidationError, SropoError,
 )
-from .names import G2Tier, format_float
+from .names import G2Tier, format_value
 from .scenario import ScenarioConfig, load_scenario
 
 EXIT_OK = 0
@@ -79,10 +79,6 @@ def _scale_fields(scales: DerivedScales) -> list[tuple[str, str, object]]:
     ]
 
 
-def _text(value) -> str:
-    return format_float(value) if isinstance(value, float) else str(value)
-
-
 def _regime(config: ScenarioConfig) -> dict:
     regime = config.regime
     checks = [
@@ -118,37 +114,28 @@ def _run_rate(args, config: ScenarioConfig):
 
 
 def _run_spectrum(args, config: ScenarioConfig):
-    from . import spectra
+    from . import spectra, trace
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
-    trace = spectra.spectrum(
-        args.field,
-        config.scales,
-        config.freqs,
-        detuning=detuning,
-        m_max=args.m_max,
-        normalization=config.normalization,
-    )
-    return f"spectrum_{args.field}", (trace, "detuning_rad_per_s")
+    result = spectra.spectrum(args.field, config.scales, config.freqs, detuning=detuning,
+                              m_max=args.m_max, normalization=config.normalization)
+    return f"spectrum_{args.field}", trace.trace_table(result, "detuning_rad_per_s")
 
 
 def _run_g1(args, config: ScenarioConfig):
-    from . import spectra
+    from . import spectra, trace
     tau = spectra.g1_grid(config.scales, args.window_gammas, args.points, args.m_max)
-    trace = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
-    return f"g1_{args.field}", (trace, "tau_seconds")
+    result = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
+    return f"g1_{args.field}", trace.trace_table(result, "tau_seconds")
 
 
 def _run_g2(args, config: ScenarioConfig):
-    from . import correlations
-    if args.m_max is not None and args.tier in ("compact", "averaged"):
-        raise ScenarioValidationError(f"--m-max: g2 --tier {args.tier} has no mode sum")
-    if args.resolution is not None and args.tier != "averaged":
-        raise ScenarioValidationError(f"--resolution: g2 --tier {args.tier} has no detector")
+    from . import correlations, trace
+    correlations.check_tier(args.tier, args.m_max, args.resolution)  # before any grid
     s = config.scales
     tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
     request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution)
-    trace = getattr(correlations, f"g2_{args.tier}")(request, s)
-    return f"g2_{args.tier}", (trace, "tau_seconds")
+    result = getattr(correlations, f"g2_{args.tier}")(request, s)
+    return f"g2_{args.tier}", trace.trace_table(result, "tau_seconds")
 
 
 def _run_wavefunction(args, config: ScenarioConfig):
@@ -281,38 +268,21 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
         return [path]
     from . import svgplot, trace as writers  # numpy comes with the table writers
 
-    if len(result) == 3:
-        meta, names, columns = result
-    else:
-        trace, axis_name = result
-        kind = trace.meta.kind.value
-        meta = {"kind": kind, "normalization": trace.meta.normalization.value,
-                **trace.meta.extra}
-        if trace.values.dtype.kind == "c":
-            names = [axis_name, "re_value", "im_value"]
-            columns = [trace.axis, trace.values.real, trace.values.imag]
-        else:
-            names = [axis_name, "g2_value" if kind == "g2" else "value"]
-            columns = [trace.axis, trace.values]
+    meta, names, columns = result
     header = {"sropo": __version__, "scenario_hash": config.scenario_hash,
               **dict(sorted(meta.items())),
               **{key: v for _, key, v in _scale_fields(config.scales)},
               "regime": config.regime.summary()}
     fmt = args.format if args.format is not None else config.output_format
-    plot = len(result) == 2 and args.plot  # a trace: only its commands have --plot
+    plot = getattr(args, "plot", False)  # only the trace commands have --plot
     suffixes = [fmt, "svg"] if plot else [fmt]
     written = [out_dir / f"{stem}.{suffix}" for suffix in suffixes]
     out_dir.mkdir(parents=True, exist_ok=True)
     created = [path for path in written if not path.exists()]
     try:
-        if fmt == "csv":
-            lines = [f"{key} = {_text(v)}" for key, v in header.items()]
-            writers.write_table_csv(written[0], lines, names, columns)
-        else:
-            writers.write_table_json(written[0], header, names, columns)
-        if plot:
-            y = abs(trace.values) if trace.values.dtype.kind == "c" else trace.values
-            svgplot.write_svg_plot(written[1], trace.axis, y, stem, names[0], "value")
+        getattr(writers, f"write_table_{fmt}")(written[0], header, names, columns)
+        if plot:  # g1's imaginary part is 0: |re_value| is |g1|
+            svgplot.write_svg_plot(written[1], columns[0], abs(columns[1]), stem, names[0], "value")
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
@@ -346,7 +316,7 @@ def main(argv=None) -> int:
     except (SropoError, ValueError) as exc:
         return _error(EXIT_NUMERIC, type(exc).__name__, exc)
 
-    summary = [f"{name}={_text(v)}" for name, _, v in _scale_fields(config.scales)]
+    summary = [f"{name}={format_value(v)}" for name, _, v in _scale_fields(config.scales)]
     summary.append(f"regime={'pass' if config.regime.ok else 'fail'}")
     summary.append("wrote=" + ",".join(str(p) for p in written))
     print(" ".join(summary))

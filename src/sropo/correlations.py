@@ -36,7 +36,7 @@ from .cavity import DerivedScales
 from .errors import (
     DegenerateGroupVelocityError, ResolutionTooFineError, ScenarioValidationError,
 )
-from .names import G2Tier, Record
+from .names import G2Tier, Record, as_integer
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
 from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
@@ -47,7 +47,7 @@ _LOG_MAX = math.log(sys.float_info.max)  # exp(x) overflows a double past this
 
 
 class G2Request(Record, eq=False):
-    """What to evaluate: tier, delay grid, and the tier-specific knobs.
+    """What to evaluate: tier, delay grid, and the knobs ``check_tier`` admits.
 
     ``tau_grid`` must be uniform with spacing at most |tau0|/8 (exact,
     series, compact) or resolution_dt/8 (averaged).  ``m_max`` overrides the
@@ -61,12 +61,27 @@ class G2Request(Record, eq=False):
     resolution_dt: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tier", G2Tier(self.tier))
+        object.__setattr__(self, "tier", check_tier(self.tier, self.m_max, self.resolution_dt))
         grid = np.asarray(self.tau_grid, dtype=float)
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "spacing", ensure_uniform_axis(grid, "tau_grid"))
-        if self.m_max is not None and self.m_max < 1:
+
+
+def check_tier(tier, m_max=None, resolution=None) -> G2Tier:
+    """The tier, refusing a knob it does not read (ScenarioValidationError naming
+    the flag): ``m_max``, an integer >= 1, is read by series and exact only, and
+    ``resolution`` by averaged only, which needs it."""
+    tier = G2Tier(tier)
+    if m_max is not None:
+        if tier not in (G2Tier.SERIES, G2Tier.EXACT):
+            raise ScenarioValidationError(f"--m-max: g2 --tier {tier.value} has no mode sum")
+        if as_integer(m_max, "m_max") < 1:
             raise ValueError("m_max must be at least 1")
+    if resolution is None and tier is G2Tier.AVERAGED:
+        raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
+    if resolution is not None and tier is not G2Tier.AVERAGED:
+        raise ScenarioValidationError(f"--resolution: g2 --tier {tier.value} has no detector")
+    return tier
 
 
 def _require_tier(request: G2Request, tier: G2Tier) -> None:
@@ -90,11 +105,9 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     naming the flags it comes from.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
-    if G2Tier(tier) is not G2Tier.AVERAGED:
+    if check_tier(tier, resolution=resolution) is not G2Tier.AVERAGED:
         _check_peak_resolution(t0 / 12.0, scales)
         start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
-    elif resolution is None:
-        raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
     else:
         start = _checked("delay grid start", -3.0 * resolution, "--resolution",
                          positive=False)
@@ -242,7 +255,7 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
     up to 14 dT past the grid, beyond which each adds exactly 0.
     """
     _require_tier(request, G2Tier.AVERAGED)
-    if request.resolution_dt is None or request.resolution_dt <= 0:
+    if request.resolution_dt <= 0:
         raise ValueError("averaged tier needs a positive resolution_dt")
     dt = request.resolution_dt
     if dt < 10.0 * abs(scales.tau0):

@@ -1,8 +1,10 @@
 """Names the scalar path shares with the array modules, free of numpy: the
-output normalisations, the G2 tiers, the 17-digit float format and the
-immutable record every value type is built on.
+output normalisations, the G2 tiers, the 17-digit float and header-value
+formats, the integer check of a mode count and the immutable record every
+value type is built on.
 """
 
+import operator
 from enum import Enum
 
 
@@ -22,6 +24,20 @@ class G2Tier(str, Enum):
 def format_float(value: float) -> str:
     """17-significant-digit decimal form; round-trips any float64 exactly."""
     return format(float(value), ".17g")
+
+
+def format_value(value) -> str:
+    """A header or summary value as text: a float by ``format_float``, else ``str``."""
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` as an int; a non-integer (``operator.index`` fails) is a
+    ValueError naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class Record:

@@ -30,6 +30,7 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import DegenerateGroupVelocityError
+from .names import as_integer
 from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
@@ -63,7 +64,7 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
     if m_max is not None:
-        if m_max < 0:
+        if as_integer(m_max, "m_max") < 0:
             raise ValueError("m_max must be non-negative")
         return m_max
     return int(_ENVELOPE_REACH * envelope_zero_mode(scales))

@@ -1,10 +1,11 @@
 """Sampled result traces and their on-disk CSV/JSON round-trip format.
 
-CSV tables carry ``# key = value`` header lines (JSON tables the same keys in
-``meta``), a column-name row and comma-separated rows of 17-significant-digit
-values, so a re-read reproduces every float bit-exactly.  ``_format_rows``
-prints the rows of every format, CSV, JSON and the SVG polyline, from a
-printf row template.
+A trace is written as the table ``trace_table`` makes of it.  Both writers
+take a table's header mapping: CSV tables carry it as ``# key = value`` lines
+(JSON tables as ``meta``), then a column-name row and comma-separated rows of
+17-significant-digit values, so a re-read reproduces every float bit-exactly.
+``_format_rows`` prints the rows of every format, CSV, JSON and the SVG
+polyline, from a printf row template.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .names import Normalization, Record
+from .names import Normalization, Record, format_value
 from .numerics import ensure_uniform_axis
 
 
@@ -66,6 +67,19 @@ class Trace(Record, eq=False):
     @property
     def spacing(self) -> float:
         return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
+
+
+def trace_table(trace: Trace, axis_name: str):
+    """The ``(meta, names, columns)`` table of ``trace``: the header keys kind,
+    normalization and the meta's extra; the axis column ``axis_name``, then
+    ``value`` (``g2_value`` for G2), or ``re_value`` and ``im_value`` when complex."""
+    meta = {"kind": trace.meta.kind.value, "normalization": trace.meta.normalization.value,
+            **trace.meta.extra}
+    if trace.values.dtype.kind == "c":
+        return meta, [axis_name, "re_value", "im_value"], [
+            trace.axis, trace.values.real, trace.values.imag]
+    value = "g2_value" if trace.meta.kind is TraceKind.G2 else "value"
+    return meta, [axis_name, value], [trace.axis, trace.values]
 
 
 ROW_CHUNK = 4096  # rows a writer formats at a time: its memory stays O(ROW_CHUNK)
@@ -137,16 +151,18 @@ def _table_rows(path: str | Path, columns: Sequence[np.ndarray], head: str, fiel
 
 def write_table_csv(
     path: str | Path,
-    comments: Sequence[str],
+    meta: Mapping[str, object],
     column_names: Sequence[str],
     columns: Sequence[np.ndarray],
 ) -> None:
+    """The table as one ``# key = value`` line per ``meta`` item (the value as
+    ``names.format_value`` writes it), the column names and the rows."""
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
     # "%.17g" formats a float exactly as names.format_float does.
     rows = _table_rows(path, columns, "", ",".join(["%.17g"] * len(columns)), "\n", "")
     with open(path, "w", encoding="ascii") as out:
-        out.writelines(f"# {c}\n" for c in comments)
+        out.writelines(f"# {key} = {format_value(v)}\n" for key, v in meta.items())
         out.write(",".join(column_names) + "\n")
         out.writelines(rows)
 

@@ -14,10 +14,11 @@ times the spectrum on a grid far sparser than its cells: 3 points over
 first config, where the comb's work goes by cells, not points.
 
 A second table times the writers on the same configs: ``write_table_csv`` and
-``write_table_json`` on the default g1 table (delay, real and imaginary part,
-as the ``g1`` command writes it), ``write_table_csv`` on the default spectrum
-(detuning and value, as the ``spectrum`` command writes it) and
-``write_svg_plot`` on the same spectrum, each into a temporary directory, with
+``write_table_json`` on the default g1's table (``trace.trace_table``: delay,
+real and imaginary part, as the ``g1`` command writes it), ``write_table_csv``
+on the default spectrum's table (detuning and value, as the ``spectrum``
+command writes it) and ``write_svg_plot`` on the same spectrum, each with the
+table's header mapping and into a temporary directory, with
 the rows, the rows h written from the mirror (``trace._mirror_rows``: n//2 when
 the table is mirrored about 0, 0 on the plain path and for the SVG), and the
 bytes written.
@@ -37,7 +38,7 @@ from sropo import biphoton, spectra
 from sropo.numerics import mirror_count
 from sropo.scenario import load_scenario
 from sropo.svgplot import write_svg_plot
-from sropo.trace import _mirror_rows, write_table_csv, write_table_json
+from sropo.trace import _mirror_rows, trace_table, write_table_csv, write_table_json
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIGS = ["spectrum_comb.json", "g2_comb.json", "phase_matched.json",
@@ -79,22 +80,19 @@ def _sizes(result) -> tuple[int, int, int]:
 def _writers(config):
     """(writer, table, rows, h, call(path)) for each writer on the config's
     default g1 table or spectrum."""
-    g1 = spectra.g1("idler", config.scales, config.freqs)
-    names = ["tau_seconds", "re_value", "im_value"]
-    columns = [g1.axis, g1.values.real, g1.values.imag]
-    spectrum = spectra.spectrum("idler", config.scales, config.freqs)
-    curve = [spectrum.axis, spectrum.values]
+    g1 = trace_table(spectra.g1("idler", config.scales, config.freqs), "tau_seconds")
+    spectrum = trace_table(spectra.spectrum("idler", config.scales, config.freqs),
+                           "detuning_rad_per_s")
+    (_, _, columns), (_, names, curve) = g1, spectrum
     return [
-        ("write_table_csv", "g1", g1.axis.size, _mirror_rows(columns),
-         lambda path: write_table_csv(path, ["kind = g1"], names, columns)),
-        ("write_table_json", "g1", g1.axis.size, _mirror_rows(columns),
-         lambda path: write_table_json(path, {"kind": "g1"}, names, columns)),
-        ("write_table_csv", "spectrum", spectrum.axis.size, _mirror_rows(curve),
-         lambda path: write_table_csv(path, ["kind = spectrum"],
-                                      ["detuning_rad_per_s", "value"], curve)),
-        ("write_svg_plot", "spectrum", spectrum.axis.size, 0,
-         lambda path: write_svg_plot(path, *curve, "spectrum_idler", "detuning_rad_per_s",
-                                     "value")),
+        ("write_table_csv", "g1", len(columns[0]), _mirror_rows(columns),
+         lambda path: write_table_csv(path, *g1)),
+        ("write_table_json", "g1", len(columns[0]), _mirror_rows(columns),
+         lambda path: write_table_json(path, *g1)),
+        ("write_table_csv", "spectrum", len(curve[0]), _mirror_rows(curve),
+         lambda path: write_table_csv(path, *spectrum)),
+        ("write_svg_plot", "spectrum", len(curve[0]), 0,
+         lambda path: write_svg_plot(path, *curve, "spectrum_idler", names[0], "value")),
     ]
 
 

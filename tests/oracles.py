@@ -338,9 +338,10 @@ def cis_decimal(x: float, q: int) -> complex:
     return complex(float(cos), float(sin))
 
 
-def write_table_csv_whole(path, comments, column_names, columns) -> None:
+def write_table_csv_whole(path, meta, column_names, columns) -> None:
     """``trace.write_table_csv`` with every row formatted into one string."""
-    lines = [f"# {c}" for c in comments]
+    lines = [f"# {key} = {format(v, '.17g') if isinstance(v, float) else v}"
+             for key, v in meta.items()]
     lines.append(",".join(column_names))
     row_format = ",".join(["%.17g"] * len(columns))
     rows = np.column_stack(columns).tolist()

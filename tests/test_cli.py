@@ -944,8 +944,8 @@ class TestDeterminismAndRoundTrip:
         floats[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, -1e22]
         cols = [floats, np.arange(n) - 250, np.abs(rng.standard_normal(n))]
         path = tmp_path / "table.csv"
-        write_table_csv(path, ["a", "b c"], ["x", "m", "y"], cols)
-        expected = ["# a", "# b c", "x,m,y"] + [
+        write_table_csv(path, {"a": 1, "b c": -0.0}, ["x", "m", "y"], cols)
+        expected = ["# a = 1", "# b c = -0", "x,m,y"] + [
             ",".join(format_float(col[i]) for col in cols) for i in range(n)
         ]
         assert path.read_text(encoding="ascii") == "\n".join(expected) + "\n"

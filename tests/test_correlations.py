@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -514,3 +515,30 @@ class TestTierPropertiesOnCliGrid:
             j = round(p.center / T)
             assert j >= 0
             assert abs(p.center - j * T) <= resolution / 4
+
+
+# A knob a tier does not read, or the averaged tier without its resolution:
+# (tier, knobs, message).  The CLI's g2 refuses the same pairs with the same text.
+TIER_KNOB_REFUSALS = [
+    ("compact", dict(m_max=5), "--m-max: g2 --tier compact has no mode sum"),
+    ("averaged", dict(m_max=5, resolution_dt=1e-11),
+     "--m-max: g2 --tier averaged has no mode sum"),
+    ("series", dict(resolution_dt=1e-11), "--resolution: g2 --tier series has no detector"),
+    ("exact", dict(resolution_dt=1e-11), "--resolution: g2 --tier exact has no detector"),
+    ("compact", dict(resolution_dt=1e-11), "--resolution: g2 --tier compact has no detector"),
+    ("averaged", {}, "g2 --tier averaged requires --resolution <seconds>"),
+]
+
+
+@pytest.mark.parametrize("tier, knobs, message", TIER_KNOB_REFUSALS)
+def test_request_refuses_a_knob_its_tier_does_not_read(tier, knobs, message):
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(message)}$"):
+        G2Request(tier, np.linspace(0.0, 1e-9, 9), **knobs)
+
+
+@pytest.mark.parametrize("tier", ["series", "exact", "compact"])
+def test_grid_refuses_a_resolution_its_tier_does_not_read(tier):
+    scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
+    with pytest.raises(ScenarioValidationError,
+                       match=f"^--resolution: g2 --tier {tier} has no detector$"):
+        g2_grid(scales, tier, 2, 1e-11)

@@ -329,8 +329,9 @@ def _floors():
     def grid(x):
         return np.array([0.0, x])
 
-    def tier(run, t):
-        return lambda x: run(G2Request(t, grid(x), m_max=3), s)
+    def tier(run, t):  # m_max only where the tier has a mode sum
+        knobs = {} if t is G2Tier.COMPACT else {"m_max": 3}
+        return lambda x: run(G2Request(t, grid(x), **knobs), s)
 
     return {
         "spectrum per gamma": (

@@ -889,3 +889,27 @@ class TestG1:
         assert np.all(values.imag == 0.0)
         assert np.abs(values).max() <= 1.0 + 1e-12
         assert np.abs(values - np.conj(values[::-1])).max() < 1e-12
+
+
+# Each entry point that takes a mode count: a non-integer one (where
+# operator.index fails) is refused, naming the argument, before it is used.
+MODE_COUNT_ENTRIES = {
+    "spectrum": lambda c, m: spectrum("idler", c.scales, c.freqs, m_max=m),
+    "g1": lambda c, m: g1("idler", c.scales, c.freqs, m_max=m),
+    "g1_grid": lambda c, m: g1_grid(c.scales, m_max=m),
+    "g2_series": lambda c, m: sropo.g2_series(
+        sropo.G2Request("series", np.linspace(0.0, 1e-9, 9), m_max=m), c.scales),
+    "g2_exact": lambda c, m: sropo.g2_exact(
+        sropo.G2Request("exact", np.linspace(0.0, 1e-9, 9), m_max=m), c.scales),
+    "wavefunction_grid": lambda c, m: sropo.wavefunction_grid(c.scales, m),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("entry", MODE_COUNT_ENTRIES)
+def test_non_integer_mode_count_is_refused(entry, count):
+    config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
+    name = "m_count" if entry == "wavefunction_grid" else "m_max"
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {count!r}$"):
+        MODE_COUNT_ENTRIES[entry](config, count)
+    MODE_COUNT_ENTRIES["spectrum"](config, np.int64(2))  # an integer type is one

@@ -155,7 +155,7 @@ def _assert_writes_as_oracle(write, oracle, header, columns):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(columns=tables(st.floats()))
 def test_chunked_csv_matches_whole_table_writer(columns):
-    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo", "a: 1"],
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, META_WITH_DATA_KEY,
                              columns)
 
 
@@ -205,7 +205,7 @@ OFF_MIRROR = [_one_ulp_off(ROW_CHUNK, 0), _one_ulp_off(-1, 1)]
 def test_mirrored_csv_matches_whole_table_writer(table):
     columns, h = table
     assert _mirror_rows(columns) == h
-    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo"], columns)
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, {"kind": "g1"}, columns)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)
@@ -230,7 +230,7 @@ def test_axis_mirrors_only_where_its_text_does(axis, h, width):
     # "0"; and NaN prints "nan" whatever its sign bit.
     columns = [np.array(axis), np.ones(2)][:width]
     assert _mirror_rows(columns) == h
-    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, ["sropo"], columns)
+    _assert_writes_as_oracle(write_table_csv, write_table_csv_whole, {"kind": "g1"}, columns)
     if np.isfinite(axis).all():
         _assert_writes_as_oracle(write_table_json, write_table_json_whole, {"kind": "g1"},
                                  columns)
@@ -295,7 +295,7 @@ def test_series_spanning_past_the_largest_double_plots_finite(tmp_path, x, y, x_
 
 
 def _write_csv(path, columns):
-    write_table_csv(path, ["sropo"], ["a", "b", "c"], columns)
+    write_table_csv(path, {"kind": "g1"}, ["a", "b", "c"], columns)
 
 
 def _write_json(path, columns):
