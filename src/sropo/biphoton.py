@@ -164,7 +164,7 @@ def wavefunction_grid(
         omega_grid_halfwidth = 12.0
     if points_per_mode is None:
         points_per_mode = 385
-    if as_integer(m_count, "m_count") < 1:
+    if (m_count := as_integer(m_count, "m_count")) < 1:
         raise ValueError("m_count must be at least 1")
     if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:
         raise ValueError(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import sys
 
 import numpy as np
@@ -61,27 +62,33 @@ class G2Request(Record, eq=False):
     resolution_dt: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "tier", check_tier(self.tier, self.m_max, self.resolution_dt))
+        checked = check_tier(self.tier, self.m_max, self.resolution_dt)
+        for name, value in zip(("tier", "m_max", "resolution_dt"), checked):
+            object.__setattr__(self, name, value)
         grid = np.asarray(self.tau_grid, dtype=float)
         object.__setattr__(self, "tau_grid", grid)
         object.__setattr__(self, "spacing", ensure_uniform_axis(grid, "tau_grid"))
 
 
-def check_tier(tier, m_max=None, resolution=None) -> G2Tier:
-    """The tier, refusing a knob it does not read (ScenarioValidationError naming
-    the flag): ``m_max``, an integer >= 1, is read by series and exact only, and
-    ``resolution`` by averaged only, which needs it."""
+def check_tier(tier, m_max=None, resolution=None) -> tuple[G2Tier, int | None, float | None]:
+    """The tier, ``m_max`` as an int and ``resolution`` as a float, refusing a
+    knob the tier does not read (ScenarioValidationError naming the flag):
+    ``m_max``, an integer >= 1, is read by series and exact only, and
+    ``resolution``, a real number but no bool, by averaged only, which needs it."""
     tier = G2Tier(tier)
     if m_max is not None:
         if tier not in (G2Tier.SERIES, G2Tier.EXACT):
             raise ScenarioValidationError(f"--m-max: g2 --tier {tier.value} has no mode sum")
-        if as_integer(m_max, "m_max") < 1:
+        if (m_max := as_integer(m_max, "m_max")) < 1:
             raise ValueError("m_max must be at least 1")
     if resolution is None and tier is G2Tier.AVERAGED:
         raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
     if resolution is not None and tier is not G2Tier.AVERAGED:
         raise ScenarioValidationError(f"--resolution: g2 --tier {tier.value} has no detector")
-    return tier
+    if resolution is not None and (isinstance(resolution, bool)
+                                   or not isinstance(resolution, numbers.Real)):
+        raise ValueError(f"resolution must be a real number of seconds, got {resolution!r}")
+    return tier, m_max, None if resolution is None else float(resolution)
 
 
 def _require_tier(request: G2Request, tier: G2Tier) -> None:
@@ -105,7 +112,8 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     naming the flags it comes from.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
-    if check_tier(tier, resolution=resolution) is not G2Tier.AVERAGED:
+    tier, _, resolution = check_tier(tier, resolution=resolution)
+    if tier is not G2Tier.AVERAGED:
         _check_peak_resolution(t0 / 12.0, scales)
         start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
     else:

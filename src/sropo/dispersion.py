@@ -55,8 +55,10 @@ class DispersionModel(Record):
     """One polarization axis of a (possibly dispersive) medium.
 
     ``validity_range`` is the closed frequency interval on which the model may
-    be evaluated.  n(w) > 1 is required and checked on a sample of
-    ``_VALIDATION_SAMPLES`` points at construction.
+    be evaluated.  A Sellmeier pole (B_i != 0) in it is refused at construction.
+    n(w) > 1 is required and checked on a sample of ``_VALIDATION_SAMPLES``
+    points, where ``_evaluate`` also refuses n^2 <= 0 or a dn/dw out of the
+    double range.
     """
 
     kind: DispersionKind
@@ -77,17 +79,18 @@ class DispersionModel(Record):
             )
         if not (0.0 < lo < hi):
             raise ValueError("validity_range must satisfy 0 < lo < hi")
+        if kind is DispersionKind.SELLMEIER:  # a pole, L = C_i, sampled or not
+            for i, (b, c) in enumerate(zip(params[:3], params[3:]), 1):
+                if b and c > 0 and lo <= (omega := TWO_PI * C_LIGHT * 1e6 / math.sqrt(c)) <= hi:
+                    raise ValueError(f"sellmeier model has a pole (L = C{i} = {c!r} um^2) at "
+                                     f"omega = {omega:.6e} rad/s inside its validity range")
         for omega in _linspace(lo, hi, _VALIDATION_SAMPLES):
-            n = _index_unchecked(self, omega)
+            n = _evaluate(self, omega)[0]
             if not math.isfinite(n) or n <= 1.0:
                 raise ValueError(
                     f"{kind.value} model yields n = {n!r} <= 1 at "
                     f"omega = {omega:.6e} rad/s inside its validity range"
                 )
-
-    def contains(self, omega: float) -> bool:
-        lo, hi = self.validity_range
-        return lo <= omega <= hi
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -98,27 +101,34 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
     return [lo + i * step for i in range(num - 1)] + [hi]
 
 
-def _wavelength_um_sq(omega: float) -> float:
-    lam_um = TWO_PI * C_LIGHT / omega * 1e6
-    return lam_um * lam_um
-
-
-def _index_unchecked(model: DispersionModel, omega: float) -> float:
+def _evaluate(model: DispersionModel, omega: float) -> tuple[float, float]:
+    """(n, dn/domega) at ``omega``, which the caller has range-checked."""
     p = model.parameters
     if model.kind is DispersionKind.CONSTANT:
-        return p[0]
+        return p[0], 0.0
     if model.kind is DispersionKind.LINEAR_IN_OMEGA:
-        return p[0] + p[1] * omega
-    ell = _wavelength_um_sq(omega)
-    n_sq = 1.0
-    for b, c in zip(p[:3], p[3:]):
-        n_sq += b * ell / (ell - c)
-    return math.sqrt(n_sq)
+        return p[0] + p[1] * omega, p[1]
+    lam_um = TWO_PI * C_LIGHT / omega * 1e6
+    ell = lam_um * lam_um  # L, the squared vacuum wavelength in um^2
+    n_sq, pole_sum = 1.0, 0.0
+    try:
+        for b, c in zip(p[:3], p[3:]):
+            n_sq += b * ell / (ell - c)
+            pole_sum += b * c / (ell - c) ** 2
+    except (ZeroDivisionError, OverflowError):  # L == C_i, or (L - C_i)^2 out of range
+        cause = (f"a pole (L = C{p.index(ell, 3) - 2} = {ell!r} um^2)" if ell in p[3:]
+                 else "dn/domega outside the double range")
+        raise ValueError(f"sellmeier model has {cause} at omega = {omega:.6e} rad/s") from None
+    if n_sq <= 0.0:
+        raise ValueError(f"sellmeier model yields n^2 = {n_sq!r} <= 0 at omega = {omega:.6e} rad/s")
+    n = math.sqrt(n_sq)
+    # dn/dw = (dn/dL)(dL/dw) with L = lambda_um^2 and dL/dw = -2L/w.
+    return n, ell / (n * omega) * pole_sum
 
 
 def _check_range(model: DispersionModel, omega: float) -> None:
-    if not model.contains(omega):
-        lo, hi = model.validity_range
+    lo, hi = model.validity_range
+    if not lo <= omega <= hi:
         raise OutOfRangeError(
             f"omega = {omega:.6e} rad/s outside validity range "
             f"[{lo:.6e}, {hi:.6e}] of {model.kind.value} model"
@@ -128,34 +138,26 @@ def _check_range(model: DispersionModel, omega: float) -> None:
 def refractive_index(model: DispersionModel, omega: float) -> float:
     """n(omega) for the given model."""
     _check_range(model, omega)
-    return _index_unchecked(model, omega)
+    return _evaluate(model, omega)[0]
 
 
 def dn_domega(model: DispersionModel, omega: float) -> float:
     """Analytic derivative dn/domega in seconds."""
     _check_range(model, omega)
-    p = model.parameters
-    if model.kind is DispersionKind.CONSTANT:
-        return 0.0
-    if model.kind is DispersionKind.LINEAR_IN_OMEGA:
-        return p[1]
-    ell = _wavelength_um_sq(omega)
-    n = _index_unchecked(model, omega)
-    pole_sum = 0.0
-    for b, c in zip(p[:3], p[3:]):
-        pole_sum += b * c / (ell - c) ** 2
-    # dn/dw = (dn/dL)(dL/dw) with L = lambda_um^2 and dL/dw = -2L/w.
-    return ell / (n * omega) * pole_sum
+    return _evaluate(model, omega)[1]
 
 
 def group_velocity(model: DispersionModel, omega: float) -> float:
     """c / (n + omega * dn/domega), in m/s."""
-    return C_LIGHT / (refractive_index(model, omega) + omega * dn_domega(model, omega))
+    _check_range(model, omega)
+    n, dn = _evaluate(model, omega)
+    return C_LIGHT / (n + omega * dn)
 
 
 def wavenumber(model: DispersionModel, omega: float) -> float:
     """k(omega) = omega * n(omega) / c, in rad/m."""
-    return omega * refractive_index(model, omega) / C_LIGHT
+    _check_range(model, omega)
+    return omega * _evaluate(model, omega)[0] / C_LIGHT
 
 
 class CrystalParams(Record):

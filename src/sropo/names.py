@@ -32,12 +32,14 @@ def format_value(value) -> str:
 
 
 def as_integer(value, name: str) -> int:
-    """``value`` as an int; a non-integer (``operator.index`` fails) is a
-    ValueError naming the argument ``name``."""
+    """``value`` as a Python int; a bool or a non-integer (``operator.index``
+    fails) is a ValueError naming the argument ``name``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return int(operator.index(value))
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class Record:

@@ -89,11 +89,12 @@ _RATIO_INPUTS = (_KAPPA_INPUTS + ", cavity.loss_rate_gamma", _GAMMA_T_INPUTS,
 
 
 def _checked(name: str, value: float, inputs: str, positive: bool = True) -> float:
+    """``value`` as a Python float, so that what is built from it is float64."""
     if not math.isfinite(value) or (positive and value <= 0):
         raise ScenarioValidationError(
             f"{inputs}: derived {name} = {value!r} over- or underflows a double"
         )
-    return value
+    return float(value)
 
 
 def derive_scales(

@@ -64,7 +64,7 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
     if m_max is not None:
-        if as_integer(m_max, "m_max") < 0:
+        if (m_max := as_integer(m_max, "m_max")) < 0:
             raise ValueError("m_max must be non-negative")
         return m_max
     return int(_ENVELOPE_REACH * envelope_zero_mode(scales))

@@ -82,6 +82,15 @@ def trace_table(trace: Trace, axis_name: str):
     return meta, [axis_name, value], [trace.axis, trace.values]
 
 
+def _check_header(meta: Mapping[str, object]) -> None:
+    """Refuse a header value that is not a Python int, float, str or bool (a
+    numpy scalar, say), naming its key: both writers then write it alike."""
+    for key, value in meta.items():
+        if type(value) not in (int, float, str, bool):
+            raise ValueError(f"header value {key} = {value!r} is a {type(value).__name__}, "
+                             "not an int, float, str or bool")
+
+
 ROW_CHUNK = 4096  # rows a writer formats at a time: its memory stays O(ROW_CHUNK)
 
 
@@ -159,6 +168,7 @@ def write_table_csv(
     ``names.format_value`` writes it), the column names and the rows."""
     if len(column_names) != len(columns):
         raise ValueError("one name per column required")
+    _check_header(meta)
     # "%.17g" formats a float exactly as names.format_float does.
     rows = _table_rows(path, columns, "", ",".join(["%.17g"] * len(columns)), "\n", "")
     with open(path, "w", encoding="ascii") as out:
@@ -177,6 +187,7 @@ def write_table_json(
     sort_keys=True)`` writes it: the rows, each value as ``%r`` (which is how
     json prints a float), go into the ``"data"`` array of the dumped header.
     A non-finite value is refused before the file is opened."""
+    _check_header(meta)
     payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
     head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
         '\n "data": []')

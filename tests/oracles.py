@@ -17,7 +17,9 @@ axes,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
 ``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
-runs in one pass, ``cis_decimal`` is the phase factor ``numerics._cis``
+runs in one pass, ``index_by_kind`` and ``dn_domega_by_kind`` are n and dn/domega
+as ``dispersion._evaluate`` must give them, each in its own dispatch on the
+model kind, ``cis_decimal`` is the phase factor ``numerics._cis``
 forms in double precision, and ``write_table_csv_whole``,
 ``write_table_json_whole`` and ``svg_polyline_whole`` build the whole table or
 polyline at once, where ``trace`` and ``svgplot`` write it in chunks of rows.
@@ -35,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from sropo.cavity import DerivedScales
-from sropo.constants import TWO_PI
+from sropo.constants import SPEED_OF_LIGHT, TWO_PI
+from sropo.dispersion import DispersionKind
 
 _GL_ORDER = 8
 _SUM_CHUNK = 1 << 20
@@ -312,6 +315,43 @@ def uniform_axis_four_checks(axis, what: str = "axis") -> float:
 
 # pi to 40 significant digits.
 _PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def wavelength_um_sq(omega: float) -> float:
+    """L, the squared vacuum wavelength in um^2 at ``omega``, as the Sellmeier
+    model computes it."""
+    lam_um = TWO_PI * SPEED_OF_LIGHT / omega * 1e6
+    return lam_um * lam_um
+
+
+def index_by_kind(model, omega: float) -> float:
+    """n(omega) of a ``DispersionModel``, its range unchecked."""
+    p = model.parameters
+    if model.kind is DispersionKind.CONSTANT:
+        return p[0]
+    if model.kind is DispersionKind.LINEAR_IN_OMEGA:
+        return p[0] + p[1] * omega
+    ell = wavelength_um_sq(omega)
+    n_sq = 1.0
+    for b, c in zip(p[:3], p[3:]):
+        n_sq += b * ell / (ell - c)
+    return math.sqrt(n_sq)
+
+
+def dn_domega_by_kind(model, omega: float) -> float:
+    """dn/domega in seconds of a ``DispersionModel``, its range unchecked."""
+    p = model.parameters
+    if model.kind is DispersionKind.CONSTANT:
+        return 0.0
+    if model.kind is DispersionKind.LINEAR_IN_OMEGA:
+        return p[1]
+    ell = wavelength_um_sq(omega)
+    n = index_by_kind(model, omega)
+    pole_sum = 0.0
+    for b, c in zip(p[:3], p[3:]):
+        pole_sum += b * c / (ell - c) ** 2
+    # dn/dw = (dn/dL)(dL/dw) with L = lambda_um^2 and dL/dw = -2L/w.
+    return ell / (n * omega) * pole_sum
 
 
 def cis_decimal(x: float, q: int) -> complex:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sropo import (
     FrequencyTriple,
     NoSignChangeError,
     OutOfRangeError,
+    dn_domega,
     group_velocity,
     phase_match,
     refractive_index,
@@ -23,8 +25,11 @@ from sropo import (
 )
 from sropo.constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
 from sropo.dispersion import _SCAN_INTERVALS, _VALIDATION_SAMPLES, _bisect, _linspace
+from sropo.cli import main
 from sropo.scenario import load_scenario
 from conftest import C_LIGHT, CONFIG_DIR, constant_model
+from oracles import dn_domega_by_kind, index_by_kind, wavelength_um_sq
+from record_golden import SCENARIOS
 
 WIDE = (1e14, 1e16)
 
@@ -337,3 +342,74 @@ def test_linspace_is_numpy_linspace_bit_for_bit(ends, num):
     assert all(type(w) is float for w in grid)
     expected = np.linspace(lo, hi, num)
     assert np.array_equal(np.array(grid).view(np.int64), expected.view(np.int64))
+
+
+# The golden Sellmeier scenario's signal and idler coefficients (fused silica and
+# BK7 glass), B1..B3 then C1..C3 in um^2, and their validity range.
+GOLDEN_SELLMEIER = [tuple(SCENARIOS["sellmeier"]["crystal"][key]["parameters"])
+                    for key in ("dispersion_signal", "dispersion_idler")]
+GOLDEN_RANGE = tuple(SCENARIOS["sellmeier"]["crystal"]["dispersion_signal"]["validity_range"])
+
+
+@st.composite
+def models_and_frequencies(draw):
+    """A model of each kind and a frequency in its validity range.  Sellmeier
+    coefficients are the golden ones times 0.5-2 each: L = 0.099-5.5 um^2 on the
+    range then lies above every C1, C2 and below every C3, so no pole is in it."""
+    kind = draw(st.sampled_from(list(DispersionKind)))
+    if kind is DispersionKind.CONSTANT:
+        params, rng = (draw(st.floats(1.01, 4.0)),), WIDE
+    elif kind is DispersionKind.LINEAR_IN_OMEGA:
+        params, rng = (draw(st.floats(1.2, 3.0)), draw(st.floats(-1e-17, 1e-16))), WIDE
+    else:
+        base = draw(st.sampled_from(GOLDEN_SELLMEIER))
+        params, rng = tuple(v * draw(st.floats(0.5, 2.0)) for v in base), GOLDEN_RANGE
+    return DispersionModel(kind, params, rng), draw(st.floats(*rng))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=models_and_frequencies())
+@example(case=(sellmeier_model(), FUSED_SILICA_RANGE[0]))
+@example(case=(sellmeier_model(), FUSED_SILICA_RANGE[1]))
+def test_evaluator_matches_the_kind_by_kind_reference_bit_for_bit(case):
+    model, omega = case
+    n, dn = index_by_kind(model, omega), dn_domega_by_kind(model, omega)
+    got = (refractive_index(model, omega), dn_domega(model, omega),
+           group_velocity(model, omega), wavenumber(model, omega))
+    want = (n, dn, C_LIGHT / (n + omega * dn), omega * n / C_LIGHT)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize(
+    "parameters, validity_range, cause",
+    [
+        # C1 = L at the lower end of the range, which the construction samples
+        ([*GOLDEN_SELLMEIER[0][:3], wavelength_um_sq(GOLDEN_RANGE[0]), *GOLDEN_SELLMEIER[0][4:]],
+         list(GOLDEN_RANGE), "has a pole (L = C1 = "),
+        # C1 = L at omega_S, between two samples; with B1 = 1e-4, n^2 < 0 only
+        # within about 1e-5 of omega_S, so every sample passes
+        ([1e-4, *GOLDEN_SELLMEIER[0][1:3],
+          wavelength_um_sq(SCENARIOS["sellmeier"]["frequencies"]["omega_S"]),
+          *GOLDEN_SELLMEIER[0][4:]], list(GOLDEN_RANGE), "has a pole (L = C1 = "),
+        # C1 = 0.5 um^2 at omega = 2.66e15 rad/s; n^2 < 0 for 0.25 < L < 0.5
+        ([1, 0, 0, 0.5, 0, 0], [1e14, 1e16], "has a pole (L = C1 = 0.5 um^2) "),
+        # n^2 = 1 - 2 L/L = -1 everywhere, with no pole
+        ([-2, 0, 0, 0, 0, 0], [1e14, 1e16], "yields n^2 = -1.0 <= 0 "),
+    ],
+    ids=["pole-at-range-end", "pole-between-samples", "pole-inside-range",
+         "negative-n-squared"],
+)
+def test_sellmeier_domain_error_is_a_config_error_naming_the_field(
+        tmp_path, capsys, parameters, validity_range, cause):
+    data = json.loads(json.dumps(SCENARIOS["sellmeier"]))
+    data["crystal"]["dispersion_signal"] = {
+        "kind": "sellmeier", "parameters": parameters, "validity_range": validity_range}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["scales", "--config", str(path), "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith("error: exit=1 type=ScenarioValidationError: "
+                          "crystal.dispersion_signal: sellmeier model "), out
+    assert cause in out and " at omega = " in out, out
+    assert not (tmp_path / "out").exists()

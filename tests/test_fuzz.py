@@ -1,8 +1,10 @@
 """Scenario fuzzer: every mutated shipped config gives a typed outcome.
 
-Each case edits one or two leaves of a shipped config (a number scaled by
-10^+-6, 10^+-30 or 10^+-300, negated, zeroed, set to 5e-324 or 1.7e308, given
-the wrong JSON type, or removed) and runs one command in process on a small
+Each case edits one or two leaves of a shipped config or of the golden
+Sellmeier scenario (a number scaled by 10^+-6, 10^+-30 or 10^+-300, negated,
+zeroed, set to 5e-324 or 1.7e308, given the wrong JSON type, or removed), or
+sets one Sellmeier C_i to the squared wavelength at an end of its model's
+validity range (a pole there), and runs one command in process on a small
 grid.  Whatever the scenario, the run must exit 0, 1, 2 or 3; a refusal
 prints exactly one ``error: exit=<n> type=<Name>:`` line and makes no output
 directory; a success writes only finite numbers (``inf`` only for the
@@ -29,6 +31,8 @@ from hypothesis import strategies as st
 
 from sropo.cli import main
 from conftest import CONFIG_DIR
+from oracles import wavelength_um_sq
+from record_golden import SCENARIOS
 
 settings.register_profile(
     "fuzz", max_examples=600, derandomize=True, deadline=None,
@@ -39,6 +43,7 @@ settings.register_profile(
 PROFILE = settings.get_profile(os.environ.get("SROPO_FUZZ_PROFILE", "fuzz"))
 
 CONFIGS = {p.stem: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+CONFIGS["sellmeier"] = SCENARIOS["sellmeier"]
 
 
 def _numeric_leaves(node, path=()):
@@ -64,6 +69,14 @@ OTHER_EDITS = (
     + [("set", v) for v in ("1", None, True, [1.0], {})]
     + [("delete", None)]
 )
+# Each Sellmeier C_i (parameters 3-5) set to L, the squared wavelength in um^2, at
+# either end of its model's validity range, where the construction samples.
+POLES = [
+    ((*model, "parameters", i), ("set", wavelength_um_sq(omega)))
+    for model in (("crystal", key) for key in ("dispersion_signal", "dispersion_idler"))
+    for i in (3, 4, 5)
+    for omega in CONFIGS["sellmeier"][model[0]][model[1]]["validity_range"]
+]
 
 _AVERAGED = ("g2", "--tier", "averaged", "--peaks", "1", "--resolution")
 COMMANDS = [
@@ -88,6 +101,8 @@ def cases(draw):
                           unique=True))
     edits = st.one_of(st.sampled_from(SCALINGS), st.sampled_from(OTHER_EDITS))
     edits = tuple((path, draw(edits)) for path in paths)
+    if name == "sellmeier" and draw(st.booleans()):
+        edits = (draw(st.sampled_from(POLES)),)
     command = draw(st.sampled_from(COMMANDS))
     if command is _AVERAGED:
         command = (*command, draw(st.sampled_from(RESOLUTIONS)))
@@ -137,7 +152,8 @@ def _check_finite(path: Path, tau0_zero: bool):
 # default spectrum window of 6e303 fsr, a regime ratio kappa/gamma that
 # overflows, averaged resolutions whose squares overflow, and averaged
 # resolutions whose grid step underflows to 0, whose grid start overflows, or
-# whose span to a far end overflows.
+# whose span to a far end overflows, and Sellmeier poles at the ends of a
+# validity range.
 
 
 @settings(PROFILE)
@@ -183,6 +199,8 @@ def _check_finite(path: Path, tau0_zero: bool):
 @example(case=("detector_averaged", (),
                ("g2", "--tier", "averaged", "--peaks", str(10**307), "--resolution",
                 "5.992310449541052e307", "--points", "3")))
+@example(case=("sellmeier", (POLES[0],), ("scales",)))
+@example(case=("sellmeier", (POLES[-1],), ("scales",)))
 def test_every_scenario_gives_a_typed_outcome(case):
     name, edits, command = case
     with tempfile.TemporaryDirectory() as work:

@@ -1,5 +1,7 @@
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from sropo import (
     load_scenario,
     spectrum,
 )
+from sropo.correlations import g2_grid
 from sropo.numerics import (
     GAMMA_RANGE, MAX_GRID_POINTS, ensure_uniform_axis, grid_points, mirror_count,
     symmetric_grid,
 )
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import _BLOCK, _auto_mode_count, _mode_weights, g1_grid, spectrum_grid
+from sropo.trace import trace_table, write_table_json
 from scipy.integrate import trapezoid
 from conftest import CONFIG_DIR
 from oracles import g1_mode_loop, spectrum_mode_loop
@@ -913,3 +917,74 @@ def test_non_integer_mode_count_is_refused(entry, count):
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {count!r}$"):
         MODE_COUNT_ENTRIES[entry](config, count)
     MODE_COUNT_ENTRIES["spectrum"](config, np.int64(2))  # an integer type is one
+
+
+def _averaged_g2(config, resolution):
+    grid = g2_grid(config.scales, "averaged", 1, resolution=resolution)
+    assert grid.dtype == np.float64
+    return sropo.g2_averaged(sropo.G2Request("averaged", grid, resolution_dt=resolution),
+                             config.scales)
+
+
+# The library boundary: each entry point with a mode count or a time in
+# seconds, as (argument, config, call, least count).  A count is stored as a
+# Python int, and one that is no integer (a bool included) or below the least
+# is refused naming the argument; a time in seconds becomes a Python float,
+# and a bool or a string is refused.
+BOUNDARY = {
+    "spectrum": ("m_max", "spectrum_comb", lambda c, v: spectrum(
+        "idler", c.scales, c.freqs, detuning=np.linspace(-1e9, 1e9, 81), m_max=v), 0),
+    "g1": ("m_max", "spectrum_comb", lambda c, v: g1(
+        "idler", c.scales, c.freqs, tau=np.linspace(-1e-11, 1e-11, 21), m_max=v), 0),
+    "g1_grid": ("m_max", "spectrum_comb", lambda c, v: g1_grid(
+        c.scales, window_gammas=np.float32(0.01), m_max=v), 0),
+    "G2Request": ("m_max", "spectrum_comb", lambda c, v: sropo.g2_series(
+        sropo.G2Request("series", np.linspace(0.0, 2e-11, 41), m_max=v), c.scales), 1),
+    "g2_grid": ("resolution", "detector_averaged", _averaged_g2, None),
+    "wavefunction_grid": ("m_count", "spectrum_comb",
+                          lambda c, v: sropo.wavefunction_grid(c.scales, v), 1),
+}
+COUNT_TYPES = [int, np.int64, np.int32, bool, np.bool_, float, np.float32]
+SECONDS_TYPES = [float, np.float32, np.float64, bool, np.bool_, str]
+
+
+@st.composite
+def boundary_calls(draw):
+    entry = draw(st.sampled_from(sorted(BOUNDARY)))
+    if BOUNDARY[entry][0] == "resolution":
+        kind = draw(st.sampled_from(SECONDS_TYPES))
+        return entry, kind(draw(st.sampled_from([7.74e-12, 2e-11])))
+    return entry, draw(st.sampled_from(COUNT_TYPES))(draw(st.integers(-1, 3)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(call=boundary_calls())
+@example(call=("spectrum", np.int64(2)))
+@example(call=("spectrum", True))
+@example(call=("G2Request", True))
+@example(call=("g2_grid", np.float32(7.74e-12)))
+@example(call=("g2_grid", True))
+def test_library_boundary_stores_python_scalars_and_builds_float64_grids(call):
+    entry, value = call
+    name, config, run, least = BOUNDARY[entry]
+    config = load_scenario(CONFIG_DIR / f"{config}.json")
+    if (isinstance(value, (bool, np.bool_, str)) if least is None else
+            isinstance(value, (bool, np.bool_, float, np.floating)) or value < least):
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            run(config, value)
+        return
+    result = run(config, value)
+    if isinstance(result, np.ndarray):  # g1_grid, from a float32 window
+        assert result.dtype == np.float64
+        return
+    if isinstance(result, sropo.BiphotonAmplitudeGrid):
+        assert type(result.normalization) is float
+        assert result.modes.tolist() == list(range(-value, value + 1))
+        return
+    meta, names, columns = trace_table(result, "axis")
+    assert all(type(v) in (int, float, str, bool) for v in meta.values()), meta
+    key = "resolution_dt_s" if name == "resolution" else "m_max"
+    assert type(meta[key]) is type(float(value) if name == "resolution" else int(value))
+    assert meta[key] == (float(value) if name == "resolution" else value)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_table_json(Path(tmp, "table.json"), meta, names, columns)

@@ -137,8 +137,10 @@ def tables(draw, values, rows=st.sampled_from(CHUNK_EDGES), width=st.integers(1,
     return list(pool[rng.integers(pool.size, size=(draw(width), draw(rows)))])
 
 
-META_WITH_DATA_KEY = {"kind": "g1", "columns": "tau_s,value", "x": -0.0,
-                      "nested": {"data": [], "z": 1e308}}
+# A header key "data", which the JSON dump puts one indent level below the
+# table's own "data" array.
+META_WITH_DATA_KEY = {"kind": "g1", "columns": "tau_s,value", "x": -0.0, "data": "[]",
+                      "z": 1e308}
 
 
 def _assert_writes_as_oracle(write, oracle, header, columns):
@@ -162,8 +164,6 @@ def test_chunked_csv_matches_whole_table_writer(columns):
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(columns=tables(FINITE))
 def test_chunked_json_matches_whole_table_writer(columns):
-    # The header dump holds a nested "data" key, one indent level below the
-    # table's own.
     _assert_writes_as_oracle(write_table_json, write_table_json_whole, META_WITH_DATA_KEY,
                              columns)
 
