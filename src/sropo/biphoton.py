@@ -18,14 +18,10 @@ from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
 from .errors import DegenerateGroupVelocityError, NonConvergenceError
-from .names import Record, as_integer
+from .names import Record, as_count, as_real
 
 if TYPE_CHECKING:
     import numpy as np
-
-# wavefunction_grid limits, also the CLI's flag checks
-MIN_HALFWIDTH_GAMMAS = 10.0
-MIN_POINTS_PER_MODE = 2
 
 
 class PumpParams(Record):
@@ -34,8 +30,7 @@ class PumpParams(Record):
     field_amplitude_ep: float
 
     def __post_init__(self):
-        if self.field_amplitude_ep <= 0:
-            raise ValueError("field_amplitude_ep must be positive")
+        as_real(self.field_amplitude_ep, "field_amplitude_ep", 0.0, strict=True)
 
 
 def _phi_factors(m, omega, scales: DerivedScales):
@@ -160,21 +155,14 @@ def wavefunction_grid(
         POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points, symmetric_grid,
     )
 
-    if omega_grid_halfwidth is None:
-        omega_grid_halfwidth = 12.0
-    if points_per_mode is None:
-        points_per_mode = 385
-    if (m_count := as_integer(m_count, "m_count")) < 1:
-        raise ValueError("m_count must be at least 1")
-    if omega_grid_halfwidth < MIN_HALFWIDTH_GAMMAS:
-        raise ValueError(
-            f"omega_grid_halfwidth must be at least {MIN_HALFWIDTH_GAMMAS:g} gamma"
-        )
+    m_count = as_count(m_count, "m_count (--modes)", 1)
+    omega_grid_halfwidth = as_real(12.0 if omega_grid_halfwidth is None else omega_grid_halfwidth,
+                                   "omega_grid_halfwidth (--halfwidth-gammas)", 10.0)
+    points_per_mode = as_count(385 if points_per_mode is None else points_per_mode,
+                               "points_per_mode (--points-per-mode)", 2)
     gamma = scales.gamma
     check_linewidth(gamma)
     half = omega_grid_halfwidth * gamma
-    if points_per_mode < MIN_POINTS_PER_MODE:
-        raise ValueError(f"points_per_mode must be at least {MIN_POINTS_PER_MODE}")
     # Points per gamma depend only on the grid shape; computing them from
     # gamma / spacing would round below the limit for some gamma.
     points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)

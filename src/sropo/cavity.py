@@ -18,7 +18,7 @@ from .dispersion import (
     refractive_index,
 )
 from .errors import GeometryError, ScenarioValidationError
-from .names import Record
+from .names import Record, as_real
 
 DEFAULT_REGIME_THRESHOLD = 0.1
 REGIME_RATIO_NAMES = ("kappa/gamma", "gamma/fsr", "fsr*|tau0|")
@@ -31,10 +31,8 @@ class CavityParams(Record):
     loss_rate_gamma: float
 
     def __post_init__(self):
-        if self.resonator_length_lr <= 0:
-            raise ValueError("resonator_length_lr must be positive")
-        if self.loss_rate_gamma <= 0:
-            raise ValueError("loss_rate_gamma must be positive")
+        for name in ("resonator_length_lr", "loss_rate_gamma"):
+            as_real(getattr(self, name), name, 0.0, strict=True)
 
 
 class DerivedScales(Record):

@@ -9,6 +9,10 @@ byte-identical output files.
 ``COMMANDS`` gives each subcommand its help, flags and runner.  A runner
 returns an output stem and either a report dict or a ``(meta, names, columns)``
 table (``trace.trace_table`` of a trace), which ``_write`` turns into files.
+The parser checks only a flag's type and choices.  Its bounds are the
+library's (``names.as_count`` and ``names.as_real``): an out-of-range value is
+refused after the scenario loads, before a runner allocates anything, as a
+``ScenarioValidationError`` naming the flag (exit 1).
 """
 
 from __future__ import annotations
@@ -45,26 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.exit(_error(EXIT_CONFIG, "ArgumentError", message))
-
-
-def _bounded(kind, low, strict: bool = False):
-    """argparse type: a finite ``kind`` number >= low (> low when strict)."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-            finite = math.isfinite(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
-        except OverflowError:  # an integer beyond the float range
-            raise argparse.ArgumentTypeError(f"too large: {len(text)} digits")
-        if not (finite and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}"
-            )
-        return value
-
-    return parse
 
 
 def _scale_fields(scales: DerivedScales) -> list[tuple[str, str, object]]:
@@ -115,6 +99,8 @@ def _run_rate(args, config: ScenarioConfig):
 
 def _run_spectrum(args, config: ScenarioConfig):
     from . import spectra, trace
+    if args.m_max is not None:  # refused before the grid is built
+        spectra._auto_mode_count(config.scales, args.m_max)
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
     result = spectra.spectrum(args.field, config.scales, config.freqs, detuning=detuning,
                               m_max=args.m_max, normalization=config.normalization)
@@ -159,10 +145,9 @@ def _run_wavefunction(args, config: ScenarioConfig):
     return "wavefunction", (meta, ["m", "Omega", "re_psi", "im_psi"], columns)
 
 
-_POSITIVE = _bounded(float, 0.0, strict=True)
 _FIELD = ("--field", dict(choices=("signal", "idler"), required=True))
-_POINTS = ("--points", dict(type=_bounded(int, 2)))
-_M_MAX = ("--m-max", dict(type=_bounded(int, 0)))
+_POINTS = ("--points", dict(type=int))
+_M_MAX = ("--m-max", dict(type=int))
 _PLOT = ("--plot", dict(action="store_true", help="emit a static SVG next to the trace"))
 # The flags that shape a grid, named when it is too coarse.
 _GRID_FLAGS = ("window_modes", "window_gammas", "points", "halfwidth_gammas",
@@ -185,7 +170,7 @@ COMMANDS = {
         "output spectrum",
         [
             _FIELD,
-            ("--window-modes", dict(type=_POSITIVE, help="detuning half-width in "
+            ("--window-modes", dict(type=float, help="detuning half-width in "
                                     "units of the free spectral range")),
             _POINTS,
             _M_MAX,
@@ -197,7 +182,7 @@ COMMANDS = {
         "first-order correlation",
         [
             _FIELD,
-            ("--window-gammas", dict(type=_POSITIVE, help="delay half-width in "
+            ("--window-gammas", dict(type=float, help="delay half-width in "
                                      "units of 1/gamma")),
             _POINTS,
             _M_MAX,
@@ -209,11 +194,10 @@ COMMANDS = {
         "second-order cross-correlation",
         [
             ("--tier", dict(choices=[t.value for t in G2Tier], required=True)),
-            ("--peaks", dict(type=_bounded(int, 0), default=5,
-                             help="round trips covered")),
+            ("--peaks", dict(type=int, default=5, help="round trips covered")),
             _POINTS,
-            ("--m-max", dict(type=_bounded(int, 1))),
-            ("--resolution", dict(type=_POSITIVE, help="detector resolution dT in "
+            _M_MAX,
+            ("--resolution", dict(type=float, help="detector resolution dT in "
                                   "seconds (averaged tier)")),
             _PLOT,
         ],
@@ -222,10 +206,9 @@ COMMANDS = {
     "wavefunction": (
         "two-photon amplitudes",
         [
-            ("--modes", dict(type=_bounded(int, 1), default=8)),
-            ("--halfwidth-gammas",
-             dict(type=_bounded(float, biphoton.MIN_HALFWIDTH_GAMMAS))),
-            ("--points-per-mode", dict(type=_bounded(int, biphoton.MIN_POINTS_PER_MODE))),
+            ("--modes", dict(type=int, default=8)),
+            ("--halfwidth-gammas", dict(type=float)),
+            ("--points-per-mode", dict(type=int)),
         ],
         _run_wavefunction,
     ),

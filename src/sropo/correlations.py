@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import sys
 
 import numpy as np
@@ -37,7 +36,7 @@ from .cavity import DerivedScales
 from .errors import (
     DegenerateGroupVelocityError, ResolutionTooFineError, ScenarioValidationError,
 )
-from .names import G2Tier, Record, as_integer
+from .names import G2Tier, Record, as_count, as_real
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
 from .scenario import _TAU0_INPUTS, _checked
 from .trace import Normalization, Trace, TraceKind, TraceMeta
@@ -74,21 +73,19 @@ def check_tier(tier, m_max=None, resolution=None) -> tuple[G2Tier, int | None, f
     """The tier, ``m_max`` as an int and ``resolution`` as a float, refusing a
     knob the tier does not read (ScenarioValidationError naming the flag):
     ``m_max``, an integer >= 1, is read by series and exact only, and
-    ``resolution``, a real number but no bool, by averaged only, which needs it."""
+    ``resolution``, a finite real > 0, by averaged only, which needs it."""
     tier = G2Tier(tier)
     if m_max is not None:
         if tier not in (G2Tier.SERIES, G2Tier.EXACT):
             raise ScenarioValidationError(f"--m-max: g2 --tier {tier.value} has no mode sum")
-        if (m_max := as_integer(m_max, "m_max")) < 1:
-            raise ValueError("m_max must be at least 1")
+        m_max = as_count(m_max, "m_max (--m-max)", 1)
     if resolution is None and tier is G2Tier.AVERAGED:
         raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
     if resolution is not None and tier is not G2Tier.AVERAGED:
         raise ScenarioValidationError(f"--resolution: g2 --tier {tier.value} has no detector")
-    if resolution is not None and (isinstance(resolution, bool)
-                                   or not isinstance(resolution, numbers.Real)):
-        raise ValueError(f"resolution must be a real number of seconds, got {resolution!r}")
-    return tier, m_max, None if resolution is None else float(resolution)
+    if resolution is not None:
+        resolution = as_real(resolution, "resolution_dt (--resolution)", 0.0, strict=True)
+    return tier, m_max, resolution
 
 
 def _require_tier(request: G2Request, tier: G2Tier) -> None:
@@ -113,6 +110,7 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
     tier, _, resolution = check_tier(tier, resolution=resolution)
+    peaks = as_count(peaks, "peaks (--peaks)", 0)
     if tier is not G2Tier.AVERAGED:
         _check_peak_resolution(t0 / 12.0, scales)
         start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
@@ -263,8 +261,6 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
     up to 14 dT past the grid, beyond which each adds exactly 0.
     """
     _require_tier(request, G2Tier.AVERAGED)
-    if request.resolution_dt <= 0:
-        raise ValueError("averaged tier needs a positive resolution_dt")
     dt = request.resolution_dt
     if dt < 10.0 * abs(scales.tau0):
         raise ResolutionTooFineError(

@@ -28,7 +28,7 @@ from .errors import (
     NonConvergenceError,
     OutOfRangeError,
 )
-from .names import Record
+from .names import Record, as_real
 
 _VALIDATION_SAMPLES = 65
 _SCAN_INTERVALS = 256
@@ -175,12 +175,8 @@ class CrystalParams(Record):
     dispersion_pump: DispersionModel
 
     def __post_init__(self):
-        if self.length_l <= 0:
-            raise ValueError("length_l must be positive")
-        if self.chi <= 0:
-            raise ValueError("chi must be positive")
-        if self.cross_section_A <= 0:
-            raise ValueError("cross_section_A must be positive")
+        for name in ("length_l", "chi", "cross_section_A"):
+            as_real(getattr(self, name), name, 0.0, strict=True)
 
 
 class FrequencyTriple(Record):
@@ -196,8 +192,7 @@ class FrequencyTriple(Record):
 
     def __post_init__(self):
         for name in ("omega_p", "omega_s", "omega_i"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            as_real(getattr(self, name), name, 0.0, strict=True)
         if self.omega_s + self.omega_i != self.omega_p:
             raise ValueError(
                 "omega_p must equal omega_s + omega_i exactly "

@@ -41,5 +41,5 @@ class ScenarioParseError(SropoError):
     """Scenario file is not well-formed."""
 
 
-class ScenarioValidationError(SropoError):
-    """Scenario parsed but violates an invariant; message names the field path."""
+class ScenarioValidationError(SropoError, ValueError):
+    """A scenario field or an argument out of its range; names the field or flag."""

@@ -1,11 +1,18 @@
 """Names the scalar path shares with the array modules, free of numpy: the
 output normalisations, the G2 tiers, the 17-digit float and header-value
-formats, the integer check of a mode count and the immutable record every
-value type is built on.
+formats, the immutable record every value type is built on, and the two
+rules, ``as_count`` and ``as_real``, that check each count and real value where
+it enters the library or the scenario: a refusal is a ScenarioValidationError
+naming the argument and its flag (``m_max (--m-max) must be at least 0, got
+-1``) or the scenario field.
 """
 
+import math
 import operator
+import sys
 from enum import Enum
+
+from .errors import ScenarioValidationError
 
 
 class Normalization(str, Enum):
@@ -31,15 +38,43 @@ def format_value(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
-def as_integer(value, name: str) -> int:
-    """``value`` as a Python int; a bool or a non-integer (``operator.index``
-    fails) is a ValueError naming the argument ``name``."""
+def as_count(value, where: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``.  A bool, a non-integer
+    (``operator.index`` fails) or an integer past the double range is refused."""
     try:
-        if not isinstance(value, bool):
-            return int(operator.index(value))
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ScenarioValidationError(f"{where} must be an integer, got {value!r}") from None
+    if abs(count) > sys.float_info.max:  # shown by size: repr fails past 4300 digits
+        raise ScenarioValidationError(
+            f"{where} must be within the double range, got a {count.bit_length()}-bit integer")
+    if count < minimum:
+        raise ScenarioValidationError(f"{where} must be at least {minimum}, got {count}")
+    return count
+
+
+def as_real(value, where: str, low: float, strict: bool = False) -> float:
+    """``value`` as a finite Python float of at least ``low`` (above it when
+    ``strict``).  A bool, a string or a non-number is refused; a numpy scalar
+    counts by its dtype, so ``numpy.True_`` is refused and ``float32`` kept."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "f")
+    try:
+        if isinstance(value, (bool, str, bytes)) or kind not in ("i", "u", "f"):
+            raise TypeError
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ScenarioValidationError(f"{where} must be a real number, got {value!r}") from None
+    except OverflowError:
+        raise ScenarioValidationError(
+            f"{where} must be finite, got an integer past the double range") from None
+    if not math.isfinite(number):
+        raise ScenarioValidationError(f"{where} must be finite, got {number!r}")
+    if not (number > low if strict else number >= low):
+        bound = "above" if strict else "at least"
+        raise ScenarioValidationError(f"{where} must be {bound} {low:g}, got {number!r}")
+    return number
 
 
 class Record:

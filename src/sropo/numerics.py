@@ -8,6 +8,7 @@ import sys
 import numpy as np
 
 from .errors import GridTooCoarseError, ScenarioValidationError
+from .names import as_count
 
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
 MAX_GRID_POINTS = 1 << 25  # largest sampling grid any command builds
@@ -23,7 +24,7 @@ def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -
     past ``MAX_GRID_POINTS``, naming ``--points`` or ``source``, the flag at fault.
     """
     if points is not None:
-        steps, sides, source = points - 1, 1, "--points"
+        steps, sides, source = as_count(points, "points (--points)", 2) - 1, 1, "--points"
     if not steps <= (MAX_GRID_POINTS - 1) // sides:  # also refuses inf and nan
         raise ScenarioValidationError(
             f"the grid from {source} would hold more than {MAX_GRID_POINTS} points")

@@ -49,7 +49,7 @@ from .dispersion import (
     transit_time_diff,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .names import Normalization, Record
+from .names import Normalization, Record, as_real
 
 # output.normalization: the two a spectrum supports (no other command reads it)
 _OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
@@ -169,16 +169,6 @@ def _is_number(value) -> bool:
         return False
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    value = _get(obj, key, path)
-    if not _is_number(value):
-        raise ScenarioValidationError(f"{path}.{key}: expected a finite number")
-    value = float(value)
-    if value <= 0:
-        raise ScenarioValidationError(f"{path}.{key}: must be positive")
-    return value
-
-
 def _dispersion(obj: dict, path: str) -> DispersionModel:
     obj = _expect_mapping(obj, path)
     kind = _get(obj, "kind", path)
@@ -211,7 +201,7 @@ def _block(data: dict, name: str, source: str):
     obj = _expect_mapping(_get(data, name, source), name)
     return cls(*(
         _dispersion(_get(obj, key, name), f"{name}.{key}") if key.startswith("dispersion_")
-        else _number(obj, key, name)
+        else as_real(_get(obj, key, name), f"{name}.{key}", 0.0, strict=True)
         for key in keys
     ))
 
@@ -219,7 +209,7 @@ def _block(data: dict, name: str, source: str):
 def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
     path = "frequencies"
     obj = _expect_mapping(obj, path)
-    omega_p = _number(obj, "omega_P", path)
+    omega_p = as_real(_get(obj, "omega_P", path), "frequencies.omega_P", 0.0, strict=True)
     explicit = "omega_S" in obj or "omega_I" in obj
     if explicit and "bracket" in obj:
         raise ScenarioValidationError(
@@ -227,8 +217,9 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
             "mutually exclusive"
         )
     if explicit:
-        omega_s = _number(obj, "omega_S", path) if "omega_S" in obj else None
-        omega_i = _number(obj, "omega_I", path) if "omega_I" in obj else omega_p - omega_s
+        omega_s, omega_i = (as_real(obj[key], f"{path}.{key}", 0.0, strict=True)
+                            if key in obj else None for key in ("omega_S", "omega_I"))
+        omega_i = omega_p - omega_s if omega_i is None else omega_i
         omega_s = omega_p - omega_i if omega_s is None else omega_s
         try:
             return FrequencyTriple(omega_p, omega_s, omega_i)
@@ -268,6 +259,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     out = data.get("output", {})
     out = _expect_mapping(out, "output")
     directory = out.get("directory", ".")
+    if not isinstance(directory, str):
+        raise ScenarioValidationError(f"output.directory: must be a string, got {directory!r}")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ScenarioValidationError("output.format: must be 'csv' or 'json'")
@@ -279,12 +272,11 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         )
     normalization = Normalization(norm_name)
 
-    threshold = data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD)
-    if not _is_number(threshold):
-        raise ScenarioValidationError("regime_threshold: expected a finite number")
+    threshold = as_real(data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD),
+                        "regime_threshold", -math.inf)
 
     scales = derive_scales(crystal, cavity, pump, freqs)
-    regime = check_regime(scales, float(threshold))
+    regime = check_regime(scales, threshold)
     first = 1 if scales.tau0 == 0.0 else 0  # kappa/gamma = inf, as kappa, at tau0 = 0
     for check, inputs in list(zip(regime.checks, _RATIO_INPUTS))[first:]:
         _checked(check.name, check.value, inputs, positive=False)
@@ -297,7 +289,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
         scales=scales,
         regime=regime,
         scenario_hash=digest,
-        output_directory=str(directory),
+        output_directory=directory,
         output_format=str(fmt),
         normalization=normalization,
     )

@@ -30,7 +30,7 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import DegenerateGroupVelocityError
-from .names import as_integer
+from .names import as_count, as_real
 from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
@@ -63,11 +63,8 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
 
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
-    if m_max is not None:
-        if (m_max := as_integer(m_max, "m_max")) < 0:
-            raise ValueError("m_max must be non-negative")
-        return m_max
-    return int(_ENVELOPE_REACH * envelope_zero_mode(scales))
+    return (int(_ENVELOPE_REACH * envelope_zero_mode(scales)) if m_max is None
+            else as_count(m_max, "m_max (--m-max)", 0))
 
 
 def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
@@ -200,6 +197,7 @@ def spectrum_grid(
     """
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
+    window_modes = as_real(window_modes, "window_modes (--window-modes)", 0.0, strict=True)
     half = 0.5 * _checked("detuning span", window_modes * scales.fsr_delta_omega * 2.0,
                           f"{_TAU0_INPUTS}, --window-modes")
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
@@ -220,6 +218,7 @@ def g1_grid(
     """
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
+    window_gammas = as_real(window_gammas, "window_gammas (--window-gammas)", 0.0, strict=True)
     check_linewidth(scales.gamma)
     half = 0.5 * _checked("delay span", window_gammas / scales.gamma * 2.0,
                           "cavity.loss_rate_gamma, --window-gammas")

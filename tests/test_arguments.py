@@ -1,0 +1,178 @@
+"""Invalid arguments: every numeric CLI flag and every library count or real
+argument refuses an out-of-range value by one rule (``sropo.names.as_count``
+and ``as_real``), as a ``ScenarioValidationError`` (also a ``ValueError``)
+naming the argument and its flag.  No draw is valid, so no draw starts work.
+"""
+
+import contextlib
+import io
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import sropo
+from sropo import ScenarioValidationError, load_scenario
+from sropo.cli import COMMANDS, main
+from sropo.correlations import g2_grid
+from sropo.spectra import g1_grid, spectrum_grid
+from conftest import CONFIG_DIR
+
+CONFIG = CONFIG_DIR / "spectrum_comb.json"
+SCENARIO = load_scenario(CONFIG)
+TAU = np.linspace(0.0, 2e-11, 41)
+BIG = 10**399  # 400 digits: past the double range
+
+# Each numeric flag: (type, least valid value, strict: the least is invalid too).
+FLAGS = {
+    ("spectrum", "--window-modes"): (float, 0.0, True),
+    ("spectrum", "--points"): (int, 2, False),
+    ("spectrum", "--m-max"): (int, 0, False),
+    ("g1", "--window-gammas"): (float, 0.0, True),
+    ("g1", "--points"): (int, 2, False),
+    ("g1", "--m-max"): (int, 0, False),
+    ("g2", "--peaks"): (int, 0, False),
+    ("g2", "--points"): (int, 2, False),
+    ("g2", "--m-max"): (int, 1, False),
+    ("g2", "--resolution"): (float, 0.0, True),
+    ("wavefunction", "--modes"): (int, 1, False),
+    ("wavefunction", "--halfwidth-gammas"): (float, 10.0, False),
+    ("wavefunction", "--points-per-mode"): (int, 2, False),
+}
+# The flags a command needs besides the one drawn; g2's tier is one that reads it.
+G2_TIER = {"--m-max": "series", "--resolution": "averaged"}
+BASE = {"spectrum": ["--field", "idler"], "g1": ["--field", "idler"], "wavefunction": []}
+
+
+def test_every_numeric_flag_is_drawn():
+    numeric = {(name, flag) for name, (_, flags, _) in COMMANDS.items()
+               for flag, options in flags if options.get("type") in (int, float)}
+    assert numeric == set(FLAGS)
+
+
+def below(kind, least, strict):
+    """Values under the bound: integers below ``least``, or reals below it (at it
+    when ``strict``), -inf included."""
+    if kind is int:
+        return st.integers(max_value=least - 1)
+    return st.floats(max_value=least, exclude_max=not strict, allow_nan=False)
+
+
+@st.composite
+def bad_flags(draw):
+    command, flag = draw(st.sampled_from(sorted(FLAGS)))
+    kind, least, strict = FLAGS[command, flag]
+    texts = ["-1.5", "nan", "inf", "-inf", "1e400", "-1e400", str(BIG), str(-BIG)]
+    if kind is int:
+        texts += ["2.5", "1e3", "two"]
+    if kind is float or least > 0:
+        texts.append("0")
+    text = draw(st.one_of(below(kind, least, strict).map(str), st.sampled_from(texts)))
+    base = BASE.get(command, ["--tier", G2_TIER.get(flag, "compact")])
+    return [command, *base, f"{flag}={text}"], flag
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=bad_flags())
+@example(case=(["g2", "--tier", "compact", "--points=1"], "--points"))
+@example(case=(["g2", "--tier", "compact", f"--peaks={BIG}"], "--peaks"))
+@example(case=(["wavefunction", "--halfwidth-gammas=-inf"], "--halfwidth-gammas"))
+@example(case=(["g1", "--field", "idler", "--points=2.5"], "--points"))
+def test_bad_flag_exits_1_naming_it_and_makes_nothing(case, tmp_path_factory):
+    argv, flag = case
+    out = tmp_path_factory.getbasetemp() / "bad-flag-out"
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        try:
+            code = main([*argv, "--config", str(CONFIG), "--out", str(out)])
+        except SystemExit as exc:  # argparse: text that is no int or float
+            code = exc.code
+    text = stdout.getvalue()
+    assert code == 1, text
+    assert re.search(rf"type=(ScenarioValidationError: \w+ \({flag}\) must be "
+                     rf"|ArgumentError: argument {flag}:)", text), text
+    assert not out.exists()
+
+
+# Each library argument: (where its refusal starts, type, least, strict, call).
+ARGUMENTS = {
+    "spectrum_grid points": ("points (--points)", int, 2, False,
+                             lambda c, v: spectrum_grid(c.scales, points=v)),
+    "spectrum_grid window_modes": ("window_modes (--window-modes)", float, 0.0, True,
+                                   lambda c, v: spectrum_grid(c.scales, window_modes=v)),
+    "g1_grid points": ("points (--points)", int, 2, False,
+                       lambda c, v: g1_grid(c.scales, points=v)),
+    "g1_grid window_gammas": ("window_gammas (--window-gammas)", float, 0.0, True,
+                              lambda c, v: g1_grid(c.scales, window_gammas=v)),
+    "g2_grid peaks": ("peaks (--peaks)", int, 0, False,
+                      lambda c, v: g2_grid(c.scales, "compact", v)),
+    "g2_grid points": ("points (--points)", int, 2, False,
+                       lambda c, v: g2_grid(c.scales, "compact", 5, points=v)),
+    "g2_grid resolution": ("resolution_dt (--resolution)", float, 0.0, True,
+                           lambda c, v: g2_grid(c.scales, "averaged", 5, resolution=v)),
+    "spectrum m_max": ("m_max (--m-max)", int, 0, False, lambda c, v: sropo.spectrum(
+        "idler", c.scales, c.freqs, detuning=np.linspace(-1e9, 1e9, 81), m_max=v)),
+    "g1 m_max": ("m_max (--m-max)", int, 0, False, lambda c, v: sropo.g1(
+        "idler", c.scales, c.freqs, tau=np.linspace(-1e-11, 1e-11, 21), m_max=v)),
+    "G2Request m_max": ("m_max (--m-max)", int, 1, False,
+                        lambda c, v: sropo.G2Request("series", TAU, m_max=v)),
+    "G2Request resolution_dt": ("resolution_dt (--resolution)", float, 0.0, True,
+                                lambda c, v: sropo.G2Request("averaged", TAU,
+                                                             resolution_dt=v)),
+    "wavefunction_grid m_count": ("m_count (--modes)", int, 1, False,
+                                  lambda c, v: sropo.wavefunction_grid(c.scales, v)),
+    "wavefunction_grid omega_grid_halfwidth": (
+        "omega_grid_halfwidth (--halfwidth-gammas)", float, 10.0, False,
+        lambda c, v: sropo.wavefunction_grid(c.scales, 2, omega_grid_halfwidth=v)),
+    "wavefunction_grid points_per_mode": (
+        "points_per_mode (--points-per-mode)", int, 2, False,
+        lambda c, v: sropo.wavefunction_grid(c.scales, 2, points_per_mode=v)),
+}
+
+
+@st.composite
+def bad_arguments(draw):
+    name = draw(st.sampled_from(sorted(ARGUMENTS)))
+    _, kind, least, strict, _ = ARGUMENTS[name]
+    lows = below(kind, least, strict)
+    values = [math.nan, math.inf, -math.inf, 1e400, BIG, -BIG, True, False, np.True_]
+    if kind is int:  # a float, even a whole one, or text is no count
+        values += [2.5, 2.0, "2", np.float64(3.0)]
+        singles = st.sampled_from([2.0, 2.5, -1.0, math.nan]).map(np.float32)
+    else:  # float32 values below the bound, converted exactly
+        values += ["2.5", 1 + 2j]
+        singles = st.floats(max_value=least, exclude_max=not strict, allow_nan=False,
+                            width=32).map(np.float32)
+    if kind is float or least > 0:
+        values.append(0)
+    return name, draw(st.one_of(lows, st.sampled_from(values), singles))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(case=bad_arguments())
+@example(case=("spectrum_grid points", 2.5))
+@example(case=("spectrum_grid points", True))
+@example(case=("spectrum_grid points", 0))
+@example(case=("g1_grid points", 1))
+@example(case=("g2_grid peaks", 1.5))
+@example(case=("g2_grid peaks", True))
+@example(case=("g2_grid peaks", -3))
+@example(case=("g2_grid peaks", 10**400))
+@example(case=("wavefunction_grid points_per_mode", 400.5))
+@example(case=("wavefunction_grid omega_grid_halfwidth", math.nan))
+@example(case=("spectrum_grid window_modes", -1.0))
+@example(case=("G2Request resolution_dt", -1e-11))
+def test_bad_library_argument_is_refused_naming_it(case):
+    name, value = case
+    where, *_, call = ARGUMENTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(where)} must be ") as exc:
+            call(SCENARIO, value)
+    assert isinstance(exc.value, ValueError)

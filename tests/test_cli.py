@@ -374,6 +374,17 @@ class TestErrorPaths:
             "error: exit=1 type=FileExistsError: output.directory: ")
         assert blocker.read_text(encoding="ascii") == "kept"
 
+    @pytest.mark.parametrize("directory", [None, 5, ["a"]])
+    def test_output_directory_that_is_no_string_is_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, directory):
+        # str() of these made a directory "None", "5" or "['a']"
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, scenario_dict(output={"directory": directory}))
+        assert main(["scales", "--config", str(path)]) == 1
+        assert capsys.readouterr().out == ("error: exit=1 type=ScenarioValidationError: "
+                                           f"output.directory: must be a string, got {directory!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     @pytest.mark.parametrize(
         "args, flag",
         [
@@ -390,7 +401,6 @@ class TestErrorPaths:
             (["g1", "--field", "idler", "--window-gammas", "-1"], "--window-gammas"),
             (["g1", "--field", "idler", "--window-gammas", "nan"], "--window-gammas"),
             (["spectrum", "--field", "idler", "--window-modes", "0"], "--window-modes"),
-            (["g2", "--tier", "series", "--peaks", "two"], "--peaks"),
             (["wavefunction", "--halfwidth-gammas", "9.5"], "--halfwidth-gammas"),
             (["wavefunction", "--halfwidth-gammas", "nan"], "--halfwidth-gammas"),
             (["wavefunction", "--points-per-mode", "1"], "--points-per-mode"),
@@ -401,7 +411,25 @@ class TestErrorPaths:
             (["wavefunction", "--modes", "1" + "0" * 399], "--modes"),
         ],
     )
-    def test_bad_flag_is_config_error(self, config_path, tmp_path, capsys, args, flag):
+    def test_flag_out_of_range_is_config_error(self, config_path, tmp_path, capsys, args,
+                                               flag):
+        # The parser checks types only; the library's rule refuses the value.
+        assert main([*args, "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("error: exit=1 type=ScenarioValidationError: ")
+        assert f"({flag}) must be " in out
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["g2", "--tier", "series", "--peaks", "two"], "--peaks"),
+            (["g1", "--field", "idler", "--points", "2.5"], "--points"),
+            (["wavefunction", "--halfwidth-gammas", "wide"], "--halfwidth-gammas"),
+        ],
+    )
+    def test_flag_that_does_not_parse_is_argument_error(self, config_path, tmp_path, capsys,
+                                                         args, flag):
         with pytest.raises(SystemExit) as exc:
             main([*args, "--config", str(config_path), "--out", str(tmp_path)])
         assert exc.value.code == 1

@@ -639,7 +639,8 @@ REFUSALS = {
     "field": (dict(field="bogus"), ValueError, "'bogus' is not a valid FieldName"),
     "tau0_zero": (dict(tau0=0.0, m_max=None), sropo.DegenerateGroupVelocityError,
                   r"tau0 = 0: the envelope has no zero; pass m_max \(--m-max\)"),
-    "m_max_negative": (dict(m_max=-1), ValueError, "m_max must be non-negative"),
+    "m_max_negative": (dict(m_max=-1), ScenarioValidationError,
+                       r"m_max \(--m-max\) must be at least 0, got -1"),
     "non_uniform": (dict(steps=[0.0, 1.0, 3.0]), ValueError,
                     "{axis} must be uniformly spaced"),
     "too_coarse": (dict(steps=np.arange(-2.0, 3.0), coarse=True), GridTooCoarseError,
@@ -913,8 +914,9 @@ MODE_COUNT_ENTRIES = {
 @pytest.mark.parametrize("entry", MODE_COUNT_ENTRIES)
 def test_non_integer_mode_count_is_refused(entry, count):
     config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
-    name = "m_count" if entry == "wavefunction_grid" else "m_max"
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {count!r}$"):
+    name = r"m_count \(--modes\)" if entry == "wavefunction_grid" else r"m_max \(--m-max\)"
+    with pytest.raises(ScenarioValidationError,
+                       match=rf"^{name} must be an integer, got {count!r}$"):
         MODE_COUNT_ENTRIES[entry](config, count)
     MODE_COUNT_ENTRIES["spectrum"](config, np.int64(2))  # an integer type is one
 
@@ -944,6 +946,9 @@ BOUNDARY = {
     "wavefunction_grid": ("m_count", "spectrum_comb",
                           lambda c, v: sropo.wavefunction_grid(c.scales, v), 1),
 }
+# How a refusal names each argument: its library name, then its flag.
+WHERE = {"m_max": r"m_max \(--m-max\)", "m_count": r"m_count \(--modes\)",
+         "resolution": r"resolution_dt \(--resolution\)"}
 COUNT_TYPES = [int, np.int64, np.int32, bool, np.bool_, float, np.float32]
 SECONDS_TYPES = [float, np.float32, np.float64, bool, np.bool_, str]
 
@@ -970,7 +975,7 @@ def test_library_boundary_stores_python_scalars_and_builds_float64_grids(call):
     config = load_scenario(CONFIG_DIR / f"{config}.json")
     if (isinstance(value, (bool, np.bool_, str)) if least is None else
             isinstance(value, (bool, np.bool_, float, np.floating)) or value < least):
-        with pytest.raises(ValueError, match=rf"^{name} must be "):
+        with pytest.raises(ScenarioValidationError, match=rf"^{WHERE[name]} must be "):
             run(config, value)
         return
     result = run(config, value)
