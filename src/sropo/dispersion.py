@@ -27,6 +27,7 @@ from .errors import (
     NoSignChangeError,
     NonConvergenceError,
     OutOfRangeError,
+    ScenarioValidationError,
 )
 from .names import Record, as_real
 
@@ -66,17 +67,19 @@ class DispersionModel(Record):
     validity_range: tuple[float, float]
 
     def __post_init__(self):
-        kind = DispersionKind(self.kind)
+        try:
+            kind = DispersionKind(self.kind)
+        except ValueError:
+            allowed = ", ".join(k.value for k in DispersionKind)
+            raise ScenarioValidationError(
+                f"kind must be one of {allowed}, got {self.kind!r}") from None
+        params = tuple(as_real(p, f"parameters[{i}]", -math.inf) for i, p in
+                       enumerate(_entries(self.parameters, "parameters", _PARAM_COUNTS[kind])))
+        lo, hi = (as_real(v, f"validity_range[{i}]", 0.0)
+                  for i, v in enumerate(_entries(self.validity_range, "validity_range", 2)))
         object.__setattr__(self, "kind", kind)
-        params = tuple(float(p) for p in self.parameters)
         object.__setattr__(self, "parameters", params)
-        lo, hi = (float(v) for v in self.validity_range)
         object.__setattr__(self, "validity_range", (lo, hi))
-        if len(params) != _PARAM_COUNTS[kind]:
-            raise ValueError(
-                f"{kind.value} model needs {_PARAM_COUNTS[kind]} parameters, "
-                f"got {len(params)}"
-            )
         if not (0.0 < lo < hi):
             raise ValueError("validity_range must satisfy 0 < lo < hi")
         if kind is DispersionKind.SELLMEIER:  # a pole, L = C_i, sampled or not
@@ -91,6 +94,15 @@ class DispersionModel(Record):
                     f"{kind.value} model yields n = {n!r} <= 1 at "
                     f"omega = {omega:.6e} rad/s inside its validity range"
                 )
+
+
+def _entries(value, where: str, count: int) -> tuple:
+    """The ``count`` entries of a list, tuple or other iterable ``value``; a
+    number, or another count, is refused naming ``where``."""
+    entries = tuple(value) if hasattr(value, "__iter__") else ()
+    if len(entries) != count:
+        raise ScenarioValidationError(f"{where} must be a list of length {count}, got {value!r}")
+    return entries
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -268,9 +280,12 @@ def phase_match(
     everywhere the split is non-unique (``DegenerateDispersionError``); if it
     never changes sign there is no root to bracket (``NoSignChangeError``).
     """
-    lo, hi = (float(v) for v in bracket)
-    if not (0.0 < lo < hi < omega_p):
-        raise ValueError("bracket must satisfy 0 < lo < hi < omega_p")
+    omega_p = as_real(omega_p, "omega_p", 0.0, strict=True)
+    lo, hi = (as_real(v, f"bracket[{i}]", 0.0, strict=True)
+              for i, v in enumerate(_entries(bracket, "bracket", 2)))
+    if not lo < hi < omega_p:
+        raise ScenarioValidationError(
+            f"bracket must satisfy 0 < lo < hi < omega_p = {omega_p!r}, got {bracket!r}")
 
     k_p = wavenumber(crystal.dispersion_pump, omega_p)
     tol = _MISMATCH_TOL_REL * abs(k_p)

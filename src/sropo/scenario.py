@@ -42,7 +42,6 @@ from .cavity import (
 )
 from .dispersion import (
     CrystalParams,
-    DispersionKind,
     DispersionModel,
     FrequencyTriple,
     phase_match,
@@ -159,38 +158,17 @@ def _get(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _is_number(value) -> bool:
-    """A finite JSON number; booleans, NaN and Infinity are not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
-
-
 def _dispersion(obj: dict, path: str) -> DispersionModel:
+    """A dispersion block: its shape is checked here, its entries by the record."""
     obj = _expect_mapping(obj, path)
-    kind = _get(obj, "kind", path)
+    kind, params, rng = (_get(obj, key, path) for key in ("kind", "parameters", "validity_range"))
+    for key, value in (("parameters", params), ("validity_range", rng)):
+        if not isinstance(value, list):
+            raise ScenarioValidationError(f"{path}.{key}: expected a list")
     try:
-        kind = DispersionKind(kind)
-    except ValueError:
-        allowed = ", ".join(k.value for k in DispersionKind)
-        raise ScenarioValidationError(
-            f"{path}.kind: unknown kind {kind!r} (allowed: {allowed})"
-        ) from None
-    params = _get(obj, "parameters", path)
-    rng = _get(obj, "validity_range", path)
-    if not isinstance(params, list) or not all(map(_is_number, params)):
-        raise ScenarioValidationError(
-            f"{path}.parameters: expected a list of finite numbers"
-        )
-    if not isinstance(rng, list) or len(rng) != 2 or not all(map(_is_number, rng)):
-        raise ScenarioValidationError(
-            f"{path}.validity_range: expected [omega_min, omega_max]"
-        )
-    try:
-        return DispersionModel(kind, tuple(params), (rng[0], rng[1]))
+        return DispersionModel(kind, params, rng)
+    except ScenarioValidationError as exc:  # names the entry: kind, parameters[i], ...
+        raise ScenarioValidationError(f"{path}.{exc}") from exc
     except ValueError as exc:
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
@@ -229,17 +207,12 @@ def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
         raise ScenarioValidationError(
             f"{path}: provide omega_S/omega_I or a bracket for phase matching"
         )
-    bracket = obj["bracket"]
-    if not isinstance(bracket, list) or len(bracket) != 2 or not all(
-        map(_is_number, bracket)
-    ):
-        raise ScenarioValidationError(f"{path}.bracket: expected [omega_lo, omega_hi]")
-    if not 0 < bracket[0] < bracket[1] < omega_p:
-        raise ScenarioValidationError(
-            f"{path}.bracket: must satisfy 0 < lo < hi < omega_P = {omega_p!r}, "
-            f"got {bracket!r}"
-        )
-    return phase_match(crystal, omega_p, (bracket[0], bracket[1]))
+    if not isinstance(obj["bracket"], list):
+        raise ScenarioValidationError(f"{path}.bracket: expected a list")
+    try:
+        return phase_match(crystal, omega_p, obj["bracket"])
+    except ScenarioValidationError as exc:  # names the bracket or its entry bracket[i]
+        raise ScenarioValidationError(f"{path}.{exc}") from exc
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:

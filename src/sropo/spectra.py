@@ -59,7 +59,10 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
     if scales.tau0 == 0.0:
         raise DegenerateGroupVelocityError(
             f"tau0 = 0: the envelope has no zero; pass {needs}")
-    return math.ceil(2.0 * math.pi / (scales.fsr_delta_omega * abs(scales.tau0)))
+    product = scales.fsr_delta_omega * abs(scales.tau0)
+    ratio = 2.0 * math.pi / product if product else math.inf
+    return math.ceil(_checked("2*pi/(fsr*|tau0|)", ratio,
+                              f"{_TAU0_INPUTS}, cavity.resonator_length_Lr"))
 
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
@@ -278,6 +281,7 @@ def spectrum(
     normalization = Normalization(normalization)
     gamma = scales.gamma
     fsr = scales.fsr_delta_omega
+    m_count = _auto_mode_count(scales, m_max)  # before the default grid is built
     if detuning is None:
         detuning = spectrum_grid(scales)
     detuning = np.asarray(detuning, dtype=float)
@@ -285,7 +289,6 @@ def spectrum(
     require_points(gamma / spacing, POINTS_PER_GAMMA_MIN, "gamma")
 
     check_linewidth(gamma)
-    m_count = _auto_mode_count(scales, m_max)
     # Refused past the budget before any is made: the 2M+1 weights, and
     # _lorentzian_comb's _CHEB_NODES correlations per fsr cell of the grid,
     # over a lattice of cells + 2M line shapes.  Its table keeps _CHEB_NODES

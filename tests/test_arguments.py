@@ -1,7 +1,8 @@
 """Invalid arguments: every numeric CLI flag and every library count or real
 argument refuses an out-of-range value by one rule (``sropo.names.as_count``
 and ``as_real``), as a ``ScenarioValidationError`` (also a ``ValueError``)
-naming the argument and its flag.  No draw is valid, so no draw starts work.
+naming the argument and its flag, or the record or solver entry
+(``parameters[0]``, ``bracket[1]``).  No draw is valid, so no draw starts work.
 """
 
 import contextlib
@@ -19,12 +20,14 @@ import sropo
 from sropo import ScenarioValidationError, load_scenario
 from sropo.cli import COMMANDS, main
 from sropo.correlations import g2_grid
+from sropo.dispersion import DispersionModel, phase_match
 from sropo.spectra import g1_grid, spectrum_grid
 from conftest import CONFIG_DIR
 
 CONFIG = CONFIG_DIR / "spectrum_comb.json"
 SCENARIO = load_scenario(CONFIG)
 TAU = np.linspace(0.0, 2e-11, 41)
+WIDE = (1e14, 1e16)
 BIG = 10**399  # 400 digits: past the double range
 
 # Each numeric flag: (type, least valid value, strict: the least is invalid too).
@@ -133,6 +136,28 @@ ARGUMENTS = {
     "wavefunction_grid points_per_mode": (
         "points_per_mode (--points-per-mode)", int, 2, False,
         lambda c, v: sropo.wavefunction_grid(c.scales, 2, points_per_mode=v)),
+    # The entries of a dispersion model and of the phase-match solver, named
+    # without a flag.  No value drawn is a kind; a parameter's one bound is
+    # finiteness, so -inf is its one value below.
+    "DispersionModel kind": ("kind", float, 0.0, True,
+                             lambda c, v: DispersionModel(v, (1.8,), WIDE)),
+    "DispersionModel parameters[0]": ("parameters[0]", float, -math.inf, True,
+                                      lambda c, v: DispersionModel("constant", (v,), WIDE)),
+    "DispersionModel parameters[1]": (
+        "parameters[1]", float, -math.inf, True,
+        lambda c, v: DispersionModel("linear_in_omega", (1.8, v), WIDE)),
+    "DispersionModel validity_range[0]": (
+        "validity_range[0]", float, 0.0, False,
+        lambda c, v: DispersionModel("constant", (1.8,), (v, 1e16))),
+    "DispersionModel validity_range[1]": (
+        "validity_range[1]", float, 0.0, False,
+        lambda c, v: DispersionModel("constant", (1.8,), (1e14, v))),
+    "phase_match omega_p": ("omega_p", float, 0.0, True,
+                            lambda c, v: phase_match(c.crystal, v, (1.8e15, 2.2e15))),
+    "phase_match bracket[0]": ("bracket[0]", float, 0.0, True,
+                               lambda c, v: phase_match(c.crystal, 3.5e15, (v, 2.2e15))),
+    "phase_match bracket[1]": ("bracket[1]", float, 0.0, True,
+                               lambda c, v: phase_match(c.crystal, 3.5e15, (1.8e15, v))),
 }
 
 
@@ -149,12 +174,12 @@ def bad_arguments(draw):
         values += ["2.5", 1 + 2j]
         singles = st.floats(max_value=least, exclude_max=not strict, allow_nan=False,
                             width=32).map(np.float32)
-    if kind is float or least > 0:
+    if least >= 0 if strict else least > 0:
         values.append(0)
     return name, draw(st.one_of(lows, st.sampled_from(values), singles))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=320, derandomize=True, deadline=None)
 @given(case=bad_arguments())
 @example(case=("spectrum_grid points", 2.5))
 @example(case=("spectrum_grid points", True))
@@ -168,6 +193,12 @@ def bad_arguments(draw):
 @example(case=("wavefunction_grid omega_grid_halfwidth", math.nan))
 @example(case=("spectrum_grid window_modes", -1.0))
 @example(case=("G2Request resolution_dt", -1e-11))
+@example(case=("DispersionModel parameters[0]", "1.8"))
+@example(case=("DispersionModel validity_range[0]", "1e14"))
+@example(case=("DispersionModel validity_range[0]", True))
+@example(case=("DispersionModel parameters[1]", True))
+@example(case=("phase_match bracket[0]", "1.8e15"))
+@example(case=("phase_match bracket[0]", True))
 def test_bad_library_argument_is_refused_naming_it(case):
     name, value = case
     where, *_, call = ARGUMENTS[name]
@@ -176,3 +207,18 @@ def test_bad_library_argument_is_refused_naming_it(case):
         with pytest.raises(ScenarioValidationError, match=rf"^{re.escape(where)} must be ") as exc:
             call(SCENARIO, value)
     assert isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize("where, call", [
+    ("parameters", lambda c: DispersionModel("constant", 1.8, WIDE)),
+    ("validity_range", lambda c: DispersionModel("constant", (1.8,), 1e14)),
+    ("validity_range", lambda c: DispersionModel("constant", (1.8,), (1e14, 1e15, 1e16))),
+    ("bracket", lambda c: phase_match(c.crystal, 3.5e15, 2e15)),
+    ("bracket", lambda c: phase_match(c.crystal, 3.5e15, (1.8e15, 2e15, 2.2e15))),
+    ("bracket", lambda c: phase_match(c.crystal, 3.5e15, (1.8e15,))),
+    ("parameters", lambda c: DispersionModel("constant", (1.8, 1e-17), WIDE)),
+], ids=["scalar_parameters", "scalar_range", "three_ends", "scalar_bracket",
+        "three_bracket_ends", "one_bracket_end", "extra_parameter"])
+def test_library_list_of_wrong_shape_is_refused_naming_it(where, call):
+    with pytest.raises(ScenarioValidationError, match=rf"^{where} must be a list of length "):
+        call(SCENARIO)

@@ -756,6 +756,27 @@ class TestDerivedScales:
         assert all(field in lines[0] for field in fields)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["spectrum", "g1"])
+    def test_envelope_zero_mode_that_overflows_is_config_error(self, tmp_path, capsys,
+                                                               command):
+        # tau0 = 6.1e-307 s and fsr = 9.4e-4 rad/s are both doubles (scales
+        # exits 0), but 2*pi/(fsr*|tau0|), the envelope's first zero, is not.
+        path = write_config(tmp_path, _config_with(
+            "spectrum_comb", ("crystal", "length_l", 1e-297),
+            ("cavity", "resonator_length_Lr", 1e12)))
+        assert main(["scales", "--config", str(path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, "--field", "idler", "--config", str(path),
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "error: exit=1 type=ScenarioValidationError: crystal.length_l, "
+            "crystal.dispersion_signal, crystal.dispersion_idler, "
+            "cavity.resonator_length_Lr: derived 2*pi/(fsr*|tau0|) = inf over- or "
+            "underflows a double"]
+        assert not out.exists()
+
     def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):
         # tau0 = l/v_gI - l/v_gS underflows to exactly 0: the documented
         # tau0 = 0 path, not an overflow.

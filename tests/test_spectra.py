@@ -652,8 +652,8 @@ REFUSALS = {
 }
 # The order each function refuses in; faults that set the same argument
 # (the grid, or m_max) are never combined.
-SPECTRUM_REFUSALS = ["field", "non_uniform", "too_coarse", "gamma", "m_max_negative",
-                     "tau0_zero", "budget"]
+SPECTRUM_REFUSALS = ["field", "m_max_negative", "tau0_zero", "non_uniform", "too_coarse",
+                     "gamma", "budget"]
 G1_REFUSALS = ["field", "m_max_negative", "tau0_zero", "non_uniform", "gamma",
                "too_coarse", "budget"]
 
@@ -919,6 +919,34 @@ def test_non_integer_mode_count_is_refused(entry, count):
                        match=rf"^{name} must be an integer, got {count!r}$"):
         MODE_COUNT_ENTRIES[entry](config, count)
     MODE_COUNT_ENTRIES["spectrum"](config, np.int64(2))  # an integer type is one
+
+
+@pytest.mark.parametrize("changes", [dict(tau0=5e-324), dict(tau0=5e-324, fsr_delta_omega=0.25)],
+                         ids=["subnormal", "zero"])
+def test_envelope_zero_mode_that_overflows_is_refused_naming_its_inputs(spectrum_setup,
+                                                                        changes):
+    # fsr*|tau0| is subnormal, or underflows to 0: 2*pi over it, the envelope's
+    # first zero, is past the double range.
+    *_, scales = spectrum_setup
+    scales = scales.replace(**changes)
+    message = (r"^crystal\.length_l, crystal\.dispersion_signal, crystal\.dispersion_idler, "
+               r"cavity\.resonator_length_Lr: derived 2\*pi/\(fsr\*\|tau0\|\) = inf ")
+    for call in (spectrum_grid, g1_grid, lambda s: _auto_mode_count(s, None)):
+        with pytest.raises(ScenarioValidationError, match=message):
+            call(scales)
+
+
+def test_spectrum_refuses_m_max_before_its_default_grid():
+    # phase_matched.json's default grid holds 743,205 points (5.7 MiB).
+    config = load_scenario(CONFIG_DIR / "phase_matched.json")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScenarioValidationError, match=r"^m_max \(--m-max\) must be at"):
+            spectrum("idler", config.scales, config.freqs, m_max=-1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def _averaged_g2(config, resolution):
