@@ -17,7 +17,7 @@ from .dispersion import (
     group_velocity,
     refractive_index,
 )
-from .errors import GeometryError, ScenarioValidationError
+from .errors import GeometryError
 from .names import Record, as_real
 
 DEFAULT_REGIME_THRESHOLD = 0.1
@@ -97,12 +97,8 @@ def resonance_mode_number(crystal: CrystalParams, freqs: FrequencyTriple) -> flo
     """
     n_s = refractive_index(crystal.dispersion_signal, freqs.omega_s)
     number = freqs.omega_s * n_s * crystal.length_l / (0.5 * TWO_PI * C_LIGHT)
-    if not math.isfinite(number):
-        raise ScenarioValidationError(
-            "crystal.length_l, crystal.dispersion_signal: resonance mode number "
-            f"= {number!r} overflows a double"
-        )
-    return number
+    return as_real(number, "crystal.length_l, crystal.dispersion_signal: derived resonance "
+                   "mode number", -math.inf)
 
 
 def check_regime(

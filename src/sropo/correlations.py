@@ -38,7 +38,7 @@ from .errors import (
 )
 from .names import G2Tier, Record, as_count, as_real
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
-from .scenario import _TAU0_INPUTS, _checked
+from .scenario import _TAU0_INPUTS
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
@@ -115,12 +115,12 @@ def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=Non
         _check_peak_resolution(t0 / 12.0, scales)
         start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
     else:
-        start = _checked("delay grid start", -3.0 * resolution, "--resolution",
-                         positive=False)
-        step = _checked("delay grid step", resolution / 16.0, "--resolution")
+        start = as_real(-3.0 * resolution, "--resolution: derived delay grid start", -math.inf)
+        step = as_real(resolution / 16.0, "--resolution: derived delay grid step", 0.0,
+                       strict=True)
         source = "--peaks and --resolution"
-    stop = _checked("delay grid end", peaks * T + 2.0 * t0, "--peaks", positive=False)
-    span = _checked("delay grid span", stop - start, source, positive=False)
+    stop = as_real(peaks * T + 2.0 * t0, "--peaks: derived delay grid end", -math.inf)
+    span = as_real(stop - start, f"{source}: derived delay grid span", -math.inf)
     return np.linspace(start, stop, grid_points(points, span / step, source))
 
 
@@ -270,12 +270,12 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
     tau = request.tau_grid
     T = scales.round_trip_T
     gamma = scales.gamma
-    _checked("resolution_dt^2", dt * dt, "--resolution")
+    as_real(dt * dt, "--resolution: derived resolution_dt^2", 0.0, strict=True)
     j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
     first, last = float(tau[0]), float(tau[-1])
     j_last = math.floor(min(j_max, (last + 14.0 * dt) / T))  # the ratio may be inf
     reach = max(-first, last) + j_last * T  # at least every |j*T - tau| below
-    _checked("4*(j*T - tau)^2", 4.0 * reach * reach, "--resolution", positive=False)
+    as_real(4.0 * reach * reach, "--resolution: derived 4*(j*T - tau)^2", -math.inf)
     values = np.zeros_like(tau)
     for j in range(j_last + 1):
         values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)

@@ -278,7 +278,8 @@ def phase_match(
     by bisection on the mismatch.  The bracket is first scanned on
     ``_SCAN_INTERVALS + 1`` points: if the mismatch is below tolerance
     everywhere the split is non-unique (``DegenerateDispersionError``); if it
-    never changes sign there is no root to bracket (``NoSignChangeError``).
+    never changes sign there is no root to bracket (``NoSignChangeError``).  A
+    bisection that hits its step cap is a ``NonConvergenceError``.
     """
     omega_p = as_real(omega_p, "omega_p", 0.0, strict=True)
     lo, hi = (as_real(v, f"bracket[{i}]", 0.0, strict=True)
@@ -308,7 +309,12 @@ def phase_match(
     # A scan point whose mismatch is exactly 0 is a root; _bisect returns it as is.
     for i in range(_SCAN_INTERVALS):
         if values[i] * values[i + 1] <= 0.0:
-            root = _bisect(mismatch, grid[i], grid[i + 1])
+            try:
+                root = _bisect(mismatch, grid[i], grid[i + 1])
+            except RuntimeError:  # _bisect's iteration cap
+                raise NonConvergenceError(
+                    f"bisection on [{grid[i]:.6e}, {grid[i + 1]:.6e}] did not converge "
+                    f"in {_BISECT_MAXITER} steps") from None
             break
     else:
         raise NoSignChangeError(

@@ -2,9 +2,10 @@
 output normalisations, the G2 tiers, the 17-digit float and header-value
 formats, the immutable record every value type is built on, and the two
 rules, ``as_count`` and ``as_real``, that check each count and real value where
-it enters the library or the scenario: a refusal is a ScenarioValidationError
-naming the argument and its flag (``m_max (--m-max) must be at least 0, got
--1``) or the scenario field.
+it enters the library or the scenario, and each real value the library derives:
+a refusal is a ScenarioValidationError naming the argument and its flag
+(``m_max (--m-max) must be at least 0, got -1``), the scenario field, or the
+inputs a derived value comes from (``...: derived fsr must be finite, got inf``).
 """
 
 import math

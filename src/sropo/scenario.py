@@ -82,18 +82,9 @@ _T_INPUTS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_lengt
 _KAPPA_INPUTS = ("crystal.chi, crystal.cross_section_A, pump.field_amplitude_EP, "
                  + _TAU0_INPUTS)
 _GAMMA_T_INPUTS = "cavity.loss_rate_gamma, " + _T_INPUTS
+_FSR_TAU0_INPUTS = _TAU0_INPUTS + ", cavity.resonator_length_Lr"
 # The inputs of each regime ratio (kappa/gamma, gamma/fsr, fsr*|tau0|).
-_RATIO_INPUTS = (_KAPPA_INPUTS + ", cavity.loss_rate_gamma", _GAMMA_T_INPUTS,
-                 f"{_T_INPUTS}, {_TAU0_INPUTS}")
-
-
-def _checked(name: str, value: float, inputs: str, positive: bool = True) -> float:
-    """``value`` as a Python float, so that what is built from it is float64."""
-    if not math.isfinite(value) or (positive and value <= 0):
-        raise ScenarioValidationError(
-            f"{inputs}: derived {name} = {value!r} over- or underflows a double"
-        )
-    return float(value)
+_RATIO_INPUTS = (_KAPPA_INPUTS + ", cavity.loss_rate_gamma", _GAMMA_T_INPUTS, _FSR_TAU0_INPUTS)
 
 
 def derive_scales(
@@ -109,18 +100,18 @@ def derive_scales(
     is a configuration error naming the input fields it comes from.
     tau0 == 0 gives kappa = +inf.
     """
-    tau0 = transit_time_diff(crystal, freqs)
-    _checked("tau0", tau0, _TAU0_INPUTS, positive=False)
-    T = _checked("T", round_trip_time(crystal, cavity, freqs), _T_INPUTS)
-    fsr = _checked("fsr", free_spectral_range(T), _T_INPUTS)
-    _checked("gamma*T", cavity.loss_rate_gamma * T, _GAMMA_T_INPUTS)
+    tau0 = as_real(transit_time_diff(crystal, freqs), f"{_TAU0_INPUTS}: derived tau0", -math.inf)
+    T = as_real(round_trip_time(crystal, cavity, freqs), f"{_T_INPUTS}: derived T", 0.0,
+                strict=True)
+    fsr = as_real(free_spectral_range(T), f"{_T_INPUTS}: derived fsr", 0.0, strict=True)
+    as_real(cavity.loss_rate_gamma * T, f"{_GAMMA_T_INPUTS}: derived gamma*T", 0.0, strict=True)
     kappa = math.inf
     if tau0 != 0.0:
         try:
             kappa = _continuum_kappa(crystal, pump, freqs, tau0)
         except (ZeroDivisionError, OverflowError):  # e.g. 4*eps0*c*A underflows to 0
             kappa = math.nan
-        _checked("kappa", kappa, _KAPPA_INPUTS)
+        as_real(kappa, f"{_KAPPA_INPUTS}: derived kappa", 0.0, strict=True)
     return DerivedScales(tau0, T, fsr, cavity.loss_rate_gamma, kappa)
 
 
@@ -252,7 +243,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     regime = check_regime(scales, threshold)
     first = 1 if scales.tau0 == 0.0 else 0  # kappa/gamma = inf, as kappa, at tau0 = 0
     for check, inputs in list(zip(regime.checks, _RATIO_INPUTS))[first:]:
-        _checked(check.name, check.value, inputs, positive=False)
+        as_real(check.value, f"{inputs}: derived {check.name}", -math.inf)
     digest = scenario_hash(crystal, cavity, pump, freqs)
     return ScenarioConfig(
         crystal=crystal,

@@ -35,7 +35,7 @@ from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
 )
-from .scenario import _OUTPUT_NORMALIZATIONS, _TAU0_INPUTS, _checked
+from .scenario import _FSR_TAU0_INPUTS, _OUTPUT_NORMALIZATIONS
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _DEFAULT_POINTS_PER_GAMMA = 24.0
@@ -61,8 +61,8 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
             f"tau0 = 0: the envelope has no zero; pass {needs}")
     product = scales.fsr_delta_omega * abs(scales.tau0)
     ratio = 2.0 * math.pi / product if product else math.inf
-    return math.ceil(_checked("2*pi/(fsr*|tau0|)", ratio,
-                              f"{_TAU0_INPUTS}, cavity.resonator_length_Lr"))
+    return math.ceil(as_real(ratio, f"{_FSR_TAU0_INPUTS}: derived 2*pi/(fsr*|tau0|)", 0.0,
+                             strict=True))
 
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
@@ -201,8 +201,9 @@ def spectrum_grid(
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
     window_modes = as_real(window_modes, "window_modes (--window-modes)", 0.0, strict=True)
-    half = 0.5 * _checked("detuning span", window_modes * scales.fsr_delta_omega * 2.0,
-                          f"{_TAU0_INPUTS}, --window-modes")
+    half = 0.5 * as_real(window_modes * scales.fsr_delta_omega * 2.0,
+                         f"{_FSR_TAU0_INPUTS}, --window-modes: derived detuning span", 0.0,
+                         strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
     return symmetric_grid(half, grid_points(points, steps, "--window-modes", 2))
 
@@ -223,8 +224,9 @@ def g1_grid(
         window_gammas = _DEFAULT_WINDOW_GAMMAS
     window_gammas = as_real(window_gammas, "window_gammas (--window-gammas)", 0.0, strict=True)
     check_linewidth(scales.gamma)
-    half = 0.5 * _checked("delay span", window_gammas / scales.gamma * 2.0,
-                          "cavity.loss_rate_gamma, --window-gammas")
+    half = 0.5 * as_real(window_gammas / scales.gamma * 2.0,
+                         "cavity.loss_rate_gamma, --window-gammas: derived delay span", 0.0,
+                         strict=True)
     spacing = min(
         1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),

@@ -265,6 +265,23 @@ class TestErrorPaths:
         assert result.returncode == 2
         assert "error: exit=2" in result.stdout
 
+    def test_bisection_past_its_step_cap_is_numeric_error(self, tmp_path, capsys):
+        # the phase-match root lies near 7.8e-291 rad/s, which the bisection's
+        # absolute tolerance of 1e-300 cannot reach in 200 steps
+        def constant(n, low=1e14):
+            return {"kind": "constant", "parameters": [n], "validity_range": [low, 1e16]}
+        data = _config_with("phase_matched", ("crystal", "dispersion_idler", constant(1.5)),
+                            ("crystal", "dispersion_pump", constant(1.5000000000000002)),
+                            ("crystal", "dispersion_signal", constant(1e290, 1e-310)),
+                            ("frequencies", "bracket", [1e-300, 1e15]))
+        out = tmp_path / "out"
+        assert main(["scales", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: exit=2 type=NonConvergenceError: ")
+        assert not out.exists()
+
     def test_strict_regime_exit_code(self, tmp_path):
         data = scenario_dict(gamma=0.5 * 2 * math.pi / ROUND_TRIP)  # gamma/fsr = 0.5
         path = write_config(tmp_path, data)
@@ -626,7 +643,7 @@ class TestDerivedScales:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
-        assert f"{block}.{key}" in lines[0] and f"derived {scale} = " in lines[0]
+        assert f"{block}.{key}" in lines[0] and f"derived {scale} must be " in lines[0]
         assert not out.exists()
 
     def test_overflow_prints_no_traceback(self, tmp_path):
@@ -647,7 +664,28 @@ class TestDerivedScales:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "error: exit=1 type=ScenarioValidationError: crystal.length_l, "
-            "crystal.dispersion_signal: resonance mode number = inf overflows a double"]
+            "crystal.dispersion_signal: derived resonance mode number must be finite, got inf"]
+        assert not out.exists()
+
+    def test_fsr_tau0_overflow_names_each_input_once(self, tmp_path, capsys):
+        # l = L_r and an idler index of 1e308 make tau0 = 3.3e297 s and fsr =
+        # 9.4e10 rad/s, both doubles; their product is not
+        data = _config_with("g2_comb", ("crystal", "chi", 6e140),
+                            ("crystal", "dispersion_signal", "kind", "constant"),
+                            ("crystal", "dispersion_signal", "parameters", [1.0000001]),
+                            ("crystal", "dispersion_idler", "kind", "constant"),
+                            ("crystal", "dispersion_idler", "parameters", [1e308]),
+                            ("cavity", "resonator_length_Lr", 0.01))
+        out = tmp_path / "out"
+        assert main(["scales", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: exit=1 type=ScenarioValidationError: ")
+        for field in ("crystal.length_l", "crystal.dispersion_signal",
+                      "crystal.dispersion_idler", "cavity.resonator_length_Lr"):
+            assert lines[0].count(field) == 1, field
+        assert "derived fsr*|tau0| must be finite, got inf" in lines[0]
         assert not out.exists()
 
     def test_report_is_serialised_before_its_directory_is_made(self, tmp_path):
@@ -707,9 +745,10 @@ class TestDerivedScales:
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e200"],
          ["--resolution"]),
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "5e-324"],
-         ["--resolution", "step = 0.0"]),
+         ["--resolution", "step must be above 0, got 0.0"]),
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e308",
-                                   "--points", "3"], ["--resolution", "start = -inf"]),
+                                   "--points", "3"],
+         ["--resolution", "start must be finite, got -inf"]),
     ], ids=["spectrum", "g1", "wavefunction-huge-gamma", "wavefunction-tiny-gamma",
             "spectrum-window", "averaged-1e300", "averaged-1e200", "averaged-step-underflow",
             "averaged-start-overflow"])
@@ -729,19 +768,22 @@ class TestDerivedScales:
     @pytest.mark.parametrize("name, edits, command, fields", [
         # the half-width, 9.7e307 rad/s, is a double; the span 2*half is not
         ("spectrum_comb", [], ["spectrum", "--field", "idler", "--window-modes", "6e297",
-                               "--points", "3"], ["--window-modes", "detuning span = inf"]),
+                               "--points", "3"],
+         ["cavity.resonator_length_Lr", "--window-modes",
+          "detuning span must be finite, got inf"]),
         ("spectrum_comb", [], ["spectrum", "--field", "idler", "--window-modes", "6e297"],
-         ["--window-modes", "detuning span = inf"]),
+         ["cavity.resonator_length_Lr", "--window-modes",
+          "detuning span must be finite, got inf"]),
         # at gamma = 0.5 rad/s the half-width is 1.2e308 s
         ("spectrum_comb", [("cavity", "loss_rate_gamma", 0.5)],
          ["g1", "--field", "idler", "--window-gammas", "6e307", "--points", "3"],
-         ["cavity.loss_rate_gamma, --window-gammas", "delay span = inf"]),
+         ["cavity.loss_rate_gamma, --window-gammas", "delay span must be finite, got inf"]),
         # the averaged tier's grid: the start -3*dT is -1.8e308 s and the end
         # 1e307*T is 3.9e297 s, both doubles; the span between them is not
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution",
                                    "5.992310449541052e307", "--peaks", str(10**307),
                                    "--points", "3"],
-         ["--peaks and --resolution", "delay grid span = inf"]),
+         ["--peaks and --resolution", "delay grid span must be finite, got inf"]),
     ], ids=["spectrum-points", "spectrum", "g1-points", "g2-averaged-points"])
     def test_window_whose_span_overflows_is_config_error(self, tmp_path, capsys, name,
                                                          edits, command, fields):
@@ -773,8 +815,7 @@ class TestDerivedScales:
         assert lines == [
             "error: exit=1 type=ScenarioValidationError: crystal.length_l, "
             "crystal.dispersion_signal, crystal.dispersion_idler, "
-            "cavity.resonator_length_Lr: derived 2*pi/(fsr*|tau0|) = inf over- or "
-            "underflows a double"]
+            "cavity.resonator_length_Lr: derived 2*pi/(fsr*|tau0|) must be finite, got inf"]
         assert not out.exists()
 
     def test_tau0_underflow_to_zero_reads_kappa_inf(self, tmp_path, capsys):

@@ -15,6 +15,7 @@ from sropo import (
     DispersionModel,
     FrequencyTriple,
     NoSignChangeError,
+    NonConvergenceError,
     OutOfRangeError,
     dn_domega,
     group_velocity,
@@ -236,6 +237,16 @@ class TestPhaseMatch:
         crystal = make_crystal(constant_model(1.8), constant_model(1.9))
         with pytest.raises(ValueError):
             phase_match(crystal, 3.5e15, (2.2e15, 1.8e15))
+
+    def test_bisection_past_its_step_cap_is_non_convergence(self):
+        # The mismatch changes sign in the first scan interval, near 7.8e-291
+        # rad/s: the absolute tolerance of 1e-300 there needs about 1,040
+        # halvings, past _bisect's 200.
+        signal = DispersionModel(DispersionKind.CONSTANT, (1e290,), (1e-310, 1e16))
+        crystal = make_crystal(signal, constant_model(1.5), constant_model(1.5000000000000002))
+        with pytest.raises(NonConvergenceError, match=r"^bisection on \[1\.000000e-300, "
+                           r"3\.906250e\+12\] did not converge in 200 steps$"):
+            phase_match(crystal, 3.5e15, (1e-300, 1e15))
 
 
 def test_constants_match_scipy():

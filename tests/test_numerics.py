@@ -445,10 +445,10 @@ def test_window_whose_span_overflows_is_refused_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ScenarioValidationError, match="--window-modes: derived "
-                           "detuning span = inf"):
+                           "detuning span must be finite, got inf"):
             spectrum_grid(scales, 1e308 / scales.fsr_delta_omega, 3)
         with pytest.raises(ScenarioValidationError, match="--window-gammas: derived "
-                           "delay span = inf"):
+                           "delay span must be finite, got inf"):
             g1_grid(slow, 1e308, 3)
         # the largest windows whose span is a double still make a grid
         for grid in (spectrum_grid(scales, 8e307 / scales.fsr_delta_omega, 3),

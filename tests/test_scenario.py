@@ -41,7 +41,7 @@ class TestLoadScenario:
         data["crystal"]["length_l"] = data["cavity"]["resonator_length_Lr"] = 1e-300
         with pytest.raises(ScenarioValidationError, match=re.escape(
                 "crystal.length_l, crystal.dispersion_signal, "
-                "cavity.resonator_length_Lr: derived fsr = inf over- or underflows")):
+                "cavity.resonator_length_Lr: derived fsr must be finite, got inf")):
             scenario_from_dict(data)
 
     def test_explicit_frequencies_and_bracket_exclusive(self, tmp_path):

@@ -930,7 +930,8 @@ def test_envelope_zero_mode_that_overflows_is_refused_naming_its_inputs(spectrum
     *_, scales = spectrum_setup
     scales = scales.replace(**changes)
     message = (r"^crystal\.length_l, crystal\.dispersion_signal, crystal\.dispersion_idler, "
-               r"cavity\.resonator_length_Lr: derived 2\*pi/\(fsr\*\|tau0\|\) = inf ")
+               r"cavity\.resonator_length_Lr: derived 2\*pi/\(fsr\*\|tau0\|\) must be finite, "
+               r"got inf$")
     for call in (spectrum_grid, g1_grid, lambda s: _auto_mode_count(s, None)):
         with pytest.raises(ScenarioValidationError, match=message):
             call(scales)
