@@ -20,10 +20,10 @@ _HOMES = {
     "free_spectral_range resonance_mode_number round_trip_time",
     "correlations": "G2Request g2_averaged g2_compact g2_exact g2_series",
     "dispersion": "CrystalParams DispersionKind DispersionModel FrequencyTriple "
-    "dn_domega group_velocity phase_match refractive_index transit_time_diff wavenumber",
-    "errors": "DegenerateDispersionError DegenerateGroupVelocityError GeometryError "
-    "GridTooCoarseError NoSignChangeError NonConvergenceError OutOfRangeError "
-    "ResolutionTooFineError ScenarioParseError ScenarioValidationError SropoError",
+    "group_velocity phase_match refractive_index transit_time_diff wavenumber",
+    "errors": "DegenerateDispersionError DegenerateGroupVelocityError GridTooCoarseError "
+    "NoSignChangeError NonConvergenceError OutOfRangeError ResolutionTooFineError "
+    "ScenarioParseError ScenarioValidationError SropoError",
     "names": "G2Tier Normalization",
     "scenario": "ScenarioConfig derive_scales load_scenario scenario_from_dict "
     "scenario_hash",

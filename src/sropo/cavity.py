@@ -17,7 +17,7 @@ from .dispersion import (
     group_velocity,
     refractive_index,
 )
-from .errors import GeometryError
+from .errors import ScenarioValidationError
 from .names import Record, as_real
 
 DEFAULT_REGIME_THRESHOLD = 0.1
@@ -75,10 +75,9 @@ def round_trip_time(
 ) -> float:
     """Effective round-trip time T = 2l/v_gS + 2(L_r - l)/c of a signal photon."""
     if cavity.resonator_length_lr < crystal.length_l:
-        raise GeometryError(
-            f"resonator_length_lr = {cavity.resonator_length_lr!r} m is shorter "
-            f"than the crystal length {crystal.length_l!r} m"
-        )
+        raise ScenarioValidationError(
+            f"cavity.resonator_length_Lr must be at least crystal.length_l = "
+            f"{crystal.length_l!r}, got {cavity.resonator_length_lr!r}")
     v_gs = group_velocity(crystal.dispersion_signal, freqs.omega_s)
     air = cavity.resonator_length_lr - crystal.length_l
     return 2.0 * crystal.length_l / v_gs + 2.0 * air / C_LIGHT

@@ -29,7 +29,7 @@ from .cavity import DerivedScales, resonance_mode_number
 from .errors import (
     GridTooCoarseError, ScenarioParseError, ScenarioValidationError, SropoError,
 )
-from .names import G2Tier, format_value
+from .names import G2Tier, as_count, format_value
 from .scenario import ScenarioConfig, load_scenario
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def _run_rate(args, config: ScenarioConfig):
 def _run_spectrum(args, config: ScenarioConfig):
     from . import spectra, trace
     if args.m_max is not None:  # refused before the grid is built
-        spectra._auto_mode_count(config.scales, args.m_max)
+        as_count(args.m_max, "m_max (--m-max)", 0)
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
     result = spectra.spectrum(args.field, config.scales, config.freqs, detuning=detuning,
                               m_max=args.m_max, normalization=config.normalization)

@@ -97,12 +97,13 @@ class DispersionModel(Record):
 
 
 def _entries(value, where: str, count: int) -> tuple:
-    """The ``count`` entries of a list, tuple or other iterable ``value``; a
-    number, or another count, is refused naming ``where``."""
-    entries = tuple(value) if hasattr(value, "__iter__") else ()
-    if len(entries) != count:
+    """The ``count`` entries of a list, tuple or 1-d array ``value``; anything
+    else (a number, a string, a mapping, a set), or another count, is refused
+    naming ``where``."""
+    ordered = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
+    if not ordered or len(value) != count:
         raise ScenarioValidationError(f"{where} must be a list of length {count}, got {value!r}")
-    return entries
+    return tuple(value)
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -114,7 +115,13 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
 
 
 def _evaluate(model: DispersionModel, omega: float) -> tuple[float, float]:
-    """(n, dn/domega) at ``omega``, which the caller has range-checked."""
+    """(n, dn/domega) at ``omega``; an omega outside the validity range is refused."""
+    lo, hi = model.validity_range
+    if not lo <= omega <= hi:
+        raise OutOfRangeError(
+            f"omega = {omega:.6e} rad/s outside validity range "
+            f"[{lo:.6e}, {hi:.6e}] of {model.kind.value} model"
+        )
     p = model.parameters
     if model.kind is DispersionKind.CONSTANT:
         return p[0], 0.0
@@ -138,37 +145,19 @@ def _evaluate(model: DispersionModel, omega: float) -> tuple[float, float]:
     return n, ell / (n * omega) * pole_sum
 
 
-def _check_range(model: DispersionModel, omega: float) -> None:
-    lo, hi = model.validity_range
-    if not lo <= omega <= hi:
-        raise OutOfRangeError(
-            f"omega = {omega:.6e} rad/s outside validity range "
-            f"[{lo:.6e}, {hi:.6e}] of {model.kind.value} model"
-        )
-
-
 def refractive_index(model: DispersionModel, omega: float) -> float:
     """n(omega) for the given model."""
-    _check_range(model, omega)
     return _evaluate(model, omega)[0]
-
-
-def dn_domega(model: DispersionModel, omega: float) -> float:
-    """Analytic derivative dn/domega in seconds."""
-    _check_range(model, omega)
-    return _evaluate(model, omega)[1]
 
 
 def group_velocity(model: DispersionModel, omega: float) -> float:
     """c / (n + omega * dn/domega), in m/s."""
-    _check_range(model, omega)
     n, dn = _evaluate(model, omega)
     return C_LIGHT / (n + omega * dn)
 
 
 def wavenumber(model: DispersionModel, omega: float) -> float:
     """k(omega) = omega * n(omega) / c, in rad/m."""
-    _check_range(model, omega)
     return omega * _evaluate(model, omega)[0] / C_LIGHT
 
 

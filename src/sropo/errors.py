@@ -17,10 +17,6 @@ class DegenerateDispersionError(SropoError):
     """Phase mismatch vanishes over the whole bracket; the split is non-unique."""
 
 
-class GeometryError(SropoError):
-    """Resonator shorter than the crystal it is supposed to contain."""
-
-
 class NonConvergenceError(SropoError):
     """An adaptive numerical procedure cannot reach its target accuracy."""
 

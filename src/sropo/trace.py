@@ -131,12 +131,15 @@ def _mirror_rows(columns: Sequence[np.ndarray]) -> int:
     return h
 
 
-def _table_rows(path: str | Path, columns: Sequence[np.ndarray], head: str, fields: str,
-                tail: str, sep: str):
-    """``_format_rows`` of the row ``head + fields + tail``.  Of a table mirrored
-    about 0 (h = ``_mirror_rows`` > 0), the upper h rows are formatted once, into
-    an unnamed scratch file beside ``path``; read back from the last chunk, their
+def _table_rows(path: str | Path, column_names: Sequence[str], columns: Sequence[np.ndarray],
+                head: str, fields: str, tail: str, sep: str):
+    """``_format_rows`` of the row ``head + fields + tail``; a name count other
+    than the column count is refused first.  Of a table mirrored about 0
+    (h = ``_mirror_rows`` > 0), the upper h rows are formatted once, into an
+    unnamed scratch file beside ``path``; read back from the last chunk, their
     rows reversed and given "-", they make the lower half."""
+    if len(column_names) != len(columns):
+        raise ValueError("one name per column required")
     row, gap = head + fields + tail, tail + sep + head  # gap: one row's end to the next's
     rows = _format_rows(columns, row, sep)  # refuses unequal columns, before _mirror_rows
     n, h = len(columns[0]), _mirror_rows(columns)
@@ -166,11 +169,10 @@ def write_table_csv(
 ) -> None:
     """The table as one ``# key = value`` line per ``meta`` item (the value as
     ``names.format_value`` writes it), the column names and the rows."""
-    if len(column_names) != len(columns):
-        raise ValueError("one name per column required")
     _check_header(meta)
     # "%.17g" formats a float exactly as names.format_float does.
-    rows = _table_rows(path, columns, "", ",".join(["%.17g"] * len(columns)), "\n", "")
+    rows = _table_rows(path, column_names, columns, "", ",".join(["%.17g"] * len(columns)),
+                       "\n", "")
     with open(path, "w", encoding="ascii") as out:
         out.writelines(f"# {key} = {format_value(v)}\n" for key, v in meta.items())
         out.write(",".join(column_names) + "\n")
@@ -191,8 +193,8 @@ def write_table_json(
     payload = {"meta": dict(meta), "columns": list(column_names), "data": []}
     head, tail = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False).split(
         '\n "data": []')
-    rows = _table_rows(path, columns, "\n  [\n   ", ",\n   ".join(["%r"] * len(columns)),
-                       "\n  ]", ",")
+    rows = _table_rows(path, column_names, columns, "\n  [\n   ",
+                       ",\n   ".join(["%r"] * len(columns)), "\n  ]", ",")
     if not all(np.isfinite(col).all() for col in columns):
         raise ValueError("Out of range float values are not JSON compliant")
     with open(path, "w", encoding="ascii") as out:

@@ -16,6 +16,8 @@ axes,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
+``g2_compact_convolved`` is the compact tier's boxcar train convolved with
+the averaged tier's Gaussian exactly, as a sum of ``math.erf`` differences,
 ``uniform_axis_four_checks`` is the grid check ``numerics.ensure_uniform_axis``
 runs in one pass, ``index_by_kind`` and ``dn_domega_by_kind`` are n and dn/domega
 as ``dispersion._evaluate`` must give them, each in its own dispatch on the
@@ -285,6 +287,31 @@ def g2_averaged_all_echoes(tau, scales, dt: float) -> np.ndarray:
     if peak > 0:
         values /= peak
     return values
+
+
+def g2_compact_convolved(tau, scales, dt: float) -> np.ndarray:
+    """The compact boxcars convolved with exp(-4t^2/dT^2), peak-normalized.
+
+    Boxcar j, of height exp(-gamma*j*T) on |s - c_j| <= |tau0|/2 with
+    c_j = j*T - tau0/2, adds its height times
+    erf(2*(c_j - tau + |tau0|/2)/dT) - erf(2*(c_j - tau - |tau0|/2)/dT) at each
+    delay tau (the common factor dT*sqrt(pi)/4 cancels).  Echoes run until
+    exp(-gamma*j*T) < 1e-12 or 14 dT past the grid's end, whichever is first.
+    """
+    T, gamma, tau0 = scales.round_trip_T, scales.gamma, scales.tau0
+    half = 0.5 * abs(tau0)
+    j_end = min(math.ceil(-math.log(1e-12) / (gamma * T)),
+                math.floor((float(max(tau)) + 14.0 * dt) / T) + 1)
+    values = []
+    for t in tau:
+        total = 0.0
+        for j in range(j_end + 1):
+            c = j * T - 0.5 * tau0 - t
+            total += math.exp(-gamma * j * T) * (
+                math.erf(2.0 * (c + half) / dt) - math.erf(2.0 * (c - half) / dt))
+        values.append(total)
+    values = np.array(values)
+    return values / values.max()
 
 
 def uniform_axis_four_checks(axis, what: str = "axis") -> float:

@@ -2,11 +2,15 @@
 argument refuses an out-of-range value by one rule (``sropo.names.as_count``
 and ``as_real``), as a ``ScenarioValidationError`` (also a ``ValueError``)
 naming the argument and its flag, or the record or solver entry
-(``parameters[0]``, ``bracket[1]``).  No draw is valid, so no draw starts work.
+(``parameters[0]``, ``bracket[1]``).  A list entry (``parameters``,
+``validity_range``, ``bracket``) that is no list, tuple or 1-d array is refused
+by one rule too, from the library, a scenario and the command line alike.  No
+draw is valid, so no draw starts work.
 """
 
 import contextlib
 import io
+import json
 import math
 import re
 import warnings
@@ -23,12 +27,14 @@ from sropo.correlations import g2_grid
 from sropo.dispersion import DispersionModel, phase_match
 from sropo.spectra import g1_grid, spectrum_grid
 from conftest import CONFIG_DIR
+from record_golden import SCENARIOS
 
 CONFIG = CONFIG_DIR / "spectrum_comb.json"
 SCENARIO = load_scenario(CONFIG)
 TAU = np.linspace(0.0, 2e-11, 41)
 WIDE = (1e14, 1e16)
 BIG = 10**399  # 400 digits: past the double range
+SELLMEIER = SCENARIOS["sellmeier"]["crystal"]["dispersion_signal"]  # fused silica
 
 # Each numeric flag: (type, least valid value, strict: the least is invalid too).
 FLAGS = {
@@ -158,13 +164,44 @@ ARGUMENTS = {
                                lambda c, v: phase_match(c.crystal, 3.5e15, (v, 2.2e15))),
     "phase_match bracket[1]": ("bracket[1]", float, 0.0, True,
                                lambda c, v: phase_match(c.crystal, 3.5e15, (1.8e15, v))),
+    # Whole lists: the type is tuple and ``least`` their valid entries, which a
+    # draw (``not_a_list``) gives as a set, a dict or text, if at all.
+    "DispersionModel parameters": (
+        "parameters", tuple, (1.7, 2e-17), False,
+        lambda c, v: DispersionModel("linear_in_omega", v, WIDE)),
+    "DispersionModel sellmeier parameters": (
+        "parameters", tuple, tuple(SELLMEIER["parameters"]), False,
+        lambda c, v: DispersionModel("sellmeier", v, SELLMEIER["validity_range"])),
+    "DispersionModel validity_range": ("validity_range", tuple, WIDE, False,
+                                       lambda c, v: DispersionModel("constant", (1.8,), v)),
+    "phase_match bracket": ("bracket", tuple, (1.8e15, 2.2e15), False,
+                            lambda c, v: phase_match(c.crystal, 3.5e15, v)),
 }
+
+
+def not_a_list(entries, json_only=False):
+    """Values that are no list, tuple or 1-d array: the valid ``entries`` as a
+    set, a frozenset, a dict's keys, a dict's values or text, an array of
+    another rank, or any number, text, bytes, bool, None, set or dict.  With
+    ``json_only``, only what a scenario file can hold."""
+    wraps = [lambda v: {str(i): x for i, x in enumerate(v)}, lambda v: ",".join(map(str, v))]
+    if not json_only:
+        wraps += [set, frozenset, dict.fromkeys, lambda v: dict(enumerate(v)),
+                  lambda v: np.array(v[0]), lambda v: np.array([v])]
+    others = [st.floats(), st.integers(-2**70, 2**70), st.text(), st.booleans(), st.none(),
+              st.dictionaries(st.text(), st.floats())]
+    if not json_only:
+        others += [st.binary(), st.sets(st.floats(allow_nan=False)),
+                   st.dictionaries(st.floats(allow_nan=False), st.floats())]
+    return st.one_of(st.sampled_from(wraps).map(lambda wrap: wrap(entries)), *others)
 
 
 @st.composite
 def bad_arguments(draw):
     name = draw(st.sampled_from(sorted(ARGUMENTS)))
     _, kind, least, strict, _ = ARGUMENTS[name]
+    if kind is tuple:
+        return name, draw(not_a_list(least))
     lows = below(kind, least, strict)
     values = [math.nan, math.inf, -math.inf, 1e400, BIG, -BIG, True, False, np.True_]
     if kind is int:  # a float, even a whole one, or text is no count
@@ -179,7 +216,7 @@ def bad_arguments(draw):
     return name, draw(st.one_of(lows, st.sampled_from(values), singles))
 
 
-@settings(max_examples=320, derandomize=True, deadline=None)
+@settings(max_examples=400, derandomize=True, deadline=None)
 @given(case=bad_arguments())
 @example(case=("spectrum_grid points", 2.5))
 @example(case=("spectrum_grid points", True))
@@ -199,6 +236,12 @@ def bad_arguments(draw):
 @example(case=("DispersionModel parameters[1]", True))
 @example(case=("phase_match bracket[0]", "1.8e15"))
 @example(case=("phase_match bracket[0]", True))
+@example(case=("DispersionModel parameters", {3.0, 1.5}))  # was a = 1.5, b = 3.0 s
+@example(case=("DispersionModel sellmeier parameters", set(SELLMEIER["parameters"])))
+@example(case=("DispersionModel validity_range", {1e14: "lo", 1e16: "hi"}))
+@example(case=("DispersionModel validity_range", np.array(1e14)))
+@example(case=("phase_match bracket", frozenset({1.8e15, 2.2e15})))
+@example(case=("phase_match bracket", "ab"))
 def test_bad_library_argument_is_refused_naming_it(case):
     name, value = case
     where, *_, call = ARGUMENTS[name]
@@ -222,3 +265,65 @@ def test_bad_library_argument_is_refused_naming_it(case):
 def test_library_list_of_wrong_shape_is_refused_naming_it(where, call):
     with pytest.raises(ScenarioValidationError, match=rf"^{where} must be a list of length "):
         call(SCENARIO)
+
+
+# Each list entry of a scenario: (a ``record_golden`` scenario, the entry's
+# keys, its valid entries).
+SCENARIO_LISTS = [
+    ("bracket-off-grid", ("crystal", "dispersion_signal", "parameters"), (1.7, 2e-17)),
+    ("bracket-off-grid", ("crystal", "dispersion_pump", "parameters"), (1.7475,)),
+    ("sellmeier", ("crystal", "dispersion_signal", "parameters"), SELLMEIER["parameters"]),
+    ("bracket-off-grid", ("crystal", "dispersion_idler", "validity_range"), WIDE),
+    ("bracket-off-grid", ("frequencies", "bracket"), (1.81e15, 2.2e15)),
+]
+
+
+def scenario_with(name, keys, value):
+    """A copy of the scenario ``name`` with the entry at ``keys`` set to ``value``."""
+    data = json.loads(json.dumps(SCENARIOS[name]))
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return data
+
+
+@st.composite
+def scenario_lists(draw, json_only=False):
+    config, keys, entries = draw(st.sampled_from(SCENARIO_LISTS))
+    value = draw(not_a_list(entries, json_only))
+    return scenario_with(config, keys, value), ".".join(keys), len(entries)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(case=scenario_lists())
+@example(case=(scenario_with("bracket-off-grid", ("frequencies", "bracket"),
+                             {1.81e15, 2.2e15}), "frequencies.bracket", 2))
+def test_scenario_list_entry_that_is_no_list_is_refused_naming_it(case):
+    data, where, count = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"^{re.escape(where)} must be a list of length {count}, got "):
+            sropo.scenario_from_dict(data)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=scenario_lists(json_only=True))
+@example(case=(scenario_with("bracket-off-grid", ("crystal", "dispersion_signal", "parameters"),
+                             {"0": 1.7, "1": 2e-17}), "crystal.dispersion_signal.parameters", 2))
+def test_scenario_file_list_entry_that_is_no_list_exits_1_and_makes_nothing(
+        case, tmp_path_factory):
+    data, where, count = case
+    base = tmp_path_factory.getbasetemp()
+    config, out = base / "not-a-list.json", base / "not-a-list-out"
+    config.write_text(json.dumps(data), encoding="utf-8")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["scales", "--config", str(config), "--out", str(out)])
+    lines = stdout.getvalue().splitlines()
+    assert code == 1, lines
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: exit=1 type=ScenarioValidationError: {where} must be a list of length "
+        f"{count}, got "), lines
+    assert not out.exists()

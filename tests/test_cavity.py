@@ -1,19 +1,25 @@
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sropo import (
     CavityParams,
     CrystalParams,
     DerivedScales,
     FrequencyTriple,
-    GeometryError,
+    PumpParams,
+    ScenarioValidationError,
     check_regime,
+    derive_scales,
     free_spectral_range,
     resonance_mode_number,
     round_trip_time,
+    scenario_from_dict,
 )
-from conftest import constant_model, make_setup
+from conftest import constant_model, make_setup, scenario_dict
 from helpers import mode_frequency
 
 
@@ -54,8 +60,30 @@ class TestRoundTripTime:
         assert times == sorted(times)
 
     def test_geometry_error(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ScenarioValidationError, match=re.escape(
+                "cavity.resonator_length_Lr must be at least crystal.length_l = 0.01, "
+                "got 0.005")):
             round_trip_time(crystal_with(), CavityParams(0.005, 1e9), FREQS)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(length=st.floats(1e-6, 1.0), fraction=st.floats(1e-3, 1.0, exclude_max=True))
+    @example(length=0.01, fraction=0.5)
+    @example(length=0.01, fraction=1 - 2**-52)  # L_r one ulp short of l
+    def test_resonator_shorter_than_crystal_is_refused_alike_at_each_entry(
+            self, length, fraction):
+        # round_trip_time owns the rule; derive_scales and a scenario reach it
+        resonator = min(length * fraction, math.nextafter(length, 0.0))
+        crystal = crystal_with().replace(length_l=length)
+        cavity = CavityParams(resonator, 1e9)
+        data = scenario_dict()
+        data["crystal"]["length_l"], data["cavity"]["resonator_length_Lr"] = length, resonator
+        message = re.escape(f"cavity.resonator_length_Lr must be at least crystal.length_l "
+                            f"= {length!r}, got {resonator!r}")
+        for call in (lambda: round_trip_time(crystal, cavity, FREQS),
+                     lambda: derive_scales(crystal, cavity, PumpParams(1e-16), FREQS),
+                     lambda: scenario_from_dict(data)):
+            with pytest.raises(ScenarioValidationError, match=f"^{message}$"):
+                call()
 
 
 class TestFreeSpectralRange:

@@ -30,7 +30,8 @@ from sropo.peaks import measure_peaks, nearest_peak
 from conftest import C_LIGHT, CONFIG_DIR, scenario_dict
 from helpers import local_maxima, minimum_between
 from oracles import (
-    g2_averaged_all_echoes, g2_exact_quadrature, g2_series_mode_loop, lorentzian_kernel,
+    g2_averaged_all_echoes, g2_compact_convolved, g2_exact_quadrature, g2_series_mode_loop,
+    lorentzian_kernel,
 )
 
 
@@ -515,6 +516,27 @@ class TestTierPropertiesOnCliGrid:
             j = round(p.center / T)
             assert j >= 0
             assert abs(p.center - j * T) <= resolution / 4
+
+    # The averaged tier centres echo j at j*T, the compact boxcars at
+    # j*T - tau0/2, so against the exact convolution it errs by the shift
+    # |tau0|/2 times the Gaussian's largest slope 2*sqrt(2)*e^(-1/2)/dT:
+    # sqrt(2)*e^(-1/2)*x = 0.858*x, x = |tau0|/dT.  Peak normalisation adds
+    # up to x/8: the grid point nearest the peak, within dT/32 of it (step
+    # dT/16), sees a slope of at most 1/(4*dT).  The margin 2*x^2 covers the
+    # second-order terms, (4/3)*x^2 from the shift's and the boxcar's
+    # curvature.  Worst over 300 examples: 0.93*x.
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(case=g2_cli_cases(), ratio_exponent=st.floats(1.0, 3.0))
+    def test_averaged_tier_within_its_model_error_of_the_convolved_compact_tier(
+            self, case, ratio_exponent):
+        config, peaks, _ = case
+        s = config.scales
+        x = 10.0**-ratio_exponent  # |tau0|/dT in [1e-3, 0.1]
+        dt = abs(s.tau0) / x
+        tau = g2_grid(s, "averaged", peaks, dt)
+        trace = g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=dt), s)
+        bound = (math.sqrt(2.0) * math.exp(-0.5) + 1 / 8) * x + 2.0 * x * x
+        assert np.abs(trace.values - g2_compact_convolved(tau, s, dt)).max() <= bound
 
 
 # A knob a tier does not read, or the averaged tier without its resolution:

@@ -17,7 +17,6 @@ from sropo import (
     NoSignChangeError,
     NonConvergenceError,
     OutOfRangeError,
-    dn_domega,
     group_velocity,
     phase_match,
     refractive_index,
@@ -25,7 +24,9 @@ from sropo import (
     wavenumber,
 )
 from sropo.constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
-from sropo.dispersion import _SCAN_INTERVALS, _VALIDATION_SAMPLES, _bisect, _linspace
+from sropo.dispersion import (
+    _SCAN_INTERVALS, _VALIDATION_SAMPLES, _bisect, _evaluate, _linspace,
+)
 from sropo.cli import main
 from sropo.scenario import load_scenario
 from conftest import C_LIGHT, CONFIG_DIR, constant_model
@@ -72,8 +73,11 @@ class TestRefractiveIndex:
             assert refractive_index(model, omega) == pytest.approx(expected, rel=1e-12)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRangeError):
-            refractive_index(constant_model(1.8), 1e13)
+        # each public evaluator refuses an omega past either end of the range
+        for evaluate in (refractive_index, group_velocity, wavenumber):
+            for omega in (1e13, 1.0000000000000002e16, math.nan):
+                with pytest.raises(OutOfRangeError, match="outside validity range"):
+                    evaluate(constant_model(1.8), omega)
 
     def test_index_above_one_enforced(self):
         with pytest.raises(ValueError):
@@ -385,7 +389,7 @@ def models_and_frequencies(draw):
 def test_evaluator_matches_the_kind_by_kind_reference_bit_for_bit(case):
     model, omega = case
     n, dn = index_by_kind(model, omega), dn_domega_by_kind(model, omega)
-    got = (refractive_index(model, omega), dn_domega(model, omega),
+    got = (refractive_index(model, omega), _evaluate(model, omega)[1],
            group_velocity(model, omega), wavenumber(model, omega))
     want = (n, dn, C_LIGHT / (n + omega * dn), omega * n / C_LIGHT)
     assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -19,8 +19,8 @@ PUBLIC = {
     "free_spectral_range resonance_mode_number round_trip_time",
     "correlations": "G2Request G2Tier g2_averaged g2_compact g2_exact g2_series",
     "dispersion": "CrystalParams DispersionKind DispersionModel FrequencyTriple "
-    "dn_domega group_velocity phase_match refractive_index transit_time_diff wavenumber",
-    "errors": "DegenerateDispersionError DegenerateGroupVelocityError GeometryError "
+    "group_velocity phase_match refractive_index transit_time_diff wavenumber",
+    "errors": "DegenerateDispersionError DegenerateGroupVelocityError "
     "GridTooCoarseError NoSignChangeError NonConvergenceError OutOfRangeError "
     "ResolutionTooFineError ScenarioParseError ScenarioValidationError SropoError",
     "scenario": "ScenarioConfig derive_scales load_scenario scenario_from_dict "

@@ -369,3 +369,13 @@ def test_svg_series_of_unequal_length_are_refused_before_opening_the_file(tmp_pa
     with pytest.raises(ValueError, match="same length"):
         write_svg_plot(path, np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK), "t", "x", "y")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("write", [write_table_csv, write_table_json], ids=["csv", "json"])
+@pytest.mark.parametrize("names", [["a", "b", "c"], ["a"]], ids=["three", "one"])
+def test_name_count_other_than_column_count_is_refused_before_opening_the_file(
+        tmp_path, write, names):
+    path = tmp_path / "table"
+    with pytest.raises(ValueError, match="^one name per column required$"):
+        write(path, {"kind": "g1"}, names, [np.ones(3), np.ones(3)])
+    assert not path.exists()
