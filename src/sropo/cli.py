@@ -2,9 +2,9 @@
 
 Subcommands: scales, rate, spectrum, g1, g2, wavefunction, check-regime.
 Every run prints a one-line scalar summary to stdout and exits 0 on success,
-1 on configuration errors, 2 on numeric errors, and 3 when --strict-regime is
-set and the scenario fails the regime check.  Identical inputs produce
-byte-identical output files.
+1 on configuration errors, 2 on numeric errors (each ``SropoError`` class's
+``exit_code``), and 3 when --strict-regime is set and the scenario fails the
+regime check.  Identical inputs produce byte-identical output files.
 
 ``COMMANDS`` gives each subcommand its help, flags and runner.  A runner
 returns an output stem and either a report dict or a ``(meta, names, columns)``
@@ -26,15 +26,12 @@ from pathlib import Path
 
 from . import __version__, biphoton
 from .cavity import DerivedScales, resonance_mode_number
-from .errors import (
-    GridTooCoarseError, ScenarioParseError, ScenarioValidationError, SropoError,
-)
+from .errors import GridTooCoarseError, SropoError
 from .names import G2Tier, as_count, format_value
 from .scenario import ScenarioConfig, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_NUMERIC = 2
 EXIT_REGIME = 3
 
 
@@ -289,15 +286,11 @@ def main(argv=None) -> int:
         except OSError as exc:  # the directory cannot be made, or a file opened
             source = "--out" if args.out is not None else "output.directory"
             return _error(EXIT_CONFIG, type(exc).__name__, f"{source}: {exc}")
-    except (ScenarioParseError, ScenarioValidationError) as exc:
-        return _error(EXIT_CONFIG, type(exc).__name__, exc)
-    except GridTooCoarseError as exc:  # the default grids are fine: name the flags
+    except SropoError as exc:  # its class carries the exit code
         given = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
                          if k in _GRID_FLAGS and v is not None)
-        message = f"{given}: {exc}" if given else exc
-        return _error(EXIT_NUMERIC, type(exc).__name__, message)
-    except (SropoError, ValueError) as exc:
-        return _error(EXIT_NUMERIC, type(exc).__name__, exc)
+        named = given and isinstance(exc, GridTooCoarseError)  # a default grid is never too coarse
+        return _error(exc.exit_code, type(exc).__name__, f"{given}: {exc}" if named else exc)
 
     summary = [f"{name}={format_value(v)}" for name, _, v in _scale_fields(config.scales)]
     summary.append(f"regime={'pass' if config.regime.ok else 'fail'}")

@@ -115,7 +115,7 @@ def _linspace(lo: float, hi: float, num: int) -> list[float]:
 
 
 def _evaluate(model: DispersionModel, omega: float) -> tuple[float, float]:
-    """(n, dn/domega) at ``omega``; an omega outside the validity range is refused."""
+    """(n, dn/domega) at ``omega``; where the model gives none, an ``OutOfRangeError``."""
     lo, hi = model.validity_range
     if not lo <= omega <= hi:
         raise OutOfRangeError(
@@ -137,9 +137,10 @@ def _evaluate(model: DispersionModel, omega: float) -> tuple[float, float]:
     except (ZeroDivisionError, OverflowError):  # L == C_i, or (L - C_i)^2 out of range
         cause = (f"a pole (L = C{p.index(ell, 3) - 2} = {ell!r} um^2)" if ell in p[3:]
                  else "dn/domega outside the double range")
-        raise ValueError(f"sellmeier model has {cause} at omega = {omega:.6e} rad/s") from None
+        raise OutOfRangeError(f"sellmeier model has {cause} at omega = {omega:.6e} rad/s") from None
     if n_sq <= 0.0:
-        raise ValueError(f"sellmeier model yields n^2 = {n_sq!r} <= 0 at omega = {omega:.6e} rad/s")
+        raise OutOfRangeError(
+            f"sellmeier model yields n^2 = {n_sq!r} <= 0 at omega = {omega:.6e} rad/s")
     n = math.sqrt(n_sq)
     # dn/dw = (dn/dL)(dL/dw) with L = lambda_um^2 and dL/dw = -2L/w.
     return n, ell / (n * omega) * pole_sum
@@ -181,10 +182,9 @@ class CrystalParams(Record):
 
 
 class FrequencyTriple(Record):
-    """Pump, signal, idler centre frequencies with exact energy conservation.
-
-    Construction rejects triples whose floating-point sum
-    ``omega_s + omega_i`` differs from ``omega_p``.
+    """Pump, signal, idler centre frequencies with energy conservation: the exact
+    sum ``omega_s + omega_i`` lies within half an ulp of ``omega_p``, as it does
+    for every float sum that rounds to ``omega_p`` and every derived partner.
     """
 
     omega_p: float
@@ -194,9 +194,13 @@ class FrequencyTriple(Record):
     def __post_init__(self):
         for name in ("omega_p", "omega_s", "omega_i"):
             as_real(getattr(self, name), name, 0.0, strict=True)
-        if self.omega_s + self.omega_i != self.omega_p:
+        try:  # the exact residual; a partial sum past the double range means a far-off triple
+            off = abs(math.fsum((self.omega_s, -self.omega_p, self.omega_i)))
+        except OverflowError:
+            off = math.inf
+        if off > math.ulp(self.omega_p) / 2:
             raise ValueError(
-                "omega_p must equal omega_s + omega_i exactly "
+                "omega_p must equal omega_s + omega_i to half an ulp of omega_p "
                 f"(got {self.omega_p!r} vs {self.omega_s + self.omega_i!r})"
             )
 
@@ -268,7 +272,7 @@ def phase_match(
     ``_SCAN_INTERVALS + 1`` points: if the mismatch is below tolerance
     everywhere the split is non-unique (``DegenerateDispersionError``); if it
     never changes sign there is no root to bracket (``NoSignChangeError``).  A
-    bisection that hits its step cap is a ``NonConvergenceError``.
+    bisection that hits its step cap or a NaN mismatch is a ``NonConvergenceError``.
     """
     omega_p = as_real(omega_p, "omega_p", 0.0, strict=True)
     lo, hi = (as_real(v, f"bracket[{i}]", 0.0, strict=True)
@@ -298,12 +302,16 @@ def phase_match(
     # A scan point whose mismatch is exactly 0 is a root; _bisect returns it as is.
     for i in range(_SCAN_INTERVALS):
         if values[i] * values[i + 1] <= 0.0:
+            where = f"bisection on [{grid[i]:.6e}, {grid[i + 1]:.6e}]"
             try:
                 root = _bisect(mismatch, grid[i], grid[i + 1])
+            except OutOfRangeError:  # a model refusing a midpoint, as at a scan point
+                raise
+            except ValueError as exc:  # a NaN mismatch at a midpoint
+                raise NonConvergenceError(f"{where}: {exc}") from None
             except RuntimeError:  # _bisect's iteration cap
                 raise NonConvergenceError(
-                    f"bisection on [{grid[i]:.6e}, {grid[i + 1]:.6e}] did not converge "
-                    f"in {_BISECT_MAXITER} steps") from None
+                    f"{where} did not converge in {_BISECT_MAXITER} steps") from None
             break
     else:
         raise NoSignChangeError(

@@ -2,11 +2,12 @@
 
 
 class SropoError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class of the package's errors; ``exit_code`` is sropo's exit status."""
+    exit_code = 2
 
 
-class OutOfRangeError(SropoError):
-    """Frequency outside the validity range of a dispersion model."""
+class OutOfRangeError(SropoError, ValueError):
+    """Frequency outside a dispersion model's validity range, or where it gives no index."""
 
 
 class NoSignChangeError(SropoError):
@@ -34,8 +35,10 @@ class ResolutionTooFineError(SropoError):
 
 
 class ScenarioParseError(SropoError):
-    """Scenario file is not well-formed."""
+    """Scenario file cannot be read or is not well-formed JSON."""
+    exit_code = 1
 
 
 class ScenarioValidationError(SropoError, ValueError):
     """A scenario field or an argument out of its range; names the field or flag."""
+    exit_code = 1

@@ -80,7 +80,7 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     """
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
-        raise ValueError(f"{what} must be a 1-d grid with at least two points")
+        raise ScenarioValidationError(f"{what} must be a 1-d grid with at least two points")
     with np.errstate(over="ignore", invalid="ignore"):
         spacing = float(axis[-1] - axis[0]) / (axis.size - 1)
         steps = np.diff(axis)
@@ -91,12 +91,12 @@ def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:
     if 0.0 < spacing < math.inf and steps.max() <= tolerance:
         return spacing
     if not np.all(np.isfinite(axis)):
-        raise ValueError(f"{what} must be finite")
+        raise ScenarioValidationError(f"{what} must be finite")
     if not np.all(axis[1:] > axis[:-1]):
-        raise ValueError(f"{what} must be strictly increasing")
+        raise ScenarioValidationError(f"{what} must be strictly increasing")
     if spacing == math.inf:  # each step of an increasing grid is at most its span
-        raise ValueError(f"{what}: its span or a step overflows a double")
-    raise ValueError(f"{what} must be uniformly spaced")  # all the one pass left
+        raise ScenarioValidationError(f"{what}: its span or a step overflows a double")
+    raise ScenarioValidationError(f"{what} must be uniformly spaced")  # all the one pass left
 
 
 def _expi(phase: np.ndarray) -> np.ndarray:

@@ -249,17 +249,22 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     )
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a key given twice is refused, not read as its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        twice = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"key {twice!r} given twice in one object")
+    return obj
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario file; fails with a field-path message."""
+    """Parse and validate a scenario file; one not read or decoded is a ``ScenarioParseError``."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioParseError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except (OSError, ValueError, RecursionError) as exc:  # e.g. not UTF-8, or nested too deep
+        why = (f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+               if isinstance(exc, json.JSONDecodeError) else exc)
+        raise ScenarioParseError(f"{path}: {why}") from exc
     return scenario_from_dict(data, source=str(path))

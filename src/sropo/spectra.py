@@ -272,7 +272,7 @@ def spectrum(
 
     With ``detuning=None`` the grid is ``spectrum_grid(scales)``, the central
     envelope.  A supplied grid must be finite, strictly increasing and
-    uniform, of two points or more (ValueError otherwise), and carry at least
+    uniform, of two points or more (ScenarioValidationError otherwise), and carry at least
     16 points per gamma.  Mode m contributes a Lorentzian at detuning -m*fsr.
     """
     field = FieldName(field)
@@ -325,7 +325,7 @@ def g1(
     The weights are even in m, so g1 is real; its values stay complex, with
     an imaginary part of exactly 0.  With ``tau=None`` the grid is
     ``g1_grid(scales, m_max=m_max)``.  ``tau`` must be a finite, strictly
-    increasing, uniform grid of two points or more (ValueError otherwise): the
+    increasing, uniform grid of two points or more (ScenarioValidationError otherwise): the
     mode sum runs as a chirp-z transform in O((N + M) log M).  Where the
     grid holds tau = 0 exactly, g1 there is exactly 1.  The carrier
     frequency is recorded in the metadata.

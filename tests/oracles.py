@@ -41,6 +41,7 @@ import numpy as np
 from sropo.cavity import DerivedScales
 from sropo.constants import SPEED_OF_LIGHT, TWO_PI
 from sropo.dispersion import DispersionKind
+from sropo.errors import ScenarioValidationError
 
 _GL_ORDER = 8
 _SUM_CHUNK = 1 << 20
@@ -321,22 +322,22 @@ def uniform_axis_four_checks(axis, what: str = "axis") -> float:
     ``numerics.ensure_uniform_axis``."""
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size < 2:
-        raise ValueError(f"{what} must be a 1-d grid with at least two points")
+        raise ScenarioValidationError(f"{what} must be a 1-d grid with at least two points")
     if not np.all(np.isfinite(axis)):
-        raise ValueError(f"{what} must be finite")
+        raise ScenarioValidationError(f"{what} must be finite")
     with np.errstate(over="ignore"):
         steps = np.diff(axis)
         span = axis[-1] - axis[0]
     if np.any(steps <= 0):
-        raise ValueError(f"{what} must be strictly increasing")
+        raise ScenarioValidationError(f"{what} must be strictly increasing")
     if not (np.all(np.isfinite(steps)) and np.isfinite(span)):
-        raise ValueError(f"{what}: its span or a step overflows a double")
+        raise ScenarioValidationError(f"{what}: its span or a step overflows a double")
     spacing = float(span) / (axis.size - 1)
     rounding = 4.0 * math.ulp(max(abs(axis[0]), abs(axis[-1])))
     if rounding >= 0.5 * spacing:  # past half a step it would admit steps <= 0
         rounding = 0.0
     if np.max(np.abs(steps - spacing)) > 1e-9 * abs(spacing) + rounding:
-        raise ValueError(f"{what} must be uniformly spaced")
+        raise ScenarioValidationError(f"{what} must be uniformly spaced")
     return spacing
 
 

@@ -14,6 +14,7 @@ import pytest
 import sropo
 import sropo.cli
 import sropo.dispersion
+import sropo.errors
 import sropo.trace
 from sropo import FrequencyTriple, load_scenario, transit_time_diff
 from sropo.cli import COMMANDS, main
@@ -603,6 +604,53 @@ class TestErrorPaths:
         out = capsys.readouterr().out
         assert "ScenarioValidationError" in out and "crystal.length_l" in out
         assert not (tmp_path / "scales.json").exists()
+
+
+    @pytest.mark.parametrize("argv, axis", [
+        (["spectrum", "--field", "idler", "--window-modes", "5e-324", "--points", "2001"],
+         "detuning"),
+        (["g1", "--field", "idler", "--window-gammas", "1e-300", "--points", "2001"], "tau"),
+    ])
+    def test_grid_too_fine_to_be_uniform_is_config_error(self, tmp_path, capsys, argv, axis):
+        # a subnormal spacing: linspace's step rounds by up to half of 5e-324,
+        # which 2000 steps add up past the grid check's tolerance
+        out = tmp_path / "out"
+        config = CONFIG_DIR / "spectrum_comb.json"
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: exit=1 type=ScenarioValidationError: {axis} must be uniformly spaced\n")
+        assert not out.exists()
+
+
+ERROR_CLASSES = [cls for cls in vars(sropo.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, sropo.SropoError)]
+
+
+def test_error_classes_carry_their_exit_codes():
+    config_errors = {"ScenarioParseError", "ScenarioValidationError"}
+    assert sropo.SropoError in ERROR_CLASSES
+    for cls in ERROR_CLASSES:
+        assert cls.exit_code == (1 if cls.__name__ in config_errors else 2), cls
+
+
+@pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("argv", [["scales"], ["g1", "--field", "idler", "--points", "7"]],
+                         ids=["scales", "g1-points"])
+def test_main_exits_with_the_class_exit_code(monkeypatch, tmp_path, capsys, error, argv):
+    """Any library error a runner raises ends the run with its class's
+    exit_code and one typed line; only GridTooCoarseError names the grid flags."""
+    def refuse(args, config):
+        raise error("refused")
+
+    help_text, flags, _ = COMMANDS[argv[0]]
+    monkeypatch.setitem(COMMANDS, argv[0], (help_text, flags, refuse))
+    out = tmp_path / "out"
+    code = main([*argv, "--config", str(CONFIG_DIR / "g2_comb.json"), "--out", str(out)])
+    assert code == error.exit_code
+    given = "--points 7: " if error is sropo.GridTooCoarseError and "--points" in argv else ""
+    assert capsys.readouterr().out == (
+        f"error: exit={code} type={error.__name__}: {given}refused\n")
+    assert not out.exists()
 
 
 def _config_with(name, *edits):

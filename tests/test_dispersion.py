@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +26,8 @@ from sropo import (
     transit_time_diff,
     wavenumber,
 )
-from sropo.constants import SPEED_OF_LIGHT, VACUUM_PERMITTIVITY
+import sropo.dispersion
+from sropo.constants import SPEED_OF_LIGHT, TWO_PI, VACUUM_PERMITTIVITY
 from sropo.dispersion import (
     _SCAN_INTERVALS, _VALIDATION_SAMPLES, _bisect, _evaluate, _linspace,
 )
@@ -142,6 +146,60 @@ class TestFrequencyTriple:
         with pytest.raises(ValueError):
             FrequencyTriple.from_pump_and_signal(3.5e15, 3.6e15)
 
+    def test_far_off_triple_at_the_double_limit_is_refused_not_overflowed(self):
+        # omega_s - omega_p rounds with an error of +2**970, and omega_i + 2**970
+        # rounds past the largest double: a partial sum of the residual overflows
+        with pytest.raises(ValueError, match="to half an ulp of omega_p"):
+            FrequencyTriple(sys.float_info.max, 3.0 * 2.0**970, sys.float_info.max)
+
+
+def _conserves(omega_p, omega_s, omega_i) -> bool:
+    """The rule in exact rational arithmetic: |omega_s + omega_i - omega_p|
+    at most half an ulp of omega_p."""
+    residual = Fraction(omega_s) + Fraction(omega_i) - Fraction(omega_p)
+    return abs(residual) <= Fraction(math.ulp(omega_p)) / 2
+
+
+@st.composite
+def pump_and_signal(draw):
+    """(omega_p, omega_s) with 0 < omega_s < omega_p, subnormals included."""
+    omega_p = draw(st.floats(min_value=2 * 5e-324, max_value=sys.float_info.max))
+    omega_s = draw(st.floats(min_value=5e-324, max_value=omega_p, exclude_max=True))
+    return omega_p, omega_s
+
+
+# Two triples the exact float rule once refused: omega_I = omega_P - omega_S
+# derived in the scenario, and the bisection root of constant indices 2.0,
+# 1.5 and 1.7 on the bracket [1e15, 1.8e15]; with each derived partner the
+# float sum omega_s + omega_i misses omega_p by one ulp (0.5 rad/s), below
+# and above.
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(pair=pump_and_signal(), shift=st.integers(-3, 3))
+@example(pair=(3817447488335531.5, 1517106735936906.2), shift=0)
+@example(pair=(3817447488335531.5, 1526978995334209.8), shift=0)
+@example(pair=(5e-323, 5e-324), shift=0)
+@example(pair=(sys.float_info.max, 3.0 * 2.0**970), shift=1)
+def test_a_derived_partner_conserves_energy(pair, shift):
+    """A partner derived as omega_p - omega, either way round, always passes,
+    and a partner moved by ``shift`` ulps passes exactly when the exact rule
+    holds; every triple whose float sum is omega_p passes."""
+    omega_p, omega_s = pair
+    omega_i = omega_p - omega_s
+    for triple in (FrequencyTriple.from_pump_and_signal(omega_p, omega_s),
+                   FrequencyTriple(omega_p, omega_i, omega_s)):
+        assert (triple.omega_s, triple.omega_i) in ((omega_s, omega_i), (omega_i, omega_s))
+    for _ in range(abs(shift)):
+        omega_i = math.nextafter(omega_i, math.copysign(math.inf, shift))
+    if omega_i <= 0.0 or omega_i == math.inf:
+        return
+    try:
+        FrequencyTriple(omega_p, omega_s, omega_i)
+        passed = True
+    except ValueError:
+        passed = False
+    assert passed == _conserves(omega_p, omega_s, omega_i)
+    assert passed or omega_s + omega_i != omega_p
+
 
 def make_crystal(signal, idler, pump=None) -> CrystalParams:
     return CrystalParams(
@@ -251,6 +309,34 @@ class TestPhaseMatch:
         with pytest.raises(NonConvergenceError, match=r"^bisection on \[1\.000000e-300, "
                            r"3\.906250e\+12\] did not converge in 200 steps$"):
             phase_match(crystal, 3.5e15, (1e-300, 1e15))
+
+    @pytest.mark.parametrize("fault", ["nan", "refused"])
+    def test_a_fault_at_a_midpoint_keeps_its_type(self, monkeypatch, fault):
+        # configs/phase_matched.json's root 2e15 lies strictly inside a scan
+        # interval of [1.81e15, 2.2e15]; the signal's k is NaN, or refused,
+        # only strictly inside that interval, where no scan point lies
+        crystal = load_scenario(CONFIG_DIR / "phase_matched.json").crystal
+        grid = _linspace(1.81e15, 2.2e15, _SCAN_INTERVALS + 1)
+        i = next(i for i, w in enumerate(grid) if w > 2e15) - 1
+        assert grid[i] < 2e15
+
+        def faulty(model, omega):
+            if model is crystal.dispersion_signal and grid[i] < omega < grid[i + 1]:
+                if fault == "nan":
+                    return math.nan
+                raise OutOfRangeError("refused midpoint")
+            return wavenumber(model, omega)
+
+        monkeypatch.setattr(sropo.dispersion, "wavenumber", faulty)
+        if fault == "nan":
+            error, message = NonConvergenceError, (
+                re.escape(f"bisection on [{grid[i]:.6e}, {grid[i + 1]:.6e}]: ")
+                + "The function value at x=.* is NaN; solver cannot continue.$")
+        else:
+            error, message = OutOfRangeError, "^refused midpoint$"
+        with pytest.raises(error, match=message) as raised:
+            phase_match(crystal, 3.5e15, (1.81e15, 2.2e15))
+        assert type(raised.value) is error
 
 
 def test_constants_match_scipy():
@@ -427,4 +513,32 @@ def test_sellmeier_domain_error_is_a_config_error_naming_the_field(
     assert out.startswith("error: exit=1 type=ScenarioValidationError: "
                           "crystal.dispersion_signal: sellmeier model "), out
     assert cause in out and " at omega = " in out, out
+    assert not (tmp_path / "out").exists()
+
+
+def test_n_squared_at_most_zero_between_samples_is_out_of_range_at_run_time(
+        monkeypatch, tmp_path, capsys):
+    """n^2 = 1 - 3 + L/(L - 0.3) - L/(L - 4) is 2.6 and 2.3 at the ends of
+    [1e15, 3e15] rad/s and -0.15 at L = 1.5 um^2.  Sampled at its two ends
+    only, the model is built; evaluated at L = 1.5 it is an ``OutOfRangeError``
+    (a ``ValueError`` too), and a scenario whose omega_S lies there exits 2."""
+    monkeypatch.setattr(sropo.dispersion, "_VALIDATION_SAMPLES", 2)
+    parameters, validity_range = [1.0, -3.0, -1.0, 0.3, 0.0, 4.0], [1e15, 3e15]
+    model = DispersionModel(DispersionKind.SELLMEIER, parameters, validity_range)
+    omega = TWO_PI * SPEED_OF_LIGHT * 1e6 / math.sqrt(1.5)
+    message = r"^sellmeier model yields n\^2 = -0\.15\d* <= 0 at omega = 1\.537995e\+15 rad/s$"
+    for call in (refractive_index, group_velocity, wavenumber):
+        with pytest.raises(OutOfRangeError, match=message):
+            call(model, omega)
+    assert issubclass(OutOfRangeError, ValueError)
+
+    data = json.loads(json.dumps(SCENARIOS["sellmeier"]))
+    data["crystal"]["dispersion_signal"] = {
+        "kind": "sellmeier", "parameters": parameters, "validity_range": validity_range}
+    data["frequencies"] = {"omega_P": 3.5e15, "omega_S": omega}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["scales", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error: exit=2 type=OutOfRangeError: sellmeier model yields n^2 = "), out
     assert not (tmp_path / "out").exists()

@@ -6,9 +6,18 @@ zeroed, set to 5e-324 or 1.7e308, given the wrong JSON type, or removed), or
 sets one Sellmeier C_i to the squared wavelength at an end of its model's
 validity range (a pole there), and runs one command in process on a small
 grid.  Whatever the scenario, the run must exit 0, 1, 2 or 3; a refusal
-prints exactly one ``error: exit=<n> type=<Name>:`` line and makes no output
-directory; a success writes only finite numbers (``inf`` only for the
-documented tau0 = 0 kappa); and no run raises a RuntimeWarning.
+prints exactly one ``error: exit=<n> type=<Name>:`` line, where <Name> is a
+``sropo.errors`` class with that exit code, argparse's ``ArgumentError``,
+the ``--strict-regime`` ``RegimeFailure`` or an ``OSError`` subclass, and
+makes no output directory; a success writes only finite numbers (``inf``
+only for the documented tau0 = 0 kappa); and no run raises a RuntimeWarning.
+
+A second strategy mutates a shipped config's file text: it cuts the file at
+a byte, gives a key twice, puts an integer past the double range in place of
+a number, nests a number or the whole document in brackets, or re-encodes
+the file.  ``sropo scales`` on the result must exit 0 where the scenario is
+unchanged, and otherwise exit 1 with one ``ScenarioParseError`` or
+``ScenarioValidationError`` line and no output directory.
 
 The profile ``fuzz`` (the default) is derandomised, so tier-1 replays the
 same cases.  ``SROPO_FUZZ_PROFILE=fuzz-random`` draws about 2,000 fresh ones:
@@ -16,6 +25,7 @@ same cases.  ``SROPO_FUZZ_PROFILE=fuzz-random`` draws about 2,000 fresh ones:
     SROPO_FUZZ_PROFILE=fuzz-random python -m pytest tests/test_fuzz.py
 """
 
+import builtins
 import contextlib
 import io
 import json
@@ -29,6 +39,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import sropo.errors
 from sropo.cli import main
 from conftest import CONFIG_DIR
 from oracles import wavelength_um_sq
@@ -126,7 +137,26 @@ def mutated(name, edits):
     return data
 
 
-_ERROR = re.compile(r"error: exit=(\d) type=\w+: ")
+_ERROR = re.compile(r"error: exit=(\d) type=(\w+): ")
+
+
+def _check_refusal(line: str, code: int) -> str:
+    """The refusal line's type, checked: a ``sropo.errors`` class with exit
+    ``code``, argparse's flag refusal, the regime failure (exit 3), or an
+    ``OSError`` subclass (an output path, exit 1)."""
+    match = _ERROR.match(line)
+    assert match and int(match.group(1)) == code, line
+    name = match.group(2)
+    library, builtin = getattr(sropo.errors, name, None), getattr(builtins, name, None)
+    if isinstance(library, type) and issubclass(library, sropo.errors.SropoError):
+        assert library.exit_code == code, line
+    elif isinstance(builtin, type) and issubclass(builtin, OSError):
+        assert code == 1, line
+    else:
+        assert (name, code) in (("ArgumentError", 1), ("RegimeFailure", 3)), line
+    return name
+
+
 _NON_FINITE = re.compile(r"\b(?:nan|inf)\b", re.IGNORECASE)
 
 
@@ -221,11 +251,95 @@ def test_every_scenario_gives_a_typed_outcome(case):
         lines = stdout.getvalue().splitlines()
         assert len(lines) == 1, lines
         if code:
-            match = _ERROR.match(lines[0])
-            assert match and int(match.group(1)) == code, lines[0]
+            _check_refusal(lines[0], code)
             assert not out.exists()
             return
         written = sorted(out.iterdir())
         assert written
         for path in written:
             _check_finite(path, tau0_zero=" tau0=0 " in f" {lines[0]}")
+
+
+TEXTS = {p.stem: p.read_bytes() for p in sorted(CONFIG_DIR.glob("*.json"))}
+# Where a key or a number starts in each file, as byte offsets.
+KEYS = {name: [m.start() for m in re.finditer(rb'"\w+":', text)] for name, text in TEXTS.items()}
+NUMBERS = {name: [m.span() for m in re.finditer(rb"(?<=[\s\[:,])-?\d[\d.eE+-]*", text)]
+           for name, text in TEXTS.items()}
+ENCODINGS = ("utf-8", "latin-1", "utf-8-sig", "utf-16", "utf-16-le", "utf-32")
+
+
+@st.composite
+def text_cases(draw):
+    """(config name, mutation kind, its arguments) for ``mutated_text``."""
+    name = draw(st.sampled_from(sorted(TEXTS)))
+    kind = draw(st.sampled_from(["cut", "repeat", "huge", "nest", "encode"]))
+    if kind == "cut":
+        args = (draw(st.integers(0, len(TEXTS[name]))),)
+    elif kind == "repeat":
+        args = (draw(st.sampled_from(KEYS[name])),
+                draw(st.sampled_from(["0.02", "-5", '"x"', "null", "{}", "[1.0]"])))
+    elif kind == "huge":  # 310 digits are past the double range, 4,301 past int()
+        args = (draw(st.sampled_from(NUMBERS[name])),
+                draw(st.integers(310, 6000) | st.sampled_from([4300, 4301])))
+    elif kind == "nest":  # None nests the whole document
+        args = (draw(st.none() | st.sampled_from(NUMBERS[name])),
+                draw(st.integers(1, 1100) | st.just(200_000)))
+    else:  # with an accent in output.directory, latin-1 is no longer UTF-8
+        args = (draw(st.sampled_from(ENCODINGS)), draw(st.booleans()))
+    return name, kind, args
+
+
+def mutated_text(name, kind, args) -> tuple[bytes, bool]:
+    """The mutated file, and whether it still holds the shipped scenario."""
+    text = TEXTS[name]
+    if kind == "cut":
+        return text[:args[0]], args[0] >= len(text.rstrip())
+    if kind == "repeat":  # the key again, just before itself: the same object
+        at, value = args
+        key = text[at:text.index(b":", at) + 1]
+        return text[:at] + key + b" " + value.encode() + b", " + text[at:], False
+    if kind == "huge":
+        (start, end), digits = args
+        return text[:start] + b"1" + b"0" * (digits - 1) + text[end:], False
+    if kind == "nest":
+        span, depth = args
+        start, end = span if span is not None else (0, len(text))
+        return text[:start] + b"[" * depth + text[start:end] + b"]" * depth + text[end:], False
+    encoding, accent = args
+    if accent:
+        text = text.replace(b'"out"', '"out\u00e9"'.encode(), 1)
+    return (text.decode("utf-8").encode(encoding),
+            encoding == "utf-8" or (encoding == "latin-1" and not accent))
+
+
+# The four file defects that once escaped a typed exit 1: an integer of 5,001
+# digits (exit 2, type=ValueError), a file that is not UTF-8 (exit 2,
+# type=UnicodeDecodeError), 200,000 nested brackets (a RecursionError
+# traceback), and a key given twice (read silently as its last value, exit 0).
+@settings(PROFILE)
+@given(case=text_cases())
+@example(case=("phase_matched", "huge", (NUMBERS["phase_matched"][14], 5001)))  # 0.05
+@example(case=("phase_matched", "encode", ("utf-16", False)))
+@example(case=("phase_matched", "nest", (None, 200_000)))
+@example(case=("phase_matched", "repeat", (KEYS["phase_matched"][1], "0.02")))  # length_l
+@example(case=("spectrum_comb", "cut", (len(TEXTS["spectrum_comb"]) - 1,)))
+@example(case=("g2_comb", "encode", ("latin-1", False)))
+def test_every_scenario_text_gives_a_typed_outcome(case):
+    text, unchanged = mutated_text(*case)
+    with tempfile.TemporaryDirectory() as work:
+        config = Path(work) / "scenario.json"
+        config.write_bytes(text)
+        out = Path(work) / "out"
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["scales", "--config", str(config), "--out", str(out)])
+        lines = stdout.getvalue().splitlines()
+        assert len(lines) == 1, lines
+        if unchanged:
+            assert code == 0, lines[0]
+            assert out.exists()
+        else:
+            assert code == 1, lines[0]
+            assert _check_refusal(lines[0], 1) in (
+                "ScenarioParseError", "ScenarioValidationError"), lines[0]
+            assert not out.exists()

@@ -10,7 +10,7 @@ from sropo import (
     load_scenario,
     scenario_from_dict,
 )
-from conftest import scenario_dict
+from conftest import CONFIG_DIR, scenario_dict
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -56,6 +56,34 @@ class TestLoadScenario:
         path.write_text('{"crystal": }', encoding="utf-8")
         with pytest.raises(ScenarioParseError, match="line 1"):
             load_scenario(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        # Python's int-to-string limit: json.loads raises a plain ValueError
+        (lambda t: t.replace(b"0.05", b"1" + b"0" * 5000, 1),
+         "Exceeds the limit (4300 digits) for integer string conversion"),
+        (lambda t: b"\xff\xfe" + t, "'utf-8' codec can't decode byte 0xff in position 0"),
+        (lambda t: t.decode().encode("utf-16"), "'utf-8' codec can't decode byte 0xff"),
+        (lambda t: b"[" * 200_000 + t + b"]" * 200_000,
+         "maximum recursion depth exceeded while decoding a JSON array"),
+        (lambda t: t.replace(b'"length_l": 0.01,', b'"length_l": 0.01, "length_l": 0.02,', 1),
+         "key 'length_l' given twice in one object"),
+        (lambda t: t.replace(b'"kind": "constant",', b'"kind": "constant", "kind": "constant",', 1),
+         "key 'kind' given twice in one object"),
+        (lambda t: t.replace(b'{', b'{"output": 0, ', 1), "key 'output' given twice in one object"),
+        (lambda t: t.decode().encode("utf-8-sig"),
+         "invalid JSON at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ], ids=["huge-integer", "not-utf-8", "utf-16", "nested-deep", "repeated-key",
+            "repeated-key-nested", "repeated-key-top", "utf-8-bom"])
+    def test_file_that_cannot_be_read_or_decoded_is_a_parse_error(
+            self, tmp_path, mutate, message):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(mutate((CONFIG_DIR / "phase_matched.json").read_bytes()))
+        with pytest.raises(ScenarioParseError, match="^" + re.escape(f"{path}: {message}")):
+            load_scenario(path)
+
+    def test_directory_is_a_parse_error_naming_it(self, tmp_path):
+        with pytest.raises(ScenarioParseError, match="^" + re.escape(f"{tmp_path}: [Errno 21]")):
+            load_scenario(tmp_path)
 
     def test_missing_field_names_path(self, tmp_path):
         data = scenario_dict()
