@@ -299,5 +299,15 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Process entry (``python -m sropo``, the ``sropo`` script): ``main``, then
+    flush stdout and stderr and ``os._exit``, skipping the interpreter's
+    teardown; every file ``main`` wrote is closed.  A failed flush, or an
+    exception or ``SystemExit`` from ``main`` (argparse), leaves the normal way."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # the normal exit's teardown reports the failure, as before
+        sys.exit(code)
+    os._exit(code)

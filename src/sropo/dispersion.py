@@ -29,7 +29,7 @@ from .errors import (
     OutOfRangeError,
     ScenarioValidationError,
 )
-from .names import Record, as_real
+from .names import Record, as_real, shown
 
 _VALIDATION_SAMPLES = 65
 _SCAN_INTERVALS = 256
@@ -72,7 +72,7 @@ class DispersionModel(Record):
         except ValueError:
             allowed = ", ".join(k.value for k in DispersionKind)
             raise ScenarioValidationError(
-                f"kind must be one of {allowed}, got {self.kind!r}") from None
+                f"kind must be one of {allowed}, got {shown(self.kind)}") from None
         params = tuple(as_real(p, f"parameters[{i}]", -math.inf) for i, p in
                        enumerate(_entries(self.parameters, "parameters", _PARAM_COUNTS[kind])))
         lo, hi = (as_real(v, f"validity_range[{i}]", 0.0)
@@ -102,7 +102,8 @@ def _entries(value, where: str, count: int) -> tuple:
     naming ``where``."""
     ordered = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
     if not ordered or len(value) != count:
-        raise ScenarioValidationError(f"{where} must be a list of length {count}, got {value!r}")
+        raise ScenarioValidationError(f"{where} must be a list of length {count}, "
+                                      f"got {shown(value)}")
     return tuple(value)
 
 

@@ -1,7 +1,8 @@
 """Names the scalar path shares with the array modules, free of numpy: the
 output normalisations, the G2 tiers, the 17-digit float and header-value
-formats, the immutable record every value type is built on, and the two
-rules, ``as_count`` and ``as_real``, that check each count and real value where
+formats, the clipped form in which a refusal shows a value (``shown``), the
+immutable record every value type is built on, and the two rules,
+``as_count`` and ``as_real``, that check each count and real value where
 it enters the library or the scenario, and each real value the library derives:
 a refusal is a ScenarioValidationError naming the argument and its flag
 (``m_max (--m-max) must be at least 0, got -1``), the scenario field, or the
@@ -39,6 +40,18 @@ def format_value(value) -> str:
     return format_float(value) if isinstance(value, float) else str(value)
 
 
+SHOWN_CHARACTERS = 100  # the most of a value's repr that a refusal prints
+
+
+def shown(value) -> str:
+    """``repr(value)`` as a refusal prints it: cut after ``SHOWN_CHARACTERS``
+    characters, with its full length named."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARACTERS:
+        return text
+    return f"{text[:SHOWN_CHARACTERS]}... ({len(text)} characters)"
+
+
 def as_count(value, where: str, minimum: int) -> int:
     """``value`` as a Python int of at least ``minimum``.  A bool, a non-integer
     (``operator.index`` fails) or an integer past the double range is refused."""
@@ -47,7 +60,7 @@ def as_count(value, where: str, minimum: int) -> int:
             raise TypeError
         count = operator.index(value)
     except TypeError:
-        raise ScenarioValidationError(f"{where} must be an integer, got {value!r}") from None
+        raise ScenarioValidationError(f"{where} must be an integer, got {shown(value)}") from None
     if abs(count) > sys.float_info.max:  # shown by size: repr fails past 4300 digits
         raise ScenarioValidationError(
             f"{where} must be within the double range, got a {count.bit_length()}-bit integer")
@@ -66,7 +79,8 @@ def as_real(value, where: str, low: float, strict: bool = False) -> float:
             raise TypeError
         number = float(value)
     except (TypeError, ValueError):
-        raise ScenarioValidationError(f"{where} must be a real number, got {value!r}") from None
+        raise ScenarioValidationError(
+            f"{where} must be a real number, got {shown(value)}") from None
     except OverflowError:
         raise ScenarioValidationError(
             f"{where} must be finite, got an integer past the double range") from None

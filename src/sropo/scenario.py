@@ -48,7 +48,7 @@ from .dispersion import (
     transit_time_diff,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .names import Normalization, Record, as_real
+from .names import Normalization, Record, as_real, shown
 
 # output.normalization: the two a spectrum supports (no other command reads it)
 _OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
@@ -214,7 +214,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     out = _expect_mapping(out, "output")
     directory = out.get("directory", ".")
     if not isinstance(directory, str):
-        raise ScenarioValidationError(f"output.directory: must be a string, got {directory!r}")
+        raise ScenarioValidationError(f"output.directory: must be a string, got {shown(directory)}")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ScenarioValidationError("output.format: must be 'csv' or 'json'")
@@ -222,7 +222,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     if norm_name not in _OUTPUT_NORMALIZATIONS:
         raise ScenarioValidationError(
             f"output.normalization: must be one of {', '.join(_OUTPUT_NORMALIZATIONS)}, "
-            f"got {norm_name!r}"
+            f"got {shown(norm_name)}"
         )
     normalization = Normalization(norm_name)
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from enum import Enum
 
 import numpy as np
@@ -195,8 +196,9 @@ def spectrum_grid(
     By default the window reaches half a mode beyond the envelope's first
     zero, and the grid holds 24 points per gamma.  The grid is an exact mirror
     about 0 (``numerics.symmetric_grid``).  Grids past the point budget
-    (``numerics.grid_points``), and windows whose span (twice the half-width)
-    overflows, are refused here and in ``g1_grid``.
+    (``numerics.grid_points``), windows whose span (twice the half-width)
+    overflows, and spacings below the normal double range are refused here
+    and in ``g1_grid``.
     """
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
@@ -205,7 +207,8 @@ def spectrum_grid(
                          f"{_FSR_TAU0_INPUTS}, --window-modes: derived detuning span", 0.0,
                          strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
-    return symmetric_grid(half, grid_points(points, steps, "--window-modes", 2))
+    return _mirror_grid(half, grid_points(points, steps, "--window-modes", 2),
+                        f"{_FSR_TAU0_INPUTS}, --window-modes, --points: derived detuning spacing")
 
 
 def g1_grid(
@@ -232,7 +235,17 @@ def g1_grid(
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
     source = "--window-gammas and --m-max"
-    return symmetric_grid(half, grid_points(points, half / spacing, source, 2))
+    return _mirror_grid(half, grid_points(points, half / spacing, source, 2),
+                        "cavity.loss_rate_gamma, --window-gammas, --points: derived delay spacing")
+
+
+def _mirror_grid(half: float, n: int, where: str) -> np.ndarray:
+    """``symmetric_grid(half, n)``.  A spacing below the normal double range is
+    refused naming ``where``: linspace rounds a subnormal step by up to half of
+    5e-324, and a few thousand such steps add up past ``ensure_uniform_axis``'s
+    tolerance."""
+    as_real(2.0 * half / (n - 1), where, sys.float_info.min)
+    return symmetric_grid(half, n)
 
 
 def _even(kernel, axis: np.ndarray, dtype=float) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -19,7 +20,7 @@ import sropo.trace
 from sropo import FrequencyTriple, load_scenario, transit_time_diff
 from sropo.cli import COMMANDS, main
 from sropo.correlations import g2_grid
-from sropo.names import format_float
+from sropo.names import SHOWN_CHARACTERS, format_float
 from sropo.numerics import MAX_GRID_POINTS
 from sropo.peaks import measure_peaks, nearest_peak
 from sropo.spectra import g1_grid
@@ -267,16 +268,8 @@ class TestErrorPaths:
         assert "error: exit=2" in result.stdout
 
     def test_bisection_past_its_step_cap_is_numeric_error(self, tmp_path, capsys):
-        # the phase-match root lies near 7.8e-291 rad/s, which the bisection's
-        # absolute tolerance of 1e-300 cannot reach in 200 steps
-        def constant(n, low=1e14):
-            return {"kind": "constant", "parameters": [n], "validity_range": [low, 1e16]}
-        data = _config_with("phase_matched", ("crystal", "dispersion_idler", constant(1.5)),
-                            ("crystal", "dispersion_pump", constant(1.5000000000000002)),
-                            ("crystal", "dispersion_signal", constant(1e290, 1e-310)),
-                            ("frequencies", "bracket", [1e-300, 1e15]))
         out = tmp_path / "out"
-        assert main(["scales", "--config", str(write_config(tmp_path, data)),
+        assert main(["scales", "--config", str(write_config(tmp_path, _bisection_cap())),
                      "--out", str(out)]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 1
@@ -606,20 +599,45 @@ class TestErrorPaths:
         assert not (tmp_path / "scales.json").exists()
 
 
-    @pytest.mark.parametrize("argv, axis", [
+    @pytest.mark.parametrize("argv, where", [
         (["spectrum", "--field", "idler", "--window-modes", "5e-324", "--points", "2001"],
-         "detuning"),
-        (["g1", "--field", "idler", "--window-gammas", "1e-300", "--points", "2001"], "tau"),
-    ])
-    def test_grid_too_fine_to_be_uniform_is_config_error(self, tmp_path, capsys, argv, axis):
+         "--window-modes, --points: derived detuning spacing"),
+        (["spectrum", "--field", "idler", "--window-modes", "5e-324"],
+         "--window-modes, --points: derived detuning spacing"),
+        (["g1", "--field", "idler", "--window-gammas", "1e-300", "--points", "2001"],
+         "cavity.loss_rate_gamma, --window-gammas, --points: derived delay spacing"),
+    ], ids=["spectrum-points", "spectrum", "g1-points"])
+    def test_grid_too_fine_to_be_uniform_is_config_error(self, tmp_path, capsys, argv, where):
         # a subnormal spacing: linspace's step rounds by up to half of 5e-324,
-        # which 2000 steps add up past the grid check's tolerance
+        # which 2000 steps add up past the grid check's tolerance; the grid
+        # builder refuses any spacing below the normal range, naming its flags
         out = tmp_path / "out"
         config = CONFIG_DIR / "spectrum_comb.json"
         assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().out == (
-            f"error: exit=1 type=ScenarioValidationError: {axis} must be uniformly spaced\n")
+        text = capsys.readouterr().out
+        assert re.fullmatch(rf"error: exit=1 type=ScenarioValidationError: (.+, )?"
+                            rf"{re.escape(where)} must be at least 2\.22507e-308, "
+                            rf"got [0-9.]+e-3[0-9][0-9]\n", text), text
         assert not out.exists()
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda text: text.replace("0.05", "[" * 900 + "0.05" + "]" * 900, 1),
+         "cavity.resonator_length_Lr must be a real number"),
+        (lambda text: json.dumps(_config_with(
+            "phase_matched", ("crystal", "dispersion_signal", "parameters", [1.5] * 100_000))),
+         "crystal.dispersion_signal.parameters must be a list of length 2"),
+    ], ids=["nested-900", "list-100000"])
+    def test_refusal_clips_a_large_value(self, tmp_path, capsys, edit, where):
+        # printed whole, the two values made lines of 1,902 and 500,113 characters
+        text = (CONFIG_DIR / "phase_matched.json").read_text()
+        path = tmp_path / "large.json"
+        path.write_text(edit(text))
+        assert main(["scales", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith(f"error: exit=1 type=ScenarioValidationError: {where}, got ")
+        assert re.search(r"\.\.\. \(\d+ characters\)\n$", line)
+        assert len(line) <= len(f"error: exit=1 type=ScenarioValidationError: {where}, got "
+                                f"... (500000 characters)\n") + SHOWN_CHARACTERS
 
 
 ERROR_CLASSES = [cls for cls in vars(sropo.errors).values()
@@ -651,6 +669,101 @@ def test_main_exits_with_the_class_exit_code(monkeypatch, tmp_path, capsys, erro
     assert capsys.readouterr().out == (
         f"error: exit={code} type={error.__name__}: {given}refused\n")
     assert not out.exists()
+
+
+def _bisection_cap():
+    """phase_matched.json with a phase-match root near 7.8e-291 rad/s, which
+    the bisection's absolute tolerance of 1e-300 cannot reach in 200 steps."""
+    def constant(n, low=1e14):
+        return {"kind": "constant", "parameters": [n], "validity_range": [low, 1e16]}
+    return _config_with("phase_matched", ("crystal", "dispersion_idler", constant(1.5)),
+                        ("crystal", "dispersion_pump", constant(1.5000000000000002)),
+                        ("crystal", "dispersion_signal", constant(1e290, 1e-310)),
+                        ("frequencies", "bracket", [1e-300, 1e15]))
+
+
+# One run per exit code: (argv before --config, the scenario it reads).
+EXIT_RUNS = {
+    0: (["scales"], lambda: _config_with("g2_comb")),
+    1: (["g2", "--tier", "compact", "--points", "1"], lambda: _config_with("g2_comb")),
+    2: (["scales"], _bisection_cap),
+    3: (["scales", "--strict-regime"],  # gamma/fsr = 0.5
+        lambda: scenario_dict(gamma=0.5 * 2 * math.pi / ROUND_TRIP)),
+}
+
+
+class TestProcessExit:
+    """``python -m sropo`` ends through ``cli.run``: flush, then ``os._exit``.
+    The children run with stdout buffered, as by default, so that a lost flush
+    loses the summary line."""
+
+    ENV = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+    @pytest.mark.parametrize("stdout", ["pipe", "file"])
+    @pytest.mark.parametrize("code", sorted(EXIT_RUNS))
+    def test_process_prints_and_exits_as_main(self, tmp_path, capsys, code, stdout):
+        argv, data = EXIT_RUNS[code]
+        argv = [*argv, "--config", str(write_config(tmp_path, data())),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        expected = capsys.readouterr().out
+        assert len(expected.splitlines()) == 1
+        command = [sys.executable, "-m", "sropo", *argv]
+        if stdout == "pipe":
+            result = subprocess.run(command, capture_output=True, text=True, env=self.ENV)
+            printed = result.stdout
+        else:
+            log = tmp_path / "stdout.txt"
+            with open(log, "w", encoding="utf-8") as sink:
+                result = subprocess.run(command, stdout=sink, stderr=subprocess.PIPE,
+                                        text=True, env=self.ENV)
+            printed = log.read_text(encoding="utf-8")
+        assert (result.returncode, printed, result.stderr) == (code, expected, "")
+
+    # argv[1]: a file the atexit hook writes; argv[2]: "run" or "exit", how
+    # the child ends; argv[3]: "refuse" to give it a stdout whose flush fails.
+    CHILD = """if True:
+        import atexit, errno, pathlib, sys
+        from sropo import cli
+
+        atexit.register(pathlib.Path(sys.argv[1]).write_text, "teardown ran")
+
+        class FlushRefused:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def write(self, text):
+                return self.stream.write(text)
+
+            def flush(self):
+                raise OSError(errno.EPIPE, "flush refused")
+
+        if sys.argv[3] == "refuse":
+            sys.stdout = FlushRefused(sys.stdout)
+        ending, sys.argv = sys.argv[2], ["sropo", *sys.argv[4:]]
+        cli.run() if ending == "run" else sys.exit(cli.main())
+    """
+
+    def _child(self, tmp_path, ending, stdout):
+        hook = tmp_path / f"hook-{ending}-{stdout}"
+        argv = ["scales", "--config", str(CONFIG_DIR / "g2_comb.json"),
+                "--out", str(tmp_path / "out")]
+        result = subprocess.run([sys.executable, "-c", self.CHILD, str(hook), ending, stdout,
+                                 *argv], capture_output=True, text=True, env=self.ENV)
+        return result, hook.exists()
+
+    def test_run_skips_the_teardown(self, tmp_path):
+        result, hooked = self._child(tmp_path, "run", "keep")
+        assert (result.returncode, result.stderr, hooked) == (0, "", False)
+        assert re.fullmatch(r"tau0=\S+ T=.* wrote=\S+scales\.json\n", result.stdout)
+
+    def test_failed_flush_leaves_through_sys_exit(self, tmp_path):
+        result, hooked = self._child(tmp_path, "run", "refuse")
+        former, hooked_former = self._child(tmp_path, "exit", "refuse")
+        assert hooked and hooked_former
+        assert (result.returncode, result.stdout) == (former.returncode, former.stdout)
+        assert result.returncode != 0  # the teardown's flush fails too
+        assert "Error: [Errno 32] flush refused" in result.stderr
 
 
 def _config_with(name, *edits):
