@@ -18,10 +18,9 @@ from .dispersion import (
     refractive_index,
 )
 from .errors import ScenarioValidationError
-from .names import Record, as_real
+from .names import REGIME_RATIOS, Record, as_real
 
 DEFAULT_REGIME_THRESHOLD = 0.1
-REGIME_RATIO_NAMES = ("kappa/gamma", "gamma/fsr", "fsr*|tau0|")
 
 
 class CavityParams(Record):
@@ -52,7 +51,6 @@ class DerivedScales(Record):
 class RegimeCheck(Record):
     name: str
     value: float
-    threshold: float
     passed: bool
 
 
@@ -116,7 +114,7 @@ def check_regime(
         scales.fsr_delta_omega * abs(scales.tau0),
     )
     checks = tuple(
-        RegimeCheck(name, value, threshold, value <= threshold)
-        for name, value in zip(REGIME_RATIO_NAMES, ratios)
+        RegimeCheck(name, value, value <= threshold)
+        for name, value in zip(REGIME_RATIOS, ratios)
     )
     return RegimeReport(checks, all(c.passed for c in checks), threshold)

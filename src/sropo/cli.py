@@ -3,8 +3,9 @@
 Subcommands: scales, rate, spectrum, g1, g2, wavefunction, check-regime.
 Every run prints a one-line scalar summary to stdout and exits 0 on success,
 1 on configuration errors, 2 on numeric errors (each ``SropoError`` class's
-``exit_code``), and 3 when --strict-regime is set and the scenario fails the
-regime check.  Identical inputs produce byte-identical output files.
+``exit_code``), 3 when --strict-regime is set and the scenario fails the
+regime check, and, as a process (``run``), 4 when any other exception escapes.
+Identical inputs produce byte-identical output files.
 
 ``COMMANDS`` gives each subcommand its help, flags and runner.  A runner
 returns an output stem and either a report dict or a ``(meta, names, columns)``
@@ -33,6 +34,7 @@ from .scenario import ScenarioConfig, load_scenario
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_REGIME = 3
+EXIT_CRASH = 4
 
 
 def _error(code: int, kind: str, message) -> int:
@@ -101,14 +103,14 @@ def _run_spectrum(args, config: ScenarioConfig):
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
     result = spectra.spectrum(args.field, config.scales, config.freqs, detuning=detuning,
                               m_max=args.m_max, normalization=config.normalization)
-    return f"spectrum_{args.field}", trace.trace_table(result, "detuning_rad_per_s")
+    return f"spectrum_{args.field}", trace.trace_table(result)
 
 
 def _run_g1(args, config: ScenarioConfig):
     from . import spectra, trace
     tau = spectra.g1_grid(config.scales, args.window_gammas, args.points, args.m_max)
     result = spectra.g1(args.field, config.scales, config.freqs, tau=tau, m_max=args.m_max)
-    return f"g1_{args.field}", trace.trace_table(result, "tau_seconds")
+    return f"g1_{args.field}", trace.trace_table(result)
 
 
 def _run_g2(args, config: ScenarioConfig):
@@ -118,7 +120,7 @@ def _run_g2(args, config: ScenarioConfig):
     tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
     request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution)
     result = getattr(correlations, f"g2_{args.tier}")(request, s)
-    return f"g2_{args.tier}", trace.trace_table(result, "tau_seconds")
+    return f"g2_{args.tier}", trace.trace_table(result)
 
 
 def _run_wavefunction(args, config: ScenarioConfig):
@@ -262,7 +264,7 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
     try:
         getattr(writers, f"write_table_{fmt}")(written[0], header, names, columns)
         if plot:  # g1's imaginary part is 0: |re_value| is |g1|
-            svgplot.write_svg_plot(written[1], columns[0], abs(columns[1]), stem, names[0], "value")
+            svgplot.write_svg_plot(written[1], columns[0], abs(columns[1]), stem, names[0])
     except BaseException:
         for path in created:
             path.unlink(missing_ok=True)
@@ -302,9 +304,17 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry (``python -m sropo``, the ``sropo`` script): ``main``, then
     flush stdout and stderr and ``os._exit``, skipping the interpreter's
-    teardown; every file ``main`` wrote is closed.  A failed flush, or an
-    exception or ``SystemExit`` from ``main`` (argparse), leaves the normal way."""
-    code = main()
+    teardown; every file ``main`` wrote is closed.  An exception escaping
+    ``main`` is a crash, not a refusal: its traceback goes to stderr and it
+    exits 4.  A failed flush, a ``SystemExit`` from ``main`` (argparse) or a
+    ``KeyboardInterrupt`` leaves the normal way."""
+    try:
+        code = main()
+    except Exception as exc:
+        import traceback  # only a crash pays for the import
+
+        traceback.print_exc()
+        code = _error(EXIT_CRASH, type(exc).__name__, exc)
     try:
         sys.stdout.flush()
         sys.stderr.flush()

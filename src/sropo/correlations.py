@@ -36,9 +36,8 @@ from .cavity import DerivedScales
 from .errors import (
     DegenerateGroupVelocityError, ResolutionTooFineError, ScenarioValidationError,
 )
-from .names import G2Tier, Record, as_count, as_real
+from .names import G2Tier, Record, as_count, as_real, inputs
 from .numerics import _cis, _cos_series, ensure_uniform_axis, grid_points, require_points
-from .scenario import _TAU0_INPUTS
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _MODE_REACH = 50.0  # default truncation: ceil(50 / |fsr*tau0/2|) modes
@@ -142,7 +141,7 @@ def _check_span(exponent: float, tier: G2Tier) -> None:
     """Refuse a tier whose allowed values span exp(exponent) past a double."""
     if exponent > _LOG_MAX:
         raise ScenarioValidationError(
-            f"{_TAU0_INPUTS}, cavity.loss_rate_gamma: the {tier.value} tier's values "
+            f"{inputs('tau0', 'gamma')}: the {tier.value} tier's values "
             f"span exp({exponent!r}), past a double (exp({_LOG_MAX:.2f}))")
 
 

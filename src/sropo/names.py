@@ -1,12 +1,12 @@
 """Names the scalar path shares with the array modules, free of numpy: the
-output normalisations, the G2 tiers, the 17-digit float and header-value
-formats, the clipped form in which a refusal shows a value (``shown``), the
-immutable record every value type is built on, and the two rules,
-``as_count`` and ``as_real``, that check each count and real value where
-it enters the library or the scenario, and each real value the library derives:
-a refusal is a ScenarioValidationError naming the argument and its flag
-(``m_max (--m-max) must be at least 0, got -1``), the scenario field, or the
-inputs a derived value comes from (``...: derived fsr must be finite, got inf``).
+output normalisations, the G2 tiers, the scenario fields each derived scale
+comes from, the 17-digit float and header-value formats, the clipped form of a
+value in a refusal (``shown``), the immutable record every value type is built
+on, and the two rules, ``as_count`` and ``as_real``, that check each count and
+real value where it enters the library or the scenario, and each real value the
+library derives: a refusal is a ScenarioValidationError naming the argument and
+its flag (``m_max (--m-max) must be at least 0, got -1``), the scenario field,
+or the ``inputs`` a derived value comes from (``...: derived fsr must be ...``).
 """
 
 import math
@@ -28,6 +28,28 @@ class G2Tier(str, Enum):
     SERIES = "series"
     COMPACT = "compact"
     AVERAGED = "averaged"
+
+
+# output.normalization: the two a spectrum supports (no other command reads it)
+OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
+# The scenario fields each derived scale comes from; fsr = 2*pi/T comes from T's.
+_TAU0 = ("crystal.length_l", "crystal.dispersion_signal", "crystal.dispersion_idler")
+FIELDS = {
+    "tau0": _TAU0,
+    "T": ("crystal.length_l", "crystal.dispersion_signal", "cavity.resonator_length_Lr"),
+    "gamma": ("cavity.loss_rate_gamma",),
+    "kappa": ("crystal.chi", "crystal.cross_section_A", "pump.field_amplitude_EP", *_TAU0),
+}
+# The regime ratios, in ``cavity.check_regime``'s order, and the scales of each.
+REGIME_RATIOS = {"kappa/gamma": ("kappa", "gamma"), "gamma/fsr": ("gamma", "T"),
+                 "fsr*|tau0|": ("tau0", "T")}
+
+
+def inputs(*names) -> str:
+    """The fields of each scale in ``names`` (a ``FIELDS`` key), else the name
+    itself (a flag), each once, in first-seen order, the fields first."""
+    ordered = sorted(names, key=lambda name: name.startswith("-"))
+    return ", ".join(dict.fromkeys(f for name in ordered for f in FIELDS.get(name, (name,))))
 
 
 def format_float(value: float) -> str:

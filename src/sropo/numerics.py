@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from .errors import GridTooCoarseError, ScenarioValidationError
-from .names import as_count
+from .names import as_count, inputs
 
 _WORK_ELEMENTS = 1 << 20  # largest complex work array of _cos_series
 MAX_GRID_POINTS = 1 << 25  # largest sampling grid any command builds
@@ -57,7 +57,7 @@ def check_linewidth(gamma: float) -> None:
     low, high = GAMMA_RANGE
     if not low <= gamma <= high:
         raise ScenarioValidationError(
-            f"cavity.loss_rate_gamma: gamma = {gamma!r} rad/s is outside "
+            f"{inputs('gamma')}: gamma = {gamma!r} rad/s is outside "
             f"[{low:.2g}, {high:.2g}], where its Lorentzian lines stay doubles")
 
 

@@ -48,10 +48,9 @@ from .dispersion import (
     transit_time_diff,
 )
 from .errors import ScenarioParseError, ScenarioValidationError
-from .names import Normalization, Record, as_real, shown
-
-# output.normalization: the two a spectrum supports (no other command reads it)
-_OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
+from .names import (
+    OUTPUT_NORMALIZATIONS, REGIME_RATIOS, Normalization, Record, as_real, inputs, shown,
+)
 
 
 class ScenarioConfig(Record):
@@ -76,15 +75,6 @@ _BLOCKS = {
     "pump": (PumpParams, ("field_amplitude_EP",)),
     "frequencies": (FrequencyTriple, ("omega_P", "omega_S", "omega_I")),
 }
-# The input fields each derived scale is computed from, named when it fails.
-_TAU0_INPUTS = "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler"
-_T_INPUTS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
-_KAPPA_INPUTS = ("crystal.chi, crystal.cross_section_A, pump.field_amplitude_EP, "
-                 + _TAU0_INPUTS)
-_GAMMA_T_INPUTS = "cavity.loss_rate_gamma, " + _T_INPUTS
-_FSR_TAU0_INPUTS = _TAU0_INPUTS + ", cavity.resonator_length_Lr"
-# The inputs of each regime ratio (kappa/gamma, gamma/fsr, fsr*|tau0|).
-_RATIO_INPUTS = (_KAPPA_INPUTS + ", cavity.loss_rate_gamma", _GAMMA_T_INPUTS, _FSR_TAU0_INPUTS)
 
 
 def derive_scales(
@@ -100,18 +90,19 @@ def derive_scales(
     is a configuration error naming the input fields it comes from.
     tau0 == 0 gives kappa = +inf.
     """
-    tau0 = as_real(transit_time_diff(crystal, freqs), f"{_TAU0_INPUTS}: derived tau0", -math.inf)
-    T = as_real(round_trip_time(crystal, cavity, freqs), f"{_T_INPUTS}: derived T", 0.0,
+    tau0 = as_real(transit_time_diff(crystal, freqs), f"{inputs('tau0')}: derived tau0", -math.inf)
+    T = as_real(round_trip_time(crystal, cavity, freqs), f"{inputs('T')}: derived T", 0.0,
                 strict=True)
-    fsr = as_real(free_spectral_range(T), f"{_T_INPUTS}: derived fsr", 0.0, strict=True)
-    as_real(cavity.loss_rate_gamma * T, f"{_GAMMA_T_INPUTS}: derived gamma*T", 0.0, strict=True)
+    fsr = as_real(free_spectral_range(T), f"{inputs('T')}: derived fsr", 0.0, strict=True)
+    as_real(cavity.loss_rate_gamma * T, f"{inputs('gamma', 'T')}: derived gamma*T", 0.0,
+            strict=True)
     kappa = math.inf
     if tau0 != 0.0:
         try:
             kappa = _continuum_kappa(crystal, pump, freqs, tau0)
         except (ZeroDivisionError, OverflowError):  # e.g. 4*eps0*c*A underflows to 0
             kappa = math.nan
-        as_real(kappa, f"{_KAPPA_INPUTS}: derived kappa", 0.0, strict=True)
+        as_real(kappa, f"{inputs('kappa')}: derived kappa", 0.0, strict=True)
     return DerivedScales(tau0, T, fsr, cavity.loss_rate_gamma, kappa)
 
 
@@ -219,21 +210,22 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     if fmt not in ("csv", "json"):
         raise ScenarioValidationError("output.format: must be 'csv' or 'json'")
     norm_name = out.get("normalization", Normalization.PEAK_UNITY.value)
-    if norm_name not in _OUTPUT_NORMALIZATIONS:
+    if norm_name not in OUTPUT_NORMALIZATIONS:
         raise ScenarioValidationError(
-            f"output.normalization: must be one of {', '.join(_OUTPUT_NORMALIZATIONS)}, "
+            f"output.normalization: must be one of {', '.join(OUTPUT_NORMALIZATIONS)}, "
             f"got {shown(norm_name)}"
         )
     normalization = Normalization(norm_name)
 
     threshold = as_real(data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD),
-                        "regime_threshold", -math.inf)
+                        "regime_threshold", 0.0, strict=True)
 
     scales = derive_scales(crystal, cavity, pump, freqs)
     regime = check_regime(scales, threshold)
     first = 1 if scales.tau0 == 0.0 else 0  # kappa/gamma = inf, as kappa, at tau0 = 0
-    for check, inputs in list(zip(regime.checks, _RATIO_INPUTS))[first:]:
-        as_real(check.value, f"{inputs}: derived {check.name}", -math.inf)
+    for check in regime.checks[first:]:
+        as_real(check.value, f"{inputs(*REGIME_RATIOS[check.name])}: derived {check.name}",
+                -math.inf)
     digest = scenario_hash(crystal, cavity, pump, freqs)
     return ScenarioConfig(
         crystal=crystal,

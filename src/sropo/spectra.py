@@ -31,12 +31,11 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import DegenerateGroupVelocityError
-from .names import as_count, as_real
+from .names import OUTPUT_NORMALIZATIONS, as_count, as_real, inputs
 from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
 )
-from .scenario import _FSR_TAU0_INPUTS, _OUTPUT_NORMALIZATIONS
 from .trace import Normalization, Trace, TraceKind, TraceMeta
 
 _DEFAULT_POINTS_PER_GAMMA = 24.0
@@ -62,7 +61,7 @@ def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") ->
             f"tau0 = 0: the envelope has no zero; pass {needs}")
     product = scales.fsr_delta_omega * abs(scales.tau0)
     ratio = 2.0 * math.pi / product if product else math.inf
-    return math.ceil(as_real(ratio, f"{_FSR_TAU0_INPUTS}: derived 2*pi/(fsr*|tau0|)", 0.0,
+    return math.ceil(as_real(ratio, f"{inputs('tau0', 'T')}: derived 2*pi/(fsr*|tau0|)", 0.0,
                              strict=True))
 
 
@@ -198,17 +197,19 @@ def spectrum_grid(
     about 0 (``numerics.symmetric_grid``).  Grids past the point budget
     (``numerics.grid_points``), windows whose span (twice the half-width)
     overflows, and spacings below the normal double range are refused here
-    and in ``g1_grid``.
+    and in ``g1_grid``, naming the fields of the scales they come from and
+    the flags given.
     """
+    span = ["T", "--window-modes"] if window_modes is not None else ["tau0", "T"]  # window*fsr
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
     window_modes = as_real(window_modes, "window_modes (--window-modes)", 0.0, strict=True)
     half = 0.5 * as_real(window_modes * scales.fsr_delta_omega * 2.0,
-                         f"{_FSR_TAU0_INPUTS}, --window-modes: derived detuning span", 0.0,
-                         strict=True)
+                         f"{inputs(*span)}: derived detuning span", 0.0, strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
-    return _mirror_grid(half, grid_points(points, steps, "--window-modes", 2),
-                        f"{_FSR_TAU0_INPUTS}, --window-modes, --points: derived detuning spacing")
+    n = grid_points(points, steps, "--window-modes", 2)
+    count = ["--points"] if points is not None else ["gamma"]  # n, unless given: half/gamma
+    return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived detuning spacing")
 
 
 def g1_grid(
@@ -223,20 +224,22 @@ def g1_grid(
     beat of the modes ``g1`` keeps for ``m_max`` (4 points per period).  The
     grid is an exact mirror about 0, through tau = 0 at an odd count.
     """
+    span = ["gamma", "--window-gammas"] if window_gammas is not None else ["gamma"]
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
     window_gammas = as_real(window_gammas, "window_gammas (--window-gammas)", 0.0, strict=True)
     check_linewidth(scales.gamma)
     half = 0.5 * as_real(window_gammas / scales.gamma * 2.0,
-                         "cavity.loss_rate_gamma, --window-gammas: derived delay span", 0.0,
-                         strict=True)
+                         f"{inputs(*span)}: derived delay span", 0.0, strict=True)
     spacing = min(
         1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
-    source = "--window-gammas and --m-max"
-    return _mirror_grid(half, grid_points(points, half / spacing, source, 2),
-                        "cavity.loss_rate_gamma, --window-gammas, --points: derived delay spacing")
+    n = grid_points(points, half / spacing, "--window-gammas and --m-max", 2)
+    # n, unless given: from half, gamma and the fastest beat of the modes kept
+    beat = ["tau0", "T"] if m_max is None else ["T", "--m-max"]
+    count = ["--points"] if points is not None else beat
+    return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived delay spacing")
 
 
 def _mirror_grid(half: float, n: int, where: str) -> np.ndarray:
@@ -290,9 +293,9 @@ def spectrum(
     """
     field = FieldName(field)
     given = getattr(normalization, "value", normalization)
-    if given not in _OUTPUT_NORMALIZATIONS:
+    if given not in OUTPUT_NORMALIZATIONS:
         raise ValueError(f"unsupported spectrum normalization {given!r}; expected "
-                         + " or ".join(map(repr, _OUTPUT_NORMALIZATIONS)))
+                         + " or ".join(map(repr, OUTPUT_NORMALIZATIONS)))
     normalization = Normalization(normalization)
     gamma = scales.gamma
     fsr = scales.fsr_delta_omega

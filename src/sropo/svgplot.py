@@ -37,7 +37,6 @@ def write_svg_plot(
     y: np.ndarray,
     title: str,
     x_label: str,
-    y_label: str,
 ) -> None:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -77,7 +76,7 @@ def write_svg_plot(
         f'font-family="sans-serif" font-size="13">{x_label}</text>',
         f'<text x="16" y="{_MARGIN_T + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_MARGIN_T + plot_h // 2})">value</text>',
         '<polyline points="',
     ]
 

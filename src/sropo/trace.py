@@ -64,17 +64,16 @@ class Trace(Record, eq=False):
         if not is_complex and np.any(values < 0):
             raise ValueError("trace values must be non-negative")
 
-    @property
-    def spacing(self) -> float:
-        return float(self.axis[-1] - self.axis[0]) / (self.axis.size - 1)
 
-
-def trace_table(trace: Trace, axis_name: str):
+def trace_table(trace: Trace):
     """The ``(meta, names, columns)`` table of ``trace``: the header keys kind,
-    normalization and the meta's extra; the axis column ``axis_name``, then
-    ``value`` (``g2_value`` for G2), or ``re_value`` and ``im_value`` when complex."""
+    normalization and the meta's extra; the axis column (``tau_seconds`` for g1
+    and G2, ``detuning_rad_per_s`` for a spectrum), then ``value``
+    (``g2_value`` for G2), or ``re_value`` and ``im_value`` when complex."""
     meta = {"kind": trace.meta.kind.value, "normalization": trace.meta.normalization.value,
             **trace.meta.extra}
+    delay = trace.meta.kind in (TraceKind.G1, TraceKind.G2)
+    axis_name = "tau_seconds" if delay else "detuning_rad_per_s"
     if trace.values.dtype.kind == "c":
         return meta, [axis_name, "re_value", "im_value"], [
             trace.axis, trace.values.real, trace.values.imag]

@@ -80,9 +80,8 @@ def _sizes(result) -> tuple[int, int, int]:
 def _writers(config):
     """(writer, table, rows, h, call(path)) for each writer on the config's
     default g1 table or spectrum."""
-    g1 = trace_table(spectra.g1("idler", config.scales, config.freqs), "tau_seconds")
-    spectrum = trace_table(spectra.spectrum("idler", config.scales, config.freqs),
-                           "detuning_rad_per_s")
+    g1 = trace_table(spectra.g1("idler", config.scales, config.freqs))
+    spectrum = trace_table(spectra.spectrum("idler", config.scales, config.freqs))
     (_, _, columns), (_, names, curve) = g1, spectrum
     return [
         ("write_table_csv", "g1", len(columns[0]), _mirror_rows(columns),
@@ -92,7 +91,7 @@ def _writers(config):
         ("write_table_csv", "spectrum", len(curve[0]), _mirror_rows(curve),
          lambda path: write_table_csv(path, *spectrum)),
         ("write_svg_plot", "spectrum", len(curve[0]), 0,
-         lambda path: write_svg_plot(path, *curve, "spectrum_idler", names[0], "value")),
+         lambda path: write_svg_plot(path, *curve, "spectrum_idler", names[0])),
     ]
 
 

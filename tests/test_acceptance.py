@@ -85,7 +85,7 @@ def test_criterion_3_spectrum_structure(spectrum_setup):
     crystal, cavity, pump, freqs, scales = spectrum_setup
     fsr, gamma, tau0 = scales.fsr_delta_omega, scales.gamma, scales.tau0
     trace = spectrum("idler", scales, freqs)
-    step = trace.spacing
+    step = trace.axis[1] - trace.axis[0]
     # 0.05 floor: inter-mode dips sit at ~5e-3 of the central peak
     peaks = measure_peaks(trace.axis, trace.values, floor=0.05)
 

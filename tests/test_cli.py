@@ -29,6 +29,9 @@ from conftest import CONFIG_DIR, GAMMA, ROUND_TRIP, scenario_dict
 from helpers import read_table_csv
 
 
+T_FIELDS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
+
+
 def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -601,23 +604,48 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("argv, where", [
         (["spectrum", "--field", "idler", "--window-modes", "5e-324", "--points", "2001"],
-         "--window-modes, --points: derived detuning spacing"),
+         f"{T_FIELDS}, --window-modes, --points: derived detuning spacing"),
         (["spectrum", "--field", "idler", "--window-modes", "5e-324"],
-         "--window-modes, --points: derived detuning spacing"),
+         f"{T_FIELDS}, cavity.loss_rate_gamma, --window-modes: derived detuning spacing"),
         (["g1", "--field", "idler", "--window-gammas", "1e-300", "--points", "2001"],
          "cavity.loss_rate_gamma, --window-gammas, --points: derived delay spacing"),
-    ], ids=["spectrum-points", "spectrum", "g1-points"])
+        (["g1", "--field", "idler", "--window-gammas", "1e-300"],
+         "cavity.loss_rate_gamma, crystal.length_l, crystal.dispersion_signal, "
+         "crystal.dispersion_idler, cavity.resonator_length_Lr, --window-gammas: "
+         "derived delay spacing"),
+        (["g1", "--field", "idler", "--window-gammas", "1e-300", "--m-max", "3"],
+         f"cavity.loss_rate_gamma, {T_FIELDS}, --window-gammas, --m-max: derived delay spacing"),
+    ], ids=["spectrum-points", "spectrum", "g1-points", "g1", "g1-m-max"])
     def test_grid_too_fine_to_be_uniform_is_config_error(self, tmp_path, capsys, argv, where):
         # a subnormal spacing: linspace's step rounds by up to half of 5e-324,
         # which 2000 steps add up past the grid check's tolerance; the grid
-        # builder refuses any spacing below the normal range, naming its flags
+        # builder refuses any spacing below the normal range, naming the
+        # fields of the scales it comes from and the flags given
         out = tmp_path / "out"
         config = CONFIG_DIR / "spectrum_comb.json"
         assert main([*argv, "--config", str(config), "--out", str(out)]) == 1
         text = capsys.readouterr().out
-        assert re.fullmatch(rf"error: exit=1 type=ScenarioValidationError: (.+, )?"
+        assert re.fullmatch(rf"error: exit=1 type=ScenarioValidationError: "
                             rf"{re.escape(where)} must be at least 2\.22507e-308, "
                             rf"got [0-9.]+e-3[0-9][0-9]\n", text), text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edits, argv, line", [
+        ([], ["--window-modes", "1e308"],
+         f"{T_FIELDS}, --window-modes: derived detuning span must be finite, got inf"),
+        ([("crystal", "length_l", 1e-302)], [],
+         "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler, "
+         "cavity.resonator_length_Lr: derived detuning span must be finite, got inf"),
+    ], ids=["window-given", "envelope-default"])
+    def test_span_refusal_names_only_its_inputs(self, tmp_path, capsys, edits, argv, line):
+        # span = window * fsr * 2: tau0's fields only for the envelope's
+        # default window, --window-modes only when given
+        data = _config_with("spectrum_comb", *edits)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--field", "idler", *argv, "--config",
+                     str(write_config(tmp_path, data)), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: exit=1 type=ScenarioValidationError: {line}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, where", [
@@ -721,9 +749,10 @@ class TestProcessExit:
         assert (result.returncode, printed, result.stderr) == (code, expected, "")
 
     # argv[1]: a file the atexit hook writes; argv[2]: "run" or "exit", how
-    # the child ends; argv[3]: "refuse" to give it a stdout whose flush fails.
+    # the child ends; argv[3]: "refuse" to give it a stdout whose flush fails,
+    # or the name of an exception its scales runner raises.
     CHILD = """if True:
-        import atexit, errno, pathlib, sys
+        import atexit, builtins, errno, pathlib, sys
         from sropo import cli
 
         atexit.register(pathlib.Path(sys.argv[1]).write_text, "teardown ran")
@@ -738,17 +767,22 @@ class TestProcessExit:
             def flush(self):
                 raise OSError(errno.EPIPE, "flush refused")
 
-        if sys.argv[3] == "refuse":
+        def crash(args, config):
+            raise getattr(builtins, fault)("crashed")
+
+        ending, fault, sys.argv = sys.argv[2], sys.argv[3], ["sropo", *sys.argv[4:]]
+        if fault == "refuse":
             sys.stdout = FlushRefused(sys.stdout)
-        ending, sys.argv = sys.argv[2], ["sropo", *sys.argv[4:]]
+        elif fault != "keep":
+            cli.COMMANDS["scales"] = (*cli.COMMANDS["scales"][:2], crash)
         cli.run() if ending == "run" else sys.exit(cli.main())
     """
 
-    def _child(self, tmp_path, ending, stdout):
-        hook = tmp_path / f"hook-{ending}-{stdout}"
+    def _child(self, tmp_path, ending, fault):
+        hook = tmp_path / f"hook-{ending}-{fault}"
         argv = ["scales", "--config", str(CONFIG_DIR / "g2_comb.json"),
                 "--out", str(tmp_path / "out")]
-        result = subprocess.run([sys.executable, "-c", self.CHILD, str(hook), ending, stdout,
+        result = subprocess.run([sys.executable, "-c", self.CHILD, str(hook), ending, fault,
                                  *argv], capture_output=True, text=True, env=self.ENV)
         return result, hook.exists()
 
@@ -764,6 +798,20 @@ class TestProcessExit:
         assert (result.returncode, result.stdout) == (former.returncode, former.stdout)
         assert result.returncode != 0  # the teardown's flush fails too
         assert "Error: [Errno 32] flush refused" in result.stderr
+
+    def test_crash_exits_4_with_its_traceback(self, tmp_path):
+        result, hooked = self._child(tmp_path, "run", "ZeroDivisionError")
+        assert (result.returncode, hooked) == (4, False)
+        assert result.stdout == "error: exit=4 type=ZeroDivisionError: crashed\n"
+        assert result.stderr.startswith("Traceback (most recent call last):\n")
+        assert result.stderr.endswith("\nZeroDivisionError: crashed\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ending", ["run", "exit"])
+    def test_interrupt_leaves_as_before(self, tmp_path, ending):
+        result, hooked = self._child(tmp_path, ending, "KeyboardInterrupt")
+        assert (result.returncode, result.stdout, hooked) == (-2, "", True)
+        assert result.stderr.endswith("\nKeyboardInterrupt: crashed\n")
 
 
 def _config_with(name, *edits):
@@ -900,7 +948,7 @@ class TestDerivedScales:
          ["wavefunction"], ["cavity.loss_rate_gamma"]),
         ("spectrum_comb", [("crystal", "length_l", 1e-302)],
          ["spectrum", "--field", "idler", "--points", "2001"],
-         ["crystal.length_l", "--window-modes"]),
+         ["crystal.dispersion_idler, cavity.resonator_length_Lr: derived detuning span"]),
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e300"],
          ["--resolution"]),
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution", "1e200"],

@@ -48,6 +48,15 @@ def test_unknown_name_is_attribute_error():
         sropo.nonexistent  # noqa: B018
 
 
+def test_array_modules_load_no_parser():
+    # the field table lives in names: the kernels never load the parser,
+    # and with it biphoton and hashlib
+    code = ("import sys, sropo.spectra, sropo.correlations; print(sorted(name for name in "
+            "('sropo.scenario', 'sropo.biphoton', 'hashlib') if name in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 SCALAR_COMMANDS = {  # id: (command, config, file written)
     "scales": ("scales", "g2_comb.json", "scales.json"),
     "scales-phase-matched": ("scales", "phase_matched.json", "scales.json"),

@@ -147,6 +147,10 @@ class TestLoadScenario:
             (lambda d: d["frequencies"].__setitem__("omega_S", math.nan),
              "frequencies.omega_S"),
             (lambda d: d.__setitem__("regime_threshold", math.nan), "regime_threshold"),
+            (lambda d: d.__setitem__("regime_threshold", 0),
+             "regime_threshold must be above 0, got 0.0"),
+            (lambda d: d.__setitem__("regime_threshold", -1),
+             "regime_threshold must be above 0, got -1.0"),
             (lambda d: d["crystal"].__setitem__("chi", 10**400), "crystal.chi"),
             (lambda d: d["crystal"]["dispersion_idler"].__setitem__(
                 "parameters", [math.nan]), "crystal.dispersion_idler.parameters"),
@@ -171,9 +175,9 @@ class TestLoadScenario:
              "frequencies.bracket"),
         ],
         ids=["nan_length", "inf_gamma", "minus_inf_pump", "nan_omega_s",
-             "nan_threshold", "huge_integer", "nan_parameter", "inf_range", "bool_range",
-             "bool_bracket", "nan_bracket", "reversed_bracket", "bracket_past_pump",
-             "bracket_from_zero"],
+             "nan_threshold", "zero_threshold", "negative_threshold", "huge_integer",
+             "nan_parameter", "inf_range", "bool_range", "bool_bracket", "nan_bracket",
+             "reversed_bracket", "bracket_past_pump", "bracket_from_zero"],
     )
     def test_non_finite_or_boolean_number_names_field(self, tmp_path, mutate, field):
         data = scenario_dict()

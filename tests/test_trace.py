@@ -26,7 +26,7 @@ AXIS = np.linspace(-1.0, 1.0, 5)
 def test_real_values_stay_real():
     trace = Trace(AXIS, [0.0, 0.5, 1.0, 0.5, 0.0], META)
     assert trace.values.dtype == np.float64
-    assert trace.spacing == 0.5
+    assert trace.axis[1] - trace.axis[0] == 0.5
 
 
 def test_real_negative_value_refused():
@@ -75,7 +75,7 @@ def test_checked_axis_still_checks_the_values():
     with pytest.raises(ValueError, match="shape"):
         Trace(AXIS, np.ones(4), META, axis_checked=True)
     trace = Trace(AXIS, [0.0, 0.5, 1.0, 0.5, 0.0], META, axis_checked=True)
-    assert trace.values.dtype == np.float64 and trace.spacing == 0.5
+    assert trace.values.dtype == np.float64 and trace.axis[1] - trace.axis[0] == 0.5
 
 
 def _g2(tier, evaluate):
@@ -243,7 +243,7 @@ def test_chunked_svg_polyline_matches_one_join(columns):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "plot.svg")
         want = svg_polyline_whole(x, y)
-        write_svg_plot(path, x, y, "t", "x", "y")
+        write_svg_plot(path, x, y, "t", "x")
         text = path.read_text(encoding="ascii")
     points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
     assert points == [want]
@@ -259,7 +259,7 @@ def test_chunked_svg_polyline_matches_one_join(columns):
 ])
 def test_constant_series_plots_on_a_non_zero_span(tmp_path, value, labels):
     path = tmp_path / "plot.svg"
-    write_svg_plot(path, [value, value], [value, value], "t", "x", "y")
+    write_svg_plot(path, [value, value], [value, value], "t", "x")
     text = path.read_text(encoding="ascii")
     ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
     assert ticks[0::2] == labels and ticks[1::2] == labels  # x, y per tick
@@ -284,7 +284,7 @@ MAX = np.finfo(float).max
 def test_series_spanning_past_the_largest_double_plots_finite(tmp_path, x, y, x_labels,
                                                              y_labels):
     path = tmp_path / "plot.svg"
-    write_svg_plot(path, x, y, "t", "x", "y")
+    write_svg_plot(path, x, y, "t", "x")
     text = path.read_text(encoding="ascii")
     ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
     assert ticks[0::2] == x_labels and ticks[1::2] == y_labels
@@ -303,7 +303,7 @@ def _write_json(path, columns):
 
 
 def _write_svg(path, columns):
-    write_svg_plot(path, columns[0], columns[1], "t", "x", "y")
+    write_svg_plot(path, columns[0], columns[1], "t", "x")
 
 
 WRITER_PEAK_BOUND = 4 << 20  # bytes: a chunk's rows, their text and the encoder's pieces
@@ -367,7 +367,7 @@ def test_svg_series_of_unequal_length_are_refused_before_opening_the_file(tmp_pa
     # that the series have one length, rather than plotting the shorter one.
     path = tmp_path / "plot.svg"
     with pytest.raises(ValueError, match="same length"):
-        write_svg_plot(path, np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK), "t", "x", "y")
+        write_svg_plot(path, np.ones(ROW_CHUNK + 1), np.ones(ROW_CHUNK), "t", "x")
     assert not path.exists()
 
 
