@@ -18,7 +18,7 @@ from .dispersion import (
     refractive_index,
 )
 from .errors import ScenarioValidationError
-from .names import REGIME_RATIOS, Record, as_real
+from .names import REGIME_RATIOS, Record, as_real, inputs
 
 DEFAULT_REGIME_THRESHOLD = 0.1
 
@@ -94,8 +94,8 @@ def resonance_mode_number(crystal: CrystalParams, freqs: FrequencyTriple) -> flo
     """
     n_s = refractive_index(crystal.dispersion_signal, freqs.omega_s)
     number = freqs.omega_s * n_s * crystal.length_l / (0.5 * TWO_PI * C_LIGHT)
-    return as_real(number, "crystal.length_l, crystal.dispersion_signal: derived resonance "
-                   "mode number", -math.inf)
+    return as_real(number, f"{inputs('mode_number')}: derived resonance mode number",
+                   -math.inf)
 
 
 def check_regime(

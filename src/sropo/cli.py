@@ -193,7 +193,7 @@ COMMANDS = {
         "second-order cross-correlation",
         [
             ("--tier", dict(choices=[t.value for t in G2Tier], required=True)),
-            ("--peaks", dict(type=int, default=5, help="round trips covered")),
+            ("--peaks", dict(type=int, help="round trips covered")),
             _POINTS,
             _M_MAX,
             ("--resolution", dict(type=float, help="detector resolution dT in "
@@ -214,26 +214,29 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMON = [  # the flags of every command, before its own
+    ("--config", dict(required=True, help="scenario JSON file")),
+    ("--out", dict(default=None, help="output directory")),
+    ("--format", dict(choices=("csv", "json"), default=None)),
+    ("--strict-regime", dict(action="store_true", help="exit with status 3 if the "
+                             "scenario fails the regime check")),
+]
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``argv``; of ``argv[0]``'s subparser alone if it names a command."""
     parser = _Parser(
         prog="sropo",
         description="Biphoton rates, spectra, and cross-correlations for a "
         "single-resonant OPO far below threshold.",
     )
     parser.add_argument("--version", action="version", version=f"sropo {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="scenario JSON file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--format", choices=("csv", "json"), default=None)
-    common.add_argument(
-        "--strict-regime",
-        action="store_true",
-        help="exit with status 3 if the scenario fails the regime check",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, options in flags:
+    one = argv[:1] if argv[:1] and argv[0] in COMMANDS else None
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=one and "{" + ",".join(COMMANDS) + "}")
+    for name in one or COMMANDS:
+        p = sub.add_parser(name, help=COMMANDS[name][0])
+        for flag, options in _COMMON + COMMANDS[name][1]:
             p.add_argument(flag, **options)
     return parser
 
@@ -277,7 +280,7 @@ def main(argv=None) -> int:
     # extra CPU at import, and an idle worker spins whether or not a BLAS call
     # follows.  Set before any runner imports numpy.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(sys.argv[1:] if argv is None else argv).parse_args(argv)
     try:
         config = load_scenario(args.config)
         if args.strict_regime and not config.regime.ok:

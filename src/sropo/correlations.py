@@ -100,25 +100,27 @@ def _check_peak_resolution(spacing: float, scales: DerivedScales) -> None:
     require_points(abs(scales.tau0) / spacing, 8.0, "|tau0|")
 
 
-def g2_grid(scales: DerivedScales, tier, peaks: int, resolution=None, points=None):
+def g2_grid(scales: DerivedScales, tier, peaks=None, resolution=None, points=None):
     """Delay grid of ``g2``: comb tiers from -2|tau0| - T/8 in steps of |tau0|/12
     (tau0 = 0 refused, as the tiers refuse it), the averaged tier from -3*dT in
-    steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0|.
-    An end or span that overflows, or a step that underflows to 0, is refused
-    naming the flags it comes from.
+    steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0| (5
+    unless given).  An end, span or count past its bound, or a step that
+    underflows to 0, is refused naming the scales' fields and the flags given.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
     tier, _, resolution = check_tier(tier, resolution=resolution)
-    peaks = as_count(peaks, "peaks (--peaks)", 0)
+    given = ["--peaks"] if peaks is not None else []
+    peaks = as_count(5 if peaks is None else peaks, "peaks (--peaks)", 0)
     if tier is not G2Tier.AVERAGED:
         _check_peak_resolution(t0 / 12.0, scales)
-        start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, "--peaks"
+        start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, inputs("tau0", "T", *given)
     else:
         start = as_real(-3.0 * resolution, "--resolution: derived delay grid start", -math.inf)
         step = as_real(resolution / 16.0, "--resolution: derived delay grid step", 0.0,
                        strict=True)
-        source = "--peaks and --resolution"
-    stop = as_real(peaks * T + 2.0 * t0, "--peaks: derived delay grid end", -math.inf)
+        source = inputs("tau0", "T", *given, "--resolution")
+    stop = as_real(peaks * T + 2.0 * t0, f"{inputs('tau0', 'T', *given)}: derived delay grid end",
+                   -math.inf)
     span = as_real(stop - start, f"{source}: derived delay grid span", -math.inf)
     return np.linspace(start, stop, grid_points(points, span / step, source))
 
@@ -129,7 +131,7 @@ def _mode_count(request: G2Request, scales: DerivedScales) -> int:
     if m_count is None:
         dz = 0.5 * scales.fsr_delta_omega * abs(scales.tau0)
         m_count = math.ceil(_MODE_REACH / dz)
-    grid_points(None, m_count, "--m-max")
+    grid_points(None, m_count, inputs("--m-max" if request.m_max is not None else "M"))
     return m_count
 
 

@@ -32,13 +32,15 @@ class G2Tier(str, Enum):
 
 # output.normalization: the two a spectrum supports (no other command reads it)
 OUTPUT_NORMALIZATIONS = (Normalization.PEAK_UNITY.value, Normalization.UNIT_INTEGRAL.value)
-# The scenario fields each derived scale comes from; fsr = 2*pi/T comes from T's.
+# The scenario fields each derived value comes from; fsr = 2*pi/T comes from T's.
 _TAU0 = ("crystal.length_l", "crystal.dispersion_signal", "crystal.dispersion_idler")
 FIELDS = {
     "tau0": _TAU0,
     "T": ("crystal.length_l", "crystal.dispersion_signal", "cavity.resonator_length_Lr"),
     "gamma": ("cavity.loss_rate_gamma",),
     "kappa": ("crystal.chi", "crystal.cross_section_A", "pump.field_amplitude_EP", *_TAU0),
+    "M": (*_TAU0, "cavity.resonator_length_Lr"),  # a default mode count: tau0's and T's
+    "mode_number": ("crystal.length_l", "crystal.dispersion_signal", "frequencies.omega_S"),
 }
 # The regime ratios, in ``cavity.check_regime``'s order, and the scales of each.
 REGIME_RATIOS = {"kappa/gamma": ("kappa", "gamma"), "gamma/fsr": ("gamma", "T"),

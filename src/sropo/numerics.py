@@ -21,7 +21,7 @@ GAMMA_RANGE = (2.0 / _LINE_ROOT, 2.0 * _LINE_ROOT)
 
 def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -> int:
     """``points``, else ``sides * ceil(steps) + 1``; refused before allocating if
-    past ``MAX_GRID_POINTS``, naming ``--points`` or ``source``, the flag at fault.
+    past ``MAX_GRID_POINTS``, naming ``--points`` or ``source``, its inputs.
     """
     if points is not None:
         steps, sides, source = as_count(points, "points (--points)", 2) - 1, 1, "--points"

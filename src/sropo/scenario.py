@@ -25,9 +25,9 @@ hash; output preferences do not.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 from .biphoton import PumpParams, _continuum_kappa
@@ -51,6 +51,10 @@ from .errors import ScenarioParseError, ScenarioValidationError
 from .names import (
     OUTPUT_NORMALIZATIONS, REGIME_RATIOS, Normalization, Record, as_real, inputs, shown,
 )
+try:  # the interpreter's own SHA-256: ``import hashlib`` loads OpenSSL's first
+    sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+except ImportError:  # a build without it
+    from hashlib import sha256
 
 
 class ScenarioConfig(Record):
@@ -125,7 +129,7 @@ def scenario_hash(
         sort_keys=True,
         separators=(",", ":"),
     )
-    return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]
+    return sha256(canonical.encode("ascii")).hexdigest()[:16]
 
 
 def _expect_mapping(obj, path: str) -> dict:

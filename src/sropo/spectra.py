@@ -207,7 +207,7 @@ def spectrum_grid(
     half = 0.5 * as_real(window_modes * scales.fsr_delta_omega * 2.0,
                          f"{inputs(*span)}: derived detuning span", 0.0, strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
-    n = grid_points(points, steps, "--window-modes", 2)
+    n = grid_points(points, steps, inputs(*span, "gamma"), 2)
     count = ["--points"] if points is not None else ["gamma"]  # n, unless given: half/gamma
     return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived detuning spacing")
 
@@ -235,9 +235,9 @@ def g1_grid(
         1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
-    n = grid_points(points, half / spacing, "--window-gammas and --m-max", 2)
     # n, unless given: from half, gamma and the fastest beat of the modes kept
     beat = ["tau0", "T"] if m_max is None else ["T", "--m-max"]
+    n = grid_points(points, half / spacing, inputs(*span, *beat), 2)
     count = ["--points"] if points is not None else beat
     return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived delay spacing")
 
@@ -312,7 +312,7 @@ def spectrum(
     # over a lattice of cells + 2M line shapes.  Its table keeps _CHEB_NODES
     # values per half cell with points, at most two halves per cell.
     cells = np.rint(detuning[-1] / fsr) - np.rint(detuning[0] / fsr) + 1.0
-    grid_points(None, m_count, "--m-max", 2)
+    grid_points(None, m_count, inputs("--m-max" if m_max is not None else "M"), 2)
     grid_points(None, _CHEB_NODES * cells, "--window-modes")
     grid_points(None, cells + 2.0 * m_count, "--window-modes and --m-max")
     weights = _mode_weights(m_count, scales)
@@ -361,7 +361,7 @@ def g1(
         limit = scales.round_trip_T / (2.5 * m_count)
         require_points(2.5 * (limit / spacing), 2.5, "period of the fastest mode beat")
 
-    grid_points(None, m_count, "--m-max", 2)  # 2M+1 weights
+    grid_points(None, m_count, inputs("--m-max" if m_max is not None else "M"), 2)  # 2M+1 weights
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0
 

@@ -1,5 +1,7 @@
 """Minimal static SVG line plots; deterministic output, no plotting stack.  The
-polyline's pixels are computed in numpy and printed by ``trace._format_rows``."""
+polyline's pixels are computed in numpy and printed by ``trace._format_rows``:
+M4 (Jugel et al., PVLDB 7(10), 2014) keeps of each run of rows in one 1-px
+column (floor of x in px) the first, the last, and the first least and greatest y."""
 
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ def write_svg_plot(
 ) -> None:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    size, seen, carry = len(x), 0, (x[:0], y[:0])  # of pixels: rows seen, the open run
     x0, x1, xs = _axis_range(x)
     y0, y1, ys = _axis_range(y)
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
@@ -80,9 +83,22 @@ def write_svg_plot(
         '<polyline points="',
     ]
 
-    def pixels(xc, yc):  # a chunk's vertices in px, each value on its axis's scale
-        return (_MARGIN_L + (xc * xs - x0) / (x1 - x0) * plot_w,
-                _MARGIN_T + plot_h - (yc * ys - y0) / (y1 - y0) * plot_h)
+    def pixels(xc, yc):  # M4 vertices in px of the chunk after the run carried in
+        nonlocal seen, carry
+        seen += len(xc)
+        px = np.r_[carry[0], _MARGIN_L + (xc * xs - x0) / (x1 - x0) * plot_w]
+        py = np.r_[carry[1], _MARGIN_T + plot_h - (yc * ys - y0) / (y1 - y0) * plot_h]
+        starts = np.flatnonzero(np.r_[True, np.diff(np.floor(px)) != 0])  # of each run
+        keep = np.zeros(px.size, dtype=bool)
+        keep[starts] = keep[starts - 1] = True  # each run's first and last
+        for extreme in (np.fmin, np.fmax):  # NaN only where all of a run is NaN
+            top = np.repeat(extreme.reduceat(py, starts), np.diff(np.r_[starts, px.size]))
+            hits = np.flatnonzero((py == top) | (top != top))
+            keep[hits[np.searchsorted(hits, starts)]] = True  # the first of each run
+        kept = np.flatnonzero(keep)  # the last run stays open until the last chunk
+        cut = kept.size if seen == size else np.searchsorted(kept, starts[-1])
+        carry = px[kept[cut:]], py[kept[cut:]]
+        return px[kept[:cut]], py[kept[:cut]]
 
     points = _format_rows([x, y], "%.2f,%.2f", " ", pixels)
     with open(path, "w", encoding="ascii") as out:

@@ -96,18 +96,20 @@ ROW_CHUNK = 4096  # rows a writer formats at a time: its memory stays O(ROW_CHUN
 def _format_rows(columns: Sequence[np.ndarray], row: str, sep: str, convert=None):
     """The rows as text, ``ROW_CHUNK`` at a time: the printf template ``row``
     (one field per column) repeated, joined by ``sep`` and filled by one ``%``
-    per chunk from its values as Python floats, mapped first by ``convert`` if
-    given.  Unequal columns are refused at the call, before a file is opened."""
+    per chunk from its values as floats, mapped first by ``convert`` (if given;
+    it may drop rows).  Unequal columns are refused at the call, before a file is opened."""
     size = len(columns[0])
     if any(len(col) != size for col in columns):
         raise ValueError("columns must have the same length")
 
     def chunks():
+        lead = ""  # sep, once a row is out
         for start in range(0, size, ROW_CHUNK):
             cols = [col[start : start + ROW_CHUNK] for col in columns]
             values = np.stack(convert(*cols) if convert else cols, axis=1, dtype=float)
-            text = sep.join([row] * len(values)) % tuple(values.ravel().tolist())
-            yield sep + text if start else text
+            if len(values):
+                yield lead + sep.join([row] * len(values)) % tuple(values.ravel().tolist())
+                lead = sep
 
     return chunks()
 

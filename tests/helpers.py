@@ -1,7 +1,10 @@
-"""Test-only utilities: reading CLI tables back, mode frequencies, norms, extrema."""
+"""Test-only utilities: reading CLI tables back, mode frequencies, norms, extrema,
+and hashlib's scenario digest."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -57,3 +60,12 @@ def minimum_between(values, i_left: int, i_right: int) -> tuple[int, float]:
     segment = v[i_left + 1 : i_right]
     k = int(np.argmin(segment)) + i_left + 1
     return k, float(v[k])
+
+
+def hashlib_digest(config) -> str:
+    """``config``'s scenario hash as ``hashlib.sha256`` computes it."""
+    from sropo.scenario import _physical_fingerprint
+
+    fingerprint = _physical_fingerprint(config.crystal, config.cavity, config.pump, config.freqs)
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("ascii")).hexdigest()[:16]

@@ -20,8 +20,9 @@ on the default spectrum's table (detuning and value, as the ``spectrum``
 command writes it) and ``write_svg_plot`` on the same spectrum, each with the
 table's header mapping and into a temporary directory, with
 the rows, the rows h written from the mirror (``trace._mirror_rows``: n//2 when
-the table is mirrored about 0, 0 on the plain path and for the SVG), and the
-bytes written.
+the table is mirrored about 0, 0 on the plain path and for the SVG), the
+bytes written, and the SVG polyline's vertex count (its M4 vertices, at most
+four per run of rows in one pixel column; a table writes every row).
 
     PYTHONPATH=src python tests/kernel_time.py [--runs 5]
 """
@@ -29,6 +30,7 @@ bytes written.
 from __future__ import annotations
 
 import argparse
+import re
 import statistics
 import tempfile
 import time
@@ -120,9 +122,9 @@ def main() -> None:
         print(f"| `{name}` | `{kernel}` | {n:,} | {m:,} | {h:,} "
               f"| {_cpu_ms(call, args.runs)} |", flush=True)
     print()
-    print(f"| config | writer | table | rows | h | bytes "
+    print(f"| config | writer | table | rows | h | bytes | vertices "
           f"| CPU, ms (median, range of {args.runs}) |")
-    print("|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|")
     for name in CONFIGS:
         config = load_scenario(CONFIG_DIR / name)
         for writer, table, rows, h, write in _writers(config):
@@ -130,8 +132,10 @@ def main() -> None:
                 path = Path(tmp, "out")
                 cpu = _cpu_ms(lambda: write(path), args.runs)
                 size = path.stat().st_size
-            print(f"| `{name}` | `{writer}` | {table} | {rows:,} | {h:,} | {size:,} | {cpu} |",
-                  flush=True)
+                points = re.search(r'points="([^"]*)"', path.read_text("ascii"))
+            vertices = f"{points[1].count(','):,}" if points else "-"
+            print(f"| `{name}` | `{writer}` | {table} | {rows:,} | {h:,} | {size:,} | {vertices} "
+                  f"| {cpu} |", flush=True)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ as ``dispersion._evaluate`` must give them, each in its own dispatch on the
 model kind, ``cis_decimal`` is the phase factor ``numerics._cis``
 forms in double precision, and ``write_table_csv_whole``,
 ``write_table_json_whole`` and ``svg_polyline_whole`` build the whole table or
-polyline at once, where ``trace`` and ``svgplot`` write it in chunks of rows.
+polyline at once, where ``trace`` and ``svgplot`` write it in chunks of rows,
+and ``svg_polyline_m4`` picks the polyline's M4 vertices in a loop over runs,
+where ``svgplot`` picks them in numpy, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -428,8 +430,8 @@ def write_table_json_whole(path, meta, column_names, columns) -> None:
     Path(path).write_text(text + "\n", encoding="ascii")
 
 
-def svg_polyline_whole(x, y) -> str:
-    """The ``points`` of ``svgplot.write_svg_plot``'s polyline, in one join."""
+def _svg_pixels(x, y) -> list[tuple[float, float]]:
+    """Each row's vertex of ``svgplot.write_svg_plot``'s polyline, in px."""
     from sropo.svgplot import _HEIGHT, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH
 
     x = np.asarray(x, dtype=float)
@@ -457,4 +459,36 @@ def svg_polyline_whole(x, y) -> str:
     def sy(v: float) -> float:
         return _MARGIN_T + plot_h - (v * ys - y0 * ys) / (y1 * ys - y0 * ys) * plot_h
 
-    return " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(x, y))
+    return [(sx(float(a)), sy(float(b))) for a, b in zip(x, y)]
+
+
+def svg_polyline_whole(x, y) -> str:
+    """The ``points`` of a polyline through every row, in one join."""
+    return " ".join(f"{a:.2f},{b:.2f}" for a, b in _svg_pixels(x, y))
+
+
+def svg_m4_rows(x, y) -> list[int]:
+    """The rows ``svgplot.write_svg_plot`` keeps, by a loop over runs: of each
+    run of consecutive rows whose vertex lies in one 1-px column (floor of x
+    in px), the first, the last, and the first of the lowest and of the
+    highest in y, in row order."""
+    pixels = _svg_pixels(x, y)
+    kept, start = [], 0
+    while start < len(pixels):
+        stop = start + 1
+        while stop < len(pixels) and (math.floor(pixels[stop][0])
+                                      == math.floor(pixels[start][0])):
+            stop += 1
+        run = range(start, stop)
+        low = min(run, key=lambda i: pixels[i][1])  # min and max keep the first tie
+        high = max(run, key=lambda i: pixels[i][1])
+        kept += sorted({start, stop - 1, low, high})
+        start = stop
+    return kept
+
+
+def svg_polyline_m4(x, y) -> str:
+    """The ``points`` of ``svgplot.write_svg_plot``'s polyline: the vertices of
+    ``svg_polyline_whole`` at the rows ``svg_m4_rows`` keeps."""
+    whole = svg_polyline_whole(x, y).split(" ")
+    return " ".join(whole[i] for i in svg_m4_rows(x, y))

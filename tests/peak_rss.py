@@ -7,12 +7,14 @@ system CPU time.  A child's ``ru_maxrss`` also counts the pages of the
 process that spawned it, which are the child's until ``exec``; so this script
 imports neither numpy nor sropo, and its own 14 MiB stay below every
 command's peak.  Prints one Markdown table row per command: the median and
-the range over the runs.  Three reference rows come first, measured the same
+the range over the runs.  Four reference rows come first, measured the same
 way: a bare ``python -c pass`` and ``python -c "import numpy"``, each with the
-interpreter's teardown, and ``python -c "import numpy, os; os._exit(0)"``
-without it.  A command ends with ``os._exit`` once ``sropo.cli.main`` has
-returned (``sropo.cli.run``), so the last row is the floor of a numpy
-command's CPU, the part that sropo cannot move.  Every child runs with
+interpreter's teardown, and ``python -c "import numpy, os; os._exit(0)"`` and
+``python -c "import sropo.cli, os; os._exit(0)"`` without it.  A command ends
+with ``os._exit`` once ``sropo.cli.main`` has returned (``sropo.cli.run``), so
+the third row is the floor of a numpy command's CPU, the part that sropo
+cannot move, and the fourth the floor of a scalar command: the interpreter and
+sropo's own start-up, its import of ``sropo.cli``.  Every child runs with
 ``OPENBLAS_NUM_THREADS=1`` unless it is set, as ``sropo.cli.main`` sets it.
 
     PYTHONPATH=src python tests/peak_rss.py [--runs 5] [--large]
@@ -34,6 +36,7 @@ REFERENCE = {
     "python -c pass": ["-c", "pass"],
     'python -c "import numpy"': ["-c", "import numpy"],
     'python -c "import numpy, os; os._exit(0)"': ["-c", "import numpy, os; os._exit(0)"],
+    'python -c "import sropo.cli, os; os._exit(0)"': ["-c", "import sropo.cli, os; os._exit(0)"],
 }
 COMMANDS = {
     "scales": ["scales", "--config", "configs/g2_comb.json"],

@@ -30,6 +30,9 @@ from helpers import read_table_csv
 
 
 T_FIELDS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
+# tau0's and T's fields, as a count from both names them
+TAU0_T_FIELDS = ("crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler, "
+                 "cavity.resonator_length_Lr")
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -648,6 +651,30 @@ class TestErrorPaths:
             f"error: exit=1 type=ScenarioValidationError: {line}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, edit, argv, source", [
+        # 24 points per gamma over the envelope's window
+        ("spectrum_comb", ("cavity", "loss_rate_gamma", 1e-2), ["spectrum", "--field", "idler"],
+         f"{TAU0_T_FIELDS}, cavity.loss_rate_gamma"),
+        # 10/gamma either side, at 4 points per beat of the default modes
+        ("spectrum_comb", ("cavity", "loss_rate_gamma", 1e-2), ["g1", "--field", "idler"],
+         f"cavity.loss_rate_gamma, {TAU0_T_FIELDS}"),
+        # |tau0|/12 steps over the default 5 round trips
+        ("g2_comb", ("crystal", "length_l", 1e-9), ["g2", "--tier", "compact"], TAU0_T_FIELDS),
+        ("g2_comb", ("crystal", "length_l", 1e-9), ["g2", "--tier", "compact", "--peaks", "5"],
+         f"{TAU0_T_FIELDS}, --peaks"),
+    ], ids=["spectrum", "g1", "g2", "g2-peaks"])
+    def test_grid_size_refusal_names_only_its_inputs(self, tmp_path, capsys, name, edit, argv,
+                                                     source):
+        # the point count names the fields of the scales it comes from, and
+        # only the flags given
+        out = tmp_path / "out"
+        path = write_config(tmp_path, _config_with(name, edit))
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: exit=1 type=ScenarioValidationError: the grid from {source} would hold "
+            f"more than {MAX_GRID_POINTS} points\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("edit, where", [
         (lambda text: text.replace("0.05", "[" * 900 + "0.05" + "]" * 900, 1),
          "cavity.resonator_length_Lr must be a real number"),
@@ -666,6 +693,92 @@ class TestErrorPaths:
         assert re.search(r"\.\.\. \(\d+ characters\)\n$", line)
         assert len(line) <= len(f"error: exit=1 type=ScenarioValidationError: {where}, got "
                                 f"... (500000 characters)\n") + SHOWN_CHARACTERS
+
+
+# The parser's texts at 80 columns, as recorded before the parser built only
+# the invoked command's subparser.
+USAGE = """usage: sropo [-h] [--version]
+             {scales,check-regime,rate,spectrum,g1,g2,wavefunction} ...
+"""
+HELP = USAGE + """
+Biphoton rates, spectra, and cross-correlations for a single-resonant OPO far
+below threshold.
+
+positional arguments:
+  {scales,check-regime,rate,spectrum,g1,g2,wavefunction}
+    scales              derived scales report
+    check-regime        regime report
+    rate                biphoton generation rate
+    spectrum            output spectrum
+    g1                  first-order correlation
+    g2                  second-order cross-correlation
+    wavefunction        two-photon amplitudes
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+G2_USAGE = """usage: sropo g2 [-h] --config CONFIG [--out OUT] [--format {csv,json}]
+                [--strict-regime] --tier {exact,series,compact,averaged}
+                [--peaks PEAKS] [--points POINTS] [--m-max M_MAX]
+                [--resolution RESOLUTION] [--plot]
+"""
+G2_HELP = G2_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       scenario JSON file
+  --out OUT             output directory
+  --format {csv,json}
+  --strict-regime       exit with status 3 if the scenario fails the regime
+                        check
+  --tier {exact,series,compact,averaged}
+  --peaks PEAKS         round trips covered
+  --points POINTS
+  --m-max M_MAX
+  --resolution RESOLUTION
+                        detector resolution dT in seconds (averaged tier)
+  --plot                emit a static SVG next to the trace
+"""
+ARG_ERROR = "error: exit=1 type=ArgumentError: "
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="the texts are argparse's on Python 3.10 and 3.11")
+@pytest.mark.parametrize("argv, code, stdout, stderr", [
+    (["--help"], 0, HELP, ""),
+    (["-h", "g2"], 0, HELP, ""),
+    (["--version"], 0, f"sropo {sropo.__version__}\n", ""),
+    (["nosuch"], 1, ARG_ERROR + "argument command: invalid choice: 'nosuch' (choose from "
+     "'scales', 'check-regime', 'rate', 'spectrum', 'g1', 'g2', 'wavefunction')\n", USAGE),
+    ([], 1, ARG_ERROR + "the following arguments are required: command\n", USAGE),
+    (["g2", "--help"], 0, G2_HELP, ""),
+    (["g2", "--config", "c.json", "--tier", "bogus"], 1, ARG_ERROR + "argument --tier: "
+     "invalid choice: 'bogus' (choose from 'exact', 'series', 'compact', 'averaged')\n",
+     G2_USAGE),
+    (["g2", "--config", "c.json"], 1,
+     ARG_ERROR + "the following arguments are required: --tier\n", G2_USAGE),
+    (["g2", "--config", "c.json", "--tier", "compact", "--bogus"], 1,
+     ARG_ERROR + "unrecognized arguments: --bogus\n", USAGE),
+], ids=["help", "h-g2", "version", "unknown", "empty", "g2-help", "g2-bad", "g2-missing",
+        "g2-unknown-flag"])
+def test_parser_texts_are_unchanged(monkeypatch, capsys, argv, code, stdout, stderr):
+    # Built for argv[0]'s command alone, the parser prints what the parser of
+    # all seven commands printed, and exits as it did.
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    assert capsys.readouterr() == (stdout, stderr)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["g2", "--tier", "compact"], ["g2"]), (["check-regime"], ["check-regime"]),
+    ([], list(COMMANDS)), (["--help"], list(COMMANDS)), (["-h", "g2"], list(COMMANDS)),
+    (["nosuch"], list(COMMANDS)), (["--config", "c.json", "g2"], list(COMMANDS)),
+], ids=["g2", "check-regime", "empty", "help", "h-g2", "unknown", "flag-first"])
+def test_parser_builds_only_the_invoked_command(argv, built):
+    parser = sropo.cli._build_parser(argv)
+    assert list(parser._subparsers._group_actions[0].choices) == built
 
 
 ERROR_CLASSES = [cls for cls in vars(sropo.errors).values()
@@ -863,17 +976,22 @@ class TestDerivedScales:
         assert result.stdout.startswith("error: exit=1 type=ScenarioValidationError: ")
         assert result.stderr == ""
 
-    def test_resonance_mode_number_overflow_is_config_error(self, tmp_path, capsys):
-        # l = L_r = 1e300 keeps the five scales finite (T = 1.2e292 s), but
-        # omega_s*n_s*l/(pi*c), which only scales reports, overflows
-        data = _config_with("g2_comb", ("crystal", "length_l", 1e300),
-                            ("cavity", "resonator_length_Lr", 1e300))
+    @pytest.mark.parametrize("name, length, gamma", [
+        ("g2_comb", 1e300, None), ("spectrum_comb", 1e307, 1e-3)])
+    def test_resonance_mode_number_overflow_is_config_error(self, tmp_path, capsys, name,
+                                                            length, gamma):
+        # l = L_r = 1e300 (or 1e307) keeps the five scales finite (T = 1.2e292
+        # s), but omega_s*n_s*l/(pi*c), which only scales reports, overflows;
+        # the line names the three inputs of that formula
+        edits = [("crystal", "length_l", length), ("cavity", "resonator_length_Lr", length)]
+        data = _config_with(name, *edits, *[("cavity", "loss_rate_gamma", gamma)][:bool(gamma)])
         out = tmp_path / "out"
         assert main(["scales", "--config", str(write_config(tmp_path, data)),
                      "--out", str(out)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "error: exit=1 type=ScenarioValidationError: crystal.length_l, "
-            "crystal.dispersion_signal: derived resonance mode number must be finite, got inf"]
+            "crystal.dispersion_signal, frequencies.omega_S: derived resonance mode number "
+            "must be finite, got inf"]
         assert not out.exists()
 
     def test_fsr_tau0_overflow_names_each_input_once(self, tmp_path, capsys):
@@ -992,7 +1110,8 @@ class TestDerivedScales:
         ("detector_averaged", [], ["g2", "--tier", "averaged", "--resolution",
                                    "5.992310449541052e307", "--peaks", str(10**307),
                                    "--points", "3"],
-         ["--peaks and --resolution", "delay grid span must be finite, got inf"]),
+         [f"{TAU0_T_FIELDS}, --peaks, --resolution: derived delay grid span must be finite, "
+          "got inf"]),
     ], ids=["spectrum-points", "spectrum", "g1-points", "g2-averaged-points"])
     def test_window_whose_span_overflows_is_config_error(self, tmp_path, capsys, name,
                                                          edits, command, fields):
@@ -1127,16 +1246,17 @@ class TestGridBudget:
             (["spectrum", "--field", "idler", "--points", str(MAX_GRID_POINTS + 1)],
              "--points"),
             (["spectrum", "--field", "idler", "--window-modes", "1e6"],
-             "--window-modes"),
+             f"{T_FIELDS}, cavity.loss_rate_gamma, --window-modes"),
             (["g1", "--field", "idler", "--points", str(MAX_GRID_POINTS + 1)],
              "--points"),
             (["g1", "--field", "idler", "--window-gammas", "1e7"],
-             "--window-gammas and --m-max"),
-            (["g2", "--tier", "compact", "--peaks", "100000000000000"], "--peaks"),
+             f"cavity.loss_rate_gamma, {TAU0_T_FIELDS}, --window-gammas"),
+            (["g2", "--tier", "compact", "--peaks", "100000000000000"],
+             f"{TAU0_T_FIELDS}, --peaks"),
             (["g2", "--tier", "series", "--points", str(MAX_GRID_POINTS + 1)],
              "--points"),
             (["g2", "--tier", "averaged", "--resolution", "1e-16"],
-             "--peaks and --resolution"),
+             f"{TAU0_T_FIELDS}, --resolution"),
         ],
     )
     def test_oversized_grid_is_config_error_before_allocating(
@@ -1161,7 +1281,7 @@ class TestGridBudget:
         [
             (["spectrum", "--field", "idler", "--m-max", "1000000000000000"], "--m-max"),
             (["g1", "--field", "idler", "--m-max", str(MAX_GRID_POINTS // 2)],
-             "--window-gammas and --m-max"),  # its grid resolves every mode beat
+             f"cavity.loss_rate_gamma, {T_FIELDS}, --m-max"),  # its grid resolves every beat
             (["g2", "--tier", "series", "--m-max", "1000000000000000"], "--m-max"),
             (["g2", "--tier", "exact", "--m-max", str(MAX_GRID_POINTS)], "--m-max"),
             (["wavefunction", "--modes", "1000000000000000"],

@@ -40,8 +40,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sropo.errors
+from sropo import load_scenario
 from sropo.cli import main
 from conftest import CONFIG_DIR
+from helpers import hashlib_digest
 from oracles import wavelength_um_sq
 from record_golden import SCENARIOS
 
@@ -258,6 +260,8 @@ def test_every_scenario_gives_a_typed_outcome(case):
         assert written
         for path in written:
             _check_finite(path, tau0_zero=" tau0=0 " in f" {lines[0]}")
+        loaded = load_scenario(config)
+        assert loaded.scenario_hash == hashlib_digest(loaded)
 
 
 TEXTS = {p.stem: p.read_bytes() for p in sorted(CONFIG_DIR.glob("*.json"))}

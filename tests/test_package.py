@@ -1,6 +1,6 @@
 """The package entry point: lazy names, and a scalar path that never loads numpy."""
 
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -55,6 +55,19 @@ def test_array_modules_load_no_parser():
             "('sropo.scenario', 'sropo.biphoton', 'hashlib') if name in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
+@pytest.mark.skipif(not any(map(importlib.util.find_spec, ("_sha2", "_sha256"))),
+                    reason="no built-in SHA-256 module: the hash falls back to hashlib")
+def test_cli_and_scales_load_no_openssl(tmp_path):
+    # scenario_hash takes sha256 from the interpreter's own module; import
+    # hashlib would load _hashlib (OpenSSL) first
+    code = ("import sys, sropo.cli; imported = '_hashlib' in sys.modules; "
+            "code = sropo.cli.main(sys.argv[1:]); print(imported, '_hashlib' in sys.modules, code)")
+    result = subprocess.run([sys.executable, "-c", code, "scales", "--config",
+                             str(CONFIG_DIR / "g2_comb.json"), "--out", str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.stdout.splitlines()[-1] == "False False 0", result.stdout + result.stderr
 
 
 SCALAR_COMMANDS = {  # id: (command, config, file written)

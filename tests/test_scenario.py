@@ -11,6 +11,7 @@ from sropo import (
     scenario_from_dict,
 )
 from conftest import CONFIG_DIR, scenario_dict
+from helpers import hashlib_digest
 
 
 def write_config(tmp_path, data, name="scenario.json"):
@@ -208,6 +209,12 @@ class TestOutputNormalization:
 
 
 class TestScenarioHash:
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+    def test_digest_is_hashlibs(self, name):
+        # sha256 from the interpreter's own module, not OpenSSL's: same digest
+        config = load_scenario(CONFIG_DIR / name)
+        assert config.scenario_hash == hashlib_digest(config)
+
     def test_stable_for_identical_physics(self):
         a = scenario_from_dict(scenario_dict())
         b = scenario_from_dict(scenario_dict())

@@ -626,6 +626,22 @@ class TestGridBudget:
             spectrum("idler", scales.replace(gamma=16.0 * fsr), freqs,
                      detuning, m_max=(MAX_GRID_POINTS - 1) // 2)
 
+    @pytest.mark.parametrize("kernel", ["spectrum", "g1"])
+    def test_default_mode_count_past_the_budget_names_its_scales(self, spectrum_setup,
+                                                                 monkeypatch, kernel):
+        # The envelope's first zero at 2**23 modes: the default M, 5 times
+        # that, makes 2M+1 weights past the budget.  M comes from tau0 and
+        # T, and --m-max was not given.
+        *_, freqs, scales = spectrum_setup
+        fsr = scales.fsr_delta_omega
+        scales = scales.replace(tau0=2.0 * math.pi / (fsr * 2**23), gamma=16.0 * fsr)
+        axis = np.linspace(-fsr, fsr, 3) if kernel == "spectrum" else np.array([0.0, 1e-30])
+        monkeypatch.setattr(np, "arange", self._refuse)
+        with pytest.raises(ScenarioValidationError, match=(
+                "^the grid from crystal.length_l, crystal.dispersion_signal, "
+                "crystal.dispersion_idler, cavity.resonator_length_Lr would hold more than")):
+            getattr(sropo.spectra, kernel)("idler", scales, freqs, axis)
+
     @staticmethod
     def _refuse(*args, **kwargs):
         raise AssertionError("comb table allocated past the budget")

@@ -17,7 +17,10 @@ from sropo.numerics import ensure_uniform_axis, symmetric_grid
 from sropo.svgplot import write_svg_plot
 from sropo.trace import ROW_CHUNK, _mirror_rows, write_table_csv, write_table_json
 from conftest import make_setup
-from oracles import svg_polyline_whole, write_table_csv_whole, write_table_json_whole
+from oracles import (
+    svg_m4_rows, svg_polyline_m4, svg_polyline_whole, write_table_csv_whole,
+    write_table_json_whole,
+)
 
 META = TraceMeta(TraceKind.G1, Normalization.UNIT_AT_ZERO)
 AXIS = np.linspace(-1.0, 1.0, 5)
@@ -242,12 +245,49 @@ def test_chunked_svg_polyline_matches_one_join(columns):
     x, y = columns
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "plot.svg")
-        want = svg_polyline_whole(x, y)
+        want = svg_polyline_m4(x, y)
         write_svg_plot(path, x, y, "t", "x")
         text = path.read_text(encoding="ascii")
     points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
     assert points == [want]
     assert text.endswith('stroke-width="1.2"/>\n</svg>\n')
+
+
+@st.composite
+def plot_series(draw):
+    """(x, y) of 1 to 4 * ROW_CHUNK + 7 rows: x evenly spaced over [-1, 1] or
+    [-1e308, 1e308] (whose span overflows), in increasing, decreasing or
+    shuffled order, or constant, or from ``tables``' small pool; y from that
+    pool, with ties, or constant, or a sine."""
+    n = draw(st.sampled_from([1, 2, 5, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 1,
+                              4 * ROW_CHUNK + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = draw(st.sampled_from([1.0, 1e308]))
+    x = {"up": lambda a: a, "down": lambda a: a[::-1], "shuffled": rng.permutation,
+         "constant": lambda a: np.full(n, draw(FINITE)),
+         "pool": lambda a: draw(tables(FINITE, rows=st.just(n), width=st.just(1)))[0],
+         }[draw(st.sampled_from(["up", "down", "shuffled", "constant", "pool"]))](
+        half * np.linspace(-1.0, 1.0, n))
+    y = {"pool": lambda: draw(tables(FINITE, rows=st.just(n), width=st.just(1)))[0],
+         "constant": lambda: np.full(n, draw(FINITE)),
+         "sine": lambda: half * np.sin(np.arange(n) * draw(st.floats(0.01, 3.0))),
+         }[draw(st.sampled_from(["pool", "constant", "sine"]))]()
+    return x, y
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(series=plot_series())
+def test_svg_polyline_keeps_each_runs_m4_vertices(series):
+    # Of each run of rows in one 1-px column, the first, last, lowest and
+    # highest vertex of the polyline through every row, in row order, whatever
+    # the x order and however the runs fall across the chunks.
+    x, y = series
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "plot.svg")
+        write_svg_plot(path, x, y, "t", "x")
+        points = re.findall(r'<polyline points="([^"]*)" fill="none"', path.read_text("ascii"))
+    whole = svg_polyline_whole(x, y).split(" ")
+    assert points == [" ".join(whole[i] for i in svg_m4_rows(x, y))]
 
 
 @pytest.mark.parametrize("value, labels", [
@@ -264,7 +304,7 @@ def test_constant_series_plots_on_a_non_zero_span(tmp_path, value, labels):
     ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
     assert ticks[0::2] == labels and ticks[1::2] == labels  # x, y per tick
     points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
-    assert points == [svg_polyline_whole([value] * 2, [value] * 2)]
+    assert points == [svg_polyline_m4([value] * 2, [value] * 2)]
     assert not re.search(r"nan|inf", points[0])
 
 
@@ -289,7 +329,7 @@ def test_series_spanning_past_the_largest_double_plots_finite(tmp_path, x, y, x_
     ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
     assert ticks[0::2] == x_labels and ticks[1::2] == y_labels
     points = re.findall(r'<polyline points="([^"]*)" fill="none"', text)
-    assert points == [svg_polyline_whole(x, y)]
+    assert points == [svg_polyline_m4(x, y)]
     assert not re.search(r"nan|inf", text)
     assert points[0].split()[0].startswith("70.00,") and points[0].split()[-1].startswith("780.00,")
 
