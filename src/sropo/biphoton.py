@@ -18,7 +18,7 @@ from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
 from .errors import DegenerateGroupVelocityError, NonConvergenceError
-from .names import Record, as_count, as_real
+from .names import Record, as_count, as_real, inputs
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,13 +135,13 @@ class BiphotonAmplitudeGrid(Record, eq=False):
 
 def wavefunction_grid(
     scales: DerivedScales,
-    m_count: int,
+    m_count: int | None = None,
     omega_grid_halfwidth: float | None = None,
     points_per_mode: int | None = None,
 ) -> BiphotonAmplitudeGrid:
     """Two-photon amplitude psi(m, Omega) ~ Phi_m(Omega) / (gamma/2 - i Omega).
 
-    ``m_count`` is the largest |m| kept; ``omega_grid_halfwidth`` is the
+    ``m_count`` is the largest |m| kept (default 8); ``omega_grid_halfwidth`` is the
     detuning half-width in units of gamma (default 12; at least 10, so the
     neglected Lorentzian tails hold less than 1e-3 of the norm);
     ``points_per_mode`` is the number of detuning samples (default 385), at
@@ -155,7 +155,9 @@ def wavefunction_grid(
         POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points, symmetric_grid,
     )
 
-    m_count = as_count(m_count, "m_count (--modes)", 1)
+    given = [flag for flag, value in (("--modes", m_count), ("--points-per-mode", points_per_mode))
+             if value is not None]
+    m_count = as_count(8 if m_count is None else m_count, "m_count (--modes)", 1)
     omega_grid_halfwidth = as_real(12.0 if omega_grid_halfwidth is None else omega_grid_halfwidth,
                                    "omega_grid_halfwidth (--halfwidth-gammas)", 10.0)
     points_per_mode = as_count(385 if points_per_mode is None else points_per_mode,
@@ -167,8 +169,7 @@ def wavefunction_grid(
     # gamma / spacing would round below the limit for some gamma.
     points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)
     require_points(points_per_gamma, POINTS_PER_GAMMA_MIN, "gamma")
-    grid_points(None, (2 * m_count + 1) * points_per_mode - 1,
-                "--modes and --points-per-mode")
+    grid_points(None, (2 * m_count + 1) * points_per_mode - 1, inputs(*given))
     modes = np.arange(-m_count, m_count + 1)
     omega = symmetric_grid(half, points_per_mode)
     sinc, phase_m, phase_omega = _phi_factors(modes[m_count:, None], omega, scales)

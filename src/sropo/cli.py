@@ -131,7 +131,7 @@ def _run_wavefunction(args, config: ScenarioConfig):
     meta = {
         "kind": "biphoton_amplitudes",
         "normalization_N": grid.normalization,
-        "modes": f"-{args.modes}..{args.modes}",
+        "modes": f"-{n_modes // 2}..{n_modes // 2}",
         "points_per_mode": n_pts,
         "units": "m dimensionless, Omega rad/s",
     }
@@ -205,7 +205,7 @@ COMMANDS = {
     "wavefunction": (
         "two-photon amplitudes",
         [
-            ("--modes", dict(type=int, default=8)),
+            ("--modes", dict(type=int)),
             ("--halfwidth-gammas", dict(type=float)),
             ("--points-per-mode", dict(type=int)),
         ],

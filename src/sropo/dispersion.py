@@ -220,44 +220,32 @@ def transit_time_diff(crystal: CrystalParams, freqs: FrequencyTriple) -> float:
     return crystal.length_l / v_gi - crystal.length_l / v_gs
 
 
-def _bisect(f, xa: float, xb: float) -> float:
-    """Root of ``f`` on [xa, xb] by bisection.
+def _bisect(f, xa: float, fa: float, xb: float, fb: float) -> float:
+    """Root of ``f`` on [xa, xb] by bisection, from its end values fa * fb <= 0.
 
-    Step for step the same as ``scipy.optimize.bisect`` with
-    ``xtol=_BISECT_XTOL, rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER``: the
-    same midpoints, stopping rule and returned bits, and the same exception
-    types (ValueError for a NaN value or a same-sign bracket, RuntimeError
-    after the last iteration).
+    Step for step ``scipy.optimize.bisect`` at ``xtol=_BISECT_XTOL,
+    rtol=_BISECT_RTOL, maxiter=_BISECT_MAXITER``: the same midpoints, stopping
+    rule and returned bits.  ``f`` is evaluated at the midpoints only.  A NaN
+    there, or the step cap, is a ``NonConvergenceError`` naming the interval.
     """
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(
-                f"The function value at x={x} is NaN; solver cannot continue."
-            )
-        return fx
-
-    fa = value(xa)
-    fb = value(xb)
-    if fa * fb > 0:
-        raise ValueError("f(a) and f(b) must have different signs")
     if fa == 0:
         return xa
     if fb == 0:
         return xb
+    where = f"bisection on [{xa:.6e}, {xb:.6e}]"
     dm = xb - xa
     for _ in range(_BISECT_MAXITER):
         dm *= 0.5
         xm = xa + dm
-        fm = value(xm)
+        fm = f(xm)
+        if math.isnan(fm):
+            raise NonConvergenceError(
+                f"{where}: The function value at x={xm} is NaN; solver cannot continue.")
         if fm * fa >= 0:
             xa = xm
         if fm == 0 or abs(dm) < _BISECT_XTOL + _BISECT_RTOL * abs(xm):
             return xm
-    raise RuntimeError(
-        f"Failed to converge after {_BISECT_MAXITER} iterations, value is {xa}"
-    )
+    raise NonConvergenceError(f"{where} did not converge in {_BISECT_MAXITER} steps")
 
 
 def phase_match(
@@ -303,16 +291,7 @@ def phase_match(
     # A scan point whose mismatch is exactly 0 is a root; _bisect returns it as is.
     for i in range(_SCAN_INTERVALS):
         if values[i] * values[i + 1] <= 0.0:
-            where = f"bisection on [{grid[i]:.6e}, {grid[i + 1]:.6e}]"
-            try:
-                root = _bisect(mismatch, grid[i], grid[i + 1])
-            except OutOfRangeError:  # a model refusing a midpoint, as at a scan point
-                raise
-            except ValueError as exc:  # a NaN mismatch at a midpoint
-                raise NonConvergenceError(f"{where}: {exc}") from None
-            except RuntimeError:  # _bisect's iteration cap
-                raise NonConvergenceError(
-                    f"{where} did not converge in {_BISECT_MAXITER} steps") from None
+            root = _bisect(mismatch, grid[i], values[i], grid[i + 1], values[i + 1])
             break
     else:
         raise NoSignChangeError(

@@ -17,8 +17,6 @@ class PeakMeasurement(Record):
     center: float
     height: float
     fwhm: float
-    left_half: float
-    right_half: float
     argmax: float
 
 
@@ -70,8 +68,6 @@ def measure_peaks(axis, values, floor: float = 0.05) -> list[PeakMeasurement]:
                 center=0.5 * (left + right),
                 height=float(height),
                 fwhm=float(right - left),
-                left_half=float(left),
-                right_half=float(right),
                 argmax=float(axis[k]),
             )
         )

@@ -198,9 +198,11 @@ def spectrum_grid(
     (``numerics.grid_points``), windows whose span (twice the half-width)
     overflows, and spacings below the normal double range are refused here
     and in ``g1_grid``, naming the fields of the scales they come from and
-    the flags given.
+    the flags given.  So is a window past ``spectrum``'s budget of fsr cells,
+    which spectrum would refuse naming its ``detuning`` argument.
     """
-    span = ["T", "--window-modes"] if window_modes is not None else ["tau0", "T"]  # window*fsr
+    window = ["--window-modes"] if window_modes is not None else ["tau0", "T"]
+    span = [*window, "T"]  # window*fsr
     if window_modes is None:
         window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
     window_modes = as_real(window_modes, "window_modes (--window-modes)", 0.0, strict=True)
@@ -208,6 +210,8 @@ def spectrum_grid(
                          f"{inputs(*span)}: derived detuning span", 0.0, strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
     n = grid_points(points, steps, inputs(*span, "gamma"), 2)
+    grid_points(None, _CHEB_NODES * (2.0 * np.rint(half / scales.fsr_delta_omega) + 1.0),
+                inputs(*window))
     count = ["--points"] if points is not None else ["gamma"]  # n, unless given: half/gamma
     return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived detuning spacing")
 
@@ -312,9 +316,10 @@ def spectrum(
     # over a lattice of cells + 2M line shapes.  Its table keeps _CHEB_NODES
     # values per half cell with points, at most two halves per cell.
     cells = np.rint(detuning[-1] / fsr) - np.rint(detuning[0] / fsr) + 1.0
-    grid_points(None, m_count, inputs("--m-max" if m_max is not None else "M"), 2)
-    grid_points(None, _CHEB_NODES * cells, "--window-modes")
-    grid_points(None, cells + 2.0 * m_count, "--window-modes and --m-max")
+    modes = "--m-max" if m_max is not None else "M"
+    grid_points(None, m_count, inputs(modes), 2)
+    grid_points(None, _CHEB_NODES * cells, inputs("T", "detuning"))
+    grid_points(None, cells + 2.0 * m_count, inputs(modes, "T", "detuning"))
     weights = _mode_weights(m_count, scales)
     values = _even(lambda d: _lorentzian_comb(d, weights, m_count, fsr, (0.5 * gamma) ** 2),
                    detuning)

@@ -74,8 +74,8 @@ class TestRunBasics:
         data["frequencies"]["bracket"] = [1.81e15, 2.2e15]
         bisect, roots = sropo.dispersion._bisect, []
 
-        def spy(f, a, b):
-            roots.append((bisect(f, a, b), f, a, b))
+        def spy(f, a, fa, b, fb):
+            roots.append((bisect(f, a, fa, b, fb), f, a, b))
             return roots[-1][0]
 
         monkeypatch.setattr(sropo.dispersion, "_bisect", spy)
@@ -670,6 +670,21 @@ class TestErrorPaths:
         out = tmp_path / "out"
         path = write_config(tmp_path, _config_with(name, edit))
         assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: exit=1 type=ScenarioValidationError: the grid from {source} would hold "
+            f"more than {MAX_GRID_POINTS} points\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, source", [
+        (["--points-per-mode", "3000000"], "--points-per-mode"),
+        (["--modes", "100", "--points-per-mode", "200000"], "--modes, --points-per-mode"),
+    ], ids=["points-per-mode", "both"])
+    def test_wavefunction_budget_names_only_the_flags_given(self, tmp_path, capsys, argv,
+                                                            source):
+        # (2M + 1) x points per mode; M = 8 when --modes is not given
+        out = tmp_path / "out"
+        assert main(["wavefunction", "--config", str(CONFIG_DIR / "g2_comb.json"), *argv,
+                     "--out", str(out)]) == 1
         assert capsys.readouterr().out == (
             f"error: exit=1 type=ScenarioValidationError: the grid from {source} would hold "
             f"more than {MAX_GRID_POINTS} points\n")
@@ -1284,10 +1299,8 @@ class TestGridBudget:
              f"cavity.loss_rate_gamma, {T_FIELDS}, --m-max"),  # its grid resolves every beat
             (["g2", "--tier", "series", "--m-max", "1000000000000000"], "--m-max"),
             (["g2", "--tier", "exact", "--m-max", str(MAX_GRID_POINTS)], "--m-max"),
-            (["wavefunction", "--modes", "1000000000000000"],
-             "--modes and --points-per-mode"),
-            (["wavefunction", "--modes", str(MAX_GRID_POINTS // 770 + 1)],
-             "--modes and --points-per-mode"),
+            (["wavefunction", "--modes", "1000000000000000"], "--modes"),
+            (["wavefunction", "--modes", str(MAX_GRID_POINTS // 770 + 1)], "--modes"),
         ],
     )
     def test_oversized_mode_count_is_config_error_before_allocating(

@@ -2,13 +2,14 @@ import json
 import math
 import re
 import sys
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.constants
 import scipy.optimize
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sropo import (
@@ -351,9 +352,9 @@ class _Counted:
         self.f = f
         self.calls = 0
 
-    def __call__(self, x):
+    def __call__(self, *args):
         self.calls += 1
-        return self.f(x)
+        return self.f(*args)
 
 
 class TestBisectMatchesScipy:
@@ -361,13 +362,15 @@ class TestBisectMatchesScipy:
 
     @staticmethod
     def assert_same(f, a, b):
+        # _bisect takes the end values from phase_match's scan; scipy
+        # evaluates them itself, and then the same midpoints.
         ours, theirs = _Counted(f), _Counted(f)
-        root = _bisect(ours, a, b)
+        root = _bisect(ours, a, f(a), b, f(b))
         ref = scipy.optimize.bisect(
             theirs, a, b, xtol=1e-300, rtol=1e-15, maxiter=200
         )
         assert root.hex() == float(ref).hex()
-        assert ours.calls == theirs.calls
+        assert ours.calls + 2 == theirs.calls
 
     def test_phase_matched_config(self):
         # The shipped bracket's scan lands exactly on the root, so bisect the
@@ -416,18 +419,77 @@ class TestBisectMatchesScipy:
         self.assert_same(f, a, b)
 
     @pytest.mark.parametrize(
-        "f, a, b, error",
+        "f, a, b, message",
         [
-            (lambda x: x + 1.0, 0.0, 1.0, ValueError),  # same sign
-            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.7, 0.0, 1.0, ValueError),
-            (lambda x: x - 1e-200, -1.0, 1.0, RuntimeError),  # needs ~1000 steps
+            (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.7, 0.0, 1.0,
+             "bisection on [0.000000e+00, 1.000000e+00]: The function value at x=0.5 "
+             "is NaN; solver cannot continue."),
+            (lambda x: x - 1e-200, -1.0, 1.0,  # needs ~1000 steps
+             "bisection on [-1.000000e+00, 1.000000e+00] did not converge in 200 steps"),
         ],
+        ids=["nan", "step-cap"],
     )
-    def test_failures_raise_like_scipy(self, f, a, b, error):
-        with pytest.raises(error):
+    def test_failures_are_non_convergence(self, f, a, b, message):
+        # scipy refuses the same brackets, with its own exception types
+        with pytest.raises((ValueError, RuntimeError)):
             scipy.optimize.bisect(f, a, b, xtol=1e-300, rtol=1e-15, maxiter=200)
-        with pytest.raises(error):
-            _bisect(f, a, b)
+        with pytest.raises(NonConvergenceError) as raised:
+            _bisect(f, a, f(a), b, f(b))
+        assert str(raised.value) == message
+
+
+@st.composite
+def phase_match_cases(draw):
+    """(crystal, omega_p, bracket): constant or linear_in_omega indices whose
+    mismatch vanishes near a drawn omega_s, inside a bracket around it.  The
+    pump index is fixed from the signal's and idler's k there."""
+    omega_p = draw(st.floats(2e15, 5e15))
+    root = omega_p * draw(st.floats(0.3, 0.7))
+
+    def model(a):
+        if draw(st.booleans()):
+            return DispersionModel(DispersionKind.LINEAR_IN_OMEGA, (a, draw(st.floats(0.0, 2e-17))),
+                                   WIDE)
+        return constant_model(a)
+
+    n_s = draw(st.floats(1.6, 2.5))
+    signal = model(n_s)
+    idler = model(n_s + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.01, 0.5)))
+    k_p = wavenumber(signal, root) + wavenumber(idler, omega_p - root)
+    pump = constant_model(k_p * C_LIGHT / omega_p)
+    below, above = (draw(st.floats(1e-3, 0.3)) for _ in range(2))
+    return make_crystal(signal, idler, pump), omega_p, (root * (1 - below), root * (1 + above))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=phase_match_cases())
+def test_phase_match_bisects_the_first_sign_change_as_scipy_does(case):
+    """End to end: the root's bits are scipy's on the first scan interval whose
+    end values change sign, and the model is evaluated once for k_p, twice per
+    scan point and midpoint, and twice for the final residual check."""
+    crystal, omega_p, bracket = case
+    k_p = wavenumber(crystal.dispersion_pump, omega_p)
+
+    def mismatch(omega_s):
+        return (
+            k_p
+            - wavenumber(crystal.dispersion_signal, omega_s)
+            - wavenumber(crystal.dispersion_idler, omega_p - omega_s)
+        )
+
+    grid = _linspace(*bracket, _SCAN_INTERVALS + 1)
+    values = [mismatch(w) for w in grid]
+    assume(0.0 not in values)  # the scan misses the root: the bisection iterates
+    i = next((i for i in range(_SCAN_INTERVALS) if values[i] * values[i + 1] <= 0.0), None)
+    assume(i is not None)
+    ref, info = scipy.optimize.bisect(mismatch, grid[i], grid[i + 1], xtol=1e-300,
+                                      rtol=1e-15, maxiter=200, full_output=True)
+    counted = _Counted(wavenumber)
+    with unittest.mock.patch.object(sropo.dispersion, "wavenumber", counted):
+        triple = phase_match(crystal, omega_p, bracket)
+    assert triple.omega_s.hex() == float(ref).hex()
+    midpoints = info.function_calls - 2
+    assert counted.calls == 1 + 2 * (_SCAN_INTERVALS + 1) + 2 * midpoints + 2
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

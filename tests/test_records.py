@@ -29,7 +29,7 @@ RECORDS = {
     "FrequencyTriple": (CONFIG.freqs, {"omega_i": 1.0}),
     "PumpParams": (CONFIG.pump, {"field_amplitude_ep": 0.0}),
     "ScenarioConfig": (CONFIG, None),
-    "PeakMeasurement": (sropo.peaks.PeakMeasurement(0.0, 1.0, 0.5, -0.25, 0.25, 0.0), None),
+    "PeakMeasurement": (sropo.peaks.PeakMeasurement(0.0, 1.0, 0.5, 0.0), None),
     "TraceMeta": (META, None),
     "Trace": (Trace(np.linspace(0.0, 1.0, 5), np.ones(5), META), {"values": -np.ones(5)}),
     "G2Request": (G2Request(G2Tier.SERIES, np.linspace(0.0, 1e-9, 9), m_max=4), {"m_max": 0}),

@@ -32,6 +32,7 @@ from conftest import CONFIG_DIR
 from oracles import g1_mode_loop, spectrum_mode_loop
 
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
+T_FIELDS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
 
 
 class TestSpectrum:
@@ -611,8 +612,39 @@ class TestGridBudget:
         gamma = GAMMA_RANGE[1]
         detuning = np.linspace(-gamma, gamma, 33)
         monkeypatch.setattr(np, "arange", self._refuse)
-        with pytest.raises(ScenarioValidationError, match="grid from --window-modes "):
+        with pytest.raises(ScenarioValidationError, match=f"^the grid from {T_FIELDS}, detuning "):
             spectrum("idler", scales.replace(gamma=gamma), freqs, detuning)
+
+    def test_cell_budget_names_the_detuning_argument(self, monkeypatch):
+        # A library call with its own grid: the cell count comes from the
+        # detuning argument and T, not from a flag.
+        config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
+        fsr = config.scales.fsr_delta_omega
+        monkeypatch.setattr(np, "arange", self._refuse)
+        with pytest.raises(ScenarioValidationError) as raised:
+            spectrum("idler", config.scales.replace(gamma=2e7 * fsr), config.freqs,
+                     detuning=np.linspace(-1e6 * fsr, 1e6 * fsr, 3), m_max=2)
+        assert str(raised.value) == (f"the grid from {T_FIELDS}, detuning would hold more "
+                                     f"than {MAX_GRID_POINTS} points")
+
+    @pytest.mark.parametrize("window, source", [
+        (932068, "--window-modes"),
+        (None, "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler, "
+               "cavity.resonator_length_Lr"),
+    ], ids=["window-given", "envelope-default"])
+    def test_grid_past_the_cell_budget_names_its_window(self, spectrum_setup, monkeypatch,
+                                                        window, source):
+        # spectrum_grid refuses the count spectrum would, before the grid is
+        # built: 2W + 1 cells, W given or half a mode past the envelope's
+        # first zero (here at 2**20 modes).
+        *_, scales = spectrum_setup
+        fsr = scales.fsr_delta_omega
+        scales = scales.replace(tau0=2.0 * math.pi / (fsr * 2**20))
+        monkeypatch.setattr(np, "linspace", self._refuse)
+        with pytest.raises(ScenarioValidationError) as raised:
+            spectrum_grid(scales, window, 3)
+        assert str(raised.value) == (f"the grid from {source} would hold more than "
+                                     f"{MAX_GRID_POINTS} points")
 
     def test_line_lattice_refused_before_allocating(self, spectrum_setup, monkeypatch):
         # 2M+1 weights within the budget, but the lattice of line shapes over
@@ -622,7 +654,7 @@ class TestGridBudget:
         detuning = np.linspace(-fsr, fsr, 3)
         monkeypatch.setattr(np, "arange", self._refuse)
         with pytest.raises(ScenarioValidationError,
-                           match="grid from --window-modes and --m-max "):
+                           match=f"^the grid from {T_FIELDS}, detuning, --m-max "):
             spectrum("idler", scales.replace(gamma=16.0 * fsr), freqs,
                      detuning, m_max=(MAX_GRID_POINTS - 1) // 2)
 
