@@ -18,7 +18,7 @@ from .constants import TWO_PI
 from .constants import VACUUM_PERMITTIVITY as EPS0
 from .dispersion import CrystalParams, FrequencyTriple, refractive_index
 from .errors import DegenerateGroupVelocityError, NonConvergenceError
-from .names import Record, as_count, as_real, inputs
+from .names import Record, as_count, as_real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,21 +155,20 @@ def wavefunction_grid(
         POINTS_PER_GAMMA_MIN, check_linewidth, grid_points, require_points, symmetric_grid,
     )
 
-    given = [flag for flag, value in (("--modes", m_count), ("--points-per-mode", points_per_mode))
-             if value is not None]
-    m_count = as_count(8 if m_count is None else m_count, "m_count (--modes)", 1)
+    m_count = as_count(8 if m_count is None else m_count, "m_count", 1)
     omega_grid_halfwidth = as_real(12.0 if omega_grid_halfwidth is None else omega_grid_halfwidth,
-                                   "omega_grid_halfwidth (--halfwidth-gammas)", 10.0)
+                                   "omega_grid_halfwidth", 10.0)
     points_per_mode = as_count(385 if points_per_mode is None else points_per_mode,
-                               "points_per_mode (--points-per-mode)", 2)
+                               "points_per_mode", 2)
     gamma = scales.gamma
     check_linewidth(gamma)
     half = omega_grid_halfwidth * gamma
     # Points per gamma depend only on the grid shape; computing them from
     # gamma / spacing would round below the limit for some gamma.
     points_per_gamma = (points_per_mode - 1) / (2.0 * omega_grid_halfwidth)
-    require_points(points_per_gamma, POINTS_PER_GAMMA_MIN, "gamma")
-    grid_points(None, (2 * m_count + 1) * points_per_mode - 1, inputs(*given))
+    require_points(points_per_gamma, POINTS_PER_GAMMA_MIN, "gamma",
+                   ("omega_grid_halfwidth", "points_per_mode"))
+    grid_points(None, (2 * m_count + 1) * points_per_mode - 1, ("m_count", "points_per_mode"))
     modes = np.arange(-m_count, m_count + 1)
     omega = symmetric_grid(half, points_per_mode)
     sinc, phase_m, phase_omega = _phi_factors(modes[m_count:, None], omega, scales)

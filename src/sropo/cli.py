@@ -13,7 +13,8 @@ table (``trace.trace_table`` of a trace), which ``_write`` turns into files.
 The parser checks only a flag's type and choices.  Its bounds are the
 library's (``names.as_count`` and ``names.as_real``): an out-of-range value is
 refused after the scenario loads, before a runner allocates anything, as a
-``ScenarioValidationError`` naming the flag (exit 1).
+``ScenarioValidationError`` (exit 1).  A flag's ``dest`` is the library's
+argument name, which ``_refusal`` turns back into the flag.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import __version__, biphoton
 from .cavity import DerivedScales, resonance_mode_number
-from .errors import GridTooCoarseError, SropoError
+from .errors import GridTooCoarseError, ScenarioValidationError, SropoError
 from .names import G2Tier, as_count, format_value
 from .scenario import ScenarioConfig, load_scenario
 
@@ -99,7 +100,7 @@ def _run_rate(args, config: ScenarioConfig):
 def _run_spectrum(args, config: ScenarioConfig):
     from . import spectra, trace
     if args.m_max is not None:  # refused before the grid is built
-        as_count(args.m_max, "m_max (--m-max)", 0)
+        as_count(args.m_max, "m_max", 0)
     detuning = spectra.spectrum_grid(config.scales, args.window_modes, args.points)
     result = spectra.spectrum(args.field, config.scales, config.freqs, detuning=detuning,
                               m_max=args.m_max, normalization=config.normalization)
@@ -115,10 +116,10 @@ def _run_g1(args, config: ScenarioConfig):
 
 def _run_g2(args, config: ScenarioConfig):
     from . import correlations, trace
-    correlations.check_tier(args.tier, args.m_max, args.resolution)  # before any grid
+    correlations.check_tier(args.tier, args.m_max, args.resolution_dt)  # before any grid
     s = config.scales
-    tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution, args.points)
-    request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution)
+    tau = correlations.g2_grid(s, args.tier, args.peaks, args.resolution_dt, args.points)
+    request = correlations.G2Request(args.tier, tau, args.m_max, args.resolution_dt)
     result = getattr(correlations, f"g2_{args.tier}")(request, s)
     return f"g2_{args.tier}", trace.trace_table(result)
 
@@ -126,7 +127,7 @@ def _run_g2(args, config: ScenarioConfig):
 def _run_wavefunction(args, config: ScenarioConfig):
     import numpy as np
     grid = biphoton.wavefunction_grid(
-        config.scales, args.modes, args.halfwidth_gammas, args.points_per_mode)
+        config.scales, args.m_count, args.omega_grid_halfwidth, args.points_per_mode)
     n_modes, n_pts = grid.amplitudes.shape
     meta = {
         "kind": "biphoton_amplitudes",
@@ -148,9 +149,9 @@ _FIELD = ("--field", dict(choices=("signal", "idler"), required=True))
 _POINTS = ("--points", dict(type=int))
 _M_MAX = ("--m-max", dict(type=int))
 _PLOT = ("--plot", dict(action="store_true", help="emit a static SVG next to the trace"))
-# The flags that shape a grid, named when it is too coarse.
-_GRID_FLAGS = ("window_modes", "window_gammas", "points", "halfwidth_gammas",
-               "points_per_mode")
+# Each grid a runner builds and passes on, by its library name: the arguments that make it.
+_GRIDS = {"detuning": ("window_modes", "points"), "tau": ("window_gammas", "points"),
+          "tau_grid": ("peaks", "points", "resolution_dt")}
 
 # name -> (help, [(flag, add_argument keywords)], runner).  Runners look library
 # functions up when they run, never through this table, so that a wrapper put
@@ -196,8 +197,8 @@ COMMANDS = {
             ("--peaks", dict(type=int, help="round trips covered")),
             _POINTS,
             _M_MAX,
-            ("--resolution", dict(type=float, help="detector resolution dT in "
-                                  "seconds (averaged tier)")),
+            ("--resolution", dict(type=float, dest="resolution_dt", metavar="RESOLUTION",
+                                  help="detector resolution dT in seconds (averaged tier)")),
             _PLOT,
         ],
         _run_g2,
@@ -205,8 +206,9 @@ COMMANDS = {
     "wavefunction": (
         "two-photon amplitudes",
         [
-            ("--modes", dict(type=int)),
-            ("--halfwidth-gammas", dict(type=float)),
+            ("--modes", dict(type=int, dest="m_count", metavar="MODES")),
+            ("--halfwidth-gammas", dict(type=float, dest="omega_grid_halfwidth",
+                                        metavar="HALFWIDTH_GAMMAS")),
             ("--points-per-mode", dict(type=int)),
         ],
         _run_wavefunction,
@@ -246,6 +248,8 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
     a report is serialised; a failed table write removes the files it made."""
     out_dir = Path(args.out if args.out is not None else config.output_directory)
     if isinstance(result, dict):
+        if args.format == "csv":  # the scenario's output.format is for tables only
+            raise ScenarioValidationError(f"--format csv: {args.command} writes a JSON report")
         text = json.dumps(result, indent=1, sort_keys=True, allow_nan=False)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"{stem}.json"
@@ -275,6 +279,26 @@ def _write(args, config: ScenarioConfig, stem: str, result) -> list[Path]:
     return written
 
 
+def _refusal(exc: SropoError, args) -> str:
+    """``exc``'s text, its sources named as on this command line: a field as it is; an
+    argument by its flag, as "name (flag)" if ``own``, else only if given (with its value
+    in a GridTooCoarseError); a grid of ``_GRIDS`` by the flags given that made it."""
+    if not exc.sources:
+        return exc.text
+    flags = {options.get("dest", flag[2:].replace("-", "_")): flag
+             for flag, options in _COMMON + COMMANDS[args.command][1]}
+    valued = isinstance(exc, GridTooCoarseError)
+    shown = {dest: [f"{flag} {getattr(args, dest)}" if valued else flag]
+             for dest, flag in flags.items() if getattr(args, dest) is not None}
+    shown.update((grid, [n for d in dests for n in shown.get(d, ())])
+                 for grid, dests in _GRIDS.items())
+    if exc.own:
+        shown = {dest: [f"{dest} ({flag})"] for dest, flag in flags.items()}
+    names = [n for s in exc.sources for n in shown.get(s, () if s in flags else (s,))]
+    names = sorted(dict.fromkeys(names), key=lambda name: name.startswith("-"))  # flags last
+    return exc.text.replace("{}" if names else "{}: ", (" " if valued else ", ").join(names), 1)
+
+
 def main(argv=None) -> int:
     # One OpenBLAS thread unless the user chose: numpy starts one worker per
     # extra CPU at import, and an idle worker spins whether or not a BLAS call
@@ -292,10 +316,7 @@ def main(argv=None) -> int:
             source = "--out" if args.out is not None else "output.directory"
             return _error(EXIT_CONFIG, type(exc).__name__, f"{source}: {exc}")
     except SropoError as exc:  # its class carries the exit code
-        given = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in vars(args).items()
-                         if k in _GRID_FLAGS and v is not None)
-        named = given and isinstance(exc, GridTooCoarseError)  # a default grid is never too coarse
-        return _error(exc.exit_code, type(exc).__name__, f"{given}: {exc}" if named else exc)
+        return _error(exc.exit_code, type(exc).__name__, _refusal(exc, args))
 
     summary = [f"{name}={format_value(v)}" for name, _, v in _scale_fields(config.scales)]
     summary.append(f"regime={'pass' if config.regime.ok else 'fail'}")

@@ -68,23 +68,24 @@ class G2Request(Record, eq=False):
         object.__setattr__(self, "spacing", ensure_uniform_axis(grid, "tau_grid"))
 
 
-def check_tier(tier, m_max=None, resolution=None) -> tuple[G2Tier, int | None, float | None]:
-    """The tier, ``m_max`` as an int and ``resolution`` as a float, refusing a
-    knob the tier does not read (ScenarioValidationError naming the flag):
-    ``m_max``, an integer >= 1, is read by series and exact only, and
-    ``resolution``, a finite real > 0, by averaged only, which needs it."""
+def check_tier(tier, m_max=None, resolution_dt=None) -> tuple[G2Tier, int | None, float | None]:
+    """The tier, ``m_max`` as an int and ``resolution_dt`` as a float, refusing
+    a knob the tier does not read (ScenarioValidationError naming it):
+    ``m_max``, an integer >= 1, is read by series and exact only, the tiers
+    with a mode sum, and ``resolution_dt``, a finite real > 0, by averaged
+    only, the one with a detector, which needs it."""
     tier = G2Tier(tier)
     if m_max is not None:
         if tier not in (G2Tier.SERIES, G2Tier.EXACT):
-            raise ScenarioValidationError(f"--m-max: g2 --tier {tier.value} has no mode sum")
-        m_max = as_count(m_max, "m_max (--m-max)", 1)
-    if resolution is None and tier is G2Tier.AVERAGED:
-        raise ScenarioValidationError("g2 --tier averaged requires --resolution <seconds>")
-    if resolution is not None and tier is not G2Tier.AVERAGED:
-        raise ScenarioValidationError(f"--resolution: g2 --tier {tier.value} has no detector")
-    if resolution is not None:
-        resolution = as_real(resolution, "resolution_dt (--resolution)", 0.0, strict=True)
-    return tier, m_max, resolution
+            raise ScenarioValidationError.of("m_max", f"is not read by the {tier.value} tier")
+        m_max = as_count(m_max, "m_max", 1)
+    if resolution_dt is None and tier is G2Tier.AVERAGED:
+        raise ScenarioValidationError.of("resolution_dt", "is required by the averaged tier")
+    if resolution_dt is not None and tier is not G2Tier.AVERAGED:
+        raise ScenarioValidationError.of("resolution_dt", f"is not read by the {tier.value} tier")
+    if resolution_dt is not None:
+        resolution_dt = as_real(resolution_dt, "resolution_dt", 0.0, strict=True)
+    return tier, m_max, resolution_dt
 
 
 def _require_tier(request: G2Request, tier: G2Tier) -> None:
@@ -97,32 +98,30 @@ def _check_peak_resolution(spacing: float, scales: DerivedScales) -> None:
         raise DegenerateGroupVelocityError(
             "tau0 = 0: correlation peaks have zero width and cannot be sampled"
         )
-    require_points(abs(scales.tau0) / spacing, 8.0, "|tau0|")
+    require_points(abs(scales.tau0) / spacing, 8.0, "|tau0|", ("tau_grid",))
 
 
-def g2_grid(scales: DerivedScales, tier, peaks=None, resolution=None, points=None):
+def g2_grid(scales: DerivedScales, tier, peaks=None, resolution_dt=None, points=None):
     """Delay grid of ``g2``: comb tiers from -2|tau0| - T/8 in steps of |tau0|/12
     (tau0 = 0 refused, as the tiers refuse it), the averaged tier from -3*dT in
-    steps of dT/16 (dT = ``resolution``), every tier to peaks*T + 2|tau0| (5
-    unless given).  An end, span or count past its bound, or a step that
-    underflows to 0, is refused naming the scales' fields and the flags given.
+    steps of dT/16 (dT = ``resolution_dt``), every tier to peaks*T + 2|tau0|
+    (``peaks`` 5 by default).  An end, span or count past its bound, or a step
+    that underflows to 0, is refused naming the scales' fields and arguments.
     """
     T, t0 = scales.round_trip_T, abs(scales.tau0)
-    tier, _, resolution = check_tier(tier, resolution=resolution)
-    given = ["--peaks"] if peaks is not None else []
-    peaks = as_count(5 if peaks is None else peaks, "peaks (--peaks)", 0)
+    tier, _, dt = check_tier(tier, resolution_dt=resolution_dt)
+    peaks = as_count(5 if peaks is None else peaks, "peaks", 0)
+    end = ("tau0", "T", "peaks")
     if tier is not G2Tier.AVERAGED:
         _check_peak_resolution(t0 / 12.0, scales)
-        start, step, source = -2.0 * t0 - T / 8.0, t0 / 12.0, inputs("tau0", "T", *given)
+        start, step, sources = -2.0 * t0 - T / 8.0, t0 / 12.0, end
     else:
-        start = as_real(-3.0 * resolution, "--resolution: derived delay grid start", -math.inf)
-        step = as_real(resolution / 16.0, "--resolution: derived delay grid step", 0.0,
-                       strict=True)
-        source = inputs("tau0", "T", *given, "--resolution")
-    stop = as_real(peaks * T + 2.0 * t0, f"{inputs('tau0', 'T', *given)}: derived delay grid end",
-                   -math.inf)
-    span = as_real(stop - start, f"{source}: derived delay grid span", -math.inf)
-    return np.linspace(start, stop, grid_points(points, span / step, source))
+        start = as_real(-3.0 * dt, "derived delay grid start", -math.inf, "resolution_dt")
+        step = as_real(dt / 16.0, "derived delay grid step", 0.0, "resolution_dt", strict=True)
+        sources = (*end, "resolution_dt")
+    stop = as_real(peaks * T + 2.0 * t0, "derived delay grid end", -math.inf, *end)
+    span = as_real(stop - start, "derived delay grid span", -math.inf, *sources)
+    return np.linspace(start, stop, grid_points(points, span / step, sources))
 
 
 def _mode_count(request: G2Request, scales: DerivedScales) -> int:
@@ -131,7 +130,7 @@ def _mode_count(request: G2Request, scales: DerivedScales) -> int:
     if m_count is None:
         dz = 0.5 * scales.fsr_delta_omega * abs(scales.tau0)
         m_count = math.ceil(_MODE_REACH / dz)
-    grid_points(None, m_count, inputs("--m-max" if request.m_max is not None else "M"))
+    grid_points(None, m_count, ("m_max" if request.m_max is not None else "M",))
     return m_count
 
 
@@ -143,8 +142,8 @@ def _check_span(exponent: float, tier: G2Tier) -> None:
     """Refuse a tier whose allowed values span exp(exponent) past a double."""
     if exponent > _LOG_MAX:
         raise ScenarioValidationError(
-            f"{inputs('tau0', 'gamma')}: the {tier.value} tier's values "
-            f"span exp({exponent!r}), past a double (exp({_LOG_MAX:.2f}))")
+            f"{{}}: the {tier.value} tier's values span exp({exponent!r}), past a double "
+            f"(exp({_LOG_MAX:.2f}))", inputs("tau0", "gamma"))
 
 
 def _peak_normalized(
@@ -267,16 +266,16 @@ def g2_averaged(request: G2Request, scales: DerivedScales) -> Trace:
         raise ResolutionTooFineError(
             f"resolution_dt = {dt:.3e} s below 10*|tau0| = {10 * abs(scales.tau0):.3e} s"
         )
-    require_points(dt / request.spacing, 8.0, "resolution_dt")
+    require_points(dt / request.spacing, 8.0, "resolution_dt", ("tau_grid",))
     tau = request.tau_grid
     T = scales.round_trip_T
     gamma = scales.gamma
-    as_real(dt * dt, "--resolution: derived resolution_dt^2", 0.0, strict=True)
+    as_real(dt * dt, "derived resolution_dt^2", 0.0, "resolution_dt", strict=True)
     j_max = math.ceil(-math.log(_PEAK_FLOOR) / (gamma * T))
     first, last = float(tau[0]), float(tau[-1])
     j_last = math.floor(min(j_max, (last + 14.0 * dt) / T))  # the ratio may be inf
     reach = max(-first, last) + j_last * T  # at least every |j*T - tau| below
-    as_real(4.0 * reach * reach, "--resolution: derived 4*(j*T - tau)^2", -math.inf)
+    as_real(4.0 * reach * reach, "derived 4*(j*T - tau)^2", -math.inf, "resolution_dt")
     values = np.zeros_like(tau)
     for j in range(j_last + 1):
         values += math.exp(-gamma * j * T) * np.exp(-4.0 * (j * T - tau) ** 2 / dt**2)

@@ -3,10 +3,8 @@ output normalisations, the G2 tiers, the scenario fields each derived scale
 comes from, the 17-digit float and header-value formats, the clipped form of a
 value in a refusal (``shown``), the immutable record every value type is built
 on, and the two rules, ``as_count`` and ``as_real``, that check each count and
-real value where it enters the library or the scenario, and each real value the
-library derives: a refusal is a ScenarioValidationError naming the argument and
-its flag (``m_max (--m-max) must be at least 0, got -1``), the scenario field,
-or the ``inputs`` a derived value comes from (``...: derived fsr must be ...``).
+real value where it enters the library or the scenario, and each value the library
+derives; a refusal's ``sources`` name arguments and fields, never a flag.
 """
 
 import math
@@ -47,11 +45,9 @@ REGIME_RATIOS = {"kappa/gamma": ("kappa", "gamma"), "gamma/fsr": ("gamma", "T"),
                  "fsr*|tau0|": ("tau0", "T")}
 
 
-def inputs(*names) -> str:
-    """The fields of each scale in ``names`` (a ``FIELDS`` key), else the name
-    itself (a flag), each once, in first-seen order, the fields first."""
-    ordered = sorted(names, key=lambda name: name.startswith("-"))
-    return ", ".join(dict.fromkeys(f for name in ordered for f in FIELDS.get(name, (name,))))
+def inputs(*names) -> tuple[str, ...]:
+    """The fields of each scale (a ``FIELDS`` key) in ``names``, else the name, each once."""
+    return tuple(dict.fromkeys(f for name in names for f in FIELDS.get(name, (name,))))
 
 
 def format_float(value: float) -> str:
@@ -77,43 +73,44 @@ def shown(value) -> str:
 
 
 def as_count(value, where: str, minimum: int) -> int:
-    """``value`` as a Python int of at least ``minimum``.  A bool, a non-integer
-    (``operator.index`` fails) or an integer past the double range is refused."""
+    """``value`` (argument or field ``where``) as a Python int of at least ``minimum``; a
+    bool, a non-integer (``operator.index`` fails) or one past the double range is refused."""
     try:
         if isinstance(value, bool):
             raise TypeError
         count = operator.index(value)
     except TypeError:
-        raise ScenarioValidationError(f"{where} must be an integer, got {shown(value)}") from None
+        raise ScenarioValidationError.of(where, f"must be an integer, got {shown(value)}") from None
     if abs(count) > sys.float_info.max:  # shown by size: repr fails past 4300 digits
-        raise ScenarioValidationError(
-            f"{where} must be within the double range, got a {count.bit_length()}-bit integer")
+        raise ScenarioValidationError.of(
+            where, f"must be within the double range, got a {count.bit_length()}-bit integer")
     if count < minimum:
-        raise ScenarioValidationError(f"{where} must be at least {minimum}, got {count}")
+        raise ScenarioValidationError.of(where, f"must be at least {minimum}, got {count}")
     return count
 
 
-def as_real(value, where: str, low: float, strict: bool = False) -> float:
-    """``value`` as a finite Python float of at least ``low`` (above it when
-    ``strict``).  A bool, a string or a non-number is refused; a numpy scalar
-    counts by its dtype, so ``numpy.True_`` is refused and ``float32`` kept."""
+def as_real(value, where: str, low: float, *scales: str, strict: bool = False) -> float:
+    """``value`` (argument or field ``where``, or labelled ``where`` if derived from the
+    ``inputs`` of ``scales``) as a finite Python float of at least ``low`` (above it when
+    ``strict``).  A bool, a string or a non-number is refused; a numpy scalar counts by
+    its dtype, so ``numpy.True_`` is refused and ``float32`` kept."""
     kind = getattr(getattr(value, "dtype", None), "kind", "f")
     try:
         if isinstance(value, (bool, str, bytes)) or kind not in ("i", "u", "f"):
             raise TypeError
         number = float(value)
     except (TypeError, ValueError):
-        raise ScenarioValidationError(
-            f"{where} must be a real number, got {shown(value)}") from None
+        rule = f"must be a real number, got {shown(value)}"
     except OverflowError:
-        raise ScenarioValidationError(
-            f"{where} must be finite, got an integer past the double range") from None
-    if not math.isfinite(number):
-        raise ScenarioValidationError(f"{where} must be finite, got {number!r}")
-    if not (number > low if strict else number >= low):
-        bound = "above" if strict else "at least"
-        raise ScenarioValidationError(f"{where} must be {bound} {low:g}, got {number!r}")
-    return number
+        rule = "must be finite, got an integer past the double range"
+    else:
+        if not math.isfinite(number):
+            rule = f"must be finite, got {number!r}"
+        elif number > low if strict else number >= low:
+            return number
+        else:
+            rule = f"must be {'above' if strict else 'at least'} {low:g}, got {number!r}"
+    raise ScenarioValidationError.of(where, rule, inputs(*scales))
 
 
 class Record:

@@ -19,15 +19,15 @@ _LINE_ROOT = math.sqrt(sys.float_info.max / MAX_GRID_POINTS)
 GAMMA_RANGE = (2.0 / _LINE_ROOT, 2.0 * _LINE_ROOT)
 
 
-def grid_points(points: int | None, steps: float, source: str, sides: int = 1) -> int:
+def grid_points(points: int | None, steps: float, sources: tuple, sides: int = 1) -> int:
     """``points``, else ``sides * ceil(steps) + 1``; refused before allocating if
-    past ``MAX_GRID_POINTS``, naming ``--points`` or ``source``, its inputs.
+    past ``MAX_GRID_POINTS``, naming ``points`` or the ``inputs`` of ``sources``.
     """
     if points is not None:
-        steps, sides, source = as_count(points, "points (--points)", 2) - 1, 1, "--points"
+        steps, sides, sources = as_count(points, "points", 2) - 1, 1, ("points",)
     if not steps <= (MAX_GRID_POINTS - 1) // sides:  # also refuses inf and nan
         raise ScenarioValidationError(
-            f"the grid from {source} would hold more than {MAX_GRID_POINTS} points")
+            f"the grid from {{}} would hold more than {MAX_GRID_POINTS} points", inputs(*sources))
     return sides * math.ceil(steps) + 1
 
 
@@ -57,15 +57,15 @@ def check_linewidth(gamma: float) -> None:
     low, high = GAMMA_RANGE
     if not low <= gamma <= high:
         raise ScenarioValidationError(
-            f"{inputs('gamma')}: gamma = {gamma!r} rad/s is outside "
-            f"[{low:.2g}, {high:.2g}], where its Lorentzian lines stay doubles")
+            f"{{}}: gamma = {gamma!r} rad/s is outside [{low:.2g}, {high:.2g}], where its "
+            "Lorentzian lines stay doubles", inputs("gamma"))
 
 
-def require_points(per_unit: float, minimum: float, unit: str) -> None:
-    """Refuse a grid with fewer than ``minimum`` points per ``unit``."""
+def require_points(per_unit: float, minimum: float, unit: str, sources: tuple) -> None:
+    """Refuse a grid with fewer than ``minimum`` points per ``unit``, naming its ``sources``."""
     if per_unit < minimum:
-        raise GridTooCoarseError(
-            f"only {per_unit:.3g} grid points per {unit}; at least {minimum:g} required")
+        raise GridTooCoarseError(f"{{}}: only {per_unit:.3g} grid points per {unit}; "
+                                 f"at least {minimum:g} required", sources)
 
 
 def ensure_uniform_axis(axis: np.ndarray, what: str = "axis") -> float:

@@ -49,7 +49,7 @@ from .dispersion import (
 )
 from .errors import ScenarioParseError, ScenarioValidationError
 from .names import (
-    OUTPUT_NORMALIZATIONS, REGIME_RATIOS, Normalization, Record, as_real, inputs, shown,
+    OUTPUT_NORMALIZATIONS, REGIME_RATIOS, Normalization, Record, as_real, shown,
 )
 try:  # the interpreter's own SHA-256: ``import hashlib`` loads OpenSSL's first
     sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
@@ -94,19 +94,17 @@ def derive_scales(
     is a configuration error naming the input fields it comes from.
     tau0 == 0 gives kappa = +inf.
     """
-    tau0 = as_real(transit_time_diff(crystal, freqs), f"{inputs('tau0')}: derived tau0", -math.inf)
-    T = as_real(round_trip_time(crystal, cavity, freqs), f"{inputs('T')}: derived T", 0.0,
-                strict=True)
-    fsr = as_real(free_spectral_range(T), f"{inputs('T')}: derived fsr", 0.0, strict=True)
-    as_real(cavity.loss_rate_gamma * T, f"{inputs('gamma', 'T')}: derived gamma*T", 0.0,
-            strict=True)
+    tau0 = as_real(transit_time_diff(crystal, freqs), "derived tau0", -math.inf, "tau0")
+    T = as_real(round_trip_time(crystal, cavity, freqs), "derived T", 0.0, "T", strict=True)
+    fsr = as_real(free_spectral_range(T), "derived fsr", 0.0, "T", strict=True)
+    as_real(cavity.loss_rate_gamma * T, "derived gamma*T", 0.0, "gamma", "T", strict=True)
     kappa = math.inf
     if tau0 != 0.0:
         try:
             kappa = _continuum_kappa(crystal, pump, freqs, tau0)
         except (ZeroDivisionError, OverflowError):  # e.g. 4*eps0*c*A underflows to 0
             kappa = math.nan
-        as_real(kappa, f"{inputs('kappa')}: derived kappa", 0.0, strict=True)
+        as_real(kappa, "derived kappa", 0.0, "kappa", strict=True)
     return DerivedScales(tau0, T, fsr, cavity.loss_rate_gamma, kappa)
 
 
@@ -228,8 +226,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
     regime = check_regime(scales, threshold)
     first = 1 if scales.tau0 == 0.0 else 0  # kappa/gamma = inf, as kappa, at tau0 = 0
     for check in regime.checks[first:]:
-        as_real(check.value, f"{inputs(*REGIME_RATIOS[check.name])}: derived {check.name}",
-                -math.inf)
+        as_real(check.value, f"derived {check.name}", -math.inf, *REGIME_RATIOS[check.name])
     digest = scenario_hash(crystal, cavity, pump, freqs)
     return ScenarioConfig(
         crystal=crystal,

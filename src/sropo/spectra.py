@@ -31,7 +31,7 @@ import numpy as np
 from .cavity import DerivedScales
 from .dispersion import FrequencyTriple
 from .errors import DegenerateGroupVelocityError
-from .names import OUTPUT_NORMALIZATIONS, as_count, as_real, inputs
+from .names import OUTPUT_NORMALIZATIONS, as_count, as_real
 from .numerics import (
     POINTS_PER_GAMMA_MIN, _cos_series, check_linewidth, ensure_uniform_axis, grid_points,
     mirror_count, require_points, symmetric_grid,
@@ -52,22 +52,26 @@ class FieldName(str, Enum):
     IDLER = "idler"
 
 
-def envelope_zero_mode(scales: DerivedScales, needs: str = "m_max (--m-max)") -> int:
-    """Mode index at the first zero of the sinc^2 envelope.  At tau0 = 0 there
-    is none: the error asks for ``needs``, the argument that does without it.
-    """
+def envelope_zero_mode(scales: DerivedScales) -> int:
+    """Mode index at the first zero of the sinc^2 envelope; at tau0 = 0 there is none."""
     if scales.tau0 == 0.0:
-        raise DegenerateGroupVelocityError(
-            f"tau0 = 0: the envelope has no zero; pass {needs}")
+        raise DegenerateGroupVelocityError("tau0 = 0: the envelope has no zero")
     product = scales.fsr_delta_omega * abs(scales.tau0)
     ratio = 2.0 * math.pi / product if product else math.inf
-    return math.ceil(as_real(ratio, f"{inputs('tau0', 'T')}: derived 2*pi/(fsr*|tau0|)", 0.0,
-                             strict=True))
+    return math.ceil(as_real(ratio, "derived 2*pi/(fsr*|tau0|)", 0.0, "tau0", "T", strict=True))
+
+
+def _envelope_default(scales: DerivedScales, argument: str) -> int:
+    """``envelope_zero_mode`` as ``argument``'s default; at tau0 = 0, a refusal asking for it."""
+    if scales.tau0 == 0.0:
+        raise DegenerateGroupVelocityError("tau0 = 0: the envelope has no zero; pass {}",
+                                           (argument,), own=True)
+    return envelope_zero_mode(scales)
 
 
 def _auto_mode_count(scales: DerivedScales, m_max: int | None) -> int:
-    return (int(_ENVELOPE_REACH * envelope_zero_mode(scales)) if m_max is None
-            else as_count(m_max, "m_max (--m-max)", 0))
+    return (int(_ENVELOPE_REACH * _envelope_default(scales, "m_max")) if m_max is None
+            else as_count(m_max, "m_max", 0))
 
 
 def _mode_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
@@ -193,27 +197,24 @@ def spectrum_grid(
     """Detuning grid of ``spectrum``: ``window_modes`` fsr either side.
 
     By default the window reaches half a mode beyond the envelope's first
-    zero, and the grid holds 24 points per gamma.  The grid is an exact mirror
-    about 0 (``numerics.symmetric_grid``).  Grids past the point budget
-    (``numerics.grid_points``), windows whose span (twice the half-width)
-    overflows, and spacings below the normal double range are refused here
-    and in ``g1_grid``, naming the fields of the scales they come from and
-    the flags given.  So is a window past ``spectrum``'s budget of fsr cells,
-    which spectrum would refuse naming its ``detuning`` argument.
+    zero, and the grid holds 24 points per gamma, an exact mirror about 0
+    (``numerics.symmetric_grid``).  A grid past the point budget, a span (twice
+    the half-width) that overflows, a spacing below the normal double range or
+    a window past ``spectrum``'s budget of fsr cells is refused here, as in
+    ``g1_grid``, naming the fields and arguments it comes from.
     """
-    window = ["--window-modes"] if window_modes is not None else ["tau0", "T"]
-    span = [*window, "T"]  # window*fsr
+    window = ("window_modes",) if window_modes is not None else ("tau0", "T")
+    span = (*window, "T")  # window*fsr
     if window_modes is None:
-        window_modes = envelope_zero_mode(scales, "window_modes (--window-modes)") + 0.5
-    window_modes = as_real(window_modes, "window_modes (--window-modes)", 0.0, strict=True)
-    half = 0.5 * as_real(window_modes * scales.fsr_delta_omega * 2.0,
-                         f"{inputs(*span)}: derived detuning span", 0.0, strict=True)
+        window_modes = _envelope_default(scales, "window_modes") + 0.5
+    window_modes = as_real(window_modes, "window_modes", 0.0, strict=True)
+    half = 0.5 * as_real(window_modes * scales.fsr_delta_omega * 2.0, "derived detuning span",
+                         0.0, *span, strict=True)
     steps = half / (scales.gamma / _DEFAULT_POINTS_PER_GAMMA)
-    n = grid_points(points, steps, inputs(*span, "gamma"), 2)
-    grid_points(None, _CHEB_NODES * (2.0 * np.rint(half / scales.fsr_delta_omega) + 1.0),
-                inputs(*window))
-    count = ["--points"] if points is not None else ["gamma"]  # n, unless given: half/gamma
-    return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived detuning spacing")
+    n = grid_points(points, steps, (*span, "gamma"), 2)
+    grid_points(None, _CHEB_NODES * (2.0 * np.rint(half / scales.fsr_delta_omega) + 1.0), window)
+    count = "points" if points is not None else "gamma"  # n, unless given: half/gamma
+    return _mirror_grid(half, n, "derived detuning spacing", *span, count)
 
 
 def g1_grid(
@@ -228,30 +229,29 @@ def g1_grid(
     beat of the modes ``g1`` keeps for ``m_max`` (4 points per period).  The
     grid is an exact mirror about 0, through tau = 0 at an odd count.
     """
-    span = ["gamma", "--window-gammas"] if window_gammas is not None else ["gamma"]
+    span = ("gamma", "window_gammas") if window_gammas is not None else ("gamma",)
     if window_gammas is None:
         window_gammas = _DEFAULT_WINDOW_GAMMAS
-    window_gammas = as_real(window_gammas, "window_gammas (--window-gammas)", 0.0, strict=True)
+    window_gammas = as_real(window_gammas, "window_gammas", 0.0, strict=True)
     check_linewidth(scales.gamma)
-    half = 0.5 * as_real(window_gammas / scales.gamma * 2.0,
-                         f"{inputs(*span)}: derived delay span", 0.0, strict=True)
+    half = 0.5 * as_real(window_gammas / scales.gamma * 2.0, "derived delay span", 0.0, *span,
+                         strict=True)
     spacing = min(
         1.0 / (POINTS_PER_GAMMA_MIN * scales.gamma),
         scales.round_trip_T / (4.0 * max(_auto_mode_count(scales, m_max), 1)),
     )
     # n, unless given: from half, gamma and the fastest beat of the modes kept
-    beat = ["tau0", "T"] if m_max is None else ["T", "--m-max"]
-    n = grid_points(points, half / spacing, inputs(*span, *beat), 2)
-    count = ["--points"] if points is not None else beat
-    return _mirror_grid(half, n, f"{inputs(*span, *count)}: derived delay spacing")
+    beat = ("tau0", "T") if m_max is None else ("T", "m_max")
+    n = grid_points(points, half / spacing, (*span, *beat), 2)
+    count = ("points",) if points is not None else beat
+    return _mirror_grid(half, n, "derived delay spacing", *span, *count)
 
 
-def _mirror_grid(half: float, n: int, where: str) -> np.ndarray:
-    """``symmetric_grid(half, n)``.  A spacing below the normal double range is
-    refused naming ``where``: linspace rounds a subnormal step by up to half of
-    5e-324, and a few thousand such steps add up past ``ensure_uniform_axis``'s
-    tolerance."""
-    as_real(2.0 * half / (n - 1), where, sys.float_info.min)
+def _mirror_grid(half: float, n: int, where: str, *scales: str) -> np.ndarray:
+    """``symmetric_grid(half, n)``; a spacing below the normal double range is refused
+    as ``where``, from ``scales``: linspace rounds a subnormal step by up to half of
+    5e-324, and a few thousand such steps add up past ``ensure_uniform_axis``'s tolerance."""
+    as_real(2.0 * half / (n - 1), where, sys.float_info.min, *scales)
     return symmetric_grid(half, n)
 
 
@@ -308,7 +308,7 @@ def spectrum(
         detuning = spectrum_grid(scales)
     detuning = np.asarray(detuning, dtype=float)
     spacing = ensure_uniform_axis(detuning, "detuning")
-    require_points(gamma / spacing, POINTS_PER_GAMMA_MIN, "gamma")
+    require_points(gamma / spacing, POINTS_PER_GAMMA_MIN, "gamma", ("detuning",))
 
     check_linewidth(gamma)
     # Refused past the budget before any is made: the 2M+1 weights, and
@@ -316,10 +316,10 @@ def spectrum(
     # over a lattice of cells + 2M line shapes.  Its table keeps _CHEB_NODES
     # values per half cell with points, at most two halves per cell.
     cells = np.rint(detuning[-1] / fsr) - np.rint(detuning[0] / fsr) + 1.0
-    modes = "--m-max" if m_max is not None else "M"
-    grid_points(None, m_count, inputs(modes), 2)
-    grid_points(None, _CHEB_NODES * cells, inputs("T", "detuning"))
-    grid_points(None, cells + 2.0 * m_count, inputs(modes, "T", "detuning"))
+    modes = "m_max" if m_max is not None else "M"
+    grid_points(None, m_count, (modes,), 2)
+    grid_points(None, _CHEB_NODES * cells, ("T", "detuning"))
+    grid_points(None, cells + 2.0 * m_count, ("T", "detuning", modes))
     weights = _mode_weights(m_count, scales)
     values = _even(lambda d: _lorentzian_comb(d, weights, m_count, fsr, (0.5 * gamma) ** 2),
                    detuning)
@@ -361,12 +361,12 @@ def g1(
     spacing = ensure_uniform_axis(tau, "tau")
     check_linewidth(gamma)
     step = gamma * spacing  # an underflow to 0 is a grid infinitely fine per 1/gamma
-    require_points(1.0 / step if step else math.inf, POINTS_PER_GAMMA_MIN, "1/gamma")
+    require_points(1.0 / step if step else math.inf, POINTS_PER_GAMMA_MIN, "1/gamma", ("tau",))
     if m_count >= 1:  # 2.5 * (limit/spacing) < 2.5 exactly when spacing > limit
         limit = scales.round_trip_T / (2.5 * m_count)
-        require_points(2.5 * (limit / spacing), 2.5, "period of the fastest mode beat")
+        require_points(2.5 * (limit / spacing), 2.5, "period of the fastest mode beat", ("tau",))
 
-    grid_points(None, m_count, inputs("--m-max" if m_max is not None else "M"), 2)  # 2M+1 weights
+    grid_points(None, m_count, ("m_max" if m_max is not None else "M",), 2)  # 2M+1 weights
     coef = _mode_weights(m_count, scales)[m_count:]
     coef[1:] *= 2.0
 

@@ -1,8 +1,8 @@
 """Invalid arguments: every numeric CLI flag and every library count or real
 argument refuses an out-of-range value by one rule (``sropo.names.as_count``
 and ``as_real``), as a ``ScenarioValidationError`` (also a ``ValueError``)
-naming the argument and its flag, or the record or solver entry
-(``parameters[0]``, ``bracket[1]``).  A list entry (``parameters``,
+naming the argument (the command line: the argument and its flag), or the
+record or solver entry (``parameters[0]``, ``bracket[1]``).  A list entry (``parameters``,
 ``validity_range``, ``bracket``) that is no list, tuple or 1-d array is refused
 by one rule too, from the library, a scenario and the command line alike.  No
 draw is valid, so no draw starts work.
@@ -109,38 +109,39 @@ def test_bad_flag_exits_1_naming_it_and_makes_nothing(case, tmp_path_factory):
     assert not out.exists()
 
 
-# Each library argument: (where its refusal starts, type, least, strict, call).
+# Each library argument: (where its refusal starts, type, least, strict, call);
+# a library refusal names the argument alone, never its flag.
 ARGUMENTS = {
-    "spectrum_grid points": ("points (--points)", int, 2, False,
+    "spectrum_grid points": ("points", int, 2, False,
                              lambda c, v: spectrum_grid(c.scales, points=v)),
-    "spectrum_grid window_modes": ("window_modes (--window-modes)", float, 0.0, True,
+    "spectrum_grid window_modes": ("window_modes", float, 0.0, True,
                                    lambda c, v: spectrum_grid(c.scales, window_modes=v)),
-    "g1_grid points": ("points (--points)", int, 2, False,
+    "g1_grid points": ("points", int, 2, False,
                        lambda c, v: g1_grid(c.scales, points=v)),
-    "g1_grid window_gammas": ("window_gammas (--window-gammas)", float, 0.0, True,
+    "g1_grid window_gammas": ("window_gammas", float, 0.0, True,
                               lambda c, v: g1_grid(c.scales, window_gammas=v)),
-    "g2_grid peaks": ("peaks (--peaks)", int, 0, False,
+    "g2_grid peaks": ("peaks", int, 0, False,
                       lambda c, v: g2_grid(c.scales, "compact", v)),
-    "g2_grid points": ("points (--points)", int, 2, False,
+    "g2_grid points": ("points", int, 2, False,
                        lambda c, v: g2_grid(c.scales, "compact", 5, points=v)),
-    "g2_grid resolution": ("resolution_dt (--resolution)", float, 0.0, True,
-                           lambda c, v: g2_grid(c.scales, "averaged", 5, resolution=v)),
-    "spectrum m_max": ("m_max (--m-max)", int, 0, False, lambda c, v: sropo.spectrum(
+    "g2_grid resolution_dt": ("resolution_dt", float, 0.0, True,
+                              lambda c, v: g2_grid(c.scales, "averaged", 5, resolution_dt=v)),
+    "spectrum m_max": ("m_max", int, 0, False, lambda c, v: sropo.spectrum(
         "idler", c.scales, c.freqs, detuning=np.linspace(-1e9, 1e9, 81), m_max=v)),
-    "g1 m_max": ("m_max (--m-max)", int, 0, False, lambda c, v: sropo.g1(
+    "g1 m_max": ("m_max", int, 0, False, lambda c, v: sropo.g1(
         "idler", c.scales, c.freqs, tau=np.linspace(-1e-11, 1e-11, 21), m_max=v)),
-    "G2Request m_max": ("m_max (--m-max)", int, 1, False,
+    "G2Request m_max": ("m_max", int, 1, False,
                         lambda c, v: sropo.G2Request("series", TAU, m_max=v)),
-    "G2Request resolution_dt": ("resolution_dt (--resolution)", float, 0.0, True,
+    "G2Request resolution_dt": ("resolution_dt", float, 0.0, True,
                                 lambda c, v: sropo.G2Request("averaged", TAU,
                                                              resolution_dt=v)),
-    "wavefunction_grid m_count": ("m_count (--modes)", int, 1, False,
+    "wavefunction_grid m_count": ("m_count", int, 1, False,
                                   lambda c, v: sropo.wavefunction_grid(c.scales, v)),
     "wavefunction_grid omega_grid_halfwidth": (
-        "omega_grid_halfwidth (--halfwidth-gammas)", float, 10.0, False,
+        "omega_grid_halfwidth", float, 10.0, False,
         lambda c, v: sropo.wavefunction_grid(c.scales, 2, omega_grid_halfwidth=v)),
     "wavefunction_grid points_per_mode": (
-        "points_per_mode (--points-per-mode)", int, 2, False,
+        "points_per_mode", int, 2, False,
         lambda c, v: sropo.wavefunction_grid(c.scales, 2, points_per_mode=v)),
     # The entries of a dispersion model and of the phase-match solver, named
     # without a flag.  No value drawn is a kind; a parameter's one bound is

@@ -35,6 +35,11 @@ TAU0_T_FIELDS = ("crystal.length_l, crystal.dispersion_signal, crystal.dispersio
                  "cavity.resonator_length_Lr")
 
 
+# The library's name of each flag whose name differs (its argparse dest)
+LIBRARY_NAMES = {"--m-max": "m_max", "--resolution": "resolution_dt"}
+SPECTRUM_COMB_FSR = load_scenario(CONFIG_DIR / "spectrum_comb.json").scales.fsr_delta_omega
+
+
 def write_config(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -496,9 +501,26 @@ class TestErrorPaths:
         argv = ["g2", *args, "--config", str(CONFIG_DIR / f"{config}.json"), "--out", str(out)]
         assert main(argv) == 1
         text = capsys.readouterr().out
-        assert text.startswith(
-            f"error: exit=1 type=ScenarioValidationError: {flag}: g2 --tier {args[1]} ")
+        assert text == (
+            f"error: exit=1 type=ScenarioValidationError: {LIBRARY_NAMES[flag]} ({flag}) "
+            f"is not read by the {args[1]} tier\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scales", "check-regime", "rate"])
+    def test_report_refuses_format_csv(self, config_path, tmp_path, capsys, command):
+        # A report is JSON only: --format csv is refused, not written as .json.
+        # --format json, and the scenario's output.format of csv (a table's
+        # format), write the JSON report.
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config_path), "--out", str(out)]
+        assert main([*argv, "--format", "csv"]) == 1
+        assert capsys.readouterr().out == ("error: exit=1 type=ScenarioValidationError: "
+                                           f"--format csv: {command} writes a JSON report\n")
+        assert not out.exists()
+        assert json.loads(config_path.read_text())["output"]["format"] == "csv"
+        for flags in (["--format", "json"], []):
+            assert main([*argv, *flags]) == 0
+            assert [p.suffix for p in out.iterdir()] == [".json"]
 
     def test_rate_has_no_mode_truncation_flag(self, config_path, tmp_path, capsys):
         # The rate is the full mode sum in closed form; there is no M to set.
@@ -633,61 +655,57 @@ class TestErrorPaths:
                             rf"got [0-9.]+e-3[0-9][0-9]\n", text), text
         assert not out.exists()
 
-    @pytest.mark.parametrize("edits, argv, line", [
-        ([], ["--window-modes", "1e308"],
+    # (config, edits, argv, the refusal after "type=ScenarioValidationError: ").
+    # The library names the scenario fields and its own arguments; the command
+    # line names each argument by its flag, only if given, after the fields,
+    # and a grid it built (the library's detuning) by the flags given that made it.
+    @pytest.mark.parametrize("name, edits, argv, line", [
+        # span = window * fsr * 2: tau0's fields only for the envelope's default
+        # window, --window-modes only when given
+        ("spectrum_comb", [], ["spectrum", "--field", "idler", "--window-modes", "1e308"],
          f"{T_FIELDS}, --window-modes: derived detuning span must be finite, got inf"),
-        ([("crystal", "length_l", 1e-302)], [],
-         "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler, "
-         "cavity.resonator_length_Lr: derived detuning span must be finite, got inf"),
-    ], ids=["window-given", "envelope-default"])
-    def test_span_refusal_names_only_its_inputs(self, tmp_path, capsys, edits, argv, line):
-        # span = window * fsr * 2: tau0's fields only for the envelope's
-        # default window, --window-modes only when given
-        data = _config_with("spectrum_comb", *edits)
-        out = tmp_path / "out"
-        assert main(["spectrum", "--field", "idler", *argv, "--config",
-                     str(write_config(tmp_path, data)), "--out", str(out)]) == 1
-        assert capsys.readouterr().out == (
-            f"error: exit=1 type=ScenarioValidationError: {line}\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("name, edit, argv, source", [
-        # 24 points per gamma over the envelope's window
-        ("spectrum_comb", ("cavity", "loss_rate_gamma", 1e-2), ["spectrum", "--field", "idler"],
-         f"{TAU0_T_FIELDS}, cavity.loss_rate_gamma"),
+        ("spectrum_comb", [("crystal", "length_l", 1e-302)], ["spectrum", "--field", "idler"],
+         f"{TAU0_T_FIELDS}: derived detuning span must be finite, got inf"),
+        # the point count: 24 points per gamma over the envelope's window
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 1e-2)], ["spectrum", "--field", "idler"],
+         f"the grid from {TAU0_T_FIELDS}, cavity.loss_rate_gamma would hold more than "
+         f"{MAX_GRID_POINTS} points"),
         # 10/gamma either side, at 4 points per beat of the default modes
-        ("spectrum_comb", ("cavity", "loss_rate_gamma", 1e-2), ["g1", "--field", "idler"],
-         f"cavity.loss_rate_gamma, {TAU0_T_FIELDS}"),
-        # |tau0|/12 steps over the default 5 round trips
-        ("g2_comb", ("crystal", "length_l", 1e-9), ["g2", "--tier", "compact"], TAU0_T_FIELDS),
-        ("g2_comb", ("crystal", "length_l", 1e-9), ["g2", "--tier", "compact", "--peaks", "5"],
-         f"{TAU0_T_FIELDS}, --peaks"),
-    ], ids=["spectrum", "g1", "g2", "g2-peaks"])
-    def test_grid_size_refusal_names_only_its_inputs(self, tmp_path, capsys, name, edit, argv,
-                                                     source):
-        # the point count names the fields of the scales it comes from, and
-        # only the flags given
-        out = tmp_path / "out"
-        path = write_config(tmp_path, _config_with(name, edit))
-        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().out == (
-            f"error: exit=1 type=ScenarioValidationError: the grid from {source} would hold "
-            f"more than {MAX_GRID_POINTS} points\n")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, source", [
-        (["--points-per-mode", "3000000"], "--points-per-mode"),
-        (["--modes", "100", "--points-per-mode", "200000"], "--modes, --points-per-mode"),
-    ], ids=["points-per-mode", "both"])
-    def test_wavefunction_budget_names_only_the_flags_given(self, tmp_path, capsys, argv,
-                                                            source):
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 1e-2)], ["g1", "--field", "idler"],
+         f"the grid from cavity.loss_rate_gamma, {TAU0_T_FIELDS} would hold more than "
+         f"{MAX_GRID_POINTS} points"),
+        # |tau0|/12 steps over the default 5 round trips, or 5 given
+        ("g2_comb", [("crystal", "length_l", 1e-9)], ["g2", "--tier", "compact"],
+         f"the grid from {TAU0_T_FIELDS} would hold more than {MAX_GRID_POINTS} points"),
+        ("g2_comb", [("crystal", "length_l", 1e-9)], ["g2", "--tier", "compact", "--peaks", "5"],
+         f"the grid from {TAU0_T_FIELDS}, --peaks would hold more than {MAX_GRID_POINTS} points"),
         # (2M + 1) x points per mode; M = 8 when --modes is not given
+        ("g2_comb", [], ["wavefunction", "--points-per-mode", "3000000"],
+         f"the grid from --points-per-mode would hold more than {MAX_GRID_POINTS} points"),
+        ("g2_comb", [], ["wavefunction", "--modes", "100", "--points-per-mode", "200000"],
+         f"the grid from --modes, --points-per-mode would hold more than {MAX_GRID_POINTS} "
+         "points"),
+        # the line lattice, cells + 2M: 1,864,135 cells of the grid the flags
+        # made (within the cells' budget) and 2M = 3.2e7; never "detuning"
+        ("spectrum_comb", [("cavity", "loss_rate_gamma", 2e7 * SPECTRUM_COMB_FSR)],
+         ["spectrum", "--field", "idler", "--points", "3", "--window-modes", "932067",
+          "--m-max", "16000000"],
+         f"the grid from {T_FIELDS}, --window-modes, --points, --m-max would hold more than "
+         f"{MAX_GRID_POINTS} points"),
+    ], ids=["span-window-given", "span-envelope-default", "size-spectrum", "size-g1", "size-g2",
+            "size-g2-peaks", "wavefunction-points-per-mode", "wavefunction-both",
+            "lattice-window-m-max"])
+    def test_refusal_names_fields_and_only_the_flags_given(self, tmp_path, capsys, monkeypatch,
+                                                           name, edits, argv, line):
+        path = write_config(tmp_path, _config_with(name, *edits))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("array allocated for a refused run")
+
+        monkeypatch.setattr(np, "arange", refuse)
         out = tmp_path / "out"
-        assert main(["wavefunction", "--config", str(CONFIG_DIR / "g2_comb.json"), *argv,
-                     "--out", str(out)]) == 1
-        assert capsys.readouterr().out == (
-            f"error: exit=1 type=ScenarioValidationError: the grid from {source} would hold "
-            f"more than {MAX_GRID_POINTS} points\n")
+        assert main([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == f"error: exit=1 type=ScenarioValidationError: {line}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("edit, where", [
@@ -810,18 +828,24 @@ def test_error_classes_carry_their_exit_codes():
 @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 @pytest.mark.parametrize("argv", [["scales"], ["g1", "--field", "idler", "--points", "7"]],
                          ids=["scales", "g1-points"])
-def test_main_exits_with_the_class_exit_code(monkeypatch, tmp_path, capsys, error, argv):
+@pytest.mark.parametrize("sources", [(), ("tau",)], ids=["text", "tau-grid"])
+def test_main_exits_with_the_class_exit_code(monkeypatch, tmp_path, capsys, error, argv,
+                                             sources):
     """Any library error a runner raises ends the run with its class's
-    exit_code and one typed line; only GridTooCoarseError names the grid flags."""
+    exit_code and one typed line.  A source that is the grid g1 built (tau)
+    is named by the grid flags given, with their values in a
+    GridTooCoarseError; with none given, the text alone is printed."""
     def refuse(args, config):
-        raise error("refused")
+        raise error("{}: refused", sources) if sources else error("refused")
 
     help_text, flags, _ = COMMANDS[argv[0]]
     monkeypatch.setitem(COMMANDS, argv[0], (help_text, flags, refuse))
     out = tmp_path / "out"
     code = main([*argv, "--config", str(CONFIG_DIR / "g2_comb.json"), "--out", str(out)])
     assert code == error.exit_code
-    given = "--points 7: " if error is sropo.GridTooCoarseError and "--points" in argv else ""
+    given = ""
+    if sources and "--points" in argv:
+        given = "--points 7: " if error is sropo.GridTooCoarseError else "--points: "
     assert capsys.readouterr().out == (
         f"error: exit={code} type={error.__name__}: {given}refused\n")
     assert not out.exists()

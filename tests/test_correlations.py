@@ -404,7 +404,7 @@ class TestAveraged:
         trace = g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=1e150), scales)
         assert np.all(np.isfinite(trace.values)) and trace.values.max() == 1.0
         tau = g2_grid(scales, G2Tier.AVERAGED, 1, 1e200)
-        with pytest.raises(ScenarioValidationError, match="--resolution"):
+        with pytest.raises(ScenarioValidationError, match="^resolution_dt: derived "):
             g2_averaged(G2Request(G2Tier.AVERAGED, tau, resolution_dt=1e200), scales)
 
     def test_spacing_enforced(self, averaged_setup):
@@ -541,15 +541,15 @@ class TestTierPropertiesOnCliGrid:
 
 
 # A knob a tier does not read, or the averaged tier without its resolution:
-# (tier, knobs, message).  The CLI's g2 refuses the same pairs with the same text.
+# (tier, knobs, message).  The CLI's g2 refuses the same pairs with the same
+# text, naming each argument with its flag: m_max (--m-max), resolution_dt (--resolution).
 TIER_KNOB_REFUSALS = [
-    ("compact", dict(m_max=5), "--m-max: g2 --tier compact has no mode sum"),
-    ("averaged", dict(m_max=5, resolution_dt=1e-11),
-     "--m-max: g2 --tier averaged has no mode sum"),
-    ("series", dict(resolution_dt=1e-11), "--resolution: g2 --tier series has no detector"),
-    ("exact", dict(resolution_dt=1e-11), "--resolution: g2 --tier exact has no detector"),
-    ("compact", dict(resolution_dt=1e-11), "--resolution: g2 --tier compact has no detector"),
-    ("averaged", {}, "g2 --tier averaged requires --resolution <seconds>"),
+    ("compact", dict(m_max=5), "m_max is not read by the compact tier"),
+    ("averaged", dict(m_max=5, resolution_dt=1e-11), "m_max is not read by the averaged tier"),
+    ("series", dict(resolution_dt=1e-11), "resolution_dt is not read by the series tier"),
+    ("exact", dict(resolution_dt=1e-11), "resolution_dt is not read by the exact tier"),
+    ("compact", dict(resolution_dt=1e-11), "resolution_dt is not read by the compact tier"),
+    ("averaged", {}, "resolution_dt is required by the averaged tier"),
 ]
 
 
@@ -563,5 +563,5 @@ def test_request_refuses_a_knob_its_tier_does_not_read(tier, knobs, message):
 def test_grid_refuses_a_resolution_its_tier_does_not_read(tier):
     scales = load_scenario(CONFIG_DIR / "g2_comb.json").scales
     with pytest.raises(ScenarioValidationError,
-                       match=f"^--resolution: g2 --tier {tier} has no detector$"):
+                       match=f"^resolution_dt is not read by the {tier} tier$"):
         g2_grid(scales, tier, 2, 1e-11)

@@ -1,13 +1,18 @@
-"""The package entry point: lazy names, and a scalar path that never loads numpy."""
+"""The package entry point: lazy names, a scalar path that never loads numpy,
+and flags spelled only by the command line."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
 import sropo
+import sropo.cli
 from conftest import CONFIG_DIR
 
 # Every public name of the package, by the module that held it before the
@@ -41,6 +46,29 @@ def test_all_dir_and_star_import_agree():
     namespace = {}
     exec("from sropo import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(dir(sropo)) == set(sropo.__all__)
+
+
+def flag_literals(path: Path) -> list[str]:
+    """"file:line" of each string literal in ``path`` that spells a flag: "--"
+    then a letter.  A comment spells none; an f-string's literal parts count
+    (one STRING token before Python 3.12, FSTRING_MIDDLE tokens from 3.12)."""
+    kinds = {tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING)}
+    lines = set()
+    with tokenize.open(path) as source:
+        for token in tokenize.generate_tokens(source.readline):
+            if token.type in kinds:
+                for flag in re.finditer(r"--[A-Za-z]", token.string):
+                    lines.add(token.start[0] + token.string.count("\n", 0, flag.start()))
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+def test_flags_are_spelled_only_in_cli():
+    # A library refusal names its arguments and the scenario's fields; the
+    # command line alone maps an argument to its flag (cli._refusal).
+    library = sorted(set(Path(sropo.__file__).parent.glob("*.py")) - {Path(sropo.cli.__file__)})
+    assert len(library) > 10
+    hits = [hit for path in library for hit in flag_literals(path)]
+    assert hits == [], f"{len(hits)} lines spell a flag outside cli.py: {hits}"
 
 
 def test_unknown_name_is_attribute_error():

@@ -581,15 +581,15 @@ class TestGridBudget:
 
     def test_budget_edge_is_exact(self):
         half = (MAX_GRID_POINTS - 1) // 2
-        assert grid_points(MAX_GRID_POINTS, math.nan, "w") == MAX_GRID_POINTS
-        assert grid_points(None, MAX_GRID_POINTS - 1, "w") == MAX_GRID_POINTS
-        assert grid_points(None, half, "w", 2) == MAX_GRID_POINTS - 1  # odd counts
-        with pytest.raises(ScenarioValidationError, match="grid from --points "):
-            grid_points(MAX_GRID_POINTS + 1, 1.0, "w")
+        assert grid_points(MAX_GRID_POINTS, math.nan, ("w",)) == MAX_GRID_POINTS
+        assert grid_points(None, MAX_GRID_POINTS - 1, ("w",)) == MAX_GRID_POINTS
+        assert grid_points(None, half, ("w",), 2) == MAX_GRID_POINTS - 1  # odd counts
+        with pytest.raises(ScenarioValidationError, match="^the grid from points "):
+            grid_points(MAX_GRID_POINTS + 1, 1.0, ("w",))
         for steps, sides in [(MAX_GRID_POINTS, 1), (half + 1e-6, 2),
                              (math.inf, 2), (math.nan, 1)]:
-            with pytest.raises(ScenarioValidationError, match="grid from w "):
-                grid_points(None, steps, "w", sides)
+            with pytest.raises(ScenarioValidationError, match=f"^the grid from w, {T_FIELDS} "):
+                grid_points(None, steps, ("w", "T"), sides)
 
     def test_g1_mode_weights_refused_before_allocating(self, spectrum_setup, monkeypatch):
         # A grid this fine passes g1's checks for 2**24 modes; through the CLI
@@ -601,7 +601,7 @@ class TestGridBudget:
             raise AssertionError("mode weights allocated past the budget")
 
         monkeypatch.setattr(np, "arange", refuse)
-        with pytest.raises(ScenarioValidationError, match="grid from --m-max "):
+        with pytest.raises(ScenarioValidationError, match="^the grid from m_max "):
             g1("idler", scales, freqs, tau=tau, m_max=MAX_GRID_POINTS // 2)
 
     def test_chebyshev_table_refused_before_allocating(self, spectrum_setup, monkeypatch):
@@ -627,8 +627,23 @@ class TestGridBudget:
         assert str(raised.value) == (f"the grid from {T_FIELDS}, detuning would hold more "
                                      f"than {MAX_GRID_POINTS} points")
 
+    def test_lattice_budget_names_the_detuning_argument(self, monkeypatch):
+        # The library twin of the command line's lattice refusal: the same
+        # 1,864,135 cells (within their budget), now of the caller's own grid,
+        # and 2M = 3.2e7 lines.  The library names its detuning and m_max
+        # arguments; the command line names the flags that made them.
+        config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
+        fsr = config.scales.fsr_delta_omega
+        monkeypatch.setattr(np, "arange", self._refuse)
+        with pytest.raises(ScenarioValidationError) as raised:
+            spectrum("idler", config.scales.replace(gamma=2e7 * fsr), config.freqs,
+                     detuning=np.linspace(-932067 * fsr, 932067 * fsr, 3), m_max=16_000_000)
+        assert str(raised.value) == (f"the grid from {T_FIELDS}, detuning, m_max would hold "
+                                     f"more than {MAX_GRID_POINTS} points")
+        assert raised.value.sources == (*T_FIELDS.split(", "), "detuning", "m_max")
+
     @pytest.mark.parametrize("window, source", [
-        (932068, "--window-modes"),
+        (932068, "window_modes"),
         (None, "crystal.length_l, crystal.dispersion_signal, crystal.dispersion_idler, "
                "cavity.resonator_length_Lr"),
     ], ids=["window-given", "envelope-default"])
@@ -654,7 +669,7 @@ class TestGridBudget:
         detuning = np.linspace(-fsr, fsr, 3)
         monkeypatch.setattr(np, "arange", self._refuse)
         with pytest.raises(ScenarioValidationError,
-                           match=f"^the grid from {T_FIELDS}, detuning, --m-max "):
+                           match=f"^the grid from {T_FIELDS}, detuning, m_max "):
             spectrum("idler", scales.replace(gamma=16.0 * fsr), freqs,
                      detuning, m_max=(MAX_GRID_POINTS - 1) // 2)
 
@@ -686,9 +701,9 @@ class TestGridBudget:
 REFUSALS = {
     "field": (dict(field="bogus"), ValueError, "'bogus' is not a valid FieldName"),
     "tau0_zero": (dict(tau0=0.0, m_max=None), sropo.DegenerateGroupVelocityError,
-                  r"tau0 = 0: the envelope has no zero; pass m_max \(--m-max\)"),
+                  r"^tau0 = 0: the envelope has no zero; pass m_max$"),
     "m_max_negative": (dict(m_max=-1), ScenarioValidationError,
-                       r"m_max \(--m-max\) must be at least 0, got -1"),
+                       r"^m_max must be at least 0, got -1$"),
     "non_uniform": (dict(steps=[0.0, 1.0, 3.0]), ValueError,
                     "{axis} must be uniformly spaced"),
     "too_coarse": (dict(steps=np.arange(-2.0, 3.0), coarse=True), GridTooCoarseError,
@@ -696,7 +711,7 @@ REFUSALS = {
     "gamma": (dict(gamma=1e200), ScenarioValidationError,
               r"cavity.loss_rate_gamma: gamma = 1e\+200 rad/s is outside"),
     "budget": (dict(m_max=MAX_GRID_POINTS // 2), ScenarioValidationError,
-               "grid from --m-max would hold more than"),
+               "^the grid from m_max would hold more than"),
 }
 # The order each function refuses in; faults that set the same argument
 # (the grid, or m_max) are never combined.
@@ -962,7 +977,7 @@ MODE_COUNT_ENTRIES = {
 @pytest.mark.parametrize("entry", MODE_COUNT_ENTRIES)
 def test_non_integer_mode_count_is_refused(entry, count):
     config = load_scenario(CONFIG_DIR / "spectrum_comb.json")
-    name = r"m_count \(--modes\)" if entry == "wavefunction_grid" else r"m_max \(--m-max\)"
+    name = "m_count" if entry == "wavefunction_grid" else "m_max"
     with pytest.raises(ScenarioValidationError,
                        match=rf"^{name} must be an integer, got {count!r}$"):
         MODE_COUNT_ENTRIES[entry](config, count)
@@ -990,7 +1005,7 @@ def test_spectrum_refuses_m_max_before_its_default_grid():
     config = load_scenario(CONFIG_DIR / "phase_matched.json")
     tracemalloc.start()
     try:
-        with pytest.raises(ScenarioValidationError, match=r"^m_max \(--m-max\) must be at"):
+        with pytest.raises(ScenarioValidationError, match=r"^m_max must be at"):
             spectrum("idler", config.scales, config.freqs, m_max=-1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -999,7 +1014,7 @@ def test_spectrum_refuses_m_max_before_its_default_grid():
 
 
 def _averaged_g2(config, resolution):
-    grid = g2_grid(config.scales, "averaged", 1, resolution=resolution)
+    grid = g2_grid(config.scales, "averaged", 1, resolution_dt=resolution)
     assert grid.dtype == np.float64
     return sropo.g2_averaged(sropo.G2Request("averaged", grid, resolution_dt=resolution),
                              config.scales)
@@ -1023,9 +1038,8 @@ BOUNDARY = {
     "wavefunction_grid": ("m_count", "spectrum_comb",
                           lambda c, v: sropo.wavefunction_grid(c.scales, v), 1),
 }
-# How a refusal names each argument: its library name, then its flag.
-WHERE = {"m_max": r"m_max \(--m-max\)", "m_count": r"m_count \(--modes\)",
-         "resolution": r"resolution_dt \(--resolution\)"}
+# How a refusal names each argument: by its library name alone, never its flag.
+WHERE = {"m_max": "m_max", "m_count": "m_count", "resolution": "resolution_dt"}
 COUNT_TYPES = [int, np.int64, np.int32, bool, np.bool_, float, np.float32]
 SECONDS_TYPES = [float, np.float32, np.float64, bool, np.bool_, str]
 
