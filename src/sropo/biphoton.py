@@ -30,7 +30,7 @@ class PumpParams(Record):
     field_amplitude_ep: float
 
     def __post_init__(self):
-        as_real(self.field_amplitude_ep, "field_amplitude_ep", 0.0, strict=True)
+        self._store_positive(*self._fields)
 
 
 def _phi_factors(m, omega, scales: DerivedScales):

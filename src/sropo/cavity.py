@@ -30,8 +30,7 @@ class CavityParams(Record):
     loss_rate_gamma: float
 
     def __post_init__(self):
-        for name in ("resonator_length_lr", "loss_rate_gamma"):
-            as_real(getattr(self, name), name, 0.0, strict=True)
+        self._store_positive(*self._fields)
 
 
 class DerivedScales(Record):
@@ -73,9 +72,8 @@ def round_trip_time(
 ) -> float:
     """Effective round-trip time T = 2l/v_gS + 2(L_r - l)/c of a signal photon."""
     if cavity.resonator_length_lr < crystal.length_l:
-        raise ScenarioValidationError(
-            f"cavity.resonator_length_Lr must be at least crystal.length_l = "
-            f"{crystal.length_l!r}, got {cavity.resonator_length_lr!r}")
+        raise ScenarioValidationError.of("cavity.resonator_length_Lr", "must be at least "
+            f"crystal.length_l = {crystal.length_l!r}, got {cavity.resonator_length_lr!r}")
     v_gs = group_velocity(crystal.dispersion_signal, freqs.omega_s)
     air = cavity.resonator_length_lr - crystal.length_l
     return 2.0 * crystal.length_l / v_gs + 2.0 * air / C_LIGHT

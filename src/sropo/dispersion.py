@@ -59,7 +59,7 @@ class DispersionModel(Record):
     be evaluated.  A Sellmeier pole (B_i != 0) in it is refused at construction.
     n(w) > 1 is required and checked on a sample of ``_VALIDATION_SAMPLES``
     points, where ``_evaluate`` also refuses n^2 <= 0 or a dn/dw out of the
-    double range.
+    double range.  A refusal of the whole model names no field.
     """
 
     kind: DispersionKind
@@ -71,8 +71,8 @@ class DispersionModel(Record):
             kind = DispersionKind(self.kind)
         except ValueError:
             allowed = ", ".join(k.value for k in DispersionKind)
-            raise ScenarioValidationError(
-                f"kind must be one of {allowed}, got {shown(self.kind)}") from None
+            raise ScenarioValidationError.of(
+                "kind", f"must be one of {allowed}, got {shown(self.kind)}") from None
         params = tuple(as_real(p, f"parameters[{i}]", -math.inf) for i, p in
                        enumerate(_entries(self.parameters, "parameters", _PARAM_COUNTS[kind])))
         lo, hi = (as_real(v, f"validity_range[{i}]", 0.0)
@@ -81,19 +81,21 @@ class DispersionModel(Record):
         object.__setattr__(self, "parameters", params)
         object.__setattr__(self, "validity_range", (lo, hi))
         if not (0.0 < lo < hi):
-            raise ValueError("validity_range must satisfy 0 < lo < hi")
+            raise ScenarioValidationError.of("validity_range",
+                                             f"must satisfy 0 < lo < hi, got {(lo, hi)!r}")
         if kind is DispersionKind.SELLMEIER:  # a pole, L = C_i, sampled or not
             for i, (b, c) in enumerate(zip(params[:3], params[3:]), 1):
                 if b and c > 0 and lo <= (omega := TWO_PI * C_LIGHT * 1e6 / math.sqrt(c)) <= hi:
-                    raise ValueError(f"sellmeier model has a pole (L = C{i} = {c!r} um^2) at "
-                                     f"omega = {omega:.6e} rad/s inside its validity range")
+                    raise ScenarioValidationError(f"sellmeier model has a pole (L = C{i} = {c!r} "
+                        f"um^2) at omega = {omega:.6e} rad/s inside its validity range")
         for omega in _linspace(lo, hi, _VALIDATION_SAMPLES):
-            n = _evaluate(self, omega)[0]
+            try:
+                n = _evaluate(self, omega)[0]
+            except OutOfRangeError as exc:  # n^2 <= 0, or dn/domega past the double range
+                raise ScenarioValidationError(str(exc)) from exc
             if not math.isfinite(n) or n <= 1.0:
-                raise ValueError(
-                    f"{kind.value} model yields n = {n!r} <= 1 at "
-                    f"omega = {omega:.6e} rad/s inside its validity range"
-                )
+                raise ScenarioValidationError(f"{kind.value} model yields n = {n!r} <= 1 at omega "
+                                              f"= {omega:.6e} rad/s inside its validity range")
 
 
 def _entries(value, where: str, count: int) -> tuple:
@@ -101,10 +103,9 @@ def _entries(value, where: str, count: int) -> tuple:
     else (a number, a string, a mapping, a set), or another count, is refused
     naming ``where``."""
     ordered = isinstance(value, (list, tuple)) or getattr(value, "ndim", None) == 1
-    if not ordered or len(value) != count:
-        raise ScenarioValidationError(f"{where} must be a list of length {count}, "
-                                      f"got {shown(value)}")
-    return tuple(value)
+    if ordered and len(value) == count:
+        return tuple(value)
+    raise ScenarioValidationError.of(where, f"must be a list of length {count}, got {shown(value)}")
 
 
 def _linspace(lo: float, hi: float, num: int) -> list[float]:
@@ -178,8 +179,7 @@ class CrystalParams(Record):
     dispersion_pump: DispersionModel
 
     def __post_init__(self):
-        for name in ("length_l", "chi", "cross_section_A"):
-            as_real(getattr(self, name), name, 0.0, strict=True)
+        self._store_positive("length_l", "chi", "cross_section_A")
 
 
 class FrequencyTriple(Record):
@@ -193,17 +193,15 @@ class FrequencyTriple(Record):
     omega_i: float
 
     def __post_init__(self):
-        for name in ("omega_p", "omega_s", "omega_i"):
-            as_real(getattr(self, name), name, 0.0, strict=True)
+        self._store_positive(*self._fields)
         try:  # the exact residual; a partial sum past the double range means a far-off triple
             off = abs(math.fsum((self.omega_s, -self.omega_p, self.omega_i)))
         except OverflowError:
             off = math.inf
         if off > math.ulp(self.omega_p) / 2:
-            raise ValueError(
-                "omega_p must equal omega_s + omega_i to half an ulp of omega_p "
-                f"(got {self.omega_p!r} vs {self.omega_s + self.omega_i!r})"
-            )
+            raise ScenarioValidationError.of(
+                "omega_p", "must equal omega_s + omega_i to half an ulp of omega_p "
+                f"(got {self.omega_p!r} vs {self.omega_s + self.omega_i!r})", self._fields)
 
     @classmethod
     def from_pump_and_signal(cls, omega_p: float, omega_s: float) -> "FrequencyTriple":
@@ -267,8 +265,8 @@ def phase_match(
     lo, hi = (as_real(v, f"bracket[{i}]", 0.0, strict=True)
               for i, v in enumerate(_entries(bracket, "bracket", 2)))
     if not lo < hi < omega_p:
-        raise ScenarioValidationError(
-            f"bracket must satisfy 0 < lo < hi < omega_p = {omega_p!r}, got {bracket!r}")
+        raise ScenarioValidationError.of(
+            "bracket", f"must satisfy 0 < lo < hi < omega_p = {omega_p!r}, got {bracket!r}")
 
     k_p = wavenumber(crystal.dispersion_pump, omega_p)
     tol = _MISMATCH_TOL_REL * abs(k_p)

@@ -145,6 +145,11 @@ class Record:
     def __post_init__(self):
         pass
 
+    def _store_positive(self, *names):
+        """Store each field in ``names`` as the float ``as_real`` returns, above 0."""
+        for name in names:
+            object.__setattr__(self, name, as_real(getattr(self, name), name, 0.0, strict=True))
+
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 

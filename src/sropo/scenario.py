@@ -21,6 +21,9 @@ frequency blocks plus optional output preferences::
 ``omega_I``) or supplies a ``bracket`` for the phase-matching solver; the two
 styles are mutually exclusive.  Every physical field enters the scenario
 hash; output preferences do not.
+The parser owns the file's structure (objects, keys, their paths); the records
+and ``phase_match`` own every value rule.  Each refusal carries scenario paths
+as its ``sources``.
 """
 
 from __future__ import annotations
@@ -130,68 +133,70 @@ def scenario_hash(
     return sha256(canonical.encode("ascii")).hexdigest()[:16]
 
 
+def _refusal(path: str, rule: str) -> ScenarioValidationError:
+    return ScenarioValidationError("{}: " + rule, (path,), own=True)
+
+
 def _expect_mapping(obj, path: str) -> dict:
     if not isinstance(obj, dict):
-        raise ScenarioValidationError(f"{path}: expected an object")
+        raise _refusal(path, "expected an object")
     return obj
 
 
 def _get(obj: dict, key: str, path: str):
     if key not in obj:
-        raise ScenarioValidationError(f"{path}.{key}: missing required field")
+        raise _refusal(f"{path}.{key}", "missing required field")
     return obj[key]
 
 
-def _dispersion(obj: dict, path: str) -> DispersionModel:
-    """A dispersion block: its keys are checked here, their values by the record."""
-    obj = _expect_mapping(obj, path)
-    kind, params, rng = (_get(obj, key, path) for key in ("kind", "parameters", "validity_range"))
+def _named(path: str, build, *args):
+    """``build(*args)``, its refusal's sources named under ``path``: a record field by its
+    ``_BLOCKS`` key, an entry (``parameters[0]``) as it is; a refusal naming none by ``path``."""
     try:
-        return DispersionModel(kind, params, rng)
-    except ScenarioValidationError as exc:  # names the entry: kind, parameters[i], ...
-        raise ScenarioValidationError(f"{path}.{exc}") from exc
-    except ValueError as exc:
-        raise ScenarioValidationError(f"{path}: {exc}") from exc
+        return build(*args)
+    except ScenarioValidationError as exc:
+        cls, keys = _BLOCKS.get(path, (Record, ()))
+        key = dict(zip(cls._fields, keys))
+        sources = [f"{path}.{key.get(s, s)}" for s in exc.sources]
+        raise (ScenarioValidationError(exc.text, sources, exc.own) if sources
+               else _refusal(path, exc.text)) from exc
+
+
+def _dispersion(obj: dict, path: str) -> DispersionModel:
+    """A dispersion block: its keys (the record's fields) read here, their values by the record."""
+    obj = _expect_mapping(obj, path)
+    return _named(path, DispersionModel, *(_get(obj, key, path) for key in DispersionModel._fields))
 
 
 def _block(data: dict, name: str, source: str):
-    """The crystal, cavity or pump block, parsed by its row of ``_BLOCKS``."""
+    """The crystal, cavity or pump block: keys read by its ``_BLOCKS`` row, values by its record."""
     cls, keys = _BLOCKS[name]
     obj = _expect_mapping(_get(data, name, source), name)
-    return cls(*(
+    return _named(name, cls, *(
         _dispersion(_get(obj, key, name), f"{name}.{key}") if key.startswith("dispersion_")
-        else as_real(_get(obj, key, name), f"{name}.{key}", 0.0, strict=True)
-        for key in keys
+        else _get(obj, key, name) for key in keys
     ))
 
 
 def _resolve_frequencies(obj: dict, crystal: CrystalParams) -> FrequencyTriple:
+    """The triple, given (a partner left out derived here) or phase-matched."""
     path = "frequencies"
     obj = _expect_mapping(obj, path)
-    omega_p = as_real(_get(obj, "omega_P", path), "frequencies.omega_P", 0.0, strict=True)
-    explicit = "omega_S" in obj or "omega_I" in obj
-    if explicit and "bracket" in obj:
-        raise ScenarioValidationError(
-            f"{path}: explicit frequencies and a phase-match bracket are "
-            "mutually exclusive"
-        )
-    if explicit:
-        omega_s, omega_i = (as_real(obj[key], f"{path}.{key}", 0.0, strict=True)
-                            if key in obj else None for key in ("omega_S", "omega_I"))
-        omega_i = omega_p - omega_s if omega_i is None else omega_i
-        omega_s = omega_p - omega_i if omega_s is None else omega_s
-        try:
-            return FrequencyTriple(omega_p, omega_s, omega_i)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{path}: {exc}") from exc
-    if "bracket" not in obj:
-        raise ScenarioValidationError(
-            f"{path}: provide omega_S/omega_I or a bracket for phase matching"
-        )
-    try:
-        return phase_match(crystal, omega_p, obj["bracket"])
-    except ScenarioValidationError as exc:  # names the bracket or its entry bracket[i]
-        raise ScenarioValidationError(f"{path}.{exc}") from exc
+    omega_p = _get(obj, "omega_P", path)
+    given = [key for key in ("omega_S", "omega_I") if key in obj]
+    if given and "bracket" in obj:
+        raise _refusal(path, "explicit frequencies and a phase-match bracket are "
+                             "mutually exclusive")
+    if "bracket" in obj:
+        return _named(path, phase_match, crystal, omega_p, obj["bracket"])
+    if not given:
+        raise _refusal(path, "provide omega_S/omega_I or a bracket for phase matching")
+    omega = {k: as_real(obj[k], f"{path}.{k}", 0.0, strict=True) for k in ("omega_P", *given)}
+    for key, other in (("omega_I", "omega_S"), ("omega_S", "omega_I")):
+        if key not in omega:  # the partner left out, from the two fields given
+            omega[key] = as_real(omega["omega_P"] - omega[other], f"derived {key}", 0.0,
+                                 f"{path}.omega_P", f"{path}.{other}", strict=True)
+    return _named(path, FrequencyTriple, *(omega[key] for key in _BLOCKS[path][1]))
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
@@ -203,20 +208,17 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> ScenarioConfig:
 
     freqs = _resolve_frequencies(_get(data, "frequencies", source), crystal)
 
-    out = data.get("output", {})
-    out = _expect_mapping(out, "output")
+    out = _expect_mapping(data.get("output", {}), "output")
     directory = out.get("directory", ".")
     if not isinstance(directory, str):
-        raise ScenarioValidationError(f"output.directory: must be a string, got {shown(directory)}")
+        raise _refusal("output.directory", f"must be a string, got {shown(directory)}")
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
-        raise ScenarioValidationError("output.format: must be 'csv' or 'json'")
+        raise _refusal("output.format", f"must be 'csv' or 'json', got {shown(fmt)}")
     norm_name = out.get("normalization", Normalization.PEAK_UNITY.value)
     if norm_name not in OUTPUT_NORMALIZATIONS:
-        raise ScenarioValidationError(
-            f"output.normalization: must be one of {', '.join(OUTPUT_NORMALIZATIONS)}, "
-            f"got {shown(norm_name)}"
-        )
+        raise _refusal("output.normalization",
+                       f"must be one of {', '.join(OUTPUT_NORMALIZATIONS)}, got {shown(norm_name)}")
     normalization = Normalization(norm_name)
 
     threshold = as_real(data.get("regime_threshold", DEFAULT_REGIME_THRESHOLD),

@@ -14,6 +14,7 @@ spectral amplitude over the crystal for ``biphoton.phi_analytic``,
 ``biphoton.wavefunction_grid`` takes the phases from the mode and detuning
 axes,
 ``sinc_sq_partial_sum`` sums the rate's modes for ``biphoton.rate_mode_sum``,
+``envelope_weights`` is the sinc^2 envelope of the spectrum's and g1's modes,
 ``lorentzian_kernel`` is the cavity response the exact tier integrates,
 ``g2_averaged_all_echoes`` is the averaged tier's echo sum without its cut,
 ``g2_compact_convolved`` is the compact tier's boxcar train convolved with
@@ -148,6 +149,14 @@ class KahanAccumulator:
     @property
     def total(self) -> np.ndarray:
         return self._sum
+
+
+def envelope_weights(m_count: int, scales: DerivedScales) -> np.ndarray:
+    """sinc^2(m*fsr*tau0/2) at modes -M..M, each by ``math.sin`` (1 where the
+    argument is 0): the envelope ``spectra._mode_weights`` must give."""
+    half = 0.5 * scales.fsr_delta_omega * scales.tau0
+    return np.array([1.0 if m * half == 0.0 else (math.sin(m * half) / (m * half)) ** 2
+                     for m in range(-m_count, m_count + 1)])
 
 
 def spectrum_mode_loop(

@@ -278,6 +278,46 @@ class TestErrorPaths:
         assert result.returncode == 2
         assert "error: exit=2" in result.stdout
 
+    @pytest.mark.parametrize("frequencies, line", [
+        ({"omega_P": 3.5e15, "omega_S": 4e15},
+         "frequencies.omega_P, frequencies.omega_S: derived omega_I must be above 0, "
+         "got -500000000000000.0"),
+        ({"omega_P": 3.5e15, "omega_S": 2e15, "omega_I": 1.6e15},
+         "frequencies.omega_P, frequencies.omega_S, frequencies.omega_I: omega_p must equal "
+         "omega_s + omega_i to half an ulp of omega_p "
+         "(got 3500000000000000.0 vs 3600000000000000.0)"),
+    ], ids=["derived-partner", "conservation"])
+    def test_frequency_refusal_names_the_file_fields(self, tmp_path, capsys, frequencies, line):
+        path = write_config(tmp_path, _config_with("g2_comb", ("frequencies", frequencies)))
+        out = tmp_path / "out"
+        assert main(["scales", "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == f"error: exit=1 type=ScenarioValidationError: {line}\n"
+        assert not out.exists()
+
+    def test_phase_match_residual_above_tolerance_is_numeric_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, _residual_above_tolerance())
+        assert main(["scales", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == (
+            "error: exit=2 type=NonConvergenceError: bisection converged in omega_s but "
+            "|mismatch| still exceeds 1e-06 * k_p\n")
+        assert not out.exists()
+
+    def test_phase_matched_triple_one_ulp_off_in_floats_loads(self, tmp_path, capsys):
+        # The derived idler makes the float sum omega_S + omega_I miss omega_P
+        # by one ulp (0.5 rad/s), within the half-ulp rule on the exact sum.
+        def constant(n):
+            return {"kind": "constant", "parameters": [n], "validity_range": [1e14, 1e16]}
+        path = write_config(tmp_path, _config_with(
+            "phase_matched", ("crystal", "dispersion_signal", constant(2.0)),
+            ("crystal", "dispersion_idler", constant(1.5)),
+            ("crystal", "dispersion_pump", constant(1.7)),
+            ("frequencies", {"omega_P": 3817447488335531.5, "bracket": [1e15, 1.8e15]})))
+        freqs = load_scenario(path).freqs
+        assert freqs.omega_s + freqs.omega_i - freqs.omega_p == 0.5
+        assert main(["scales", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "scales.json").exists()
+
     def test_bisection_past_its_step_cap_is_numeric_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["scales", "--config", str(write_config(tmp_path, _bisection_cap())),
@@ -862,13 +902,33 @@ def _bisection_cap():
                         ("frequencies", "bracket", [1e-300, 1e15]))
 
 
-# One run per exit code: (argv before --config, the scenario it reads).
+def _residual_above_tolerance():
+    """phase_matched.json whose signal index, n = -199999999998.5 + 1e-4*omega (1.5 at
+    omega = 2e15 rad/s), is so steep that the mismatch moves by about 167 rad/m
+    per ulp of omega_S: the bisection converges in omega_S, and the mismatch
+    there still exceeds 1e-6 * k_p = 17.5 rad/m."""
+    def constant(n):
+        return {"kind": "constant", "parameters": [n], "validity_range": [1e14, 1e16]}
+    steep = {"kind": "linear_in_omega", "parameters": [-199999999998.5, 1e-4],
+             "validity_range": [1999999999996000, 2000000000004000]}
+    return _config_with("phase_matched", ("crystal", "dispersion_signal", steep),
+                        ("crystal", "dispersion_idler", constant(1.5)),
+                        ("crystal", "dispersion_pump", constant(1.5)),
+                        ("frequencies", "bracket", [1999999999996370, 2000000000004000]))
+
+
+# One run per exit code: (argv before --config, the scenario it reads, the
+# line it prints, a refusal's whole and the rest's start).
 EXIT_RUNS = {
-    0: (["scales"], lambda: _config_with("g2_comb")),
-    1: (["g2", "--tier", "compact", "--points", "1"], lambda: _config_with("g2_comb")),
-    2: (["scales"], _bisection_cap),
+    0: (["scales"], lambda: _config_with("g2_comb"), "tau0="),
+    1: (["g2", "--tier", "compact", "--points", "1"], lambda: _config_with("g2_comb"),
+        "error: exit=1 type=ScenarioValidationError: points (--points) must be at least 2, "
+        "got 1\n"),
+    2: (["scales"], _bisection_cap,
+        "error: exit=2 type=NonConvergenceError: bisection on [1.000000e-300, 3.906250e+12] "
+        "did not converge in 200 steps\n"),
     3: (["scales", "--strict-regime"],  # gamma/fsr = 0.5
-        lambda: scenario_dict(gamma=0.5 * 2 * math.pi / ROUND_TRIP)),
+        lambda: scenario_dict(gamma=0.5 * 2 * math.pi / ROUND_TRIP), "error: exit=3 "),
 }
 
 
@@ -882,12 +942,14 @@ class TestProcessExit:
     @pytest.mark.parametrize("stdout", ["pipe", "file"])
     @pytest.mark.parametrize("code", sorted(EXIT_RUNS))
     def test_process_prints_and_exits_as_main(self, tmp_path, capsys, code, stdout):
-        argv, data = EXIT_RUNS[code]
-        argv = [*argv, "--config", str(write_config(tmp_path, data())),
-                "--out", str(tmp_path / "out")]
+        argv, data, line = EXIT_RUNS[code]
+        out = tmp_path / "out"
+        argv = [*argv, "--config", str(write_config(tmp_path, data())), "--out", str(out)]
         assert main(argv) == code
         expected = capsys.readouterr().out
         assert len(expected.splitlines()) == 1
+        assert (expected == line) if line.endswith("\n") else expected.startswith(line)
+        assert out.exists() == (code == 0)
         command = [sys.executable, "-m", "sropo", *argv]
         if stdout == "pipe":
             result = subprocess.run(command, capture_output=True, text=True, env=self.ENV)

@@ -301,6 +301,17 @@ class TestPhaseMatch:
         with pytest.raises(ValueError):
             phase_match(crystal, 3.5e15, (2.2e15, 1.8e15))
 
+    def test_root_whose_mismatch_still_exceeds_tolerance_is_non_convergence(self):
+        # n_s = -199999999998.5 + 1e-4*omega is 1.5 at 2e15 rad/s and so steep
+        # that one ulp of omega_s moves the mismatch by about 167 rad/m: the
+        # bisection converges in omega_s, but not below 1e-6 * k_p = 17.5 rad/m.
+        signal = DispersionModel(DispersionKind.LINEAR_IN_OMEGA, (-199999999998.5, 1e-4),
+                                 (1999999999996000, 2000000000004000))
+        crystal = make_crystal(signal, constant_model(1.5), constant_model(1.5))
+        with pytest.raises(NonConvergenceError, match=r"^bisection converged in omega_s but "
+                           r"\|mismatch\| still exceeds 1e-06 \* k_p$"):
+            phase_match(crystal, 3.5e15, (1999999999996370, 2000000000004000))
+
     def test_bisection_past_its_step_cap_is_non_convergence(self):
         # The mismatch changes sign in the first scan interval, near 7.8e-291
         # rad/s: the absolute tolerance of 1e-300 there needs about 1,040

@@ -2,15 +2,18 @@
 three array holders, and a ``replace`` that validates the copy again."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sropo.peaks
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, make_setup
 from sropo import (
     BiphotonAmplitudeGrid, G2Request, G2Tier, Normalization, Trace, TraceKind, TraceMeta,
-    load_scenario, wavefunction_grid,
+    derive_scales, g1, load_scenario, scenario_hash, spectrum, wavefunction_grid,
 )
 from sropo.names import Record
 
@@ -85,3 +88,49 @@ def test_trace_meta_gets_a_fresh_dict():
     a, b = (TraceMeta(TraceKind.G1, Normalization.PEAK_UNITY) for _ in range(2))
     assert a.extra == {} and a.extra is not b.extra
     assert a == b == TraceMeta(TraceKind.G1, Normalization.PEAK_UNITY, {})
+
+
+# The positive fields of the four scenario records, by their place in
+# conftest.make_setup's (crystal, cavity, pump, freqs).
+POSITIVE_FIELDS = [(0, "length_l"), (0, "chi"), (0, "cross_section_A"),
+                   (1, "resonator_length_lr"), (1, "loss_rate_gamma"),
+                   (2, "field_amplitude_ep"), (3, "omega_p"), (3, "omega_s"), (3, "omega_i")]
+
+
+@st.composite
+def typed_field(draw):
+    """(record index, field, value): the setup's value times a factor in [0.5, 2],
+    as a float, a numpy float32 or float64, or, where it is at least 1, an int
+    or a numpy int64 (every value below 1 truncates to an integer of 0)."""
+    place, name = draw(st.sampled_from(POSITIVE_FIELDS))
+    value = getattr(make_setup(1.9)[place], name) * draw(st.floats(0.5, 2.0))
+    kinds = [float, np.float32, np.float64] + ([int, np.int64] if value >= 1 else [])
+    return place, name, draw(st.sampled_from(kinds))(value)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=typed_field())
+def test_scenario_records_store_the_python_float_they_check(case):
+    """A record stores ``float(value)``, so a scenario built from numpy or integer
+    values hashes and derives as its all-float twin and its kernels warn nothing."""
+    place, name, value = case
+    setup = list(make_setup(1.9)[:4])
+    changes = {name: value}
+    freqs = setup[3]
+    if name == "omega_p":  # the partner that keeps omega_p = omega_s + omega_i
+        changes["omega_s"] = float(value) - freqs.omega_i
+    elif place == 3:
+        changes["omega_p"] = float(value) + (freqs.omega_i if name == "omega_s" else freqs.omega_s)
+    typed, plain = list(setup), list(setup)
+    typed[place] = setup[place].replace(**changes)
+    plain[place] = setup[place].replace(**{k: float(v) for k, v in changes.items()})
+    stored = getattr(typed[place], name)
+    assert type(stored) is float and stored == float(value)
+    assert typed == plain
+    assert scenario_hash(*typed) == scenario_hash(*plain)
+    scales = derive_scales(*typed)
+    assert all(type(v) is float for v in vars(scales).values()), vars(scales)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        spectrum("idler", scales, typed[3])
+        g1("idler", scales, typed[3])

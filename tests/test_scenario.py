@@ -10,6 +10,7 @@ from sropo import (
     load_scenario,
     scenario_from_dict,
 )
+from sropo.cli import main
 from conftest import CONFIG_DIR, scenario_dict
 from helpers import hashlib_digest
 
@@ -76,11 +77,17 @@ class TestLoadScenario:
     ], ids=["huge-integer", "not-utf-8", "utf-16", "nested-deep", "repeated-key",
             "repeated-key-nested", "repeated-key-top", "utf-8-bom"])
     def test_file_that_cannot_be_read_or_decoded_is_a_parse_error(
-            self, tmp_path, mutate, message):
+            self, tmp_path, capsys, mutate, message):
         path = tmp_path / "scenario.json"
         path.write_bytes(mutate((CONFIG_DIR / "phase_matched.json").read_bytes()))
         with pytest.raises(ScenarioParseError, match="^" + re.escape(f"{path}: {message}")):
             load_scenario(path)
+        out = tmp_path / "out"
+        assert main(["scales", "--config", str(path), "--out", str(out)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: exit=1 type=ScenarioParseError: {path}: {message}"), lines
+        assert not out.exists()
 
     def test_directory_is_a_parse_error_naming_it(self, tmp_path):
         with pytest.raises(ScenarioParseError, match="^" + re.escape(f"{tmp_path}: [Errno 21]")):
@@ -188,6 +195,95 @@ class TestLoadScenario:
         # the JSON literals NaN and Infinity take the same path through a file
         with pytest.raises(ScenarioValidationError, match=re.escape(field)):
             load_scenario(write_config(tmp_path, data))
+
+
+def _edited(*edits):
+    """scenario_dict() with each (key, ..., key, value) edit; a value of ``KeyError``
+    deletes the key."""
+    data = scenario_dict()
+    for *keys, value in edits:
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        if value is KeyError:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    return data
+
+
+def _constant(n, low=1e14, high=1e16):
+    return {"kind": "constant", "parameters": [n], "validity_range": [low, high]}
+
+
+BRACKET = {"omega_P": 3.5e15, "bracket": [1.8e15, 2.2e15]}
+# One scenario refusal of each kind: (the edits, the whole text).
+REFUSALS = {
+    "non-object-block": ((("cavity", 5),), "cavity: expected an object"),
+    "missing-key": ((("cavity", "loss_rate_gamma", KeyError),),
+                    "cavity.loss_rate_gamma: missing required field"),
+    # a block's keys are read before its values are checked
+    "missing-key-before-a-bad-value": ((("crystal", "length_l", -1), ("crystal", "chi", KeyError)),
+                                       "crystal.chi: missing required field"),
+    "length_l": ((("crystal", "length_l", -1),), "crystal.length_l must be above 0, got -1.0"),
+    "chi": ((("crystal", "chi", "x"),), "crystal.chi must be a real number, got 'x'"),
+    "cross_section_A": ((("crystal", "cross_section_A", 0),),
+                        "crystal.cross_section_A must be above 0, got 0.0"),
+    "resonator_length_Lr": ((("cavity", "resonator_length_Lr", -0.05),),
+                            "cavity.resonator_length_Lr must be above 0, got -0.05"),
+    "loss_rate_gamma": ((("cavity", "loss_rate_gamma", None),),
+                        "cavity.loss_rate_gamma must be a real number, got None"),
+    "field_amplitude_EP": ((("pump", "field_amplitude_EP", True),),
+                           "pump.field_amplitude_EP must be a real number, got True"),
+    "kind": ((("crystal", "dispersion_idler", "kind", "cauchy"),),
+             "crystal.dispersion_idler.kind must be one of constant, linear_in_omega, "
+             "sellmeier, got 'cauchy'"),
+    "parameters[i]": ((("crystal", "dispersion_signal", "parameters", ["a"]),),
+                      "crystal.dispersion_signal.parameters[0] must be a real number, got 'a'"),
+    "validity_range-order": ((("crystal", "dispersion_pump", "validity_range", [2e15, 1e15]),),
+                             "crystal.dispersion_pump.validity_range must satisfy 0 < lo < hi, "
+                             "got (2000000000000000.0, 1000000000000000.0)"),
+    "model": ((("crystal", "dispersion_signal", _constant(0.9)),),
+              "crystal.dispersion_signal: constant model yields n = 0.9 <= 1 at "
+              "omega = 1.000000e+14 rad/s inside its validity range"),
+    "derived-omega_I": ((("frequencies", "omega_S", 4e15),),
+                        "frequencies.omega_P, frequencies.omega_S: derived omega_I must be "
+                        "above 0, got -500000000000000.0"),
+    "derived-omega_S": ((("frequencies", {"omega_P": 3.5e15, "omega_I": 4e15}),),
+                        "frequencies.omega_P, frequencies.omega_I: derived omega_S must be "
+                        "above 0, got -500000000000000.0"),
+    "conservation": ((("frequencies", "omega_I", 1.6e15),),
+                     "frequencies.omega_P, frequencies.omega_S, frequencies.omega_I: omega_p "
+                     "must equal omega_s + omega_i to half an ulp of omega_p "
+                     "(got 3500000000000000.0 vs 3600000000000000.0)"),
+    "explicit-and-bracket": ((("frequencies", "bracket", [1.8e15, 2.2e15]),),
+                             "frequencies: explicit frequencies and a phase-match bracket "
+                             "are mutually exclusive"),
+    "neither": ((("frequencies", {"omega_P": 3.5e15}),),
+                "frequencies: provide omega_S/omega_I or a bracket for phase matching"),
+    "bracket": ((("frequencies", {**BRACKET, "bracket": 2e15}),),
+                "frequencies.bracket must be a list of length 2, got 2000000000000000.0"),
+    "bracket[i]": ((("frequencies", {**BRACKET, "bracket": [1.8e15, "b"]}),),
+                   "frequencies.bracket[1] must be a real number, got 'b'"),
+    "output.directory": ((("output", "directory", 3),),
+                         "output.directory: must be a string, got 3"),
+    "output.format": ((("output", "format", "xml"),),
+                      "output.format: must be 'csv' or 'json', got 'xml'"),
+    "output.normalization": ((("output", "normalization", "max"),),
+                             "output.normalization: must be one of peak_unity, unit_integral, "
+                             "got 'max'"),
+}
+SCENARIO_PATH = re.compile(r"(crystal|cavity|pump|frequencies|output)(\.\w+(\[\d\])?)*")
+
+
+@pytest.mark.parametrize("edits, text", REFUSALS.values(), ids=REFUSALS)
+def test_every_scenario_refusal_names_its_field_paths_as_sources(edits, text):
+    with pytest.raises(ScenarioValidationError) as refused:
+        scenario_from_dict(_edited(*edits))
+    exc = refused.value
+    assert str(exc) == text
+    assert exc.sources and all(SCENARIO_PATH.fullmatch(s) for s in exc.sources), exc.sources
+    assert all(s in text for s in exc.sources)
 
 
 class TestOutputNormalization:

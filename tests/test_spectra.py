@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import sropo.spectra
 from sropo import (
+    DegenerateGroupVelocityError,
     DerivedScales,
     GridTooCoarseError,
     Normalization,
@@ -25,11 +26,11 @@ from sropo.numerics import (
     symmetric_grid,
 )
 from sropo.peaks import measure_peaks, nearest_peak
-from sropo.spectra import _BLOCK, _auto_mode_count, _mode_weights, g1_grid, spectrum_grid
+from sropo.spectra import _BLOCK, _auto_mode_count, g1_grid, spectrum_grid
 from sropo.trace import trace_table, write_table_json
 from scipy.integrate import trapezoid
 from conftest import CONFIG_DIR
-from oracles import g1_mode_loop, spectrum_mode_loop
+from oracles import envelope_weights, g1_mode_loop, spectrum_mode_loop
 
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.json"))
 T_FIELDS = "crystal.length_l, crystal.dispersion_signal, cavity.resonator_length_Lr"
@@ -140,7 +141,7 @@ def loop_spectrum(trace, scales):
     """The oracle loop on ``trace``'s grid and modes, normalised as ``trace`` is."""
     m_count = trace.meta.extra["m_max"]
     values = spectrum_mode_loop(
-        trace.axis, _mode_weights(m_count, scales), m_count,
+        trace.axis, envelope_weights(m_count, scales), m_count,
         scales.fsr_delta_omega, (0.5 * scales.gamma) ** 2,
     )
     if trace.meta.normalization is Normalization.PEAK_UNITY:
@@ -386,7 +387,7 @@ class TestLorentzianCombBlocks:
                                 np.arange(-120, 121) * (0.5 * fsr)])
         detuning = np.unique(np.concatenate([edges, np.nextafter(edges, -np.inf),
                                              np.nextafter(edges, np.inf)]))
-        weights = _mode_weights(m_max, scales)
+        weights = envelope_weights(m_max, scales)
         args = (weights, m_max, fsr, (0.5 * scales.gamma) ** 2)
         got = sropo.spectra._lorentzian_comb(detuning, *args)
         assert relative_deviation(got, spectrum_mode_loop(detuning, *args)) <= COMB_RTOL
@@ -397,7 +398,7 @@ class TestLorentzianCombBlocks:
         scales = scales_with(0.1, 1.0, 0.05)
         fsr = scales.fsr_delta_omega
         detuning = np.linspace(-0.3, cells_per_point * 99 - 0.3, 100) * fsr
-        args = (_mode_weights(40, scales), 40, fsr, (0.5 * scales.gamma) ** 2)
+        args = (envelope_weights(40, scales), 40, fsr, (0.5 * scales.gamma) ** 2)
         got = sropo.spectra._lorentzian_comb(detuning, *args)
         assert relative_deviation(got, spectrum_mode_loop(detuning, *args)) <= COMB_RTOL
 
@@ -418,7 +419,7 @@ class TestLorentzianCombBlocks:
             idx = np.linspace(0, trace.axis.size - 1, 200).round().astype(int)
             idx = np.append(idx, np.argmax(trace.values))
             want = spectrum_mode_loop(
-                trace.axis[idx], _mode_weights(m_count, scales), m_count,
+                trace.axis[idx], envelope_weights(m_count, scales), m_count,
                 scales.fsr_delta_omega, (0.5 * scales.gamma) ** 2,
             )
             got, want = trace.values[idx] / trace.values[idx[-1]], want / want[-1]
@@ -530,7 +531,7 @@ class TestMirroredGrids:
         if n - h >= 2:
             half = g1("idler", scales, freqs, tau=tau[h:], m_max=m_max)
             assert same_bits(values[h:], half.values)
-        want = g1_mode_loop(_mode_weights(m_count, scales), scales.fsr_delta_omega,
+        want = g1_mode_loop(envelope_weights(m_count, scales), scales.fsr_delta_omega,
                             scales.gamma, tau)
         assert np.abs(values - want).max() <= 1e-11
 
@@ -554,7 +555,7 @@ class TestMirroredGrids:
         g1_values = g1("idler", scales, freqs, tau=tau, m_max=5).values
         assert comb == series == [n if broken else n - n // 2]
         assert relative_deviation(trace.values, loop_spectrum(trace, scales)) <= COMB_RTOL
-        want = g1_mode_loop(_mode_weights(5, scales), scales.fsr_delta_omega, scales.gamma,
+        want = g1_mode_loop(envelope_weights(5, scales), scales.fsr_delta_omega, scales.gamma,
                             tau)
         assert np.abs(g1_values - want).max() <= 1e-11
 
@@ -910,7 +911,7 @@ class TestG1:
         tau = np.linspace(-3 / scales.gamma, 3 / scales.gamma, 6001)
         trace = g1("idler", scales, freqs, tau=tau, m_max=100)
         want = g1_mode_loop(
-            _mode_weights(100, scales), scales.fsr_delta_omega, scales.gamma, tau
+            envelope_weights(100, scales), scales.fsr_delta_omega, scales.gamma, tau
         )
         assert np.abs(trace.values - want).max() <= 1e-11
         assert np.all(trace.values.imag == 0.0)
@@ -998,6 +999,13 @@ def test_envelope_zero_mode_that_overflows_is_refused_naming_its_inputs(spectrum
     for call in (spectrum_grid, g1_grid, lambda s: _auto_mode_count(s, None)):
         with pytest.raises(ScenarioValidationError, match=message):
             call(scales)
+
+
+def test_envelope_zero_mode_at_tau0_zero_is_refused(spectrum_setup):
+    # tau0 = 0: sinc^2 is 1 at every mode, so the envelope has no first zero.
+    *_, scales = spectrum_setup
+    with pytest.raises(DegenerateGroupVelocityError, match=r"^tau0 = 0: the envelope has no zero$"):
+        envelope_zero_mode(scales.replace(tau0=0.0))
 
 
 def test_spectrum_refuses_m_max_before_its_default_grid():

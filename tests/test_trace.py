@@ -125,6 +125,18 @@ def test_json_table_refuses_a_non_finite_meta_value(tmp_path):
                                      [np.ones(2)])
 
 
+@pytest.mark.parametrize("write", [write_table_csv, write_table_json], ids=["csv", "json"])
+def test_header_value_of_another_type_is_refused_naming_its_key(tmp_path, write):
+    # A numpy scalar would print as its repr in one writer and as a number in
+    # the other: refused by both, before the file is opened.
+    value = np.int64(3)
+    path = tmp_path / "t.out"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"header value m_max = {value!r} is a int64, not an int, float, str or bool") + "$"):
+        write(path, {"kind": "g1", "m_max": value}, ["a"], [np.ones(2)])
+    assert not path.exists()
+
+
 # Row counts about the chunk edges, and values from the subnormals to 1e308
 # with -0.0; the CSV writer also prints nan and +-inf.
 CHUNK_EDGES = [0, 1, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 3 * ROW_CHUNK + 1]
